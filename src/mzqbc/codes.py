@@ -1,9 +1,10 @@
 """Binary linear (n,k,d) codes over GF(2).
 
-Codewords are numpy uint8 vectors.  Everything is brute force by design:
-the exhaustive 2^k enumeration is the correctness oracle for the protocol
-analysis, and the sizes of interest are desk scale.  A hard guard refuses
-enumerations beyond k=24 rather than approximating.
+Codewords are numpy uint8 vectors.  Ranks come from an XOR-basis
+elimination on packed rows; the minimum distance and the codeword lists
+(consistent codewords, parity halves) are exhaustive 2^k enumerations,
+exact and desk scale.  Hard guards refuse enumerations beyond k=24 and
+codeword matrices beyond k=20 rather than approximating.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from . import kernels
 from .util import GuardError
 
-#: 2^k Gray-walk enumeration bound for the minimum distance.
+#: 2^k enumeration bound for the minimum distance.
 ENUM_GUARD_K = 24
 #: Bound for materializing the full codeword matrix in memory.
 MATERIALIZE_GUARD_K = 20
@@ -33,25 +34,8 @@ def string_from_bits(bits: np.ndarray) -> str:
 
 
 def gf2_rank(matrix: np.ndarray) -> int:
-    m = matrix.copy().astype(np.uint8)
-    rank = 0
-    rows, cols = m.shape
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and m[r, col]:
-                m[r] ^= m[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Rank over GF(2) of a 0/1 matrix with at most 64 columns."""
+    return len(kernels.xor_basis(kernels.pack_rows(np.asarray(matrix))))
 
 
 @dataclass(frozen=True, eq=False)

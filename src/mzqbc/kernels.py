@@ -1,45 +1,15 @@
-"""Hot numeric loops with a numba fast path and a pure-numpy fallback.
+"""Numpy kernels for the hot loops, one implementation per job.
 
-The backend is chosen once at import from the MZQBC_BACKEND environment
-variable: "numba", "numpy", or unset/"auto" (numba when importable).  Both
-implementations consume the same pre-drawn uniform arrays and are exact
-integer/boolean counting, so their outputs are bit-identical; see
-benchmarks/bench_kernels.py for the speed comparison.
+GF(2) rows are packed into uint64 bitmasks (n <= 64), and one XOR-basis
+elimination serves both the rank of a generator matrix and the concealing
+game's span test.  The Monte-Carlo kernels consume pre-drawn uniform arrays
+and are exact integer/boolean counting.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_requested = os.environ.get("MZQBC_BACKEND", "auto").lower()
-if _requested not in ("auto", "numba", "numpy"):
-    raise ValueError(f"MZQBC_BACKEND must be auto|numba|numpy, got {_requested!r}")
-
-HAS_NUMBA = False
-if _requested in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise ImportError("MZQBC_BACKEND=numba but numba is not installed")
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
-
-if not HAS_NUMBA:  # keep the decorated sources importable without numba
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# minimum nonzero codeword weight (Gray-code walk over all 2^k messages)
 
 def pack_rows(rows: np.ndarray) -> np.ndarray:
     """Pack a (k, n) 0/1 matrix into k uint64 bitmasks (n <= 64)."""
@@ -52,41 +22,62 @@ def pack_rows(rows: np.ndarray) -> np.ndarray:
     return masks
 
 
-@njit(cache=True, nogil=True)
-def _min_weight_numba(masks, n):
-    k = masks.shape[0]
-    total = np.uint64(1) << np.uint64(k)
-    acc = np.uint64(0)
-    best = n + 1
-    i = np.uint64(1)
-    while i < total:
-        # Gray-code step: flip the row indexed by the lowest set bit of i
-        j = 0
-        t = i
-        while (t & np.uint64(1)) == np.uint64(0):
-            t >>= np.uint64(1)
-            j += 1
-        acc ^= masks[j]
-        # SWAR popcount of the packed codeword
-        x = acc
-        x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-        x = (x & np.uint64(0x3333333333333333)) + (
-            (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
-        )
-        x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        w = int((x * np.uint64(0x0101010101010101)) >> np.uint64(56))
-        if w < best:
-            best = w
-        i += np.uint64(1)
-    return best
+# ---------------------------------------------------------------------------
+# GF(2) elimination on packed rows
+
+def _reduce(v: int, basis: list[int]) -> int:
+    """v with the leading bit of every basis vector cleared; the basis is
+    kept in descending order, so each XOR only touches lower bits."""
+    for b in basis:
+        v = min(v, v ^ b)
+    return v
 
 
-def _min_weight_numpy(masks, n, chunk=1 << 18):
+def xor_basis(masks) -> list[int]:
+    """An echelon basis of the GF(2) span of packed rows: nonzero vectors
+    with distinct leading bits, in descending order.  Its length is the
+    rank."""
+    basis: list[int] = []
+    for v in masks:
+        v = _reduce(int(v), basis)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return basis
+
+
+def parity_determined(
+    generator: np.ndarray, r: np.ndarray, known: np.ndarray
+) -> np.ndarray:
+    """Whether the bits of a codeword c = mG at the positions of each row of
+    the boolean (masks, n) array `known` fix its parity c.r.
+
+    The parity is m.(G r^T), and the known bits are m G[:, S]; they fix it
+    iff G r^T lies in the column span of G[:, S].  Otherwise the two parity
+    halves of the consistent codewords have equal size, so the receiver's
+    posterior is exactly 1 or 1/2.
+    """
+    cols = pack_rows(np.asarray(generator).T)
+    target = int(np.bitwise_xor.reduce(cols[np.asarray(r, dtype=bool)]))
+    return np.array(
+        [_reduce(target, xor_basis(cols[row])) == 0 for row in known], dtype=bool
+    )
+
+
+# ---------------------------------------------------------------------------
+# minimum nonzero codeword weight (all 2^k messages, in chunks)
+
+#: messages encoded per numpy pass of `min_weight`
+_CHUNK = 1 << 18
+
+
+def min_weight(masks: np.ndarray, n: int) -> int:
+    """Minimum Hamming weight over all nonzero codewords of the span."""
     k = masks.shape[0]
     total = 1 << k
     best = n + 1
-    for start in range(0, total, chunk):
-        msgs = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+    for start in range(0, total, _CHUNK):
+        msgs = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
         acc = np.zeros_like(msgs)
         for j in range(k):
             sel = ((msgs >> np.uint64(j)) & np.uint64(1)).astype(bool)
@@ -99,13 +90,6 @@ def _min_weight_numpy(masks, n, chunk=1 << 18):
     return best
 
 
-def min_weight(masks: np.ndarray, n: int) -> int:
-    """Minimum Hamming weight over all nonzero codewords of the span."""
-    if BACKEND == "numba":
-        return _min_weight_numba(masks, n)
-    return _min_weight_numpy(masks, n)
-
-
 # ---------------------------------------------------------------------------
 # binding-cheat trial counting
 #
@@ -115,35 +99,7 @@ def min_weight(masks: np.ndarray, n: int) -> int:
 # "proceeds" when she saw no mismatch on the flipped positions.  Returns
 # int64 counts [proceed, proceed & accept, accept, abort].
 
-@njit(cache=True, nogil=True)
-def _binding_counts_numba(u_mode, u_mis, f, eps, flip_idx, threshold):
-    trials, n = u_mode.shape
-    out = np.zeros(4, dtype=np.int64)
-    for t in range(trials):
-        n_mis = 0
-        for i in range(n):
-            if u_mode[t, i] < f and u_mis[t, i] < eps:
-                n_mis += 1
-        proceed = True
-        accept = True
-        for jj in range(flip_idx.shape[0]):
-            i = flip_idx[jj]
-            if u_mode[t, i] < f:
-                accept = False
-                if u_mis[t, i] < eps:
-                    proceed = False
-        if proceed:
-            out[0] += 1
-            if accept:
-                out[1] += 1
-        if accept:
-            out[2] += 1
-        if n_mis / (eps * n) >= threshold:
-            out[3] += 1
-    return out
-
-
-def _binding_counts_numpy(u_mode, u_mis, f, eps, flip_idx, threshold):
+def binding_counts(u_mode, u_mis, f, eps, flip_idx, threshold):
     intercept = u_mode < f
     mismatch = intercept & (u_mis < eps)
     proceed = ~mismatch[:, flip_idx].any(axis=1)
@@ -161,83 +117,22 @@ def _binding_counts_numpy(u_mode, u_mis, f, eps, flip_idx, threshold):
     )
 
 
-def binding_counts(u_mode, u_mis, f, eps, flip_idx, threshold):
-    if BACKEND == "numba":
-        return _binding_counts_numba(u_mode, u_mis, f, eps, flip_idx, threshold)
-    return _binding_counts_numpy(u_mode, u_mis, f, eps, flip_idx, threshold)
-
-
 # ---------------------------------------------------------------------------
 # concealing trial statistics
 #
 # Per trial the receiver learns the committed codeword exactly on his
-# intercepted positions; his parity posterior is the codeword count per
-# parity class among codewords consistent with what he saw.  Returns float64
+# intercepted positions; his parity posterior is 1 when those positions fix
+# the parity and 1/2 otherwise, whichever codeword was committed.  One span
+# test runs per distinct intercept mask.  Returns float64
 # [aborts, sum p(true parity), sum max posterior].
 
-@njit(cache=True, nogil=True)
-def _concealing_stats_numba(
-    codewords, parities, cw_idx, intercept, u_mis, eps, threshold
-):
-    trials, n = intercept.shape
-    n_words = codewords.shape[0]
-    out = np.zeros(3, dtype=np.float64)
-    for t in range(trials):
-        n_mis = 0
-        for i in range(n):
-            if intercept[t, i] and u_mis[t, i] < eps:
-                n_mis += 1
-        if n_mis / (eps * n) >= threshold:
-            out[0] += 1.0
-        c0 = 0
-        c1 = 0
-        for w in range(n_words):
-            ok = True
-            for i in range(n):
-                if intercept[t, i] and codewords[w, i] != codewords[cw_idx[t], i]:
-                    ok = False
-                    break
-            if ok:
-                if parities[w]:
-                    c1 += 1
-                else:
-                    c0 += 1
-        total = c0 + c1
-        true_count = c1 if parities[cw_idx[t]] else c0
-        out[1] += true_count / total
-        out[2] += max(c0, c1) / total
-    return out
-
-
-def _concealing_stats_numpy(
-    codewords, parities, cw_idx, intercept, u_mis, eps, threshold
-):
+def concealing_stats(generator, r, intercept, u_mis, eps, threshold):
     n = intercept.shape[1]
     mismatch = intercept & (u_mis < eps)
     aborts = (mismatch.sum(axis=1) / (eps * n) >= threshold).sum()
-    committed = codewords[cw_idx]  # (trials, n)
-    agree = (codewords[None, :, :] == committed[:, None, :]) | ~intercept[:, None, :]
-    consistent = agree.all(axis=2)  # (trials, n_words)
-    c1 = (consistent & (parities[None, :] == 1)).sum(axis=1)
-    c0 = consistent.sum(axis=1) - c1
-    total = c0 + c1
-    true_b = parities[cw_idx]
-    true_count = np.where(true_b == 1, c1, c0)
-    return np.array(
-        [
-            float(aborts),
-            float((true_count / total).sum()),
-            float((np.maximum(c0, c1) / total).sum()),
-        ],
-        dtype=np.float64,
+    _, first, inverse = np.unique(
+        pack_rows(intercept), return_index=True, return_inverse=True
     )
-
-
-def concealing_stats(codewords, parities, cw_idx, intercept, u_mis, eps, threshold):
-    if BACKEND == "numba":
-        return _concealing_stats_numba(
-            codewords, parities, cw_idx, intercept, u_mis, eps, threshold
-        )
-    return _concealing_stats_numpy(
-        codewords, parities, cw_idx, intercept, u_mis, eps, threshold
-    )
+    determined = parity_determined(generator, r, intercept[first])[inverse]
+    posterior = float(determined.sum()) + 0.5 * float((~determined).sum())
+    return np.array([float(aborts), posterior, posterior], dtype=np.float64)

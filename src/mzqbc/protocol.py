@@ -382,32 +382,32 @@ def run_concealing_experiment(
     """Receiver intercepting exactly m random positions per session.
 
     Reports the sender's abort frequency and the receiver's exact parity
-    posterior (codeword counting over his m learned bits), averaged over
-    sessions with a uniformly random committed bit and codeword.
+    posterior, averaged over sessions with a uniformly random committed bit
+    and codeword.  The posterior is 1 when his m learned bits fix the parity
+    and 1/2 otherwise (`kernels.parity_determined`), so no codeword is
+    enumerated.
     """
     del rng
     code, r = params.code, params.r
     if not 0 <= m <= code.n:
         raise ValueError("m must lie in 0..n")
-    words = code.codewords()
-    parities = codes_mod.coset_parities(code, r)
-    idx_by_parity = [np.flatnonzero(parities == b) for b in (0, 1)]
-    if any(len(ix) == 0 for ix in idx_by_parity):
+    if not ((code.generator.astype(np.int64) @ r) % 2).any():
         raise ValueError("committed subset empty; choose different r")
+    half = 1 << (code.k - 1)  # codewords per parity half when G r^T != 0
     eps, n, threshold = params.epsilon, code.n, params.threshold
 
     def worker(g: np.random.Generator, count: int):
-        b = g.integers(2, size=count)
-        pick0 = g.integers(len(idx_by_parity[0]), size=count)
-        pick1 = g.integers(len(idx_by_parity[1]), size=count)
-        cw_idx = np.where(b == 1, idx_by_parity[1][pick1], idx_by_parity[0][pick0])
+        # committed bit and word (b, pick0, pick1): unused, drawn to keep the random stream
+        g.integers(2, size=count)
+        g.integers(half, size=count)
+        g.integers(half, size=count)
         order = np.argsort(g.random((count, n)), axis=1, kind="stable")
         intercept = np.zeros((count, n), dtype=bool)
         rows = np.repeat(np.arange(count), m)
         intercept[rows, order[:, :m].ravel()] = True
         u_mis = g.random((count, n))
         return kernels.concealing_stats(
-            words, parities, cw_idx.astype(np.int64), intercept, u_mis, eps, threshold
+            code.generator, r, intercept, u_mis, eps, threshold
         )
 
     stats = sum(_run_blocks(worker, trials, params.seed, threads))

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from mzqbc import cli, config as config_mod
@@ -187,3 +188,12 @@ class TestVerify:
         assert cli.main(["verify", "--config", cfg]) == 1
         out = capsys.readouterr().out
         assert "tol=1e-20" in out
+
+    @pytest.mark.parametrize("seed, ok, relation, margin", [
+        (0, True, " <= ", "margin +"),
+        (362, False, " > ", "margin -"),  # a draw just outside the 3-sigma band
+    ])
+    def test_posterior_oracle_prints_the_comparison_that_holds(self, seed, ok, relation, margin):
+        name, passed, detail = cli._check_posterior_oracle({}, np.random.default_rng(seed))
+        assert (name, passed) == ("intercept_posterior_oracle", ok)
+        assert relation in detail and margin in detail

@@ -1,13 +1,12 @@
-"""Both kernel backends must agree bit-for-bit on identical inputs."""
+"""The numpy kernels against plain-Python loop oracles on identical inputs."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from mzqbc import codes, kernels
-
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
+from mzqbc import codes, kernels, protocol
+from mzqbc.util import GuardError
 
 
 def brute_min_weight(gen):
@@ -24,6 +23,112 @@ def brute_min_weight(gen):
     return best
 
 
+def gray_min_weight(masks, n):
+    """Gray-code walk over all nonzero messages: each step flips the row
+    indexed by the lowest set bit of the step number."""
+    acc = 0
+    best = n + 1
+    for i in range(1, 1 << len(masks)):
+        j = (i & -i).bit_length() - 1
+        acc ^= int(masks[j])
+        best = min(best, bin(acc).count("1"))
+    return best
+
+
+def loop_binding_counts(u_mode, u_mis, f, eps, flip_idx, threshold):
+    trials, n = u_mode.shape
+    out = [0, 0, 0, 0]
+    for t in range(trials):
+        n_mis = 0
+        for i in range(n):
+            if u_mode[t, i] < f and u_mis[t, i] < eps:
+                n_mis += 1
+        proceed = True
+        accept = True
+        for i in flip_idx:
+            if u_mode[t, i] < f:
+                accept = False
+                if u_mis[t, i] < eps:
+                    proceed = False
+        if proceed:
+            out[0] += 1
+            if accept:
+                out[1] += 1
+        if accept:
+            out[2] += 1
+        if n_mis / (eps * n) >= threshold:
+            out[3] += 1
+    return out
+
+
+def loop_concealing_stats(codewords, parities, cw_idx, intercept, u_mis, eps, threshold):
+    """Codeword counting per trial: the receiver's parity posterior among
+    the codewords that agree with the committed one where he intercepted."""
+    trials, n = intercept.shape
+    out = [0.0, 0.0, 0.0]
+    for t in range(trials):
+        n_mis = 0
+        for i in range(n):
+            if intercept[t, i] and u_mis[t, i] < eps:
+                n_mis += 1
+        if n_mis / (eps * n) >= threshold:
+            out[0] += 1.0
+        c0 = 0
+        c1 = 0
+        for w in range(len(codewords)):
+            ok = True
+            for i in range(n):
+                if intercept[t, i] and codewords[w, i] != codewords[cw_idx[t], i]:
+                    ok = False
+                    break
+            if ok:
+                if parities[w]:
+                    c1 += 1
+                else:
+                    c0 += 1
+        total = c0 + c1
+        true_count = c1 if parities[cw_idx[t]] else c0
+        out[1] += true_count / total
+        out[2] += max(c0, c1) / total
+    return out
+
+
+def broadcast_concealing_stats(codewords, parities, cw_idx, intercept, u_mis, eps, threshold):
+    """The same counting as one (trials, 2^k, n) boolean broadcast."""
+    n = intercept.shape[1]
+    mismatch = intercept & (u_mis < eps)
+    aborts = (mismatch.sum(axis=1) / (eps * n) >= threshold).sum()
+    committed = codewords[cw_idx]
+    agree = (codewords[None, :, :] == committed[:, None, :]) | ~intercept[:, None, :]
+    consistent = agree.all(axis=2)
+    c1 = (consistent & (parities[None, :] == 1)).sum(axis=1)
+    c0 = consistent.sum(axis=1) - c1
+    total = c0 + c1
+    true_count = np.where(parities[cw_idx] == 1, c1, c0)
+    return [
+        float(aborts),
+        float((true_count / total).sum()),
+        float((np.maximum(c0, c1) / total).sum()),
+    ]
+
+
+def eliminate_rank(matrix):
+    """Row reduction over GF(2) on the unpacked 0/1 matrix."""
+    m = matrix.copy().astype(np.uint8)
+    rank = 0
+    rows, cols = m.shape
+    for col in range(cols):
+        pivots = [r for r in range(rank, rows) if m[r, col]]
+        if not pivots:
+            continue
+        m[[rank, pivots[0]]] = m[[pivots[0], rank]]
+        for r in range(rows):
+            if r != rank and m[r, col]:
+                m[r] ^= m[rank]
+        rank += 1
+    return rank
+
+
 def test_pack_rows_guard():
     with pytest.raises(ValueError):
         kernels.pack_rows(np.zeros((2, 65), dtype=np.uint8))
@@ -34,18 +139,30 @@ def test_min_weight_numpy_matches_oracle(seed):
     rng = np.random.default_rng(seed)
     code = codes.random_code(n=10, k=5, rng=rng)
     masks = kernels.pack_rows(code.generator)
-    assert kernels._min_weight_numpy(masks, code.n) == brute_min_weight(code.generator)
+    assert kernels.min_weight(masks, code.n) == brute_min_weight(code.generator)
 
 
-@needs_numba
-@pytest.mark.parametrize("seed", range(5))
-def test_min_weight_backends_agree(seed):
-    rng = np.random.default_rng(100 + seed)
-    code = codes.random_code(n=14, k=8, rng=rng)
+def _code(seed, n, k):
+    """Extended Hamming for seed 0, else a random (n, k) code from the seed."""
+    if seed == 0:
+        return codes.extended_hamming_8_4()
+    return codes.random_code(n=n, k=k, rng=np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("seed", [0, *range(100, 105)])
+def test_min_weight_matches_gray_walk(seed):
+    code = _code(seed, n=14, k=8)
     masks = kernels.pack_rows(code.generator)
-    assert kernels._min_weight_numba(masks, code.n) == kernels._min_weight_numpy(
-        masks, code.n
-    )
+    assert kernels.min_weight(masks, code.n) == gray_min_weight(masks, code.n)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gf2_rank_matches_row_reduction(seed):
+    rng = np.random.default_rng(200 + seed)
+    rows, cols = rng.integers(1, 12, size=2)
+    matrix = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+    matrix[-1] = matrix[0] ^ matrix[rows // 2]  # force some dependence
+    assert codes.gf2_rank(matrix) == eliminate_rank(matrix)
 
 
 def _binding_inputs(seed, trials=4096, n=8):
@@ -60,13 +177,10 @@ def _binding_inputs(seed, trials=4096, n=8):
     )
 
 
-@needs_numba
 @pytest.mark.parametrize("seed", range(3))
-def test_binding_backends_agree(seed):
+def test_binding_counts_match_loop_oracle(seed):
     args = _binding_inputs(seed)
-    assert np.array_equal(
-        kernels._binding_counts_numba(*args), kernels._binding_counts_numpy(*args)
-    )
+    assert kernels.binding_counts(*args).tolist() == loop_binding_counts(*args)
 
 
 def test_binding_numpy_semantics():
@@ -77,34 +191,65 @@ def test_binding_numpy_semantics():
     # f=0.5, eps=0.5: trial0 intercept+mismatch at flip -> no proceed;
     # trial1 intercepts both, no mismatch -> proceed, not accept;
     # trial2 nothing intercepted -> proceed and accept
-    out = kernels._binding_counts_numpy(u_mode, u_mis, 0.5, 0.5, flips, 10.0)
+    out = kernels.binding_counts(u_mode, u_mis, 0.5, 0.5, flips, 10.0)
     assert out.tolist() == [2, 1, 1, 0]
 
 
-def _concealing_inputs(seed, trials=2048):
+def _concealing_inputs(code, r, seed, trials, p_intercept=0.4):
+    """(oracle arguments, kernel arguments) for the same trials."""
     rng = np.random.default_rng(seed)
-    code = codes.extended_hamming_8_4()
     words = code.codewords()
-    parities = codes.coset_parities(code, codes.bits_from_string("11100000"))
-    cw_idx = rng.integers(len(words), size=trials).astype(np.int64)
-    intercept = rng.random((trials, code.n)) < 0.4
+    parities = codes.coset_parities(code, r)
+    cw_idx = rng.integers(len(words), size=trials)
+    intercept = rng.random((trials, code.n)) < p_intercept
     u_mis = rng.random((trials, code.n))
-    return words, parities, cw_idx, intercept, u_mis, 0.5, 0.5
+    oracle = (words, parities, cw_idx, intercept, u_mis, 0.5, 0.5)
+    return oracle, (code.generator, r, intercept, u_mis, 0.5, 0.5)
 
 
-@needs_numba
-@pytest.mark.parametrize("seed", range(3))
-def test_concealing_backends_agree(seed):
-    args = _concealing_inputs(seed)
-    a = kernels._concealing_stats_numba(*args)
-    b = kernels._concealing_stats_numpy(*args)
-    assert np.array_equal(a, b)
+@pytest.mark.parametrize("seed", [0, *range(301, 307)])
+def test_concealing_stats_match_loop_oracle(seed):
+    code = _code(seed, n=10, k=2 + seed % 7)
+    rng = np.random.default_rng(seed)
+    r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
+    p = float(rng.uniform(0.1, 0.9))
+    oracle, args = _concealing_inputs(code, r, seed, 600, p_intercept=p)
+    assert kernels.concealing_stats(*args).tolist() == loop_concealing_stats(*oracle)
+
+
+@pytest.mark.parametrize("p_intercept", [0.2, 0.35, 0.5])
+def test_concealing_stats_match_broadcast_golay(p_intercept):
+    code = codes.golay_24_12()
+    r = np.zeros(code.n, dtype=np.uint8)
+    r[[0, 5, 13]] = 1
+    oracle, args = _concealing_inputs(code, r, 7, 150, p_intercept=p_intercept)
+    assert kernels.concealing_stats(*args).tolist() == broadcast_concealing_stats(*oracle)
 
 
 def test_concealing_numpy_posterior_bounds():
-    words, parities, cw_idx, intercept, u_mis, eps, thr = _concealing_inputs(9)
-    trials = len(cw_idx)
-    out = kernels._concealing_stats_numpy(words, parities, cw_idx, intercept, u_mis, eps, thr)
+    code = codes.extended_hamming_8_4()
+    _, args = _concealing_inputs(code, codes.bits_from_string("11100000"), 9, 2048)
+    trials = args[2].shape[0]
+    out = kernels.concealing_stats(*args)
     assert 0 <= out[0] <= trials
     assert 0 <= out[1] <= trials
     assert trials / 2 <= out[2] <= trials  # max posterior is always >= 1/2
+
+
+def test_concealing_experiment_beyond_materialize_guard():
+    rng = np.random.default_rng(5)
+    code = codes.random_code(n=28, k=22, rng=rng)
+    assert code.k > codes.MATERIALIZE_GUARD_K
+    with pytest.raises(GuardError):
+        code.codewords()
+    r = np.zeros(code.n, dtype=np.uint8)
+    r[:2] = 1
+    params = protocol.ProtocolParams(code=code, r=r, R=0.3, f=0.25, epsilon=0.3)
+    means = {}
+    for m in (0, 20, code.n):
+        res = protocol.run_concealing_experiment(params, m, 3000)
+        assert res["mean_posterior_true_bit"] == res["mean_max_posterior"]
+        means[m] = res["mean_max_posterior"]
+        assert 0.5 <= means[m] <= 1.0
+    assert means[0] == 0.5
+    assert means[code.n] == 1.0
