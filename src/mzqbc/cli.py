@@ -114,10 +114,7 @@ def _default_r(code, seed) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA11CE)))
     for _ in range(1000):
         r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
-        if not r.any():
-            continue
-        c0, c1 = codes_mod.coset_split(code, r)
-        if len(c0) and len(c1):
+        if r.any() and codes_mod.message_mask(code, r).any():
             return r
     raise ValueError("could not find a usable r; supply one explicitly")
 
@@ -440,10 +437,7 @@ def _check_orthogonality(cfg, rng):
         tried = 0
         while tried < 5:
             r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
-            if not r.any():
-                continue
-            c0, c1 = codes_mod.coset_split(code, r)
-            if not len(c0) or not len(c1):
+            if not r.any() or not codes_mod.message_mask(code, r).any():
                 continue
             tried += 1
             rho0 = operator_model.committed_density(code, r, 0)

@@ -1,10 +1,12 @@
 """Binary linear (n,k,d) codes over GF(2).
 
 Codewords are numpy uint8 vectors.  Ranks come from an XOR-basis
-elimination on packed rows; the minimum distance and the codeword lists
-(consistent codewords, parity halves) are exhaustive 2^k enumerations,
-exact and desk scale.  Hard guards refuse enumerations beyond k=24 and
-codeword matrices beyond k=20 rather than approximating.
+elimination on packed rows, and the parity halves {mG : m.(G r^T) = b}
+are handled as linear constraints on the message m, never listed.  Only
+the minimum distance is an exhaustive 2^k enumeration, exact and desk
+scale.  Hard guards refuse it beyond k=24, and refuse the full codeword
+matrix (used by the midpoint cheat and the dense committed state) beyond
+k=20, rather than approximating.
 """
 
 from __future__ import annotations
@@ -108,32 +110,37 @@ def parity(c: np.ndarray, r: np.ndarray) -> int:
     return int(np.bitwise_xor.reduce(c & r))
 
 
-def coset_parities(code: LinearCode, r: np.ndarray) -> np.ndarray:
-    """parity(c, r) for every codeword, in codeword-matrix order."""
+def message_mask(code: LinearCode, r: np.ndarray) -> np.ndarray:
+    """t = G r^T mod 2, so c = mG has parity c.r = m.t.  Both parity halves
+    of the code are nonempty iff t != 0, and then hold 2^(k-1) words each."""
     r = np.asarray(r, dtype=np.uint8)
     if r.shape != (code.n,):
         raise ValueError(f"r must have length {code.n}")
-    return ((code.codewords() & r[None, :]).sum(axis=1) % 2).astype(np.uint8)
-
-
-def coset_split(code: LinearCode, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Partition the codewords by their parity against the mask r."""
-    r = np.asarray(r, dtype=np.uint8)
     if not r.any():
         raise ValueError("r must be nonzero")
-    parities = coset_parities(code, r)
-    words = code.codewords()
-    return words[parities == 0], words[parities == 1]
+    return ((code.generator.astype(np.int64) @ r) % 2).astype(np.uint8)
 
 
 def sample_codeword(
     code: LinearCode, r: np.ndarray, b: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Uniform draw from the parity-b half of the code."""
-    subset = coset_split(code, r)[b]
-    if len(subset) == 0:
+    """Uniform draw from the parity-b half of the code.
+
+    One `rng.integers(|C_b|)` draw j picks the j-th parity-b message in
+    ascending order: j with the parity-fixing bit inserted at the lowest set
+    bit p of t = G r^T (bits below p leave the parity alone)."""
+    t = message_mask(code, r)
+    bits = np.arange(code.k)
+    if t.any():
+        p = int(np.flatnonzero(t)[0])
+        j = int(rng.integers(1 << (code.k - 1)))
+        m = (j >> p << (p + 1)) | (j & ((1 << p) - 1))
+        m |= (int(((m >> bits) & 1) @ t) + b) % 2 << p
+    elif b:
         raise ValueError("committed subset empty; choose different r")
-    return subset[rng.integers(len(subset))].copy()
+    else:
+        m = int(rng.integers(1 << code.k))
+    return (((m >> bits) & 1) @ code.generator % 2).astype(np.uint8)
 
 
 def midpoint_word(c_a: np.ndarray, c_b: np.ndarray) -> np.ndarray:
@@ -155,23 +162,6 @@ def midpoint_word(c_a: np.ndarray, c_b: np.ndarray) -> np.ndarray:
     take = (h + 1) // 2
     mid[diff[:take]] = c_b[diff[:take]]
     return mid
-
-
-def consistent_codewords(
-    code: LinearCode, positions, values
-) -> np.ndarray:
-    """All codewords agreeing with `values` at `positions` (possibly none)."""
-    positions = np.asarray(positions, dtype=np.intp)
-    values = np.asarray(values, dtype=np.uint8)
-    if positions.shape != values.shape:
-        raise ValueError("positions and values must have equal length")
-    if len(np.unique(positions)) != len(positions):
-        raise ValueError("positions must be distinct")
-    words = code.codewords()
-    if len(positions) == 0:
-        return words
-    mask = (words[:, positions] == values[None, :]).all(axis=1)
-    return words[mask]
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import codes as codes_mod
-from . import optics, protocol
-from .codes import parity
+from . import kernels, optics, protocol
 from .optics import RAIL_X, RAIL_Y, BeamSplitterParams
 
 
@@ -163,16 +161,24 @@ def attack_session(
 
 def _try_flip(transcript: protocol.SessionTranscript, inferred_bypass: list[bool]) -> bool:
     """Unveil a codeword of flipped parity touching only believed-bypass
-    positions; succeeds iff the receiver's checks all pass."""
+    positions; succeeds iff the receiver's checks all pass.
+
+    It announces c + w, w a codeword that is 0 on the fixed positions with
+    w.r = 1: an echelon basis vector of the rows (G[:, fixed] << n) | G below
+    2^n.  A blocked probe never clicks Dc, so every intercepted position is
+    fixed and any such w gets the same verdict."""
     params = transcript.params
-    code, r = params.code, params.r
-    c = transcript.codeword
-    fixed = [i for i in range(code.n) if not inferred_bypass[i]]
-    candidates = codes_mod.consistent_codewords(code, fixed, c[fixed])
-    want = 1 - transcript.committed_b
-    for cand in candidates:
-        if parity(cand, r) == want and not np.array_equal(cand, c):
-            announcement = protocol.Announcement(b=want, c=cand)
+    code, n = params.code, params.code.n
+    fixed = ~np.asarray(inferred_bypass, dtype=bool)
+    high = kernels.pack_rows(code.generator[:, fixed])
+    low = kernels.pack_rows(code.generator)
+    r_mask = int(kernels.pack_rows(params.r[None, :])[0])
+    for w in kernels.xor_basis([int(h) << n | int(lo) for h, lo in zip(high, low)]):
+        if w >> n == 0 and (w & r_mask).bit_count() % 2:
+            flip = np.array([w >> i & 1 for i in range(n)], dtype=np.uint8)
+            announcement = protocol.Announcement(
+                b=1 - transcript.committed_b, c=transcript.codeword ^ flip
+            )
             return protocol.run_unveil(transcript, announcement) == protocol.ACCEPT
     return False
 

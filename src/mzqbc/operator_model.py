@@ -27,6 +27,7 @@ from math import prod
 import numpy as np
 
 from . import codes as codes_mod
+from . import kernels
 from .codes import LinearCode
 from .util import GuardError, haar_unitary
 
@@ -145,9 +146,10 @@ def committed_density(
     The sparse form carries only the |C_b| nonzero weights, so it scales to
     every enumerable code; densifying is guarded at n <= 12.
     """
-    subset = codes_mod.coset_split(code, r)[b]
-    if len(subset) == 0:
+    if b and not codes_mod.message_mask(code, r).any():
         raise ValueError("committed subset empty; choose different r")
+    words = code.codewords()
+    subset = words[words @ np.asarray(r, dtype=np.uint8) % 2 == b]
     indices = np.array([codeword_basis_index(w) for w in subset], dtype=np.int64)
     weights = np.full(len(subset), 1.0 / len(subset))
     return SparseDiagonalDensity(dim=1 << code.n, indices=indices, weights=weights)
@@ -394,13 +396,21 @@ def bob_bit_posterior(
     code: LinearCode, r: np.ndarray, known_positions, known_values
 ) -> tuple[float, float]:
     """The receiver's parity posterior from exact knowledge of some
-    codeword positions, by exhaustive codeword counting.  Returns (0, 0)
-    for an impossible observation."""
-    consistent = codes_mod.consistent_codewords(code, known_positions, known_values)
-    if len(consistent) == 0:
-        return (0.0, 0.0)
-    parities = (consistent @ np.asarray(r, dtype=np.uint8)) % 2
-    c1 = int(parities.sum())
-    c0 = len(consistent) - c1
-    total = c0 + c1
-    return (c0 / total, c1 / total)
+    codeword positions S; (0, 0) for an impossible observation.
+
+    Codewords c = mG with c[S] = v and c.r = p exist iff [v | p] lies in the
+    row span of [G[:, S] | G r^T]; they split evenly between possible p."""
+    positions = np.asarray(known_positions, dtype=np.intp)
+    values = np.asarray(known_values, dtype=np.uint8)
+    if positions.shape != values.shape:
+        raise ValueError("positions and values must have equal length")
+    width = len(positions)
+    t = codes_mod.message_mask(code, r)
+    rows = kernels.pack_rows(code.generator[:, positions])
+    basis = kernels.xor_basis([int(row) | int(bit) << width for row, bit in zip(rows, t)])
+    seen = int(kernels.pack_rows(values[None, :])[0])
+    possible = [
+        len(kernels.xor_basis(basis + [seen | p << width])) == len(basis) for p in (0, 1)
+    ]
+    total = sum(possible) or 1
+    return (possible[0] / total, possible[1] / total)

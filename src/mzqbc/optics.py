@@ -216,7 +216,14 @@ def sample_detection(
     state: PhotonState, params: BeamSplitterParams, rng: np.random.Generator
 ) -> DetectionEvent:
     """Draw one detection event; deterministic for a fixed generator state."""
-    dist = detection_distribution(state, params)
+    return sample_event(detection_distribution(state, params), rng)
+
+
+def sample_event(
+    dist: dict[DetectionEvent, float], rng: np.random.Generator
+) -> DetectionEvent:
+    """Draw one event of `dist` with a single `rng.random()`, the events
+    taken in (detector, bin) order with no-click last."""
     events = sorted(dist, key=lambda ev: (ev.detector is None, ev.detector, ev.bin))
     u = rng.random()
     acc = 0.0

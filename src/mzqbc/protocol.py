@@ -225,7 +225,7 @@ def run_commit(
         bit_i = int(word[i])
         if modes[i] == BYPASS:
             records.append(None)
-            event = _sample_from(honest_dists[bit_i], rng)
+            event = optics.sample_event(honest_dists[bit_i], rng)
         else:
             rec = strategies.apply_strategy(strategy, optics.encode(bit_i, bs), bs, rng)
             records.append(rec)
@@ -248,17 +248,6 @@ def run_commit(
         alice_verdict=verdict,
         cheat_target=cheat_target,
     )
-
-
-def _sample_from(dist: dict[DetectionEvent, float], rng) -> DetectionEvent:
-    events = sorted(dist, key=lambda ev: (ev.detector is None, ev.detector, ev.bin))
-    u = rng.random()
-    acc = 0.0
-    for ev in events:
-        acc += dist[ev]
-        if u < acc:
-            return ev
-    return events[-1]
 
 
 def honest_announcement(transcript: SessionTranscript) -> Announcement:
@@ -391,7 +380,7 @@ def run_concealing_experiment(
     code, r = params.code, params.r
     if not 0 <= m <= code.n:
         raise ValueError("m must lie in 0..n")
-    if not ((code.generator.astype(np.int64) @ r) % 2).any():
+    if not codes_mod.message_mask(code, r).any():
         raise ValueError("committed subset empty; choose different r")
     half = 1 << (code.k - 1)  # codewords per parity half when G r^T != 0
     eps, n, threshold = params.epsilon, code.n, params.threshold

@@ -1,0 +1,77 @@
+"""Codeword-enumeration oracles for the GF(2) paths in `mzqbc`.
+
+Each helper lists all 2^k codewords and filters them, exactly as the
+commit, posterior and probe-flip paths once did.  The library now answers
+the same questions by linear algebra on the message; tests compare the two.
+"""
+
+import numpy as np
+
+from mzqbc import codes, protocol
+
+
+def coset_parities(code, r):
+    """parity(c, r) for every codeword, in codeword-matrix order."""
+    r = np.asarray(r, dtype=np.uint8)
+    if r.shape != (code.n,):
+        raise ValueError(f"r must have length {code.n}")
+    return ((code.codewords() & r[None, :]).sum(axis=1) % 2).astype(np.uint8)
+
+
+def coset_split(code, r):
+    """Partition the codewords by their parity against the mask r."""
+    r = np.asarray(r, dtype=np.uint8)
+    if not r.any():
+        raise ValueError("r must be nonzero")
+    parities = coset_parities(code, r)
+    words = code.codewords()
+    return words[parities == 0], words[parities == 1]
+
+
+def consistent_codewords(code, positions, values):
+    """All codewords agreeing with `values` at `positions` (possibly none)."""
+    positions = np.asarray(positions, dtype=np.intp)
+    values = np.asarray(values, dtype=np.uint8)
+    if positions.shape != values.shape:
+        raise ValueError("positions and values must have equal length")
+    if len(np.unique(positions)) != len(positions):
+        raise ValueError("positions must be distinct")
+    words = code.codewords()
+    if len(positions) == 0:
+        return words
+    mask = (words[:, positions] == values[None, :]).all(axis=1)
+    return words[mask]
+
+
+def sample_codeword(code, r, b, rng):
+    """Uniform draw from the listed parity-b half, one `rng.integers` call."""
+    subset = coset_split(code, r)[b]
+    if len(subset) == 0:
+        raise ValueError("committed subset empty; choose different r")
+    return subset[rng.integers(len(subset))].copy()
+
+
+def bob_bit_posterior(code, r, known_positions, known_values):
+    """The parity posterior by counting the consistent codewords."""
+    consistent = consistent_codewords(code, known_positions, known_values)
+    if len(consistent) == 0:
+        return (0.0, 0.0)
+    parities = (consistent @ np.asarray(r, dtype=np.uint8)) % 2
+    c1 = int(parities.sum())
+    c0 = len(consistent) - c1
+    total = c0 + c1
+    return (c0 / total, c1 / total)
+
+
+def try_flip(transcript, inferred_bypass):
+    """The probe cheat's unveil with the first consistent codeword of the
+    flipped parity, in message order."""
+    params = transcript.params
+    c = transcript.codeword
+    fixed = [i for i in range(params.n) if not inferred_bypass[i]]
+    want = 1 - transcript.committed_b
+    for cand in consistent_codewords(params.code, fixed, c[fixed]):
+        if codes.parity(cand, params.r) == want and not np.array_equal(cand, c):
+            announcement = protocol.Announcement(b=want, c=cand)
+            return protocol.run_unveil(transcript, announcement) == protocol.ACCEPT
+    return False

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+import codeword_oracles
 from mzqbc import codes, counterfactual as cf, operator_model as om, optics, protocol, strategies
 
 R_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
@@ -172,7 +173,7 @@ def test_criterion_6_committed_state_orthogonality():
             r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
             if not r.any():
                 continue
-            c0, c1 = codes.coset_split(code, r)
+            c0, c1 = codeword_oracles.coset_split(code, r)
             if not len(c0) or not len(c1):
                 continue  # parity constant on the code: no commitment possible
             done += 1

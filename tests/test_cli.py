@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mzqbc import cli, config as config_mod
+from mzqbc import cli, codes, config as config_mod
 from mzqbc.config import ConfigError, parse_config_text
 
 
@@ -91,6 +91,22 @@ class TestRun:
         cfg = write_cfg(tmp_path, f"code_file = {gen}\nr = {'1'*26}\n")
         assert cli.main(["run", "--config", cfg]) == 3
         assert "guard" in capsys.readouterr().err
+
+    def test_run_past_codeword_matrix_guard(self, tmp_path):
+        # k = 22 > MATERIALIZE_GUARD_K: committing needs no codeword list
+        rng = np.random.default_rng(3)
+        while True:
+            gen = rng.integers(0, 2, size=(22, 28), dtype=np.uint8)
+            if codes.gf2_rank(gen) == 22 and (gen[:, :3].sum(axis=1) % 2).any():
+                break
+        path = tmp_path / "k22.txt"
+        path.write_text("".join(codes.string_from_bits(row) + "\n" for row in gen))
+        cfg = write_cfg(tmp_path, f"code_file = {path}\nr = {'111' + '0' * 25}\nseed = 4\n")
+        out = tmp_path / "k22.json"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["params"]["k"] == 22
+        assert doc["unveil"] == "accept"
 
     def test_midpoint_cheat_run(self, tmp_path):
         text = HONEST_CFG.replace("alice = honest", "alice = midpoint_cheat").replace(

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import codeword_oracles
+from codeword_oracles import consistent_codewords, coset_split
 from mzqbc import codes
 from mzqbc.codes import (
     bits_from_string,
     code_from_generator,
-    consistent_codewords,
-    coset_split,
     extended_hamming_8_4,
     golay_24_12,
     hamming_7_4,
@@ -168,6 +168,60 @@ class TestSampleCodeword:
         assert r.any()
         with pytest.raises(ValueError, match="committed subset empty"):
             sample_codeword(code, r, 1, np.random.default_rng(0))
+
+    @staticmethod
+    def assert_same_draws(code, rng, masks=6, draws=5):
+        """Same seed, same word as the enumerating sampler, for random
+        masks r (a constant parity included when the code has one)."""
+        for _ in range(masks):
+            r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
+            if not r.any():
+                continue
+            for b in (0, 1):
+                seed = int(rng.integers(1 << 31))
+                fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(draws):
+                    try:
+                        want = codeword_oracles.sample_codeword(code, r, b, slow)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError, match=str(exc)):
+                            sample_codeword(code, r, b, fast)
+                        continue
+                    got = sample_codeword(code, r, b, fast)
+                    assert got.dtype == want.dtype == np.uint8
+                    assert np.array_equal(got, want)
+                assert fast.random() == slow.random()  # streams still in step
+
+    @pytest.mark.parametrize("factory", [hamming_7_4, extended_hamming_8_4, golay_24_12])
+    def test_draw_for_draw_matches_enumeration(self, factory):
+        self.assert_same_draws(factory(), np.random.default_rng(11), masks=12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_draw_for_draw_matches_enumeration_random_codes(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        n = int(rng.integers(10, 17))
+        code = random_code(n, int(rng.integers(1, n)), rng)
+        self.assert_same_draws(code, rng)
+
+    def test_constant_parity_draws_from_the_whole_code(self):
+        code = extended_hamming_8_4()
+        r = code.codewords()[3]  # G r^T = 0: parity 0 on every codeword
+        fast, slow = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(20):
+            assert np.array_equal(
+                sample_codeword(code, r, 0, fast),
+                codeword_oracles.sample_codeword(code, r, 0, slow),
+            )
+
+    def test_beyond_materialize_guard(self):
+        code = random_code(28, 22, np.random.default_rng(5))
+        r = np.zeros(code.n, dtype=np.uint8)
+        r[:2] = 1
+        rng = np.random.default_rng(0)
+        for b in (0, 1):
+            w = sample_codeword(code, r, b, rng)
+            assert code.contains(w)
+            assert parity(w, r) == b
 
 
 class TestMidpoint:

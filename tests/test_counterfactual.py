@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import codeword_oracles
 from mzqbc import codes, optics, protocol
 from mzqbc.counterfactual import (
     FbsConfig,
+    _try_flip,
     ProbeState,
     attack_session,
     blocked_dd_probability,
@@ -124,6 +126,46 @@ class TestAttack:
         )
         assert t.n_mismatch == 0
         assert t.alice_verdict == protocol.CONTINUE
+
+
+class TestTryFlip:
+    @staticmethod
+    def probed_transcript(code, r, f, rng):
+        params = protocol.ProtocolParams(code=code, r=r, R=0.3, f=f, epsilon=0.5)
+        return protocol.run_commit(
+            protocol.FbsProbeAlice(), protocol.HonestBob(f=f), params, rng
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_codeword_search(self, seed):
+        # the probe labels a subset of the true bypass positions as bypass
+        rng = np.random.default_rng(900 + seed)
+        factories = [codes.hamming_7_4, codes.extended_hamming_8_4, codes.golay_24_12]
+        if seed < len(factories):
+            code = factories[seed]()
+        else:
+            n = int(rng.integers(8, 15))
+            code = codes.random_code(n, int(rng.integers(2, n - 2)), rng)
+        verdicts = []
+        while len(verdicts) < 40:
+            r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
+            if not r.any() or not codes.message_mask(code, r).any():
+                continue
+            t = self.probed_transcript(code, r, float(rng.uniform(0.0, 0.6)), rng)
+            bypass = np.array([m == protocol.BYPASS for m in t.modes])
+            inferred = (bypass & (rng.random(code.n) < 0.9)).tolist()
+            got = _try_flip(t, inferred)
+            assert got == codeword_oracles.try_flip(t, inferred)
+            verdicts.append(got)
+        assert set(verdicts) == {False, True}
+
+    def test_beyond_materialize_guard(self):
+        code = codes.random_code(28, 22, np.random.default_rng(5))
+        r = np.zeros(code.n, dtype=np.uint8)
+        r[:2] = 1
+        t = self.probed_transcript(code, r, 0.0, np.random.default_rng(1))
+        assert _try_flip(t, [True] * code.n) is True
+        assert _try_flip(t, [False] * code.n) is False
 
 
 def test_sweep_rows_cardinality_and_fields():

@@ -1,0 +1,70 @@
+"""Byte identity of the CLI payloads at pinned seeds.
+
+Each case runs one subcommand in process and compares the SHA-256 of its
+stdout with a pinned digest.  A change that is meant to leave results alone
+(a refactor, a faster path) must keep every digest; a change that alters a
+payload on purpose updates the digest and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from mzqbc import cli
+
+CASES = {
+    "run-extended_hamming-seed3": (
+        ["run", "--seed", "3"], "builtin_code = extended_hamming\nf = 0.5\n"),
+    "run-extended_hamming-seed17": (
+        ["run", "--seed", "17"], "builtin_code = extended_hamming\nf = 0.5\n"),
+    "run-golay-seed3": (["run", "--seed", "3"], "builtin_code = golay\nf = 0.5\n"),
+    "run-golay-seed17": (["run", "--seed", "17"], "builtin_code = golay\nf = 0.5\n"),
+    "run-hamming-seed3": (["run", "--seed", "3"], "builtin_code = hamming\nf = 0.5\n"),
+    "run-hamming-seed17": (["run", "--seed", "17"], "builtin_code = hamming\nf = 0.5\n"),
+    "counterfactual-json-extended_hamming": (
+        ["counterfactual", "--seed", "5"],
+        "builtin_code = extended_hamming\nf = 0.25\nM = 50\nsessions = 60\n",
+    ),
+    "counterfactual-json-golay": (
+        ["counterfactual", "--seed", "5"],
+        "builtin_code = golay\nf = 0.5\nM = 50\nsessions = 60\n",
+    ),
+    "nogo": (["nogo", "--seed", "7", "--trials", "3"], ""),
+    "verify": (["verify", "--seed", "4"], ""),
+    "strategies-json": (["strategies", "--format", "json"], ""),
+    "sweep-two-codes": (
+        ["sweep", "--seed", "9", "--trials", "3000"],
+        "codes = extended_hamming, golay\n",
+    ),
+}
+
+GOLDEN = {
+    "counterfactual-json-extended_hamming": "4ab366263b3728ba54ca61262cb7bb874500f6c2f017dce724c6b68a0cff9aa8",
+    "counterfactual-json-golay": "e402d9ee0c067eba6c752381a2ed4d9040f3c9b6902ae3403c58a6c9d2b1eafc",
+    "nogo": "31b1b1a413c1e6a5bf16720eec4c53ab69c18173669736ec754f9c6b1ea1b0e5",
+    "run-extended_hamming-seed17": "9dd33782b744f677e93c3449c258cf4be45763a8e78ed896a4400a2bb8c31db0",
+    "run-extended_hamming-seed3": "5c0213cbdf68ec9385fe14daf8578a776d5eb5019c1ad474287348b467d70a57",
+    "run-golay-seed17": "ab40b9ddae57fede606cb131f56c7e6cbf86dbe78000224335f30c71950cbdb2",
+    "run-golay-seed3": "9e8b614fb13ffcbea232a5fb1bc76ccb46b2b511ee5e407b33bb1d25a9f984c3",
+    "run-hamming-seed17": "c17871c3b05308d221b11c5bd8e4e4f42f049f4dba1e52dc0cf7623d59052154",
+    "run-hamming-seed3": "b44006e521675f8d46c773c181b90b4096513ae533f54c106c4b956910951d13",
+    "strategies-json": "40c19ce326d2bcb5a3ff99350f21060df95863431e13b09f33eb2641d9eb6ff2",
+    "sweep-two-codes": "7593f108c69d5a9e6a7d8ee714068495b0b53ff689286b43e94cf14803c2be01",
+    "verify": "4722103a4f4c55bb13bce2e32c07544011fa58a881889e4ad7c22f8b93db9896",
+}
+
+
+def stdout_of(case, tmp_path, capsys) -> bytes:
+    argv, cfg_text = CASES[case]
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(cfg_text)
+    capsys.readouterr()
+    code = cli.main(argv + ["--config", str(cfg)])
+    assert code == 0
+    return capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stdout_digest_is_pinned(case, tmp_path, capsys):
+    digest = hashlib.sha256(stdout_of(case, tmp_path, capsys)).hexdigest()
+    assert digest == GOLDEN[case]

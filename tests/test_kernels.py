@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import codeword_oracles
 from mzqbc import codes, kernels, protocol
 from mzqbc.util import GuardError
 
@@ -199,7 +200,7 @@ def _concealing_inputs(code, r, seed, trials, p_intercept=0.4):
     """(oracle arguments, kernel arguments) for the same trials."""
     rng = np.random.default_rng(seed)
     words = code.codewords()
-    parities = codes.coset_parities(code, r)
+    parities = codeword_oracles.coset_parities(code, r)
     cw_idx = rng.integers(len(words), size=trials)
     intercept = rng.random((trials, code.n)) < p_intercept
     u_mis = rng.random((trials, code.n))

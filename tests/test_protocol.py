@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import codeword_oracles
 from mzqbc import codes, protocol
 from mzqbc.codes import bits_from_string
 from mzqbc.protocol import (
@@ -163,7 +164,7 @@ class TestUnveil:
         # all of them intercepted here
         same_parity = [
             w
-            for w in codes.coset_split(params.code, params.r)[t.committed_b]
+            for w in codeword_oracles.coset_split(params.code, params.r)[t.committed_b]
             if not np.array_equal(w, t.codeword)
         ]
         assert run_unveil(t, Announcement(b=t.committed_b, c=same_parity[0])) == (
