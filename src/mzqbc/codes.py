@@ -69,11 +69,17 @@ class LinearCode:
         return words
 
     def contains(self, word: np.ndarray) -> bool:
+        """Whether `word` reduces to zero against an echelon basis of the
+        rows, built once per code."""
         word = np.asarray(word, dtype=np.uint8)
         if word.shape != (self.n,):
             return False
-        stacked = np.vstack([self.generator, word])
-        return gf2_rank(stacked) == self.k
+        basis = getattr(self, "_basis", None)
+        if basis is None:
+            basis = kernels.xor_basis(kernels.pack_rows(self.generator))
+            object.__setattr__(self, "_basis", basis)
+        packed = int.from_bytes(np.packbits(word, bitorder="little").tobytes(), "little")
+        return kernels.in_span(packed, basis)
 
 
 def code_from_generator(matrix) -> LinearCode:

@@ -127,6 +127,10 @@ def attack_session(
     mode_total = 0
     dc_bypass_probs: list[float] = []
     flips = 0
+    # without the defence theta = 0 for every photon: one run per blocked value
+    undefended = {} if defense_on else {
+        b: fbs_run(FbsConfig(cycles=fbs.cycles), b) for b in (False, True)
+    }
     for _ in range(sessions):
         transcript = protocol.run_commit(
             protocol.FbsProbeAlice(), protocol.HonestBob(f=params.f), params, rng
@@ -134,10 +138,11 @@ def attack_session(
         inferred_bypass = []
         for i, mode in enumerate(transcript.modes):
             blocked = mode == protocol.INTERCEPT
-            theta = rng.uniform(0.0, 2 * math.pi) if defense_on else 0.0
-            dist = fbs_run(
-                FbsConfig(cycles=fbs.cycles, theta_per_cycle=theta), blocked
-            )
+            if defense_on:
+                theta = rng.uniform(0.0, 2 * math.pi)
+                dist = fbs_run(FbsConfig(cycles=fbs.cycles, theta_per_cycle=theta), blocked)
+            else:
+                dist = undefended[blocked]
             if not blocked:
                 dc_bypass_probs.append(dist["Dc"])
             u = rng.random()

@@ -46,6 +46,11 @@ def xor_basis(masks) -> list[int]:
     return basis
 
 
+def in_span(v: int, basis: list[int]) -> bool:
+    """Whether packed row v lies in the span of an echelon `xor_basis`."""
+    return _reduce(v, basis) == 0
+
+
 def parity_determined(
     generator: np.ndarray, r: np.ndarray, known: np.ndarray
 ) -> np.ndarray:
@@ -59,9 +64,7 @@ def parity_determined(
     """
     cols = pack_rows(np.asarray(generator).T)
     target = int(np.bitwise_xor.reduce(cols[np.asarray(r, dtype=bool)]))
-    return np.array(
-        [_reduce(target, xor_basis(cols[row])) == 0 for row in known], dtype=bool
-    )
+    return np.array([in_span(target, xor_basis(cols[row])) for row in known], dtype=bool)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Exact single-photon optics for the dual-rail, time-binned interferometer.
 
 A photon lives in a superposition over modes (rail, time bin), with rails X
-and Y and time counted in integer units of the storage-ring delay.  States
-are sub-normalized: any probability mass removed from the rails (a blocked
-path, a photon kept by an intercepting party) is accounted in `absorbed`, so
-that sum(|amp|^2) + absorbed == 1 always.
+and Y and time counted in integer units of the storage-ring delay.  A state
+is a fixed (2, MAX_BIN+1) complex array (row 0 rail X, row 1 rail Y) plus
+the mass `absorbed` removed from the rails (a blocked path, a photon kept
+by an intercepting party), so that sum(|amp|^2) + absorbed == 1 always;
+`photon_state` checks that for states made from outside.
 
 Conventions, fixed once and validated by the test suite:
 
@@ -18,19 +19,28 @@ Conventions, fixed once and validated by the test suite:
   ports are assigned so that an honest bit-b photon always fires D_b: D0
   watches the Y output port, D1 the X output port.  The honest click arrives
   in bin 1.
+
+The encoded states are built once per `BeamSplitterParams`, and a state
+keeps its `EventTable` per splitter, so sampling it is one uniform and a
+bisection.  Probabilities are abs(amp) ** 2 on Python complex numbers.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 RAIL_X = "X"
 RAIL_Y = "Y"
+#: rails in the row order of `PhotonState.amps`
+RAILS = (RAIL_X, RAIL_Y)
 
 #: Honest photons click in this bin; anything else is "wrong time".
 EXPECTED_BIN = 1
@@ -38,6 +48,8 @@ EXPECTED_BIN = 1
 #: Largest tracked time bin.  Every in-scope strategy produces events in
 #: bins 0..3; amplitudes pushed past this are a modeling error.
 MAX_BIN = 4
+#: shape of `PhotonState.amps`: (rail, bin)
+SHAPE = (2, MAX_BIN + 1)
 
 NORM_TOL = 1e-9
 
@@ -55,10 +67,8 @@ class DetectionEvent(NamedTuple):
 
 
 NO_CLICK = DetectionEvent(None, None)
-
-
-def click(detector: int, bin: int) -> DetectionEvent:
-    return DetectionEvent(detector, bin)
+#: D0 (on the Y output port) then D1 (X port), by bin: the sampling order
+_CLICKS = [DetectionEvent(d, b) for d in (0, 1) for b in range(MAX_BIN + 1)]
 
 
 def expected_event(bit: int) -> DetectionEvent:
@@ -89,159 +99,156 @@ class BeamSplitterParams:
             raise ValueError("R == T needs symmetric_ok=True")
 
 
-@dataclass(frozen=True)
+class EventTable(NamedTuple):
+    """Events in sampling order (clicks by detector and bin, then no-click),
+    their probabilities and the running sums, added left to right."""
+
+    events: tuple[DetectionEvent, ...]
+    probs: tuple[float, ...]
+    cumulative: tuple[float, ...]
+
+
 class PhotonState:
-    """Sub-normalized amplitudes over (rail, bin) modes plus absorbed mass.
+    """Read-only amplitudes `amps[rail, bin]` plus absorbed mass; operations
+    return new states.  Not validated here: see `photon_state`."""
 
-    Treated as an immutable value; operations return new states.
-    """
+    __slots__ = ("amps", "absorbed", "_tables")
 
-    amps: dict[Mode, complex] = field(default_factory=dict)
-    absorbed: float = 0.0
-
-    def __post_init__(self):
-        for mode in self.amps:
-            if mode.rail not in (RAIL_X, RAIL_Y):
-                raise ValueError(f"unknown rail {mode.rail!r}")
-            if not (0 <= mode.bin <= MAX_BIN):
-                raise ValueError(f"time bin {mode.bin} outside 0..{MAX_BIN}")
-        total = self.total_probability()
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"state not normalized: |amps|^2 + absorbed = {total}")
+    def __init__(self, amps: np.ndarray, absorbed: float = 0.0):
+        amps.setflags(write=False)
+        self.amps = amps
+        self.absorbed = absorbed
+        self._tables: dict = {}  # BeamSplitterParams -> EventTable
 
     def total_probability(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amps.values()) + self.absorbed
+        return sum(abs(a) ** 2 for a in self.amps.ravel().tolist()) + self.absorbed
 
     def amp(self, rail: str, bin: int) -> complex:
-        return self.amps.get(Mode(rail, bin), 0.0)
+        return complex(self.amps[RAILS.index(rail), bin])
+
+    def modes(self) -> set[Mode]:
+        """The modes with a nonzero amplitude."""
+        return {Mode(RAILS[i], int(b)) for i, b in zip(*np.nonzero(self.amps))}
 
 
-VACUUM = PhotonState(amps={}, absorbed=1.0)
+def photon_state(amps: dict[Mode, complex], absorbed: float = 0.0) -> PhotonState:
+    """A validated state from per-mode amplitudes: rails X and Y, bins
+    0..MAX_BIN, and |amps|^2 + absorbed == 1."""
+    arr = np.zeros(SHAPE, dtype=complex)
+    for (rail, bin), a in amps.items():
+        if rail not in RAILS or not 0 <= bin <= MAX_BIN:
+            raise ValueError(f"no mode ({rail!r}, {bin}): rails X, Y and bins 0..{MAX_BIN}")
+        arr[RAILS.index(rail), bin] = a
+    state = PhotonState(arr, absorbed)
+    if abs(state.total_probability() - 1.0) > NORM_TOL:
+        raise ValueError(f"not normalized: |amps|^2 + absorbed = {state.total_probability()}")
+    return state
 
 
-def bs_apply(state: PhotonState, bin: int, params: BeamSplitterParams) -> PhotonState:
-    """Mix the (X, bin) and (Y, bin) amplitudes on one beam splitter.
+VACUUM = PhotonState(np.zeros(SHAPE, dtype=complex), absorbed=1.0)
 
-    out_X = sqrt(T) in_X - i sqrt(R) in_Y
-    out_Y = sqrt(T) in_Y - i sqrt(R) in_X
 
-    Identity on every other mode.
+def bs_apply(state: PhotonState, bin, params: BeamSplitterParams) -> PhotonState:
+    """Mix the (X, bin) and (Y, bin) amplitudes on one beam splitter, for
+    one bin or a slice of bins; identity on every other mode.
+
+    out_X = sqrt(T) in_X - i sqrt(R) in_Y,  out_Y = sqrt(T) in_Y - i sqrt(R) in_X
     """
     t = math.sqrt(params.T)
     r = -1j * math.sqrt(params.R)
-    in_x = state.amp(RAIL_X, bin)
-    in_y = state.amp(RAIL_Y, bin)
-    amps = dict(state.amps)
-    amps.pop(Mode(RAIL_X, bin), None)
-    amps.pop(Mode(RAIL_Y, bin), None)
-    out_x = t * in_x + r * in_y
-    out_y = t * in_y + r * in_x
-    if out_x != 0:
-        amps[Mode(RAIL_X, bin)] = out_x
-    if out_y != 0:
-        amps[Mode(RAIL_Y, bin)] = out_y
-    return PhotonState(amps=amps, absorbed=state.absorbed)
+    amps = state.amps.copy()
+    x, y = amps[0, bin], amps[1, bin]
+    amps[0, bin], amps[1, bin] = t * x + r * y, t * y + r * x
+    return PhotonState(amps, state.absorbed)
 
 
 def phase_apply(state: PhotonState, rail: str, theta: float) -> PhotonState:
     """Multiply every amplitude on `rail` by exp(i*theta)."""
     # exact -1 for the half-wave shifter, so honest interference cancels to 0
     ph = -1.0 + 0j if theta in (math.pi, -math.pi) else cmath.exp(1j * theta)
-    amps = {
-        mode: (a * ph if mode.rail == rail else a) for mode, a in state.amps.items()
-    }
-    return PhotonState(amps=amps, absorbed=state.absorbed)
+    amps = state.amps.copy()
+    i = RAILS.index(rail)
+    amps[i] = [a * ph for a in amps[i].tolist()]  # Python complex products
+    return PhotonState(amps, state.absorbed)
 
 
 def delay_apply(state: PhotonState, rail: str, bins: int) -> PhotonState:
     """Shift every mode on `rail` by `bins` time bins (a storage ring)."""
     if bins < 0:
         raise ValueError("delay must be non-negative")
-    amps = {}
-    for mode, a in state.amps.items():
-        if mode.rail == rail:
-            mode = Mode(mode.rail, mode.bin + bins)
-        amps[mode] = a
-    return PhotonState(amps=amps, absorbed=state.absorbed)
+    i = RAILS.index(rail)
+    if state.amps[i, max(0, MAX_BIN + 1 - bins):].any():
+        raise ValueError(f"delay pushes amplitude past time bin {MAX_BIN}")
+    amps = state.amps.copy()
+    amps[i] = np.roll(amps[i], bins)  # what wraps around is zero
+    return PhotonState(amps, state.absorbed)
+
+
+@lru_cache(maxsize=256)
+def _encoded(params: BeamSplitterParams) -> tuple[PhotonState, PhotonState]:
+    """The encoded states of bits 0 and 1, entering on Y and X in bin 0."""
+    return tuple(
+        delay_apply(bs_apply(photon_state({Mode(rail, 0): 1.0}), 0, params), RAIL_Y, 1)
+        for rail in (RAIL_Y, RAIL_X)
+    )
 
 
 def encode(bit: int, params: BeamSplitterParams) -> PhotonState:
-    """The sender's output for one committed bit.
-
-    The photon is split on the first beam splitter (bit 0 enters via the Y
-    port, bit 1 via the X port) and the Y packet is delayed one bin by the
-    sender's storage ring.
-    """
+    """The sender's output for one committed bit, shared per splitter: the
+    photon is split on the first beam splitter (bit 0 enters via the Y port,
+    bit 1 via the X port) and the sender's ring delays the Y packet a bin."""
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
-    rail_in = RAIL_Y if bit == 0 else RAIL_X
-    state = PhotonState(amps={Mode(rail_in, 0): 1.0 + 0j})
-    state = bs_apply(state, 0, params)
-    return delay_apply(state, RAIL_Y, 1)
+    return _encoded(params)[bit]
 
 
-def _measurement_transform(state: PhotonState, params: BeamSplitterParams) -> PhotonState:
-    """The receiver-side interferometer: delay X, pi shift on Y, recombine."""
-    state = delay_apply(state, RAIL_X, 1)
-    state = phase_apply(state, RAIL_Y, math.pi)
-    for bin in sorted({m.bin for m in state.amps}):
-        state = bs_apply(state, bin, params)
-    return state
+def detection_table(state: PhotonState, params: BeamSplitterParams) -> EventTable:
+    """Exact outcome distribution of the time-resolved detectors, built once
+    per state and splitter.  The receiver's interferometer delays X, shifts
+    Y by pi and recombines every bin; D0 watches the Y output port and D1
+    the X port.  The no-click probability equals the absorbed mass."""
+    table = state._tables.get(params)
+    if table is not None:
+        return table
+    state_in = phase_apply(delay_apply(state, RAIL_X, 1), RAIL_Y, math.pi)
+    out_x, out_y = bs_apply(state_in, slice(None), params).amps.tolist()
+    probs = [abs(a) ** 2 for a in out_y + out_x]
+    pairs = [(ev, p) for ev, p in zip(_CLICKS, probs) if p != 0.0]
+    if state.absorbed > 0.0:
+        pairs.append((NO_CLICK, state.absorbed))
+    events, probs = zip(*pairs)
+    table = EventTable(events, probs, tuple(itertools.accumulate(probs)))
+    state._tables[params] = table
+    return table
 
 
 def detection_distribution(
     state: PhotonState, params: BeamSplitterParams
 ) -> dict[DetectionEvent, float]:
-    """Exact outcome distribution of the time-resolved detectors.
+    """`detection_table` as an event -> probability dict."""
+    table = detection_table(state, params)
+    return dict(zip(table.events, table.probs))
 
-    D0 sits on the Y output port and D1 on the X output port of the final
-    beam splitter; this makes an honest bit-b photon fire D_b in bin 1 with
-    certainty.  The no-click probability equals the absorbed mass.
-    """
-    out = _measurement_transform(state, params)
-    dist: dict[DetectionEvent, float] = {}
-    for mode, a in out.amps.items():
-        p = abs(a) ** 2
-        if p == 0.0:
-            continue
-        detector = 0 if mode.rail == RAIL_Y else 1
-        ev = DetectionEvent(detector, mode.bin)
-        dist[ev] = dist.get(ev, 0.0) + p
-    if out.absorbed > 0.0:
-        dist[NO_CLICK] = dist.get(NO_CLICK, 0.0) + out.absorbed
-    return dist
+
+def sample_event(table: EventTable, rng: np.random.Generator) -> DetectionEvent:
+    """Draw one event of `table` with a single `rng.random()` u: the first
+    event whose running sum exceeds u, else the last event."""
+    i = bisect.bisect_right(table.cumulative, rng.random())
+    return table.events[min(i, len(table.events) - 1)]
 
 
 def sample_detection(
     state: PhotonState, params: BeamSplitterParams, rng: np.random.Generator
 ) -> DetectionEvent:
     """Draw one detection event; deterministic for a fixed generator state."""
-    return sample_event(detection_distribution(state, params), rng)
-
-
-def sample_event(
-    dist: dict[DetectionEvent, float], rng: np.random.Generator
-) -> DetectionEvent:
-    """Draw one event of `dist` with a single `rng.random()`, the events
-    taken in (detector, bin) order with no-click last."""
-    events = sorted(dist, key=lambda ev: (ev.detector is None, ev.detector, ev.bin))
-    u = rng.random()
-    acc = 0.0
-    for ev in events:
-        acc += dist[ev]
-        if u < acc:
-            return ev
-    return events[-1]
+    return sample_event(detection_table(state, params), rng)
 
 
 def flag_probability(
     state: PhotonState, params: BeamSplitterParams, bit: int
 ) -> float:
-    """Probability this state fails the honest check for `bit`.
-
-    Everything except a D_bit click in the expected bin counts: a click on
-    the wrong detector, a click in the wrong bin, or no click at all (in the
-    ideal lossless setting a missing photon is itself a mismatch).
-    """
-    dist = detection_distribution(state, params)
-    return 1.0 - dist.get(expected_event(bit), 0.0)
+    """Probability this state fails the honest check for `bit`: anything
+    but a D_bit click in the expected bin, so a click on the wrong detector
+    or in the wrong bin, or no click at all (in the ideal lossless setting a
+    missing photon is itself a mismatch)."""
+    return 1.0 - detection_distribution(state, params).get(expected_event(bit), 0.0)

@@ -66,6 +66,8 @@ class ProtocolParams:
             raise ValueError(f"r must have length n={self.code.n}")
         if not r.any():
             raise ValueError("r must be nonzero")
+        if not codes_mod.message_mask(self.code, r).any():
+            raise ValueError("r is orthogonal to every codeword: the parity commits no bit")
         if not self.code.k < self.code.n:
             raise ValueError("protocol requires k < n")
         if not self.code.d < self.code.n:
@@ -214,24 +216,27 @@ def run_commit(
     else:
         raise TypeError(f"unknown sender policy {alice!r}")
 
-    strategy = getattr(bob, "strategy", None)
     modes = _bob_modes(bob, code.n, rng)
-    honest_dists = {b: optics.detection_distribution(optics.encode(b, bs), bs) for b in (0, 1)}
+    # per session, not per photon: the honest detection tables, the
+    # strategy's branch tables and the expected events, one per bit
+    honest = [optics.detection_table(optics.encode(b, bs), bs) for b in (0, 1)]
+    tables = [strategies.branches(bob.strategy, b, bs) for b in (0, 1)]
+    expected = [expected_event(b) for b in (0, 1)]
 
     records: list[InterceptRecord | None] = []
     events: list[DetectionEvent] = []
     n_mismatch = 0
-    for i in range(code.n):
-        bit_i = int(word[i])
-        if modes[i] == BYPASS:
+    for bit_i, mode in zip(word.tolist(), modes):
+        if mode == BYPASS:
             records.append(None)
-            event = optics.sample_event(honest_dists[bit_i], rng)
+            event = optics.sample_event(honest[bit_i], rng)
         else:
-            rec = strategies.apply_strategy(strategy, optics.encode(bit_i, bs), bs, rng)
+            table = tables[bit_i]
+            _, rec, detection = table.branches[table.pick(rng)]
             records.append(rec)
-            event = optics.sample_detection(rec.resent, bs, rng)
+            event = optics.sample_event(detection, rng)
         events.append(event)
-        if event != expected_event(bit_i):
+        if event != expected[bit_i]:
             n_mismatch += 1
 
     f_estimate = n_mismatch / (params.epsilon * code.n)

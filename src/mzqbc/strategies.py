@@ -4,26 +4,23 @@ detection probabilities.
 An intercepting receiver must put something back on the channels at the
 honest times (X content in bin 0, Y content in bin 1) although the photon
 he is trying to read only finishes arriving in bin 1.  Each strategy here
-resolves that tension differently; `detection_prob` gives the exact chance
-that the sender's check flags the resent photon, and the minimum over a
-strategy family is the detection floor used by the protocol's estimator.
+resolves that tension differently.  `branches(strategy, bit, params)` lists
+its outcomes, built once: `apply_strategy` samples one, and `detection_prob`,
+the exact chance that the sender's check flags the resent photon, sums
+weight x flag over them.  The minimum over a strategy family is the
+detection floor used by the protocol's estimator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
 from . import optics
-from .optics import (
-    RAIL_X,
-    RAIL_Y,
-    BeamSplitterParams,
-    Mode,
-    PhotonState,
-    VACUUM,
-)
+from .optics import RAIL_X, RAIL_Y, RAILS, VACUUM, BeamSplitterParams, Mode, PhotonState
 from .util import haar_unitary
 
 UNITARY_TOL = 1e-10
@@ -48,11 +45,15 @@ class BlindGuessOnTime:
     """Resend a fresh uniformly-guessed encoding on time, keep the real
     photon, and measure it at leisure (so the bit is always learned)."""
 
+    label: ClassVar[str] = "blind_guess_on_time"
+
 
 @dataclass(frozen=True)
 class FullMeasureLate:
     """Wait for the whole photon, measure, resend a perfect copy one bin
     late on both rails."""
+
+    label: ClassVar[str] = "full_measure_late"
 
 
 @dataclass(frozen=True)
@@ -64,15 +65,7 @@ class SingleChannel:
     """
 
     rails: tuple[str, str] | None = None
-
-    def rail_for(self, bit: int, params: BeamSplitterParams) -> str:
-        if self.rails is not None:
-            return self.rails[bit]
-        flags = {
-            rail: optics.flag_probability(_single_packet(rail), params, bit)
-            for rail in (RAIL_X, RAIL_Y)
-        }
-        return min(flags, key=lambda r: (flags[r], r))
+    label: ClassVar[str] = "single_channel"
 
 
 @dataclass(frozen=True)
@@ -86,12 +79,15 @@ class GeneralCausal:
     content leaves; u2 acts on (Y, kept) x ancilla before the Y content
     leaves.  The bit is read from a declared measurement: the ancilla in
     its computational basis together with whether the photon was kept.
+    Its outputs and branch tables are cached on the instance, since
+    ndarray fields cannot key a global cache.
     """
 
     u1: np.ndarray
     u2: np.ndarray
     ancilla_dim: int
     label: str = field(default="general_causal", compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = self.ancilla_dim
@@ -109,28 +105,30 @@ ResendStrategy = BlindGuessOnTime | FullMeasureLate | SingleChannel | GeneralCau
 _POS_X, _POS_Y, _POS_KEPT = 0, 1, 2
 
 
+class BranchTable(NamedTuple):
+    """(weight, record, detection table of record.resent) per outcome for
+    one encoded bit; `pick` draws an index with the strategy's own draws."""
+
+    branches: tuple[tuple[float, InterceptRecord, optics.EventTable], ...]
+    pick: Callable[[np.random.Generator], int]
+
+
 def strategy_name(strategy: ResendStrategy) -> str:
-    if isinstance(strategy, BlindGuessOnTime):
-        return "blind_guess_on_time"
-    if isinstance(strategy, FullMeasureLate):
-        return "full_measure_late"
-    if isinstance(strategy, SingleChannel):
-        return "single_channel"
     return strategy.label
 
 
 def _single_packet(rail: str) -> PhotonState:
-    bin = 0 if rail == RAIL_X else 1
-    return PhotonState(amps={Mode(rail, bin): 1.0 + 0j})
+    return optics.photon_state({Mode(rail, 0 if rail == RAIL_X else 1): 1.0})
 
 
 def decode_incoming(incoming: PhotonState, params: BeamSplitterParams) -> int:
     """Identify which encoded bit `incoming` is; error if it is neither."""
-    for b in (0, 1):
-        ref = optics.encode(b, params)
-        if set(ref.amps) == set(incoming.amps) and all(
-            abs(incoming.amps[m] - ref.amps[m]) < 1e-9 for m in ref.amps
-        ):
+    refs = (optics.encode(0, params), optics.encode(1, params))
+    if incoming in refs:  # one of the shared encoded states
+        return refs.index(incoming)
+    for b, ref in enumerate(refs):
+        same_modes = np.array_equal(incoming.amps != 0, ref.amps != 0)
+        if same_modes and np.abs(incoming.amps - ref.amps).max() < 1e-9:
             return b
     raise ValueError("incoming state is not a valid encoded photon")
 
@@ -149,24 +147,17 @@ def _general_causal_output(
 ) -> np.ndarray:
     """Joint (position x ancilla) amplitudes after both couplings, as a
     3 x a array indexed [position, ancilla]."""
-    a = strategy.ancilla_dim
-    enc = optics.encode(bit, params)
-    psi = np.zeros(3 * a, dtype=complex)
-    psi[_POS_X * a + 0] = enc.amp(RAIL_X, 0)
-    psi[_POS_Y * a + 0] = enc.amp(RAIL_Y, 1)
-    psi = _embed_block(strategy.u1, (_POS_X, _POS_KEPT), a) @ psi
-    psi = _embed_block(strategy.u2, (_POS_Y, _POS_KEPT), a) @ psi
-    return psi.reshape(3, a)
-
-
-def _branch_state(amp_x: complex, amp_y: complex, kept2: float) -> PhotonState:
-    w = abs(amp_x) ** 2 + abs(amp_y) ** 2 + kept2
-    amps = {}
-    if amp_x != 0:
-        amps[Mode(RAIL_X, 0)] = amp_x / np.sqrt(w)
-    if amp_y != 0:
-        amps[Mode(RAIL_Y, 1)] = amp_y / np.sqrt(w)
-    return PhotonState(amps=amps, absorbed=kept2 / w)
+    key = ("output", bit, params)
+    if key not in strategy._cache:
+        a = strategy.ancilla_dim
+        enc = optics.encode(bit, params)
+        psi = np.zeros(3 * a, dtype=complex)
+        psi[_POS_X * a + 0] = enc.amp(RAIL_X, 0)
+        psi[_POS_Y * a + 0] = enc.amp(RAIL_Y, 1)
+        psi = _embed_block(strategy.u1, (_POS_X, _POS_KEPT), a) @ psi
+        psi = _embed_block(strategy.u2, (_POS_Y, _POS_KEPT), a) @ psi
+        strategy._cache[key] = psi.reshape(3, a)
+    return strategy._cache[key]
 
 
 def outcome_distribution(
@@ -180,11 +171,9 @@ def outcome_distribution(
     dist: dict[tuple[int, int], float] = {}
     for j in range(strategy.ancilla_dim):
         p_sent = abs(out[_POS_X, j]) ** 2 + abs(out[_POS_Y, j]) ** 2
-        p_kept = abs(out[_POS_KEPT, j]) ** 2
-        if p_sent > 0:
-            dist[(0, j)] = p_sent
-        if p_kept > 0:
-            dist[(1, j)] = p_kept
+        for o, p in (((0, j), p_sent), ((1, j), abs(out[_POS_KEPT, j]) ** 2)):
+            if p > 0:
+                dist[o] = p
     return dist
 
 
@@ -198,10 +187,7 @@ def decode_map(
     mapping: dict[tuple[int, int], int | None] = {}
     for o in set(d0) | set(d1):
         p0, p1 = d0.get(o, 0.0), d1.get(o, 0.0)
-        if abs(p0 - p1) <= 1e-12:
-            mapping[o] = None
-        else:
-            mapping[o] = 0 if p0 > p1 else 1
+        mapping[o] = None if abs(p0 - p1) <= 1e-12 else int(p1 > p0)
     return mapping
 
 
@@ -216,6 +202,69 @@ def decode_certainty(strategy: ResendStrategy, params: BeamSplitterParams) -> fl
     return 1.0 - 0.5 * overlap
 
 
+def _table(rows, pick, params: BeamSplitterParams) -> BranchTable:
+    rows = tuple((w, rec, optics.detection_table(rec.resent, params)) for w, rec in rows)
+    return BranchTable(rows, pick)
+
+
+@lru_cache(maxsize=1024)
+def _closed_form_branches(
+    strategy: ResendStrategy, bit: int, params: BeamSplitterParams
+) -> BranchTable:
+    if isinstance(strategy, BlindGuessOnTime):
+        # one fair coin picks the resent encoding; the real photon is kept
+        resent = [optics.encode(g, params) for g in (0, 1)]
+        rows = [(0.5, InterceptRecord(bit, s)) for s in resent]
+        return _table(rows, lambda rng: int(rng.integers(2)), params)
+    if isinstance(strategy, FullMeasureLate):
+        late = optics.delay_apply(optics.encode(bit, params), RAIL_X, 1)
+        resent = optics.delay_apply(late, RAIL_Y, 1)
+    elif isinstance(strategy, SingleChannel):
+        rail = strategy.rails[bit] if strategy.rails is not None else min(
+            RAILS, key=lambda r: (optics.flag_probability(_single_packet(r), params, bit), r)
+        )
+        resent = _single_packet(rail)
+    else:
+        raise TypeError(f"unknown strategy {strategy!r}")
+    return _table([(1.0, InterceptRecord(bit, resent))], lambda rng: 0, params)
+
+
+def _general_causal_branches(
+    strategy: GeneralCausal, bit: int, params: BeamSplitterParams
+) -> BranchTable:
+    """One branch per declared outcome, (sent, j) then (kept, j), drawn by
+    one `rng.choice`.  A forwarded photon is renormalized over its X and Y
+    packets; a kept one leaves vacuum."""
+    out = _general_causal_output(strategy, bit, params)
+    mapping = decode_map(strategy, params)
+    kept_p = np.abs(out[_POS_KEPT]) ** 2
+    sent_p = np.abs(out[_POS_X]) ** 2 + np.abs(out[_POS_Y]) ** 2
+    probs = np.concatenate([sent_p, kept_p])
+    probs = probs / probs.sum()
+    rows = []
+    for o, w in enumerate(probs.tolist()):
+        kept, j = divmod(o, strategy.ancilla_dim)
+        resent = VACUUM  # also for a forwarded outcome that is never drawn
+        if not kept and w:
+            x, y = out[_POS_X, j], out[_POS_Y, j]
+            norm = np.sqrt(abs(x) ** 2 + abs(y) ** 2)
+            resent = optics.photon_state({Mode(RAIL_X, 0): x / norm, Mode(RAIL_Y, 1): y / norm})
+        rows.append((w, InterceptRecord(mapping.get((kept, j)), resent)))
+    return _table(rows, lambda rng: int(rng.choice(len(probs), p=probs)), params)
+
+
+def branches(
+    strategy: ResendStrategy, bit: int, params: BeamSplitterParams
+) -> BranchTable:
+    """The strategy's branch table for an encoded `bit`."""
+    if not isinstance(strategy, GeneralCausal):
+        return _closed_form_branches(strategy, bit, params)
+    key = ("branches", bit, params)
+    if key not in strategy._cache:
+        strategy._cache[key] = _general_causal_branches(strategy, bit, params)
+    return strategy._cache[key]
+
+
 def apply_strategy(
     strategy: ResendStrategy,
     incoming: PhotonState,
@@ -223,75 +272,19 @@ def apply_strategy(
     rng: np.random.Generator,
 ) -> InterceptRecord:
     """One intercepted photon: what goes back out and what was learned."""
-    b = decode_incoming(incoming, params)
-    if isinstance(strategy, BlindGuessOnTime):
-        g = int(rng.integers(2))
-        return InterceptRecord(learned_bit=b, resent=optics.encode(g, params))
-    if isinstance(strategy, FullMeasureLate):
-        resent = optics.delay_apply(incoming, RAIL_X, 1)
-        resent = optics.delay_apply(resent, RAIL_Y, 1)
-        return InterceptRecord(learned_bit=b, resent=resent)
-    if isinstance(strategy, SingleChannel):
-        rail = strategy.rail_for(b, params)
-        return InterceptRecord(learned_bit=b, resent=_single_packet(rail))
-    if isinstance(strategy, GeneralCausal):
-        return _apply_general_causal(strategy, b, params, rng)
-    raise TypeError(f"unknown strategy {strategy!r}")
-
-
-def _apply_general_causal(
-    strategy: GeneralCausal, bit: int, params: BeamSplitterParams, rng
-) -> InterceptRecord:
-    out = _general_causal_output(strategy, bit, params)
-    mapping = decode_map(strategy, params)
-    kept_p = np.abs(out[_POS_KEPT]) ** 2
-    sent_p = np.abs(out[_POS_X]) ** 2 + np.abs(out[_POS_Y]) ** 2
-    probs = np.concatenate([sent_p, kept_p])
-    probs = probs / probs.sum()
-    o = int(rng.choice(len(probs), p=probs))
-    kept, j = divmod(o, strategy.ancilla_dim)
-    learned = mapping.get((kept, j))
-    if kept:
-        return InterceptRecord(learned_bit=learned, resent=VACUUM)
-    # conditioned on the photon having been forwarded: renormalize over X/Y
-    branch = _branch_state(out[_POS_X, j], out[_POS_Y, j], 0.0)
-    return InterceptRecord(learned_bit=learned, resent=branch)
+    table = branches(strategy, decode_incoming(incoming, params), params)
+    return table.branches[table.pick(rng)][1]
 
 
 def detection_prob(
     strategy: ResendStrategy, bit: int, params: BeamSplitterParams
 ) -> float:
-    """Exact probability the sender's check flags this photon, averaged
-    over the strategy's internal randomness."""
-    if isinstance(strategy, BlindGuessOnTime):
-        return 0.5 * sum(
-            optics.flag_probability(optics.encode(g, params), params, bit)
-            for g in (0, 1)
-        )
-    if isinstance(strategy, FullMeasureLate):
-        resent = optics.delay_apply(optics.encode(bit, params), RAIL_X, 1)
-        resent = optics.delay_apply(resent, RAIL_Y, 1)
-        return optics.flag_probability(resent, params, bit)
-    if isinstance(strategy, SingleChannel):
-        rail = strategy.rail_for(bit, params)
-        return optics.flag_probability(_single_packet(rail), params, bit)
-    if isinstance(strategy, GeneralCausal):
-        out = _general_causal_output(strategy, bit, params)
-        p_ok = 0.0
-        for j in range(strategy.ancilla_dim):
-            w = (
-                abs(out[_POS_X, j]) ** 2
-                + abs(out[_POS_Y, j]) ** 2
-                + abs(out[_POS_KEPT, j]) ** 2
-            )
-            if w < 1e-300:
-                continue
-            branch = _branch_state(
-                out[_POS_X, j], out[_POS_Y, j], abs(out[_POS_KEPT, j]) ** 2
-            )
-            p_ok += w * (1.0 - optics.flag_probability(branch, params, bit))
-        return 1.0 - p_ok
-    raise TypeError(f"unknown strategy {strategy!r}")
+    """Exact probability the sender's check flags this photon: the
+    weighted sum of the branches' flag probabilities."""
+    return sum(
+        w * optics.flag_probability(rec.resent, params, bit)
+        for w, rec, _ in branches(strategy, bit, params).branches
+    )
 
 
 def average_detection_prob(
@@ -351,11 +344,9 @@ def search_epsilon(
     best_pen = np.inf
     for t in range(trials):
         if t == 0:
-            u1 = np.eye(dim, dtype=complex)
-            u2 = np.eye(dim, dtype=complex)
+            u1 = u2 = np.eye(dim, dtype=complex)
         else:
-            u1 = haar_unitary(dim, rng)
-            u2 = haar_unitary(dim, rng)
+            u1, u2 = haar_unitary(dim, rng), haar_unitary(dim, rng)
         cand = GeneralCausal(u1=u1, u2=u2, ancilla_dim=ancilla_dim)
         pen = penalized(cand)
         if pen < best_pen:
@@ -398,12 +389,6 @@ def strategy_table_rows(
         params = BeamSplitterParams(R=R, symmetric_ok=True)
         for s in strategies:
             for bit in (0, 1):
-                rows.append(
-                    {
-                        "strategy": strategy_name(s),
-                        "R": R,
-                        "bit": bit,
-                        "detection_prob": detection_prob(s, bit, params),
-                    }
-                )
+                p = detection_prob(s, bit, params)
+                rows.append({"strategy": strategy_name(s), "R": R, "bit": bit, "detection_prob": p})
     return rows

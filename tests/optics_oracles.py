@@ -1,0 +1,292 @@
+"""Dict-backed optics and per-photon strategy ladders, kept as oracles.
+
+This is the single-photon optics as it was before states became fixed
+arrays: a state is a dict keyed by (rail, bin) modes, re-validated on every
+step, and every photon rebuilds its encoding and its measurement.  The two
+`isinstance` ladders (`apply_strategy`, `detection_prob`) are the strategy
+code that the branch tables in `mzqbc.strategies` replace.  Tests compare
+the library with these, float for float and draw for draw.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from mzqbc.optics import (
+    EXPECTED_BIN,
+    MAX_BIN,
+    NO_CLICK,
+    NORM_TOL,
+    RAIL_X,
+    RAIL_Y,
+    BeamSplitterParams,
+    DetectionEvent,
+    Mode,
+)
+from mzqbc.strategies import (
+    BlindGuessOnTime,
+    FullMeasureLate,
+    GeneralCausal,
+    SingleChannel,
+    decode_map,
+)
+
+_POS_X, _POS_Y, _POS_KEPT = 0, 1, 2
+
+
+def expected_event(bit: int) -> DetectionEvent:
+    return DetectionEvent(bit, EXPECTED_BIN)
+
+
+@dataclass(frozen=True)
+class PhotonState:
+    amps: dict[Mode, complex] = field(default_factory=dict)
+    absorbed: float = 0.0
+
+    def __post_init__(self):
+        for mode in self.amps:
+            if mode.rail not in (RAIL_X, RAIL_Y):
+                raise ValueError(f"unknown rail {mode.rail!r}")
+            if not (0 <= mode.bin <= MAX_BIN):
+                raise ValueError(f"time bin {mode.bin} outside 0..{MAX_BIN}")
+        total = self.total_probability()
+        if abs(total - 1.0) > NORM_TOL:
+            raise ValueError(f"state not normalized: |amps|^2 + absorbed = {total}")
+
+    def total_probability(self) -> float:
+        return sum(abs(a) ** 2 for a in self.amps.values()) + self.absorbed
+
+    def amp(self, rail: str, bin: int) -> complex:
+        return self.amps.get(Mode(rail, bin), 0.0)
+
+
+VACUUM = PhotonState(amps={}, absorbed=1.0)
+
+
+def bs_apply(state: PhotonState, bin: int, params: BeamSplitterParams) -> PhotonState:
+    t = math.sqrt(params.T)
+    r = -1j * math.sqrt(params.R)
+    in_x = state.amp(RAIL_X, bin)
+    in_y = state.amp(RAIL_Y, bin)
+    amps = dict(state.amps)
+    amps.pop(Mode(RAIL_X, bin), None)
+    amps.pop(Mode(RAIL_Y, bin), None)
+    out_x = t * in_x + r * in_y
+    out_y = t * in_y + r * in_x
+    if out_x != 0:
+        amps[Mode(RAIL_X, bin)] = out_x
+    if out_y != 0:
+        amps[Mode(RAIL_Y, bin)] = out_y
+    return PhotonState(amps=amps, absorbed=state.absorbed)
+
+
+def phase_apply(state: PhotonState, rail: str, theta: float) -> PhotonState:
+    ph = -1.0 + 0j if theta in (math.pi, -math.pi) else cmath.exp(1j * theta)
+    amps = {
+        mode: (a * ph if mode.rail == rail else a) for mode, a in state.amps.items()
+    }
+    return PhotonState(amps=amps, absorbed=state.absorbed)
+
+
+def delay_apply(state: PhotonState, rail: str, bins: int) -> PhotonState:
+    if bins < 0:
+        raise ValueError("delay must be non-negative")
+    amps = {}
+    for mode, a in state.amps.items():
+        if mode.rail == rail:
+            mode = Mode(mode.rail, mode.bin + bins)
+        amps[mode] = a
+    return PhotonState(amps=amps, absorbed=state.absorbed)
+
+
+def encode(bit: int, params: BeamSplitterParams) -> PhotonState:
+    if bit not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {bit}")
+    rail_in = RAIL_Y if bit == 0 else RAIL_X
+    state = PhotonState(amps={Mode(rail_in, 0): 1.0 + 0j})
+    state = bs_apply(state, 0, params)
+    return delay_apply(state, RAIL_Y, 1)
+
+
+def _measurement_transform(state: PhotonState, params: BeamSplitterParams) -> PhotonState:
+    state = delay_apply(state, RAIL_X, 1)
+    state = phase_apply(state, RAIL_Y, math.pi)
+    for bin in sorted({m.bin for m in state.amps}):
+        state = bs_apply(state, bin, params)
+    return state
+
+
+def detection_distribution(
+    state: PhotonState, params: BeamSplitterParams
+) -> dict[DetectionEvent, float]:
+    out = _measurement_transform(state, params)
+    dist: dict[DetectionEvent, float] = {}
+    for mode, a in out.amps.items():
+        p = abs(a) ** 2
+        if p == 0.0:
+            continue
+        detector = 0 if mode.rail == RAIL_Y else 1
+        ev = DetectionEvent(detector, mode.bin)
+        dist[ev] = dist.get(ev, 0.0) + p
+    if out.absorbed > 0.0:
+        dist[NO_CLICK] = dist.get(NO_CLICK, 0.0) + out.absorbed
+    return dist
+
+
+def sample_detection(
+    state: PhotonState, params: BeamSplitterParams, rng: np.random.Generator
+) -> DetectionEvent:
+    return sample_event(detection_distribution(state, params), rng)
+
+
+def sample_event(
+    dist: dict[DetectionEvent, float], rng: np.random.Generator
+) -> DetectionEvent:
+    events = sorted(dist, key=lambda ev: (ev.detector is None, ev.detector, ev.bin))
+    u = rng.random()
+    acc = 0.0
+    for ev in events:
+        acc += dist[ev]
+        if u < acc:
+            return ev
+    return events[-1]
+
+
+def flag_probability(
+    state: PhotonState, params: BeamSplitterParams, bit: int
+) -> float:
+    dist = detection_distribution(state, params)
+    return 1.0 - dist.get(expected_event(bit), 0.0)
+
+
+# --- strategies -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class InterceptRecord:
+    learned_bit: int | None
+    resent: PhotonState
+
+
+def rail_for(strategy: SingleChannel, bit: int, params: BeamSplitterParams) -> str:
+    """`SingleChannel.rail_for` as it was: recomputed on every call."""
+    if strategy.rails is not None:
+        return strategy.rails[bit]
+    flags = {
+        rail: flag_probability(_single_packet(rail), params, bit)
+        for rail in (RAIL_X, RAIL_Y)
+    }
+    return min(flags, key=lambda r: (flags[r], r))
+
+
+def _single_packet(rail: str) -> PhotonState:
+    bin = 0 if rail == RAIL_X else 1
+    return PhotonState(amps={Mode(rail, bin): 1.0 + 0j})
+
+
+def decode_incoming(incoming: PhotonState, params: BeamSplitterParams) -> int:
+    for b in (0, 1):
+        ref = encode(b, params)
+        if set(ref.amps) == set(incoming.amps) and all(
+            abs(incoming.amps[m] - ref.amps[m]) < 1e-9 for m in ref.amps
+        ):
+            return b
+    raise ValueError("incoming state is not a valid encoded photon")
+
+
+def _embed_block(u: np.ndarray, positions: tuple[int, int], a: int) -> np.ndarray:
+    full = np.eye(3 * a, dtype=complex)
+    idx = [p * a + j for p in positions for j in range(a)]
+    full[np.ix_(idx, idx)] = u
+    return full
+
+
+def _general_causal_output(
+    strategy: GeneralCausal, bit: int, params: BeamSplitterParams
+) -> np.ndarray:
+    a = strategy.ancilla_dim
+    enc = encode(bit, params)
+    psi = np.zeros(3 * a, dtype=complex)
+    psi[_POS_X * a + 0] = enc.amp(RAIL_X, 0)
+    psi[_POS_Y * a + 0] = enc.amp(RAIL_Y, 1)
+    psi = _embed_block(strategy.u1, (_POS_X, _POS_KEPT), a) @ psi
+    psi = _embed_block(strategy.u2, (_POS_Y, _POS_KEPT), a) @ psi
+    return psi.reshape(3, a)
+
+
+def _branch_state(amp_x: complex, amp_y: complex, kept2: float) -> PhotonState:
+    w = abs(amp_x) ** 2 + abs(amp_y) ** 2 + kept2
+    amps = {}
+    if amp_x != 0:
+        amps[Mode(RAIL_X, 0)] = amp_x / np.sqrt(w)
+    if amp_y != 0:
+        amps[Mode(RAIL_Y, 1)] = amp_y / np.sqrt(w)
+    return PhotonState(amps=amps, absorbed=kept2 / w)
+
+
+def apply_strategy(strategy, incoming, params, rng) -> InterceptRecord:
+    b = decode_incoming(incoming, params)
+    if isinstance(strategy, BlindGuessOnTime):
+        g = int(rng.integers(2))
+        return InterceptRecord(learned_bit=b, resent=encode(g, params))
+    if isinstance(strategy, FullMeasureLate):
+        resent = delay_apply(incoming, RAIL_X, 1)
+        resent = delay_apply(resent, RAIL_Y, 1)
+        return InterceptRecord(learned_bit=b, resent=resent)
+    if isinstance(strategy, SingleChannel):
+        rail = rail_for(strategy, b, params)
+        return InterceptRecord(learned_bit=b, resent=_single_packet(rail))
+    if isinstance(strategy, GeneralCausal):
+        return _apply_general_causal(strategy, b, params, rng)
+    raise TypeError(f"unknown strategy {strategy!r}")
+
+
+def _apply_general_causal(strategy, bit, params, rng) -> InterceptRecord:
+    out = _general_causal_output(strategy, bit, params)
+    mapping = decode_map(strategy, params)
+    kept_p = np.abs(out[_POS_KEPT]) ** 2
+    sent_p = np.abs(out[_POS_X]) ** 2 + np.abs(out[_POS_Y]) ** 2
+    probs = np.concatenate([sent_p, kept_p])
+    probs = probs / probs.sum()
+    o = int(rng.choice(len(probs), p=probs))
+    kept, j = divmod(o, strategy.ancilla_dim)
+    learned = mapping.get((kept, j))
+    if kept:
+        return InterceptRecord(learned_bit=learned, resent=VACUUM)
+    branch = _branch_state(out[_POS_X, j], out[_POS_Y, j], 0.0)
+    return InterceptRecord(learned_bit=learned, resent=branch)
+
+
+def detection_prob(strategy, bit: int, params: BeamSplitterParams) -> float:
+    if isinstance(strategy, BlindGuessOnTime):
+        return 0.5 * sum(
+            flag_probability(encode(g, params), params, bit) for g in (0, 1)
+        )
+    if isinstance(strategy, FullMeasureLate):
+        resent = delay_apply(encode(bit, params), RAIL_X, 1)
+        resent = delay_apply(resent, RAIL_Y, 1)
+        return flag_probability(resent, params, bit)
+    if isinstance(strategy, SingleChannel):
+        rail = rail_for(strategy, bit, params)
+        return flag_probability(_single_packet(rail), params, bit)
+    if isinstance(strategy, GeneralCausal):
+        out = _general_causal_output(strategy, bit, params)
+        p_ok = 0.0
+        for j in range(strategy.ancilla_dim):
+            w = (
+                abs(out[_POS_X, j]) ** 2
+                + abs(out[_POS_Y, j]) ** 2
+                + abs(out[_POS_KEPT, j]) ** 2
+            )
+            if w < 1e-300:
+                continue
+            branch = _branch_state(
+                out[_POS_X, j], out[_POS_Y, j], abs(out[_POS_KEPT, j]) ** 2
+            )
+            p_ok += w * (1.0 - flag_probability(branch, params, bit))
+        return 1.0 - p_ok
+    raise TypeError(f"unknown strategy {strategy!r}")

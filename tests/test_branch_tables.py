@@ -1,0 +1,148 @@
+"""The array optics and the strategy branch tables against the dict-backed
+oracles in `optics_oracles`: the same floats and the same random draws."""
+
+import numpy as np
+import pytest
+
+import optics_oracles as oracle
+from mzqbc import optics, strategies
+from mzqbc.optics import MAX_BIN, RAILS, BeamSplitterParams, Mode
+from mzqbc.strategies import (
+    BlindGuessOnTime,
+    FullMeasureLate,
+    GeneralCausal,
+    SingleChannel,
+)
+from mzqbc.util import haar_unitary
+
+R_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
+CLOSED_FORMS = [
+    BlindGuessOnTime(),
+    FullMeasureLate(),
+    SingleChannel(),
+    SingleChannel(rails=("X", "X")),
+    SingleChannel(rails=("Y", "X")),
+]
+
+
+def params_for(R):
+    return BeamSplitterParams(R=R, symmetric_ok=True)
+
+
+def random_coupling(seed: int) -> GeneralCausal:
+    rng = np.random.default_rng(seed)
+    a = int(rng.integers(1, 4))
+    return GeneralCausal(
+        u1=haar_unitary(2 * a, rng), u2=haar_unitary(2 * a, rng), ancilla_dim=a
+    )
+
+
+def random_state_pair(rng):
+    """The same random sub-normalized state as an array state and a dict one."""
+    amps = rng.normal(size=(2, MAX_BIN + 1)) + 1j * rng.normal(size=(2, MAX_BIN + 1))
+    amps[rng.random(amps.shape) < 0.5] = 0
+    amps[0, MAX_BIN] = 0  # the measurement delays rail X by one bin
+    amps[1, 1] = 1.0
+    absorbed = float(rng.random()) if rng.random() < 0.3 else 0.0
+    amps *= np.sqrt(1 - absorbed) / np.linalg.norm(amps)
+    modes = {
+        Mode(RAILS[i], int(b)): complex(amps[i, b]) for i, b in zip(*np.nonzero(amps))
+    }
+    absorbed = 1.0 - sum(abs(a) ** 2 for a in modes.values())
+    return optics.photon_state(modes, absorbed), oracle.PhotonState(modes, absorbed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_detection_distribution_matches_dict_optics(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        state, ref = random_state_pair(rng)
+        bs = BeamSplitterParams(R=float(rng.uniform(0.05, 0.95)))
+        theta = float(rng.uniform(0, 2 * np.pi))
+        pairs = [
+            (state, ref),
+            (optics.phase_apply(state, "X", theta), oracle.phase_apply(ref, "X", theta)),
+            (optics.bs_apply(state, 2, bs), oracle.bs_apply(ref, 2, bs)),
+            (optics.delay_apply(state, "Y", 0), oracle.delay_apply(ref, "Y", 0)),
+        ]
+        for new, old in pairs:
+            assert optics.detection_distribution(new, bs) == oracle.detection_distribution(
+                old, bs
+            )
+            # the same uniforms pick the same events
+            rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = [optics.sample_detection(new, bs, rng_new) for _ in range(20)]
+            assert got == [oracle.sample_detection(old, bs, rng_old) for _ in range(20)]
+
+
+@pytest.mark.parametrize("R", R_GRID)
+def test_encode_matches_dict_optics(R):
+    bs = params_for(R)
+    for bit in (0, 1):
+        new, old = optics.encode(bit, bs), oracle.encode(bit, bs)
+        assert new.modes() == set(old.amps)
+        assert all(new.amp(*m) == a for m, a in old.amps.items())
+
+
+@pytest.mark.parametrize("R", R_GRID)
+@pytest.mark.parametrize("bit", [0, 1])
+def test_closed_form_detection_prob_equals_oracle_exactly(R, bit):
+    bs = params_for(R)
+    for strategy in CLOSED_FORMS:
+        assert strategies.detection_prob(strategy, bit, bs) == oracle.detection_prob(
+            strategy, bit, bs
+        )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_general_causal_detection_prob_matches_oracle(seed):
+    # the table sums over declared outcomes, (sent, j) and (kept, j); the
+    # oracle sums over ancilla values j with the kept mass folded into each
+    # branch state, so the two orders round differently in the last bits
+    strategy = random_coupling(seed)
+    for R in (0.2, 0.3, 0.7):
+        bs = BeamSplitterParams(R=R)
+        for bit in (0, 1):
+            got = strategies.detection_prob(strategy, bit, bs)
+            assert got == pytest.approx(oracle.detection_prob(strategy, bit, bs), abs=4e-15)
+
+
+def assert_same_state(new, old):
+    assert new.modes() <= set(old.amps)
+    for m, a in old.amps.items():
+        assert new.amp(*m) == a
+    assert new.absorbed == old.absorbed
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    CLOSED_FORMS + [random_coupling(11), random_coupling(12)],
+    ids=lambda s: strategies.strategy_name(s),
+)
+def test_draw_for_draw_equal_to_oracle(strategy):
+    bs = BeamSplitterParams(R=0.3)
+    bits = np.random.default_rng(99).integers(0, 2, size=2000)
+    rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
+    for bit in bits.tolist():
+        rec = strategies.apply_strategy(strategy, optics.encode(bit, bs), bs, rng_new)
+        ev = optics.sample_detection(rec.resent, bs, rng_new)
+        ref = oracle.apply_strategy(strategy, oracle.encode(bit, bs), bs, rng_old)
+        ev_ref = oracle.sample_detection(ref.resent, bs, rng_old)
+        assert rec.learned_bit == ref.learned_bit
+        assert_same_state(rec.resent, ref.resent)
+        assert ev == ev_ref
+    assert rng_new.random() == rng_old.random()
+
+
+def test_apply_strategy_accepts_an_equal_unshared_state():
+    bs = BeamSplitterParams(R=0.3)
+    enc = optics.encode(1, bs)
+    copy = optics.photon_state({m: enc.amp(*m) for m in enc.modes()})
+    rec = strategies.apply_strategy(FullMeasureLate(), copy, bs, np.random.default_rng(0))
+    assert rec.learned_bit == 1
+
+
+def test_cached_states_are_read_only():
+    state = optics.encode(0, BeamSplitterParams(R=0.3))
+    with pytest.raises(ValueError):
+        state.amps[0, 0] = 1.0

@@ -92,6 +92,14 @@ class TestRun:
         assert cli.main(["run", "--config", cfg]) == 3
         assert "guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("commit_bit", [0, 1])
+    def test_r_orthogonal_to_the_code_is_config_error(self, tmp_path, capsys, commit_bit):
+        text = HONEST_CFG.replace("r = 11100000", "r = 11100001").replace(
+            "commit_bit = 0", f"commit_bit = {commit_bit}"
+        )
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+        assert "orthogonal" in capsys.readouterr().err
+
     def test_run_past_codeword_matrix_guard(self, tmp_path):
         # k = 22 > MATERIALIZE_GUARD_K: committing needs no codeword list
         rng = np.random.default_rng(3)

@@ -224,6 +224,43 @@ class TestSampleCodeword:
             assert parity(w, r) == b
 
 
+class TestContains:
+    @staticmethod
+    def rank_membership(code, word):
+        return codes.gf2_rank(np.vstack([code.generator, word])) == code.k
+
+    @staticmethod
+    def check(code, rng, words=60):
+        for _ in range(words):
+            m = rng.integers(0, 2, size=code.k, dtype=np.uint8)
+            cw = (m @ code.generator % 2).astype(np.uint8)
+            flipped = cw.copy()
+            flipped[rng.integers(code.n)] ^= 1
+            noise = rng.integers(0, 2, size=code.n, dtype=np.uint8)
+            for word in (cw, flipped, noise):
+                assert code.contains(word) == TestContains.rank_membership(code, word)
+            assert code.contains(cw)
+            assert code.d == 1 or not code.contains(flipped)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_rank_membership(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        n = int(rng.integers(4, 33))
+        code = random_code(n, int(rng.integers(1, min(n, 17))), rng)
+        self.check(code, rng)
+
+    @pytest.mark.parametrize("factory", [hamming_7_4, extended_hamming_8_4, golay_24_12])
+    def test_builtin_codes(self, factory):
+        self.check(factory(), np.random.default_rng(7))
+
+    def test_beyond_materialize_guard(self):
+        rng = np.random.default_rng(8)
+        self.check(random_code(28, 22, rng), rng)
+
+    def test_wrong_length_is_not_a_codeword(self):
+        assert not hamming_7_4().contains(np.zeros(8, dtype=np.uint8))
+
+
 class TestMidpoint:
     def test_symmetric_split(self):
         mid = midpoint_word(bits_from_string("0000"), bits_from_string("1111"))

@@ -5,6 +5,7 @@ import pytest
 
 import codeword_oracles
 from mzqbc import codes, optics, protocol
+from mzqbc import counterfactual as cf_module
 from mzqbc.counterfactual import (
     FbsConfig,
     _try_flip,
@@ -103,6 +104,18 @@ class TestAttack:
         assert rep["mode_accuracy"] >= 0.99
         assert rep["mean_Dc_bypass"] == pytest.approx(1.0, abs=1e-12)
         assert rep["cheat_success_rate"] > 0.2
+
+    def test_defense_off_runs_the_chain_once_per_blocked_value(self, monkeypatch):
+        calls = []
+
+        def counted(config, blocked):
+            calls.append(blocked)
+            return fbs_run(config, blocked)
+
+        monkeypatch.setattr(cf_module, "fbs_run", counted)
+        rng = np.random.default_rng(5)
+        attack_session(make_params(), False, FbsConfig(cycles=50), rng, sessions=10)
+        assert sorted(calls) == [False, True]
 
     def test_intercepted_probe_never_reaches_dc(self):
         for theta in (0.0, 1.0, 2.5):

@@ -14,7 +14,7 @@ from mzqbc.optics import (
     BeamSplitterParams,
     DetectionEvent,
     Mode,
-    PhotonState,
+    photon_state,
     bs_apply,
     delay_apply,
     detection_distribution,
@@ -41,14 +41,14 @@ class TestBeamSplitter:
     def test_source_input_gives_encoded_amplitudes(self):
         # photon entering the Y port with R=0.3 splits into sqrt(0.7) on Y
         # and -i*sqrt(0.3) on X
-        state = PhotonState(amps={Mode(RAIL_Y, 0): 1.0})
+        state = photon_state({Mode(RAIL_Y, 0): 1.0})
         out = bs_apply(state, 0, params_for(0.3))
         assert out.amp(RAIL_Y, 0) == pytest.approx(math.sqrt(0.7), abs=1e-15)
         assert out.amp(RAIL_X, 0) == pytest.approx(-1j * math.sqrt(0.3), abs=1e-15)
 
     @pytest.mark.parametrize("R", R_GRID)
     def test_single_input_splits_T_R(self, R):
-        state = PhotonState(amps={Mode(RAIL_X, 0): 1.0})
+        state = photon_state({Mode(RAIL_X, 0): 1.0})
         out = bs_apply(state, 0, params_for(R))
         assert abs(out.amp(RAIL_X, 0)) ** 2 == pytest.approx(1 - R, abs=1e-12)
         assert abs(out.amp(RAIL_Y, 0)) ** 2 == pytest.approx(R, abs=1e-12)
@@ -63,15 +63,15 @@ class TestBeamSplitter:
         # deterministically exits on its input rail
         u = bs_matrix(0.5) @ np.diag([1.0, -1.0]) @ bs_matrix(0.5)
         assert np.max(np.abs(u - np.diag([1.0, -1.0]))) < 1e-12
-        state = PhotonState(amps={Mode(RAIL_X, 0): 1.0})
+        state = photon_state({Mode(RAIL_X, 0): 1.0})
         state = bs_apply(state, 0, params_for(0.5))
         state = phase_apply(state, RAIL_Y, math.pi)
         state = bs_apply(state, 0, params_for(0.5))
         assert abs(state.amp(RAIL_X, 0)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_untouched_modes_pass_through(self):
-        state = PhotonState(
-            amps={Mode(RAIL_X, 0): 1 / math.sqrt(2), Mode(RAIL_Y, 2): 1 / math.sqrt(2)}
+        state = photon_state(
+            {Mode(RAIL_X, 0): 1 / math.sqrt(2), Mode(RAIL_Y, 2): 1 / math.sqrt(2)}
         )
         out = bs_apply(state, 0, params_for(0.3))
         assert out.amp(RAIL_Y, 2) == state.amp(RAIL_Y, 2)
@@ -80,7 +80,7 @@ class TestBeamSplitter:
 class TestPhaseAndDelay:
     def test_phase_zero_is_identity(self):
         state = encode(0, params_for(0.3))
-        assert phase_apply(state, RAIL_Y, 0.0).amps == state.amps
+        assert np.array_equal(phase_apply(state, RAIL_Y, 0.0).amps, state.amps)
 
     def test_phase_pi_flips_sign(self):
         state = encode(0, params_for(0.3))  # amp(Y,1) = sqrt(0.7)
@@ -88,18 +88,18 @@ class TestPhaseAndDelay:
         assert out.amp(RAIL_Y, 1) == pytest.approx(-math.sqrt(0.7), abs=1e-15)
 
     def test_delay_zero_identity_and_shift(self):
-        state = PhotonState(amps={Mode(RAIL_X, 0): 1.0})
-        assert delay_apply(state, RAIL_X, 0).amps == state.amps
+        state = photon_state({Mode(RAIL_X, 0): 1.0})
+        assert np.array_equal(delay_apply(state, RAIL_X, 0).amps, state.amps)
         assert delay_apply(state, RAIL_X, 1).amp(RAIL_X, 1) == 1.0
 
     def test_delay_beyond_max_bin_rejected(self):
-        state = PhotonState(amps={Mode(RAIL_X, MAX_BIN): 1.0})
+        state = photon_state({Mode(RAIL_X, MAX_BIN): 1.0})
         with pytest.raises(ValueError):
             delay_apply(state, RAIL_X, 1)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            delay_apply(PhotonState(amps={Mode(RAIL_X, 1): 1.0}), RAIL_X, -1)
+            delay_apply(photon_state({Mode(RAIL_X, 1): 1.0}), RAIL_X, -1)
 
 
 class TestEncode:
@@ -119,13 +119,13 @@ class TestEncode:
 
     def test_timing_y_packet_delayed(self):
         s = encode(0, params_for(0.3))
-        assert set(s.amps) == {Mode(RAIL_X, 0), Mode(RAIL_Y, 1)}
+        assert s.modes() == {Mode(RAIL_X, 0), Mode(RAIL_Y, 1)}
 
     @pytest.mark.parametrize("R", R_GRID)
     def test_encoded_states_orthogonal(self, R):
         s0, s1 = encode(0, params_for(R)), encode(1, params_for(R))
         inner = sum(
-            s0.amps[m].conjugate() * s1.amps.get(m, 0.0) for m in s0.amps
+            s0.amp(*m).conjugate() * s1.amp(*m) for m in s0.modes()
         )
         assert abs(inner) < 1e-12
 
@@ -146,7 +146,7 @@ class TestDetection:
     def test_single_packet_split(self, R):
         # one packet on (Y,1) reaches the final splitter alone: it exits to
         # D0 with probability T and D1 with probability R
-        state = PhotonState(amps={Mode(RAIL_Y, 1): 1.0})
+        state = photon_state({Mode(RAIL_Y, 1): 1.0})
         dist = detection_distribution(state, params_for(R))
         assert dist[DetectionEvent(0, 1)] == pytest.approx(1 - R, abs=1e-12)
         assert dist[DetectionEvent(1, 1)] == pytest.approx(R, abs=1e-12)
@@ -163,7 +163,7 @@ class TestDetection:
 
     def test_sample_deterministic_for_fixed_seed(self):
         bs = params_for(0.3)
-        state = PhotonState(amps={Mode(RAIL_Y, 1): 1.0})
+        state = photon_state({Mode(RAIL_Y, 1): 1.0})
         draws1 = [
             sample_detection(state, bs, np.random.default_rng(123)) for _ in range(3)
         ]
@@ -171,7 +171,7 @@ class TestDetection:
 
     def test_sample_frequencies_match_distribution(self):
         bs = params_for(0.3)
-        state = PhotonState(amps={Mode(RAIL_Y, 1): 1.0})
+        state = photon_state({Mode(RAIL_Y, 1): 1.0})
         rng = np.random.default_rng(42)
         n = 100_000
         hits = sum(
@@ -226,10 +226,10 @@ class TestValidation:
 
     def test_state_normalization_checked(self):
         with pytest.raises(ValueError):
-            PhotonState(amps={Mode(RAIL_X, 0): 0.5})
+            photon_state({Mode(RAIL_X, 0): 0.5})
 
     def test_state_rejects_unknown_rail_and_bin(self):
         with pytest.raises(ValueError):
-            PhotonState(amps={Mode("Z", 0): 1.0})
+            photon_state({Mode("Z", 0): 1.0})
         with pytest.raises(ValueError):
-            PhotonState(amps={Mode(RAIL_X, MAX_BIN + 1): 1.0})
+            photon_state({Mode(RAIL_X, MAX_BIN + 1): 1.0})

@@ -57,6 +57,12 @@ class TestParams:
         with pytest.raises(ValueError, match="nonzero"):
             make_params(r=np.zeros(8, dtype=np.uint8))
 
+    def test_r_orthogonal_to_the_code_rejected(self):
+        # 11100001 is a codeword of the self-dual extended Hamming code:
+        # every codeword has parity 0 against it, so no bit is committed
+        with pytest.raises(ValueError, match="orthogonal"):
+            make_params(r=bits_from_string("11100001"))
+
     def test_wrong_length_r_rejected(self):
         with pytest.raises(ValueError, match="length"):
             make_params(r=bits_from_string("111"))
