@@ -16,10 +16,9 @@ def pack_rows(rows: np.ndarray) -> np.ndarray:
     k, n = rows.shape
     if n > 64:
         raise ValueError("packed enumeration supports n <= 64 only")
-    masks = np.zeros(k, dtype=np.uint64)
-    for j in range(n):
-        masks |= (rows[:, j].astype(np.uint64)) << np.uint64(j)
-    return masks
+    packed = np.zeros((k, 8), dtype=np.uint8)
+    packed[:, : (n + 7) // 8] = np.packbits(rows, axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64, copy=False).reshape(k)
 
 
 # ---------------------------------------------------------------------------

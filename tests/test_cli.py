@@ -173,6 +173,30 @@ class TestNogo:
         assert doc["posteriors"]["no_knowledge"] == [0.5, 0.5]
         assert doc["overlaps"]["reduced_overlap"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_extended_hamming_with_r(self, tmp_path):
+        cfg = write_cfg(tmp_path, "builtin_code = extended_hamming\nr = 10000000\n")
+        out = tmp_path / "nogo.json"
+        assert cli.main(["nogo", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["code"] == "(8,4,4)"
+        assert doc["max_deviation"] <= 1e-9
+        assert doc["max_overlap_deviation"] <= 1e-9
+        assert doc["overlaps"]["reduced_trace_distance"] == pytest.approx(1.0, abs=1e-12)
+        assert doc["posteriors"]["mean_max_with_intercepted_known"] == 1.0
+
+    def test_self_dual_code_needs_an_explicit_r(self, tmp_path, capsys):
+        # r = 1...1 is a codeword of the self-dual extended Hamming code
+        cfg = write_cfg(tmp_path, "builtin_code = extended_hamming\n")
+        assert cli.main(["nogo", "--config", cfg]) == 2
+        assert "r is orthogonal to every codeword" in capsys.readouterr().err
+
+    def test_golay_is_guarded(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "builtin_code = golay\n")
+        assert cli.main(["nogo", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "guard violation: composite of n = 24 photons" in err
+        assert "Haar draw" in err
+
 
 class TestCounterfactual:
     def test_json_report(self, tmp_path):

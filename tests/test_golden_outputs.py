@@ -41,7 +41,7 @@ CASES = {
 GOLDEN = {
     "counterfactual-json-extended_hamming": "4ab366263b3728ba54ca61262cb7bb874500f6c2f017dce724c6b68a0cff9aa8",
     "counterfactual-json-golay": "e402d9ee0c067eba6c752381a2ed4d9040f3c9b6902ae3403c58a6c9d2b1eafc",
-    "nogo": "31b1b1a413c1e6a5bf16720eec4c53ab69c18173669736ec754f9c6b1ea1b0e5",
+    "nogo": "7c57f0c91b7774af9b38e45b626ec5fa77cd1d8489f530a1ece8fec1bbeb3393",
     "run-extended_hamming-seed17": "9dd33782b744f677e93c3449c258cf4be45763a8e78ed896a4400a2bb8c31db0",
     "run-extended_hamming-seed3": "5c0213cbdf68ec9385fe14daf8578a776d5eb5019c1ad474287348b467d70a57",
     "run-golay-seed17": "ab40b9ddae57fede606cb131f56c7e6cbf86dbe78000224335f30c71950cbdb2",

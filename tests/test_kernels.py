@@ -135,6 +135,39 @@ def test_pack_rows_guard():
         kernels.pack_rows(np.zeros((2, 65), dtype=np.uint8))
 
 
+def loop_pack_rows(rows):
+    """One shift-and-or pass per column."""
+    k, n = rows.shape
+    masks = np.zeros(k, dtype=np.uint64)
+    for j in range(n):
+        masks |= (rows[:, j].astype(np.uint64)) << np.uint64(j)
+    return masks
+
+
+@pytest.mark.parametrize(
+    "shape", [(0, 5), (0, 64), (3, 1), (1, 64), (7, 64), (1, 24), (12, 24)]
+)
+def test_pack_rows_matches_column_loop(shape):
+    rng = np.random.default_rng(sum(shape))
+    for dtype in (np.uint8, bool):
+        rows = rng.integers(0, 2, size=shape).astype(dtype)
+        got = kernels.pack_rows(rows)
+        assert got.dtype == np.uint64 and got.shape == (shape[0],)
+        assert np.array_equal(got, loop_pack_rows(rows))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pack_rows_matches_column_loop_random_shapes(seed):
+    rng = np.random.default_rng(900 + seed)
+    for _ in range(20):
+        k, n = int(rng.integers(0, 30)), int(rng.integers(1, 65))
+        rows = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
+        # column slices, as callers pass them, are not contiguous
+        cols = rng.permutation(n)[: rng.integers(1, n + 1)]
+        for view in (rows, rows[:, cols], rows.T[:, : min(k, 64)]):
+            assert np.array_equal(kernels.pack_rows(view), loop_pack_rows(view))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_min_weight_numpy_matches_oracle(seed):
     rng = np.random.default_rng(seed)

@@ -2,24 +2,28 @@ import numpy as np
 import pytest
 
 import codeword_oracles
+import operator_oracles as oracles
 from mzqbc import codes, operator_model as om
 from mzqbc.codes import bits_from_string
 from mzqbc.operator_model import (
-    CompositeSystem,
-    DensityMatrix,
     alice_local_invariance,
-    apply_mode_unitary,
     bob_bit_posterior,
-    bob_reduced_state,
-    bypass_unitary,
     committed_density,
-    initial_composite_state,
-    intercept_unitary,
     overlap,
-    partial_trace,
-    trace_distance,
 )
 from mzqbc.util import GuardError
+from operator_oracles import (
+    CompositeSystem,
+    DensityMatrix,
+    apply_mode_unitary,
+    bob_reduced_state,
+    bypass_unitary,
+    initial_composite_state,
+    intercept_unitary,
+    partial_trace,
+    to_dense,
+    trace_distance,
+)
 
 R111 = bits_from_string("111")
 
@@ -29,7 +33,7 @@ class TestCommittedDensity:
         rho = committed_density(codes.repetition_code(3), R111, 0)
         assert rho.indices.tolist() == [0]
         assert rho.weights.tolist() == [1.0]
-        assert rho.to_dense().purity() == pytest.approx(1.0)
+        assert to_dense(rho).purity() == pytest.approx(1.0)
 
     def test_hamming_orthogonality_and_purity(self):
         code = codes.hamming_7_4()
@@ -38,8 +42,8 @@ class TestCommittedDensity:
         rho1 = committed_density(code, r, 1)
         assert overlap(rho0, rho1) == 0.0
         assert overlap(rho0, rho0) == pytest.approx(1 / 8)  # purity of 8-word mixture
-        dense0, dense1 = rho0.to_dense(), rho1.to_dense()
-        assert abs(overlap(dense0, dense1)) <= 1e-12
+        dense0, dense1 = to_dense(rho0), to_dense(rho1)
+        assert abs(oracles.overlap(dense0, dense1)) <= 1e-12
         assert dense0.purity() == pytest.approx(1 / 8)
 
     def test_empty_subset_rejected(self):
@@ -52,7 +56,7 @@ class TestCommittedDensity:
         rho = committed_density(codes.repetition_code(13), np.ones(13, dtype=np.uint8), 0)
         assert rho.dim == 1 << 13  # sparse form is fine at any enumerable n
         with pytest.raises(GuardError):
-            rho.to_dense()
+            to_dense(rho)
 
     def test_overlap_dim_mismatch(self):
         a = committed_density(codes.repetition_code(3), R111, 0)
@@ -100,7 +104,7 @@ class TestPipeline:
         assert alpha_red[3, 3] == pytest.approx(1.0, abs=1e-12)
         # returned register holds the old committed mixture
         beta_red = partial_trace(out.matrix, system.dims, system.beta_axes())
-        assert np.allclose(beta_red, alpha.to_dense().matrix, atol=1e-12)
+        assert np.allclose(beta_red, to_dense(alpha).matrix, atol=1e-12)
         # record qutrits untouched
         g_red = partial_trace(out.matrix, system.dims, [system.gamma_axis(0)])
         assert g_red[2, 2] == pytest.approx(1.0, abs=1e-12)
@@ -135,7 +139,7 @@ class TestPipeline:
         alpha = DensityMatrix.from_pure(np.array([1, 0], dtype=complex)).matrix
         gamma = np.zeros((3, 3), dtype=complex)
         gamma[0, 0] = 1.0  # wrong: record already set
-        state = DensityMatrix(om.kron_all([beta, alpha, gamma]))
+        state = DensityMatrix(oracles.kron_all([beta, alpha, gamma]))
         with pytest.raises(ValueError, match="unmeasured"):
             apply_mode_unitary(system, ["intercept"], state)
 
@@ -148,8 +152,10 @@ class TestPipeline:
                                max_intercepts=1)
 
     def test_dimension_guard(self):
-        with pytest.raises(GuardError):
-            CompositeSystem(n=4)
+        golay = codes.golay_24_12()
+        with pytest.raises(GuardError, match="Haar draw"):
+            om.CompositeSystem(n=golay.n)
+        assert om.CompositeSystem(n=codes.extended_hamming_8_4().n).n == 8
 
 
 class TestReducedState:
@@ -159,7 +165,7 @@ class TestReducedState:
         alpha = committed_density(code, bits_from_string("1"), 1)
         full = initial_composite_state(system, alpha)
         red = bob_reduced_state(full, system)
-        expect = np.kron(alpha.to_dense().matrix, np.diag([0, 0, 1.0]))
+        expect = np.kron(to_dense(alpha).matrix, np.diag([0, 0, 1.0]))
         assert np.allclose(red.matrix, expect, atol=1e-12)
         assert np.trace(red.matrix).real == pytest.approx(1.0, abs=1e-12)
 
@@ -186,7 +192,7 @@ class TestInvariance:
     )
     def test_beta_rotations_invisible_to_receiver(self, n, gen, modes):
         code = codes.code_from_generator(np.array(gen, dtype=np.uint8))
-        system = CompositeSystem(n=n)
+        system = om.CompositeSystem(n=n)
         rng = np.random.default_rng(13)
         report = alice_local_invariance(
             system, modes, code, np.ones(n, dtype=np.uint8), trials=10, rng=rng
@@ -196,13 +202,124 @@ class TestInvariance:
 
     def test_intercept_records_are_distinguishable(self):
         code = codes.repetition_code(3)
-        system = CompositeSystem(n=3)
+        system = om.CompositeSystem(n=3)
         rng = np.random.default_rng(1)
         report = alice_local_invariance(
             system, ["intercept", "bypass", "bypass"], code, R111, trials=2, rng=rng
         )
         assert report["reduced_overlap"] == pytest.approx(0.0, abs=1e-12)
         assert report["reduced_trace_distance"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_mode_errors(self):
+        code = codes.repetition_code(3)
+        system = om.CompositeSystem(n=3)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="one mode per photon"):
+            alice_local_invariance(system, ["bypass"] * 2, code, R111, 1, rng)
+        with pytest.raises(ValueError, match="unknown mode 'measure'"):
+            alice_local_invariance(system, ["bypass", "measure", "bypass"], code, R111, 1, rng)
+        with pytest.raises(ValueError, match="does not match"):
+            alice_local_invariance(om.CompositeSystem(n=4), ["bypass"] * 4, code, R111, 1, rng)
+
+    def test_r_orthogonal_to_the_code_rejected_before_any_draw(self):
+        code = codes.extended_hamming_8_4()
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="r is orthogonal to every codeword"):
+            alice_local_invariance(
+                om.CompositeSystem(n=8), ["intercept"] + ["bypass"] * 7, code,
+                np.ones(8, dtype=np.uint8), 5, rng,
+            )
+        assert rng.bit_generator.state == before
+
+    def test_extended_hamming(self):
+        code = codes.extended_hamming_8_4()
+        report = alice_local_invariance(
+            om.CompositeSystem(n=8), ["intercept"] + ["bypass"] * 7, code,
+            bits_from_string("10000000"), 3, np.random.default_rng(2),
+        )
+        assert report["max_deviation"] <= 1e-9
+        assert report["max_overlap_deviation"] <= 1e-9
+        # the intercepted photon is the parity bit: records tell the bits apart
+        assert report["reduced_overlap"] == pytest.approx(0.0, abs=1e-12)
+        assert report["reduced_trace_distance"] == pytest.approx(1.0, abs=1e-12)
+        # one intercepted photon that does not fix the parity reveals nothing
+        report = alice_local_invariance(
+            om.CompositeSystem(n=8), ["intercept"] + ["bypass"] * 7, code,
+            bits_from_string("01000000"), 3, np.random.default_rng(2),
+        )
+        assert report["reduced_trace_distance"] == pytest.approx(0.0, abs=1e-12)
+        assert report["reduced_overlap"] == pytest.approx(0.5, abs=1e-12)
+
+
+REPORT_FIELDS = (
+    "max_deviation", "max_overlap_deviation", "reduced_overlap", "reduced_trace_distance"
+)
+
+
+def _random_case(rng, n):
+    """A random full-rank code of length n, an r with G r^T != 0 and a mode
+    list."""
+    k = int(rng.integers(1, n + 1))
+    while True:
+        gen = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
+        if codes.gf2_rank(gen) == k:
+            break
+    code = codes.code_from_generator(gen)
+    while True:
+        r = rng.integers(0, 2, size=n, dtype=np.uint8)
+        if r.any() and codes.message_mask(code, r).any():
+            break
+    modes = [("bypass", "intercept")[int(x)] for x in rng.integers(0, 2, size=n)]
+    return code, r, modes
+
+
+def _both_reports(code, r, modes, seed, beta=None, trials=3):
+    """The product-ket and the dense report from generators seeded alike,
+    and the two generators afterwards."""
+    fast_rng, dense_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    fast = alice_local_invariance(
+        om.CompositeSystem(n=code.n), modes, code, r, trials, fast_rng, beta
+    )
+    dense = oracles.alice_local_invariance(
+        CompositeSystem(n=code.n), modes, code, r, trials, dense_rng, beta
+    )
+    return fast, dense, fast_rng, dense_rng
+
+
+class TestOracleAgreement:
+    """The product-ket model against the dense 12^n pipeline (about 1.4 s
+    per dense call at n = 3, so n = 3 gets one random case per fiducial)."""
+
+    @pytest.mark.parametrize("n,cases", [(1, 6), (2, 6), (3, 1)])
+    @pytest.mark.parametrize(
+        "fiducial", [None, (0.6, 0.8), (0.6, 0.8j), (1 + 2j, -0.5 + 0.25j)]
+    )
+    def test_report_matches_dense_oracle(self, n, cases, fiducial):
+        rng = np.random.default_rng(1300 + n)
+        beta = None if fiducial is None else np.array(fiducial, dtype=complex)
+        for _ in range(cases):
+            code, r, modes = _random_case(rng, n)
+            fast, dense, fast_rng, dense_rng = _both_reports(
+                code, r, modes, int(rng.integers(1 << 30)), beta
+            )
+            for key in REPORT_FIELDS:
+                assert fast[key] == pytest.approx(dense[key], abs=1e-12), key
+            assert {k: fast[k] for k in ("n", "modes", "trials")} == {
+                k: dense[k] for k in ("n", "modes", "trials")
+            }
+            # same Haar draws, in the same order: the generators end level
+            assert fast_rng.bit_generator.state == dense_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_mode_list_matches_dense_oracle(self, n):
+        code = codes.repetition_code(n)
+        r = np.eye(n, dtype=np.uint8)[0]
+        for mask in range(1 << n):
+            modes = ["intercept" if mask >> i & 1 else "bypass" for i in range(n)]
+            fast, dense, _, _ = _both_reports(code, r, modes, mask, trials=2)
+            for key in REPORT_FIELDS:
+                assert fast[key] == pytest.approx(dense[key], abs=1e-12), key
 
 
 class TestPosterior:
