@@ -292,13 +292,10 @@ def cmd_strategies(cfg) -> int:
         cfg, "R_grid", [round(0.1 * i, 1) for i in range(1, 10)]
     )
     rows = strategies.strategy_table_rows(r_grid)
-    search_trials = config_mod.get_int(cfg, "search_trials", 0)
-    if search_trials > 0:
-        rng = np.random.default_rng(config_mod.get_int(cfg, "seed", 0))
-        dim = config_mod.get_int(cfg, "ancilla_dim", 2)
+    if config_mod.get_int(cfg, "search_trials", 0) > 0:
         for R in r_grid:
             bs = optics.BeamSplitterParams(R=R, symmetric_ok=True)
-            best, _ = strategies.search_epsilon(dim, search_trials, rng, bs)
+            best = strategies.floor_strategy(bs)
             for bit in (0, 1):
                 rows.append(
                     {

@@ -118,13 +118,23 @@ def parity(c: np.ndarray, r: np.ndarray) -> int:
 
 def message_mask(code: LinearCode, r: np.ndarray) -> np.ndarray:
     """t = G r^T mod 2, so c = mG has parity c.r = m.t.  Both parity halves
-    of the code are nonempty iff t != 0, and then hold 2^(k-1) words each."""
+    of the code are nonempty iff t != 0, and then hold 2^(k-1) words each.
+
+    The last r's mask is kept on the code (read-only), since a run of
+    sessions asks for the same one every time."""
     r = np.asarray(r, dtype=np.uint8)
     if r.shape != (code.n,):
         raise ValueError(f"r must have length {code.n}")
+    key = r.tobytes()
+    cached = getattr(code, "_mask", None)
+    if cached is not None and cached[0] == key:
+        return cached[1]
     if not r.any():
         raise ValueError("r must be nonzero")
-    return ((code.generator.astype(np.int64) @ r) % 2).astype(np.uint8)
+    t = ((code.generator.astype(np.int64) @ r) % 2).astype(np.uint8)
+    t.flags.writeable = False
+    object.__setattr__(code, "_mask", (key, t))
+    return t
 
 
 def sample_codeword(

@@ -43,6 +43,13 @@ from .util import GuardError, haar_unitary
 #: 16 ms at n = 8, 78 ms at n = 9, 0.36 s at n = 10 and 2.9 s at n = 11
 #: (2-core VM), so n <= 9 keeps the default 100 trials under 10 s.
 MAX_TRIAL_AMPLITUDES = 1 << 18
+#: Budget of one invariance check, in trials x 4^n amplitudes, a trial
+#: counting at least 4^5 for its fixed cost.  Measured per trial (2-core VM):
+#: 0.1-0.3 ms up to n = 5, then about 0.4 us per amplitude (96 ms at n = 9).
+#: 2^25 admits the default 100 trials at n = 9 (about 10 s) and keeps every
+#: admitted run under about 20 s.
+MAX_CHECK_AMPLITUDES = 1 << 25
+MIN_TRIAL_AMPLITUDES = 4**5
 
 QUTRIT_UNMEASURED = 2
 
@@ -153,6 +160,13 @@ def alice_local_invariance(
     ket; default |0> in the encoding basis.
     """
     n = system.n
+    per_trial = max(4**n, MIN_TRIAL_AMPLITUDES)
+    if trials * per_trial > MAX_CHECK_AMPLITUDES:
+        raise GuardError(
+            f"{trials} trials at n = {n} exceed the invariance check's budget of "
+            f"{MAX_CHECK_AMPLITUDES} trial amplitudes (at most "
+            f"{MAX_CHECK_AMPLITUDES // per_trial} trials)"
+        )
     if code.n != n:
         raise ValueError("committed register dimension does not match system")
     if len(modes) != n:

@@ -8,7 +8,9 @@ resolves that tension differently.  `branches(strategy, bit, params)` lists
 its outcomes, built once: `apply_strategy` samples one, and `detection_prob`,
 the exact chance that the sender's check flags the resent photon, sums
 weight x flag over them.  The minimum over a strategy family is the
-detection floor used by the protocol's estimator.
+detection floor used by the protocol's estimator; `floor_strategy` proves
+that no causal coupling with certain decode goes below the closed-form
+minimum, so that minimum is exact, not a search's upper bound.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 
 from . import optics
 from .optics import RAIL_X, RAIL_Y, RAILS, VACUUM, BeamSplitterParams, Mode, PhotonState
-from .util import haar_unitary
 
 UNITARY_TOL = 1e-10
 #: declared-decode certainty at/above which a strategy "knows" the bit
@@ -313,69 +314,23 @@ def protocol_epsilon(params: BeamSplitterParams) -> float:
     return epsilon_lower_bound(closed_form_strategies(), params)
 
 
-def search_epsilon(
-    ancilla_dim: int,
-    trials: int,
-    rng: np.random.Generator,
-    params: BeamSplitterParams,
-    refine_steps: int = 50,
-) -> tuple[ResendStrategy, float]:
-    """Randomized search for the lowest-detection strategy that still
-    learns the bit with certainty.
+def floor_strategy(params: BeamSplitterParams) -> ResendStrategy:
+    """The lowest-detection strategy among those that learn the bit with
+    certainty: the closed-form family minimum (first in list order on a
+    tie), whose bit-averaged detection is min(R, T) <= 1/2.
 
-    Candidates are the closed-form strategies plus `trials` random causal
-    ancilla couplings, locally refined by unitary perturbation against the
-    penalized objective detection + (1 - decode certainty).  The headline
-    result only admits candidates with decode certainty 1 (within 1e-9),
-    so it is an upper bound on the informative family's true floor, never
-    an exact value.
+    No `GeneralCausal` with certain decode (`decode_certainty` >= 1 -
+    CERTAINTY_TOL) does better, at any ancilla dimension.  Let x =
+    <forwarded X, j| u1 |X, 0>.  Outcome (sent, j) has probability at least
+    |a_b|^2 |x_j|^2 under bit b, and the X amplitude a_b is sqrt(R) or
+    sqrt(T), never 0, so a certain decode (no outcome possible under both
+    bits) forces x = 0.  Then only Y-rail content is forwarded, and a
+    Y-only packet is flagged with flag_Y(0) + flag_Y(1) = 1; a kept photon
+    leaves vacuum, which `optics.flag_probability` flags with probability 1.
+    With s_b the forwarded probability under bit b, the bit-averaged
+    detection is 1 - (s_0 (1 - flag_Y(0)) + s_1 (1 - flag_Y(1))) / 2 >= 1/2.
     """
-    if ancilla_dim > 4:
-        raise ValueError("ancilla_dim is limited to 4")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-
-    def penalized(s: ResendStrategy) -> float:
-        return average_detection_prob(s, params) + (1.0 - decode_certainty(s, params))
-
-    candidates: list[ResendStrategy] = list(closed_form_strategies())
-    dim = 2 * ancilla_dim
-    best_general: GeneralCausal | None = None
-    best_pen = np.inf
-    for t in range(trials):
-        if t == 0:
-            u1 = u2 = np.eye(dim, dtype=complex)
-        else:
-            u1, u2 = haar_unitary(dim, rng), haar_unitary(dim, rng)
-        cand = GeneralCausal(u1=u1, u2=u2, ancilla_dim=ancilla_dim)
-        pen = penalized(cand)
-        if pen < best_pen:
-            best_general, best_pen = cand, pen
-    assert best_general is not None
-    sigma = 0.3
-    for _ in range(refine_steps):
-        u1 = _perturb_unitary(best_general.u1, sigma, rng)
-        u2 = _perturb_unitary(best_general.u2, sigma, rng)
-        cand = GeneralCausal(u1=u1, u2=u2, ancilla_dim=ancilla_dim)
-        pen = penalized(cand)
-        if pen < best_pen:
-            best_general, best_pen = cand, pen
-        else:
-            sigma = max(sigma * 0.9, 0.01)
-    candidates.append(best_general)
-
-    eligible = [
-        s for s in candidates if decode_certainty(s, params) >= 1.0 - CERTAINTY_TOL
-    ]
-    best = min(eligible, key=lambda s: average_detection_prob(s, params))
-    return best, average_detection_prob(best, params)
-
-
-def _perturb_unitary(u: np.ndarray, sigma: float, rng) -> np.ndarray:
-    z = u + sigma * (rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return min(closed_form_strategies(), key=lambda s: average_detection_prob(s, params))
 
 
 def strategy_table_rows(

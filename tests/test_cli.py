@@ -190,6 +190,13 @@ class TestNogo:
         assert cli.main(["nogo", "--config", cfg]) == 2
         assert "r is orthogonal to every codeword" in capsys.readouterr().err
 
+    def test_trial_budget_is_guarded(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "builtin_code = extended_hamming\nr = 10000000\n")
+        assert cli.main(["nogo", "--config", cfg, "--trials", "10000"]) == 3
+        err = capsys.readouterr().err
+        assert "guard violation: 10000 trials at n = 8" in err
+        assert "at most 512 trials" in err
+
     def test_golay_is_guarded(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "builtin_code = golay\n")
         assert cli.main(["nogo", "--config", cfg]) == 3

@@ -261,6 +261,30 @@ class TestContains:
         assert not hamming_7_4().contains(np.zeros(8, dtype=np.uint8))
 
 
+class TestMessageMask:
+    def test_matches_generator_product_as_r_changes(self):
+        # the mask is cached per code for the last r; switching r back and
+        # forth must never return a stale one
+        code = golay_24_12()
+        rng = np.random.default_rng(12)
+        rs = [rng.integers(0, 2, size=code.n, dtype=np.uint8) for _ in range(4)]
+        for r in rs + rs[::-1] + rs:
+            t = codes.message_mask(code, r)
+            assert np.array_equal(t, code.generator.astype(int) @ r % 2)
+            assert t.dtype == np.uint8
+            assert not t.flags.writeable
+
+    def test_checks_hold_after_a_cached_r(self):
+        code = hamming_7_4()
+        r = bits_from_string("1010000")
+        codes.message_mask(code, r)
+        with pytest.raises(ValueError, match="nonzero"):
+            codes.message_mask(code, np.zeros(7, dtype=np.uint8))
+        with pytest.raises(ValueError, match="length 7"):
+            codes.message_mask(code, r[None, :])
+        assert codes.message_mask(code, list(r)).tolist() == [1, 0, 1, 0]
+
+
 class TestMidpoint:
     def test_symmetric_split(self):
         mid = midpoint_word(bits_from_string("0000"), bits_from_string("1111"))

@@ -32,6 +32,10 @@ CASES = {
     "nogo": (["nogo", "--seed", "7", "--trials", "3"], ""),
     "verify": (["verify", "--seed", "4"], ""),
     "strategies-json": (["strategies", "--format", "json"], ""),
+    "strategies-search-json-seed3": (
+        ["strategies", "--seed", "3"],
+        "search_trials = 20\nancilla_dim = 2\nformat = json\n",
+    ),
     "sweep-two-codes": (
         ["sweep", "--seed", "9", "--trials", "3000"],
         "codes = extended_hamming, golay\n",
@@ -49,6 +53,7 @@ GOLDEN = {
     "run-hamming-seed17": "c17871c3b05308d221b11c5bd8e4e4f42f049f4dba1e52dc0cf7623d59052154",
     "run-hamming-seed3": "b44006e521675f8d46c773c181b90b4096513ae533f54c106c4b956910951d13",
     "strategies-json": "40c19ce326d2bcb5a3ff99350f21060df95863431e13b09f33eb2641d9eb6ff2",
+    "strategies-search-json-seed3": "4c5bcb9036711e3c92e6b4791ba3e9416998c06c27a748d572516ee931e0722c",
     "sweep-two-codes": "7593f108c69d5a9e6a7d8ee714068495b0b53ff689286b43e94cf14803c2be01",
     "verify": "4722103a4f4c55bb13bce2e32c07544011fa58a881889e4ad7c22f8b93db9896",
 }

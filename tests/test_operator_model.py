@@ -232,6 +232,24 @@ class TestInvariance:
             )
         assert rng.bit_generator.state == before
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_trial_budget_guarded_before_any_draw(self, n):
+        code = codes.repetition_code(n) if n > 1 else codes.code_from_generator([[1]])
+        modes = ["intercept"] + ["bypass"] * (n - 1)
+        r = np.ones(n, dtype=np.uint8)
+        limit = om.MAX_CHECK_AMPLITUDES // max(4**n, om.MIN_TRIAL_AMPLITUDES)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(GuardError, match=f"at most {limit} trials"):
+            alice_local_invariance(om.CompositeSystem(n=n), modes, code, r, limit + 1, rng)
+        assert rng.bit_generator.state == before
+
+    def test_trial_budget_admits_the_default_at_n_9(self):
+        # 100 trials (the nogo default) at the largest composite allowed, and
+        # under 200 there (about 96 ms each on a 2-core VM)
+        assert 100 * 4**9 <= om.MAX_CHECK_AMPLITUDES
+        assert om.MAX_CHECK_AMPLITUDES // 4**9 < 200
+
     def test_extended_hamming(self):
         code = codes.extended_hamming_8_4()
         report = alice_local_invariance(

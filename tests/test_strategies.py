@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from mzqbc import optics, strategies
+from mzqbc import cli, optics, strategies
 from mzqbc.optics import RAIL_X, RAIL_Y, BeamSplitterParams, Mode
 from mzqbc.strategies import (
     BlindGuessOnTime,
@@ -15,8 +16,8 @@ from mzqbc.strategies import (
     decode_certainty,
     detection_prob,
     epsilon_lower_bound,
+    floor_strategy,
     protocol_epsilon,
-    search_epsilon,
     strategy_table_rows,
 )
 from mzqbc.util import haar_unitary
@@ -219,34 +220,110 @@ class TestGeneralCausal:
                 assert average_detection_prob(s, bs) > 1e-6
 
 
+def unitary_with_columns(cols: np.ndarray, rng) -> np.ndarray:
+    """A unitary whose leading columns are the orthonormal `cols`, the rest
+    completed from a Haar draw."""
+    m = haar_unitary(cols.shape[0], rng)
+    m[:, : cols.shape[1]] = cols
+    q, r = np.linalg.qr(m)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def random_unit(dim: int, rng) -> np.ndarray:
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+def withheld_u1(a: int, rng) -> np.ndarray:
+    """A random u1 that keeps all the X content: |X, 0> goes to a random
+    kept state (block order (X, 0..a-1), (kept, 0..a-1)), so x = 0."""
+    col = np.concatenate([np.zeros(a), random_unit(a, rng)])
+    return unitary_with_columns(col[:, None], rng)
+
+
+def certain_decode_strategy(a: int, bs, rng) -> GeneralCausal:
+    """A random coupling that decodes with certainty: X withheld, then u2
+    sends the two (orthogonal) bit states to random vectors on disjoint sets
+    of declared outcomes (block order (Y, 0..a-1), (kept, 0..a-1))."""
+    u1 = withheld_u1(a, rng)
+    kept = u1[a:, 0]
+    inputs = []
+    for bit in (0, 1):
+        enc = optics.encode(bit, bs)
+        y = np.zeros(a, dtype=complex)
+        y[0] = enc.amp(RAIL_Y, 1)
+        inputs.append(np.concatenate([y, enc.amp(RAIL_X, 0) * kept]))
+    order = rng.permutation(2 * a)
+    cut = int(rng.integers(1, 2 * a))
+    outputs = []
+    for support in (order[:cut], order[cut:]):
+        v = np.zeros(2 * a, dtype=complex)
+        v[support] = random_unit(len(support), rng)
+        outputs.append(v)
+    w_in = unitary_with_columns(np.stack(inputs, axis=1), rng)
+    w_out = unitary_with_columns(np.stack(outputs, axis=1), rng)
+    return GeneralCausal(u1=u1, u2=w_out @ w_in.conj().T, ancilla_dim=a)
+
+
 class TestSearch:
-    def test_degenerate_single_trial(self):
+    """The `search_best` rows: the exact floor of the strategies that learn
+    the bit with certainty."""
+
+    def test_floor_is_min_R_T(self):
         bs = params_for(0.3)
-        rng = np.random.default_rng(0)
-        best, eps = search_epsilon(2, 1, rng, bs, refine_steps=0)
-        # the lone identity coupling gains nothing, so a closed-form
-        # strategy wins; the family floor at R=0.3 is min(R,T)
-        assert eps == pytest.approx(0.3, abs=1e-9)
+        assert average_detection_prob(floor_strategy(bs), bs) == pytest.approx(0.3, abs=1e-9)
 
     def test_never_above_closed_form_minimum(self):
-        bs = params_for(0.4)
-        rng = np.random.default_rng(1)
-        _, eps = search_epsilon(2, 20, rng, bs, refine_steps=10)
-        assert eps <= epsilon_lower_bound(strategies.closed_form_strategies(), bs) + 1e-9
+        for R in R_GRID:
+            bs = params_for(R)
+            eps = average_detection_prob(floor_strategy(bs), bs)
+            assert eps <= epsilon_lower_bound(strategies.closed_form_strategies(), bs)
 
     def test_symmetric_case_bounded_by_half(self):
         bs = params_for(0.5)
-        rng = np.random.default_rng(2)
-        _, eps = search_epsilon(2, 10, rng, bs, refine_steps=5)
-        assert eps <= 0.5 + 1e-9
+        assert average_detection_prob(floor_strategy(bs), bs) <= 0.5 + 1e-9
 
-    def test_guards(self):
-        bs = params_for(0.3)
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            search_epsilon(5, 1, rng, bs)
-        with pytest.raises(ValueError):
-            search_epsilon(2, 0, rng, bs)
+    def test_symmetric_tie_takes_blind_guess(self, tmp_path, capsys):
+        # at R = 1/2 blind guess and single channel tie up to roundoff; the
+        # rows carry blind guess's per-bit values, the first in list order
+        cfg = tmp_path / "tie.cfg"
+        cfg.write_text("R_grid = 0.5\nsearch_trials = 20\nancilla_dim = 2\nformat = json\n")
+        assert cli.main(["strategies", "--config", str(cfg)]) == 0
+        table = json.loads(capsys.readouterr().out)["table"]
+        by_name = {}
+        for row in table:
+            by_name.setdefault(row["strategy"], []).append(row["detection_prob"])
+        assert by_name["search_best"] == by_name["blind_guess_on_time"]
+        assert by_name["search_best"] == [0.4999999999999998] * 2
+        assert by_name["single_channel"] == [0.4999999999999999] * 2
+        assert isinstance(floor_strategy(params_for(0.5)), BlindGuessOnTime)
+
+    @pytest.mark.parametrize("R", [0.2, 0.3, 0.4, 0.6])
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_random_couplings_respect_the_floor(self, R, a):
+        bs = params_for(R)
+        rng = np.random.default_rng(int(10 * R) * 10 + a)
+        x_amps = [abs(optics.encode(bit, bs).amp(RAIL_X, 0)) ** 2 for bit in (0, 1)]
+        for _ in range(30):
+            haar = GeneralCausal(
+                u1=haar_unitary(2 * a, rng), u2=haar_unitary(2 * a, rng), ancilla_dim=a
+            )
+            withheld = GeneralCausal(u1=withheld_u1(a, rng), u2=haar_unitary(2 * a, rng), ancilla_dim=a)
+            certain = certain_decode_strategy(a, bs, rng)
+            assert decode_certainty(certain, bs) >= 1.0 - strategies.CERTAINTY_TOL
+            # the argument's first step: (sent, j) has probability >= |a_b x_j|^2
+            x = haar.u1[:a, 0]
+            for bit in (0, 1):
+                dist = strategies.outcome_distribution(haar, bit, bs)
+                for j in range(a):
+                    bound = x_amps[bit] * abs(x[j]) ** 2
+                    assert dist.get((0, j), 0.0) >= bound - 1e-12
+            # with x = 0 the floor holds whatever u2 does
+            assert average_detection_prob(withheld, bs) >= 0.5 - 1e-12
+            for s in (haar, withheld, certain):
+                if decode_certainty(s, bs) >= 1.0 - strategies.CERTAINTY_TOL:
+                    assert average_detection_prob(s, bs) >= 0.5 - 1e-12
 
 
 def test_strategy_table_rows():
