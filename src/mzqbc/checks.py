@@ -1,0 +1,151 @@
+"""Release checks, shared by `mzqbc verify` and the acceptance suite.
+
+Each check measures one claim of the protocol exactly, or on a fixed grid,
+and returns one `Result` per bound: a named measured value and the bound it
+must stay under.  Codes, grids, trial counts and bounds are constants here,
+so every caller runs the same check; the only input is a generator, for
+the checks that draw masks or unitaries.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import codes as codes_mod
+from . import counterfactual, operator_model, optics, protocol
+
+R_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
+#: Masks drawn per builtin code for the orthogonality check.
+MASKS_PER_CODE = 20
+#: (generator, modes) of the invariance check; r is all ones.
+INVARIANCE_CASES = (
+    ([[1]], ("intercept",)),
+    ([[1, 0], [0, 1]], ("intercept", "bypass")),
+    ([[1, 1, 1]], ("intercept", "bypass", "intercept")),
+    ([[1, 1, 1]], ("intercept", "bypass", "bypass")),
+)
+INVARIANCE_TRIALS = 100
+#: Probe-chain lengths M, in increasing order.
+PROBE_CYCLES = (1, 2, 4, 5, 8, 16, 25, 32, 64, 100, 128)
+DEFENDED_CYCLES = 100
+DEFENSE_PHASES = 360
+#: Side of the (u_mode, u_mis) midpoint grid; an even side puts exactly
+#: half of each axis below 1/2, so the grid hits 1/3 at f = epsilon = 1/2.
+POSTERIOR_GRID_SIDE = 316
+
+EXACT_BOUND = 1e-12
+INVARIANCE_BOUND = 1e-9
+LOSS_AT_100_BOUND = 0.05
+DEFENDED_MEAN_DC_BOUND = 0.9
+#: The 3-sigma half-width of a 100 000-sample posterior draw at f = eps = 1/2.
+POSTERIOR_BOUND = 0.0052
+
+
+@dataclass(frozen=True)
+class Result:
+    """One measured value against its bound; it passes while the signed
+    margin bound - value is positive."""
+
+    name: str
+    value: float
+    bound: float
+
+    @property
+    def margin(self) -> float:
+        return self.bound - self.value
+
+    @property
+    def passed(self) -> bool:
+        return self.margin > 0
+
+    @property
+    def summary(self) -> str:
+        return (
+            f"{self.name}: value {self.value:.3e}, bound {self.bound:g}, "
+            f"margin {self.margin:+.3e}"
+        )
+
+
+def mz_determinism() -> list[Result]:
+    """Honest photons reach their expected detector with certainty at every
+    splitter ratio: the largest miss probability over R and the bit."""
+    worst = 0.0
+    for R in R_GRID:
+        bs = optics.BeamSplitterParams(R=R, symmetric_ok=True)
+        for bit in (0, 1):
+            dist = optics.detection_distribution(optics.encode(bit, bs), bs)
+            worst = max(worst, abs(1.0 - dist.get(optics.expected_event(bit), 0.0)))
+    return [Result("mz_determinism.max_miss_probability", worst, EXACT_BOUND)]
+
+
+def committed_state_orthogonality(rng: np.random.Generator) -> list[Result]:
+    """The committed states of bit 0 and bit 1 are exactly orthogonal: the
+    largest overlap over random masks r on every builtin code."""
+    worst = 0.0
+    for name in codes_mod.BUILTIN_CODES:
+        code = codes_mod.builtin_code(name)
+        drawn = 0
+        while drawn < MASKS_PER_CODE:
+            r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
+            if not r.any() or not codes_mod.message_mask(code, r).any():
+                continue  # parity constant on the code: no commitment possible
+            drawn += 1
+            rho0 = operator_model.committed_density(code, r, 0)
+            rho1 = operator_model.committed_density(code, r, 1)
+            worst = max(worst, abs(operator_model.overlap(rho0, rho1)))
+    return [Result("committed_state_orthogonality.max_overlap", worst, EXACT_BOUND)]
+
+
+def sender_local_invariance(rng: np.random.Generator) -> list[Result]:
+    """Haar rotations of the sender's returned qubits leave the receiver's
+    state and its overlap with the other bit's state unchanged."""
+    worst = 0.0
+    for gen, modes in INVARIANCE_CASES:
+        code = codes_mod.code_from_generator(np.array(gen, dtype=np.uint8))
+        report = operator_model.alice_local_invariance(
+            operator_model.CompositeSystem(n=code.n), list(modes), code,
+            np.ones(code.n, dtype=np.uint8), INVARIANCE_TRIALS, rng,
+        )
+        worst = max(worst, report["max_deviation"], report["max_overlap_deviation"])
+    return [Result("sender_local_invariance.max_deviation", worst, INVARIANCE_BOUND)]
+
+
+def probe_chain_convergence() -> list[Result]:
+    """The counterfactual probe chain: blocked runs match the closed form
+    and lose less with every longer chain, an open chain ends in Dc, and
+    the receiver's per-pass phases push the mean Dc below 0.9."""
+    blocked = [counterfactual.fbs_run(counterfactual.FbsConfig(cycles=m), True)["Dd"]
+               for m in PROBE_CYCLES]
+    closed_dev = max(abs(dd - counterfactual.blocked_dd_probability(m))
+                     for dd, m in zip(blocked, PROBE_CYCLES))
+    # the loss 1 - Dd must not grow with M
+    loss_increase = max(prev - dd for prev, dd in zip(blocked, blocked[1:]))
+    loss_at_100 = 1.0 - blocked[PROBE_CYCLES.index(DEFENDED_CYCLES)]
+    open_dc = counterfactual.fbs_run(
+        counterfactual.FbsConfig(cycles=DEFENDED_CYCLES), blocked=False
+    )["Dc"]
+    thetas = [2 * math.pi * i / DEFENSE_PHASES for i in range(DEFENSE_PHASES)]
+    return [
+        Result("probe_chain_convergence.closed_form_deviation", closed_dev, EXACT_BOUND),
+        Result("probe_chain_convergence.max_loss_increase", loss_increase, EXACT_BOUND),
+        Result("probe_chain_convergence.loss_at_100", loss_at_100, LOSS_AT_100_BOUND),
+        Result("probe_chain_convergence.open_dc_deviation", abs(open_dc - 1.0), EXACT_BOUND),
+        Result(
+            "probe_chain_convergence.defended_mean_dc",
+            counterfactual.mean_dc_bypass(DEFENDED_CYCLES, thetas),
+            DEFENDED_MEAN_DC_BOUND,
+        ),
+    ]
+
+
+def intercept_posterior_oracle() -> list[Result]:
+    """The intercept posterior counted on a midpoint grid of uniforms, by
+    the code that counts the Monte-Carlo draw, against its closed form."""
+    u = (np.arange(POSTERIOR_GRID_SIDE) + 0.5) / POSTERIOR_GRID_SIDE
+    u_mode, u_mis = np.meshgrid(u, u)
+    res = protocol.intercept_posterior_counts(u_mode.ravel(), u_mis.ravel(), 0.5, 0.5)
+    dev = abs(res["empirical_posterior"] - res["predicted_posterior"])
+    return [Result("intercept_posterior_oracle.grid_deviation", dev, POSTERIOR_BOUND)]

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import codes as codes_mod
 from . import config as config_mod
-from . import counterfactual, kernels, operator_model, protocol, strategies
-from . import optics
+from . import checks, counterfactual, kernels, operator_model, optics, protocol, strategies
 from .config import ConfigError
 from .util import GuardError
 
@@ -80,11 +79,11 @@ def _merge_config(args) -> dict[str, str]:
 
 # --- shared pieces ------------------------------------------------------------
 
-def _load_code(cfg) -> codes_mod.LinearCode:
+def _load_code(cfg, default: str = "extended_hamming") -> codes_mod.LinearCode:
     path = config_mod.get_str(cfg, "code_file", None)
     if path is not None:
         return codes_mod.read_generator_file(path)
-    name = config_mod.get_str(cfg, "builtin_code", "extended_hamming")
+    name = config_mod.get_str(cfg, "builtin_code", default)
     return codes_mod.builtin_code(name)
 
 
@@ -313,7 +312,7 @@ def cmd_strategies(cfg) -> int:
 
 
 def cmd_nogo(cfg) -> int:
-    code = _load_code_small(cfg)
+    code = _load_code(cfg, default="repetition")
     r_raw = config_mod.get_str(cfg, "r", "1" * code.n)
     r = codes_mod.bits_from_string(r_raw)
     modes = config_mod.get_str_list(cfg, "modes", ["intercept"] + ["bypass"] * (code.n - 1))
@@ -342,14 +341,6 @@ def cmd_nogo(cfg) -> int:
         },
     )
     return 0
-
-
-def _load_code_small(cfg) -> codes_mod.LinearCode:
-    path = config_mod.get_str(cfg, "code_file", None)
-    if path is not None:
-        return codes_mod.read_generator_file(path)
-    name = config_mod.get_str(cfg, "builtin_code", "repetition")
-    return codes_mod.builtin_code(name)
 
 
 def cmd_counterfactual(cfg) -> int:
@@ -389,119 +380,17 @@ def cmd_counterfactual(cfg) -> int:
 # --- verify -------------------------------------------------------------------
 
 def cmd_verify(cfg) -> int:
-    seed = config_mod.get_int(cfg, "seed", 0)
-    rng = np.random.default_rng(seed)
-    perturb = config_mod.get_bool(cfg, "perturb_bs", False)
-    checks = [
-        _check_mz_determinism(cfg, perturb),
-        _check_orthogonality(cfg, rng),
-        _check_beta_local(cfg, rng),
-        _check_fbs_convergence(cfg),
-        _check_posterior_oracle(cfg, rng),
+    rng = np.random.default_rng(config_mod.get_int(cfg, "seed", 0))
+    results = [
+        *checks.mz_determinism(),
+        *checks.committed_state_orthogonality(rng),
+        *checks.sender_local_invariance(rng),
+        *checks.probe_chain_convergence(),
+        *checks.intercept_posterior_oracle(),
     ]
-    failed = 0
-    for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {name}: {detail}")
-        failed += 0 if ok else 1
-    return 0 if failed == 0 else 1
-
-
-def _check_mz_determinism(cfg, perturb: bool):
-    tol = config_mod.get_float(cfg, "tol_mz", 1e-12)
-    worst = 0.0
-    for R in [round(0.1 * i, 1) for i in range(1, 10)]:
-        bs = optics.BeamSplitterParams(R=R, symmetric_ok=True)
-        for bit in (0, 1):
-            state = optics.encode(bit, bs)
-            if perturb:
-                # negative-control hook: a quarter-wave error on rail X
-                state = optics.phase_apply(state, optics.RAIL_X, math.pi / 2)
-            dist = optics.detection_distribution(state, bs)
-            worst = max(worst, 1.0 - dist.get(optics.expected_event(bit), 0.0))
-    return (
-        "mz_determinism",
-        worst <= tol,
-        f"max miss probability {worst:.3e} (tol={tol:g})",
-    )
-
-
-def _check_orthogonality(cfg, rng):
-    tol = config_mod.get_float(cfg, "tol_orthogonality", 1e-12)
-    worst = 0.0
-    for name in ("repetition", "hamming", "extended_hamming"):
-        code = codes_mod.builtin_code(name)
-        tried = 0
-        while tried < 5:
-            r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
-            if not r.any() or not codes_mod.message_mask(code, r).any():
-                continue
-            tried += 1
-            rho0 = operator_model.committed_density(code, r, 0)
-            rho1 = operator_model.committed_density(code, r, 1)
-            worst = max(worst, abs(operator_model.overlap(rho0, rho1)))
-    return (
-        "committed_state_orthogonality",
-        worst <= tol,
-        f"max overlap {worst:.3e} (tol={tol:g})",
-    )
-
-
-def _check_beta_local(cfg, rng):
-    tol = config_mod.get_float(cfg, "tol_beta_local", 1e-9)
-    code = codes_mod.repetition_code(3)
-    system = operator_model.CompositeSystem(n=3)
-    report = operator_model.alice_local_invariance(
-        system, ["intercept", "bypass", "bypass"],
-        code, np.array([1, 1, 1], dtype=np.uint8), trials=20, rng=rng,
-    )
-    dev = max(report["max_deviation"], report["max_overlap_deviation"])
-    return (
-        "sender_local_invariance",
-        dev <= tol,
-        f"max deviation {dev:.3e} (tol={tol:g})",
-    )
-
-
-def _check_fbs_convergence(cfg):
-    tol = config_mod.get_float(cfg, "tol_fbs", 1e-12)
-    worst = 0.0
-    prev_loss = None
-    monotone = True
-    for m in (1, 2, 4, 8, 16, 32, 64, 128):
-        dist = counterfactual.fbs_run(counterfactual.FbsConfig(cycles=m), blocked=True)
-        closed = counterfactual.blocked_dd_probability(m)
-        worst = max(worst, abs(dist["Dd"] - closed))
-        loss = 1.0 - dist["Dd"]
-        if prev_loss is not None and loss > prev_loss + 1e-12:
-            monotone = False
-        prev_loss = loss
-    at_100 = 1.0 - counterfactual.fbs_run(
-        counterfactual.FbsConfig(cycles=100), blocked=True
-    )["Dd"]
-    open_dc = counterfactual.fbs_run(
-        counterfactual.FbsConfig(cycles=100), blocked=False
-    )["Dc"]
-    ok = worst <= tol and monotone and at_100 <= 0.05 and abs(open_dc - 1.0) <= tol
-    return (
-        "probe_chain_convergence",
-        ok,
-        f"closed-form dev {worst:.3e}, loss@100 {at_100:.4f} (tol={tol:g})",
-    )
-
-
-def _check_posterior_oracle(cfg, rng):
-    sigmas = config_mod.get_float(cfg, "tol_posterior_sigmas", 3.0)
-    res = protocol.sample_intercept_posterior(0.5, 0.5, 100_000, rng)
-    dev = abs(res["empirical_posterior"] - res["predicted_posterior"])
-    bound = sigmas * res["three_sigma"] / 3.0
-    ok = dev <= bound
-    return (
-        "intercept_posterior_oracle",
-        ok,
-        f"|empirical-predicted| {dev:.5f} {'<=' if ok else '>'} {bound:.5f}, "
-        f"margin {bound - dev:+.5f} ({sigmas:g} sigma)",
-    )
+    for res in results:
+        print(f"{'PASS' if res.passed else 'FAIL'} {res.summary}")
+    return 0 if all(res.passed for res in results) else 1
 
 
 if __name__ == "__main__":

@@ -84,14 +84,6 @@ class CompositeSystem:
             )
 
 
-def codeword_basis_index(word: np.ndarray) -> int:
-    """Basis index of |c_1 ... c_n> with qubit 1 the most significant."""
-    idx = 0
-    for b in word:
-        idx = (idx << 1) | int(b)
-    return idx
-
-
 def _parity_half(code: LinearCode, r: np.ndarray, b: int) -> np.ndarray:
     words = code.codewords()
     return words[words @ np.asarray(r, dtype=np.uint8) % 2 == b]
@@ -108,8 +100,11 @@ def committed_density(
     """
     if b and not codes_mod.message_mask(code, r).any():
         raise ValueError("committed subset empty; choose different r")
+    if code.n > 63:
+        raise ValueError("basis indices beyond 63 qubits overflow int64")
     subset = _parity_half(code, r, b)
-    indices = np.array([codeword_basis_index(w) for w in subset], dtype=np.int64)
+    # basis index of |c_1 ... c_n>, qubit 1 the most significant
+    indices = subset.astype(np.int64) @ (1 << np.arange(code.n - 1, -1, -1, dtype=np.int64))
     weights = np.full(len(subset), 1.0 / len(subset))
     return SparseDiagonalDensity(dim=1 << code.n, indices=indices, weights=weights)
 
@@ -118,8 +113,10 @@ def overlap(rho_a: SparseDiagonalDensity, rho_b: SparseDiagonalDensity) -> float
     """trace(rho_a rho_b) of two diagonal states."""
     if rho_a.dim != rho_b.dim:
         raise ValueError("dimension mismatch")
-    wa = dict(zip(rho_a.indices.tolist(), rho_a.weights.tolist()))
-    return sum(w * wa.get(i, 0.0) for i, w in zip(rho_b.indices.tolist(), rho_b.weights.tolist()))
+    _, ia, ib = np.intersect1d(
+        rho_a.indices, rho_b.indices, assume_unique=True, return_indices=True
+    )
+    return float(rho_a.weights[ia] @ rho_b.weights[ib])
 
 
 def _photon_kets(mode: str, fiducial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,6 +157,8 @@ def alice_local_invariance(
     ket; default |0> in the encoding basis.
     """
     n = system.n
+    if trials < 1:
+        raise ValueError("the invariance check needs at least one trial")
     per_trial = max(4**n, MIN_TRIAL_AMPLITUDES)
     if trials * per_trial > MAX_CHECK_AMPLITUDES:
         raise GuardError(

@@ -317,7 +317,6 @@ def _run_blocks(worker, trials: int, seed: int, threads: int):
 def run_binding_experiment(
     params: ProtocolParams,
     trials: int,
-    rng: np.random.Generator | None = None,
     threads: int = 1,
 ) -> dict:
     """The midpoint cheat, Monte Carlo.
@@ -331,7 +330,6 @@ def run_binding_experiment(
     the accept rate among trials where the cheater saw no mismatch on the
     flipped positions is (1-p)^flips with p the intercept posterior.
     """
-    del rng  # randomness is derived from params.seed via fixed blocks
     mid, target = binding_pair(params.code, params.r)
     flip_idx = np.flatnonzero(mid != target).astype(np.int64)
     f, eps, n = params.f, params.epsilon, params.n
@@ -370,7 +368,6 @@ def run_concealing_experiment(
     params: ProtocolParams,
     m: int,
     trials: int,
-    rng: np.random.Generator | None = None,
     threads: int = 1,
 ) -> dict:
     """Receiver intercepting exactly m random positions per session.
@@ -381,7 +378,6 @@ def run_concealing_experiment(
     and 1/2 otherwise (`kernels.parity_determined`), so no codeword is
     enumerated.
     """
-    del rng
     code, r = params.code, params.r
     if not 0 <= m <= code.n:
         raise ValueError("m must lie in 0..n")
@@ -423,6 +419,16 @@ def sample_intercept_posterior(
     frequency of interception among positions that showed no mismatch."""
     u_mode = rng.random(samples)
     u_mis = rng.random(samples)
+    return intercept_posterior_counts(u_mode, u_mis, f, epsilon)
+
+
+def intercept_posterior_counts(
+    u_mode: np.ndarray, u_mis: np.ndarray, f: float, epsilon: float
+) -> dict:
+    """Interception frequency among silent positions, one position per pair
+    of uniforms: intercepted iff u_mode < f, and an intercepted position
+    shows a mismatch iff u_mis < epsilon."""
+    samples = len(u_mode)
     intercept = u_mode < f
     silent = ~(intercept & (u_mis < epsilon))
     n_silent = int(silent.sum())

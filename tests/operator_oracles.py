@@ -324,3 +324,21 @@ def alice_local_invariance(
         "reduced_overlap": base_overlap,
         "reduced_trace_distance": trace_distance(reduced[0], reduced[1]),
     }
+
+
+def codeword_basis_index(word: np.ndarray) -> int:
+    """Basis index of |c_1 ... c_n> with qubit 1 the most significant."""
+    idx = 0
+    for b in word:
+        idx = (idx << 1) | int(b)
+    return idx
+
+
+def committed_density_by_loop(code, r: np.ndarray, b: int) -> SparseDiagonalDensity:
+    """The former `committed_density` body: one basis index per codeword,
+    built bit by bit."""
+    words = code.codewords()
+    subset = words[words @ np.asarray(r, dtype=np.uint8) % 2 == b]
+    indices = np.array([codeword_basis_index(w) for w in subset], dtype=np.int64)
+    weights = np.full(len(subset), 1.0 / len(subset))
+    return SparseDiagonalDensity(dim=1 << code.n, indices=indices, weights=weights)

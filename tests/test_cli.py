@@ -1,10 +1,11 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
-from mzqbc import cli, codes, config as config_mod
+from mzqbc import checks, cli, codes, config as config_mod, optics, protocol
 from mzqbc.config import ConfigError, parse_config_text
 
 
@@ -190,6 +191,11 @@ class TestNogo:
         assert cli.main(["nogo", "--config", cfg]) == 2
         assert "r is orthogonal to every codeword" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_no_trial_is_config_error(self, capsys, trials):
+        assert cli.main(["nogo", "--trials", trials]) == 2
+        assert "at least one trial" in capsys.readouterr().err
+
     def test_trial_budget_is_guarded(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "builtin_code = extended_hamming\nr = 10000000\n")
         assert cli.main(["nogo", "--config", cfg, "--trials", "10000"]) == 3
@@ -227,28 +233,37 @@ class TestCounterfactual:
 
 class TestVerify:
     def test_pristine_build_passes(self, capsys):
-        assert cli.main(["verify"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 5
-        assert "FAIL" not in out
+        for seed in (0, 362, 1758924355):  # 362 and 1758924355 failed a sampled posterior check
+            assert cli.main(["verify", "--seed", str(seed)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 9
+            assert all(line.startswith("PASS ") and ", margin +" in line for line in lines)
 
-    def test_perturbed_convention_fails(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "perturb_bs = true\n")
-        assert cli.main(["verify", "--config", cfg]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL mz_determinism" in out
+    def test_removed_knobs_are_ignored(self, tmp_path):
+        cfg = write_cfg(tmp_path, "tol_mz = 1e-20\nperturb_bs = true\ntol_posterior_sigmas = 0\n")
+        assert cli.main(["verify", "--config", cfg]) == 0
 
-    def test_tolerance_override_echoed(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "tol_mz = 1e-20\n")
-        assert cli.main(["verify", "--config", cfg]) == 1
-        out = capsys.readouterr().out
-        assert "tol=1e-20" in out
+    def test_perturbed_convention_fails(self, monkeypatch, capsys):
+        encode = optics.encode
 
-    @pytest.mark.parametrize("seed, ok, relation, margin", [
-        (0, True, " <= ", "margin +"),
-        (362, False, " > ", "margin -"),  # a draw just outside the 3-sigma band
-    ])
-    def test_posterior_oracle_prints_the_comparison_that_holds(self, seed, ok, relation, margin):
-        name, passed, detail = cli._check_posterior_oracle({}, np.random.default_rng(seed))
-        assert (name, passed) == ("intercept_posterior_oracle", ok)
-        assert relation in detail and margin in detail
+        def quarter_wave_error(bit, bs):  # a quarter-wave error on rail X
+            return optics.phase_apply(encode(bit, bs), optics.RAIL_X, math.pi / 2)
+
+        monkeypatch.setattr(optics, "encode", quarter_wave_error)
+        assert cli.main(["verify"]) == 1
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if "mz_determinism" in ln]
+        assert line.startswith("FAIL mz_determinism")
+        assert ", margin -" in line
+
+    @pytest.mark.parametrize("shift, ok, margin", [
+        (0.0, True, "margin +5.200e-03"),
+        (0.01, False, "margin -4.800e-03"),  # a closed form off by 0.01
+    ], ids=["exact", "shifted"])
+    def test_posterior_oracle_prints_the_comparison_that_holds(
+        self, monkeypatch, shift, ok, margin
+    ):
+        closed_form = protocol.intercept_posterior
+        monkeypatch.setattr(protocol, "intercept_posterior", lambda f, e: closed_form(f, e) + shift)
+        (res,) = checks.intercept_posterior_oracle()
+        assert res.name == "intercept_posterior_oracle.grid_deviation"
+        assert res.passed is ok and res.summary.endswith(margin)

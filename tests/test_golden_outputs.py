@@ -55,7 +55,7 @@ GOLDEN = {
     "strategies-json": "40c19ce326d2bcb5a3ff99350f21060df95863431e13b09f33eb2641d9eb6ff2",
     "strategies-search-json-seed3": "4c5bcb9036711e3c92e6b4791ba3e9416998c06c27a748d572516ee931e0722c",
     "sweep-two-codes": "7593f108c69d5a9e6a7d8ee714068495b0b53ff689286b43e94cf14803c2be01",
-    "verify": "4722103a4f4c55bb13bce2e32c07544011fa58a881889e4ad7c22f8b93db9896",
+    "verify": "1cf5908eb92236c157f319ca1cd85aee0c0829c19e9ddc73f98815ea7c2877cb",
 }
 
 

@@ -46,6 +46,24 @@ class TestCommittedDensity:
         assert abs(oracles.overlap(dense0, dense1)) <= 1e-12
         assert dense0.purity() == pytest.approx(1 / 8)
 
+    @pytest.mark.parametrize("name", sorted(codes.BUILTIN_CODES))
+    def test_indices_match_the_per_word_loop(self, name):
+        code = codes.builtin_code(name)
+        rng = np.random.default_rng(13)
+        masks = 0
+        while masks < 3:
+            r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
+            if not r.any() or not codes.message_mask(code, r).any():
+                continue
+            masks += 1
+            for b in (0, 1):
+                fast = committed_density(code, r, b)
+                loop = oracles.committed_density_by_loop(code, r, b)
+                assert fast.dim == loop.dim
+                assert fast.indices.dtype == loop.indices.dtype
+                assert np.array_equal(fast.indices, loop.indices)
+                assert np.array_equal(fast.weights, loop.weights)
+
     def test_empty_subset_rejected(self):
         code = codes.extended_hamming_8_4()
         r = code.codewords()[1]  # self-dual: parity constant on the code
