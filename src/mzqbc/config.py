@@ -74,18 +74,6 @@ def get_float(cfg, key, default=_REQUIRED) -> float:
     return _get(cfg, key, default, float, "number")
 
 
-def get_bool(cfg, key, default=_REQUIRED) -> bool:
-    def convert(raw: str) -> bool:
-        low = raw.lower()
-        if low in ("true", "yes", "1", "on"):
-            return True
-        if low in ("false", "no", "0", "off"):
-            return False
-        raise ValueError(raw)
-
-    return _get(cfg, key, default, convert, "boolean")
-
-
 def get_float_list(cfg, key, default=_REQUIRED) -> list[float]:
     def convert(raw: str) -> list[float]:
         items = [s.strip() for s in raw.split(",") if s.strip()]

@@ -100,20 +100,36 @@ def min_weight(masks: np.ndarray, n: int) -> int:
 # survives unveiling iff no flipped position was intercepted; the cheater
 # "proceeds" when she saw no mismatch on the flipped positions.  Returns
 # int64 counts [proceed, proceed & accept, accept, abort].
+#
+# The flags are bytes in rows zero-padded to whole uint64 words, so the
+# popcount of a word is the number of its flagged photons and a trial's
+# mismatch count costs one add per word instead of a reduction along a
+# short row.  The caller streams the draws through in chunks of a few
+# thousand trials (`protocol.CHUNK_ROWS`), which keeps these buffers in
+# cache.
 
 def binding_counts(u_mode, u_mis, f, eps, flip_idx, threshold):
-    intercept = u_mode < f
-    mismatch = intercept & (u_mis < eps)
+    rows, n = u_mode.shape
+    if n > 64:
+        raise ValueError("binding counts support n <= 64 only")
+    flags = np.zeros((2, rows, 8 * -(-n // 8)), dtype=bool)
+    intercept, mismatch = flags[0, :, :n], flags[1, :, :n]
+    np.less(u_mode, f, out=intercept)
+    np.less(u_mis, eps, out=mismatch)
+    flags[1] &= flags[0]  # whole padded rows: contiguous, and the padding stays 0
     proceed = ~mismatch[:, flip_idx].any(axis=1)
     accept = ~intercept[:, flip_idx].any(axis=1)
-    n = u_mode.shape[1]
-    abort = mismatch.sum(axis=1) / (eps * n) >= threshold
+    words = flags[1].view(np.uint64)
+    count = np.bitwise_count(words[:, 0])  # uint8 holds up to 64
+    for w in range(1, words.shape[1]):
+        count += np.bitwise_count(words[:, w])
+    abort = count / (eps * n) >= threshold
     return np.array(
         [
-            int(proceed.sum()),
-            int((proceed & accept).sum()),
-            int(accept.sum()),
-            int(abort.sum()),
+            np.count_nonzero(proceed),
+            np.count_nonzero(proceed & accept),
+            np.count_nonzero(accept),
+            np.count_nonzero(abort),
         ],
         dtype=np.int64,
     )

@@ -11,13 +11,15 @@ frequency as n'/(epsilon*n) and aborts when it reaches 1 - d/n.  Unveil:
 she announces (b, c); the receiver checks codeword membership, the parity,
 and agreement with every bit he learned while intercepting.
 
-The high-trial experiments draw all randomness up front with numpy
-generators (seed-split into fixed blocks, so results do not depend on the
-thread count) and feed it to the counting kernels in `kernels`.
+The high-trial experiments draw their randomness with numpy generators
+(seed-split into fixed blocks, so results do not depend on the thread
+count) and feed it to the counting kernels in `kernels`; the binding game
+streams each block through in chunks of `CHUNK_ROWS` trials.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -314,6 +316,32 @@ def _run_blocks(worker, trials: int, seed: int, threads: int):
     return results
 
 
+#: trials per binding-kernel call: two draw buffers of this many rows stay in
+#: cache, where a whole block's arrays (3 MB each for Golay) would not
+CHUNK_ROWS = 4096
+
+
+def _binding_block(g: np.random.Generator, m: int, n: int, f, eps, flip_idx, threshold):
+    """Binding counts of one block's m trials, the same as
+    `kernels.binding_counts(g.random((m, n)), g.random((m, n)), ...)`.
+
+    One `random()` double consumes one PCG64 output, so a copy of the
+    generator advanced by m*n yields the second array while the original
+    yields the first; both stream through a (2, CHUNK_ROWS, n) buffer.
+    """
+    ahead = copy.deepcopy(g.bit_generator)
+    ahead.advance(m * n)
+    g_mis = np.random.Generator(ahead)
+    buf = np.empty((2, min(m, CHUNK_ROWS), n))
+    counts = np.zeros(4, dtype=np.int64)
+    for lo in range(0, m, CHUNK_ROWS):
+        u_mode, u_mis = buf[:, : min(CHUNK_ROWS, m - lo)]
+        g.random(out=u_mode)
+        g_mis.random(out=u_mis)
+        counts += kernels.binding_counts(u_mode, u_mis, f, eps, flip_idx, threshold)
+    return counts
+
+
 def run_binding_experiment(
     params: ProtocolParams,
     trials: int,
@@ -336,9 +364,7 @@ def run_binding_experiment(
     threshold = params.threshold
 
     def worker(g: np.random.Generator, m: int):
-        u_mode = g.random((m, n))
-        u_mis = g.random((m, n))
-        return kernels.binding_counts(u_mode, u_mis, f, eps, flip_idx, threshold)
+        return _binding_block(g, m, n, f, eps, flip_idx, threshold)
 
     counts = sum(_run_blocks(worker, trials, params.seed, threads))
     proceed, proceed_accept, accept, abort = (int(x) for x in counts)

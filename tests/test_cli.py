@@ -48,10 +48,9 @@ class TestConfigParsing:
         assert config_mod.config_hash(a) == config_mod.config_hash(b)
 
     def test_typed_getters(self):
-        cfg = {"n": "5", "x": "0.25", "flag": "true", "grid": "1, 2,3"}
+        cfg = {"n": "5", "x": "0.25", "grid": "1, 2,3"}
         assert config_mod.get_int(cfg, "n") == 5
         assert config_mod.get_float(cfg, "x") == 0.25
-        assert config_mod.get_bool(cfg, "flag") is True
         assert config_mod.get_int_list(cfg, "grid") == [1, 2, 3]
         with pytest.raises(ConfigError, match="missing required"):
             config_mod.get_int(cfg, "absent")

@@ -40,6 +40,11 @@ CASES = {
         ["sweep", "--seed", "9", "--trials", "3000"],
         "codes = extended_hamming, golay\n",
     ),
+    # three blocks, the last one ragged: pins the draws across block and chunk edges
+    "sweep-two-codes-40000": (
+        ["sweep", "--seed", "9", "--trials", "40000"],
+        "codes = extended_hamming, golay\n",
+    ),
 }
 
 GOLDEN = {
@@ -55,6 +60,7 @@ GOLDEN = {
     "strategies-json": "40c19ce326d2bcb5a3ff99350f21060df95863431e13b09f33eb2641d9eb6ff2",
     "strategies-search-json-seed3": "4c5bcb9036711e3c92e6b4791ba3e9416998c06c27a748d572516ee931e0722c",
     "sweep-two-codes": "7593f108c69d5a9e6a7d8ee714068495b0b53ff689286b43e94cf14803c2be01",
+    "sweep-two-codes-40000": "3724e7c1ca230bc1c987ed58220a77b239c927e591e48ffca0968b0864a82237",
     "verify": "1cf5908eb92236c157f319ca1cd85aee0c0829c19e9ddc73f98815ea7c2877cb",
 }
 

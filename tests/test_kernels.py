@@ -199,22 +199,55 @@ def test_gf2_rank_matches_row_reduction(seed):
     assert codes.gf2_rank(matrix) == eliminate_rank(matrix)
 
 
-def _binding_inputs(seed, trials=4096, n=8):
+def _binding_inputs(seed, trials=4096, n=8, eps=0.5, threshold=0.5):
     rng = np.random.default_rng(seed)
     return (
         rng.random((trials, n)),
         rng.random((trials, n)),
         0.5,
-        0.5,
-        np.array([0, 4], dtype=np.int64),
-        0.5,
+        eps,
+        np.array([0, 4], dtype=np.int64) if n == 8 else np.arange(0, n, 3),
+        threshold,
     )
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_binding_counts_match_loop_oracle(seed):
-    args = _binding_inputs(seed)
+# threshold c / (eps * n) puts trials with exactly c mismatches on the
+# `>=` boundary, computed by the kernel's own expression
+BINDING_ORACLE_CASES = {
+    "0": (0, 8, 0.5, 0.5),
+    "1": (1, 8, 0.5, 0.5),
+    "2": (2, 8, 0.5, 0.5),
+    "n13": (3, 13, 0.5, 0.5),
+    "n24": (4, 24, 0.5, 0.5),
+    "n13-boundary": (5, 13, 0.3, 2 / (0.3 * 13)),
+    "n24-boundary": (6, 24, 0.5, 6 / (0.5 * 24)),
+    "n24-boundary-eps0.3": (7, 24, 0.3, 4 / (0.3 * 24)),
+    "n24-golay-threshold": (8, 24, 0.3, 1 - 8 / 24),
+}
+
+
+@pytest.mark.parametrize(
+    "seed, n, eps, threshold",
+    list(BINDING_ORACLE_CASES.values()),
+    ids=list(BINDING_ORACLE_CASES),
+)
+def test_binding_counts_match_loop_oracle(seed, n, eps, threshold):
+    args = _binding_inputs(seed, n=n, eps=eps, threshold=threshold)
     assert kernels.binding_counts(*args).tolist() == loop_binding_counts(*args)
+
+
+@pytest.mark.parametrize("case", [c for c in BINDING_ORACLE_CASES if "boundary" in c])
+def test_binding_boundary_cases_reach_the_boundary(case):
+    seed, n, eps, threshold = BINDING_ORACLE_CASES[case]
+    u_mode, u_mis, f, eps, _, threshold = _binding_inputs(seed, n=n, eps=eps, threshold=threshold)
+    count = ((u_mode < f) & (u_mis < eps)).sum(axis=1)
+    assert (count / (eps * n) == threshold).sum() > 100
+
+
+def test_binding_counts_reject_rows_past_64():
+    u = np.zeros((2, 65))
+    with pytest.raises(ValueError, match="n <= 64"):
+        kernels.binding_counts(u, u, 0.5, 0.5, np.array([0]), 0.5)
 
 
 def test_binding_numpy_semantics():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import codeword_oracles
-from mzqbc import codes, protocol
+from mzqbc import codes, kernels, protocol
 from mzqbc.codes import bits_from_string
 from mzqbc.protocol import (
     ACCEPT,
@@ -34,6 +34,7 @@ from mzqbc.protocol import (
     sample_intercept_posterior,
 )
 from mzqbc.strategies import FullMeasureLate
+from mzqbc.util import BLOCK_TRIALS, block_seed_sequences, block_slices
 
 
 def make_params(**kw):
@@ -261,6 +262,87 @@ class TestBindingExperiment:
         a = run_binding_experiment(make_params(), trials=30_000, threads=1)
         b = run_binding_experiment(make_params(), trials=30_000, threads=3)
         assert a == b
+
+
+def _flip_idx(code, r):
+    mid, target = binding_pair(code, r)
+    return np.flatnonzero(mid != target)
+
+
+def _counts_drawn_whole(g, m, n, f, eps, flip_idx, threshold):
+    """A block's binding counts from its two whole (m, n) arrays, drawn one
+    after the other from the block's generator."""
+    u_mode = g.random((m, n))
+    u_mis = g.random((m, n))
+    return kernels.binding_counts(u_mode, u_mis, f, eps, flip_idx, threshold)
+
+
+class TestBindingStreams:
+    """The chunked two-stream worker against the same draws made whole.
+
+    These fail if a numpy release changes how many PCG64 outputs a double
+    takes or what `advance` skips; the golden digests would then move too.
+    """
+
+    CODES = {
+        8: codes.extended_hamming_8_4,
+        # not a multiple of 8: the kernel pads each row to two words
+        13: lambda: codes.random_code(n=13, k=5, rng=np.random.default_rng(13)),
+        24: codes.golay_24_12,
+    }
+
+    def test_advanced_copy_continues_the_stream(self):
+        seq = np.random.SeedSequence(11)
+        whole = np.random.default_rng(seq).random(40)
+        ahead = np.random.PCG64(seq)
+        ahead.advance(25)
+        np.testing.assert_array_equal(
+            np.random.Generator(ahead).random(15), whole[25:],
+            err_msg="PCG64 no longer spends one output per double",
+        )
+
+    @pytest.mark.parametrize("n", sorted(CODES))
+    @pytest.mark.parametrize(
+        "m",
+        [1, protocol.CHUNK_ROWS - 1, protocol.CHUNK_ROWS, protocol.CHUNK_ROWS + 1, BLOCK_TRIALS],
+    )
+    def test_chunked_block_matches_whole_arrays(self, m, n):
+        code = self.CODES[n]()
+        assert code.n == n
+        flip_idx = _flip_idx(code, np.eye(1, n, dtype=np.uint8)[0])
+        f, eps, threshold = 0.4, 0.3, 1 - code.d / n
+        seq = np.random.SeedSequence([m, n])
+        got = protocol._binding_block(
+            np.random.default_rng(seq), m, n, f, eps, flip_idx, threshold
+        )
+        want = _counts_drawn_whole(
+            np.random.default_rng(seq), m, n, f, eps, flip_idx, threshold
+        )
+        assert got.tolist() == want.tolist()
+        assert want[0] > 0 or m == 1
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_golay_blocks_match_whole_arrays(self, threads):
+        trials = 2 * BLOCK_TRIALS + 5000  # three blocks, the last one ragged
+        params = make_params(
+            code=codes.golay_24_12(), r=bits_from_string("1" + "0" * 23),
+            f=0.3, epsilon=0.3, seed=21,
+        )
+        flip_idx = _flip_idx(params.code, params.r)
+        counts = sum(
+            _counts_drawn_whole(
+                np.random.default_rng(seq), hi - lo, 24, params.f, params.epsilon,
+                flip_idx, params.threshold,
+            )
+            for seq, (lo, hi) in zip(block_seed_sequences(21, trials), block_slices(trials))
+        )
+        proceed, proceed_accept, accept, abort = counts.tolist()
+        rep = run_binding_experiment(params, trials, threads=threads)
+        assert rep["proceed_trials"] == proceed
+        assert rep["accept_rate_among_proceed"] == proceed_accept / proceed
+        assert rep["accept_rate_unconditioned"] == accept / trials
+        assert rep["abort_frequency"] == abort / trials
+        assert 0 < abort < trials
 
 
 class TestConcealingExperiment:
