@@ -11,7 +11,6 @@ k=20, rather than approximating.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,11 +99,6 @@ def min_distance_of_generator(gen: np.ndarray) -> int:
         raise GuardError("enumeration too large")
     masks = kernels.pack_rows(gen)
     return int(kernels.min_weight(masks, n))
-
-
-def min_distance(code: LinearCode) -> int:
-    """Exact minimum distance; linearity makes it the min nonzero weight."""
-    return min_distance_of_generator(code.generator)
 
 
 def parity(c: np.ndarray, r: np.ndarray) -> int:
@@ -270,11 +264,3 @@ def read_generator_file(path) -> LinearCode:
     if len({len(r) for r in rows}) != 1:
         raise ValueError("generator rows must all have the same length")
     return code_from_generator(np.vstack(rows))
-
-
-def write_codewords_csv(path, words: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bits"])
-        for w in words:
-            writer.writerow([string_from_bits(w)])

@@ -237,13 +237,6 @@ def sample_event(table: EventTable, rng: np.random.Generator) -> DetectionEvent:
     return table.events[min(i, len(table.events) - 1)]
 
 
-def sample_detection(
-    state: PhotonState, params: BeamSplitterParams, rng: np.random.Generator
-) -> DetectionEvent:
-    """Draw one detection event; deterministic for a fixed generator state."""
-    return sample_event(detection_table(state, params), rng)
-
-
 def flag_probability(
     state: PhotonState, params: BeamSplitterParams, bit: int
 ) -> float:

@@ -275,9 +275,8 @@ def run_unveil(transcript: SessionTranscript, announcement: Announcement) -> str
     if parity(c, r) != announcement.b:
         return REJECT_PARITY
     for i, rec in enumerate(transcript.bob_records):
-        if rec is not None and rec.learned_bit is not None:
-            if rec.learned_bit != int(c[i]):
-                return REJECT_INTERCEPT_MISMATCH
+        if rec is not None and rec.learned_bit != int(c[i]):
+            return REJECT_INTERCEPT_MISMATCH
     return ACCEPT
 
 

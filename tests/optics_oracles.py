@@ -1,4 +1,5 @@
-"""Dict-backed optics and per-photon strategy ladders, kept as oracles.
+"""Dict-backed optics, per-photon strategy ladders and the causal coupling
+model, kept as oracles.
 
 This is the single-photon optics as it was before states became fixed
 arrays: a state is a dict keyed by (rail, bin) modes, re-validated on every
@@ -6,6 +7,10 @@ step, and every photon rebuilds its encoding and its measurement.  The two
 `isinstance` ladders (`apply_strategy`, `detection_prob`) are the strategy
 code that the branch tables in `mzqbc.strategies` replace.  Tests compare
 the library with these, float for float and draw for draw.
+
+`GeneralCausal` is the ancilla coupling model behind the detection floor
+that `mzqbc.strategies.floor_strategy` proves: the tests of that proof run
+random couplings through it.
 """
 
 from __future__ import annotations
@@ -27,13 +32,11 @@ from mzqbc.optics import (
     DetectionEvent,
     Mode,
 )
-from mzqbc.strategies import (
-    BlindGuessOnTime,
-    FullMeasureLate,
-    GeneralCausal,
-    SingleChannel,
-    decode_map,
-)
+from mzqbc.strategies import BlindGuessOnTime, FullMeasureLate, SingleChannel
+
+UNITARY_TOL = 1e-10
+#: declared-decode certainty at/above which a strategy "knows" the bit
+CERTAINTY_TOL = 1e-9
 
 _POS_X, _POS_Y, _POS_KEPT = 0, 1, 2
 
@@ -188,6 +191,34 @@ def _single_packet(rail: str) -> PhotonState:
     return PhotonState(amps={Mode(rail, bin): 1.0 + 0j})
 
 
+@dataclass(frozen=True)
+class GeneralCausal:
+    """Passive causal processing with a private ancilla.
+
+    The single photon occupies one of three positions: the X packet (index
+    0, forwarded in bin 0), the Y packet (index 1, forwarded in bin 1), or
+    kept in the receiver's lab (index 2).  u1 acts unitarily on the
+    (X, kept) pair of positions tensored with the ancilla before the X
+    content leaves; u2 acts on (Y, kept) x ancilla before the Y content
+    leaves.  The bit is read from a declared measurement: the ancilla in
+    its computational basis together with whether the photon was kept.
+    """
+
+    u1: np.ndarray
+    u2: np.ndarray
+    ancilla_dim: int
+
+    def __post_init__(self):
+        a = self.ancilla_dim
+        for name, u in (("u1", self.u1), ("u2", self.u2)):
+            u = np.asarray(u, dtype=complex)
+            if u.shape != (2 * a, 2 * a):
+                raise ValueError(f"{name} must be {2*a}x{2*a}")
+            if np.max(np.abs(u.conj().T @ u - np.eye(2 * a))) > UNITARY_TOL:
+                raise ValueError(f"{name} is not unitary")
+            object.__setattr__(self, name, u)
+
+
 def decode_incoming(incoming: PhotonState, params: BeamSplitterParams) -> int:
     for b in (0, 1):
         ref = encode(b, params)
@@ -216,6 +247,48 @@ def _general_causal_output(
     psi = _embed_block(strategy.u1, (_POS_X, _POS_KEPT), a) @ psi
     psi = _embed_block(strategy.u2, (_POS_Y, _POS_KEPT), a) @ psi
     return psi.reshape(3, a)
+
+
+def outcome_distribution(
+    strategy: GeneralCausal, bit: int, params: BeamSplitterParams
+) -> dict[tuple[int, int], float]:
+    """P(declared measurement outcome | encoded bit).
+
+    Outcomes are (kept, ancilla): kept=1 when the photon stayed in the lab.
+    """
+    out = _general_causal_output(strategy, bit, params)
+    dist: dict[tuple[int, int], float] = {}
+    for j in range(strategy.ancilla_dim):
+        p_sent = abs(out[_POS_X, j]) ** 2 + abs(out[_POS_Y, j]) ** 2
+        for o, p in (((0, j), p_sent), ((1, j), abs(out[_POS_KEPT, j]) ** 2)):
+            if p > 0:
+                dist[o] = p
+    return dist
+
+
+def decode_map(
+    strategy: GeneralCausal, params: BeamSplitterParams
+) -> dict[tuple[int, int], int | None]:
+    """Maximum-likelihood bit guess per declared outcome (None when the
+    outcome carries no preference)."""
+    d0 = outcome_distribution(strategy, 0, params)
+    d1 = outcome_distribution(strategy, 1, params)
+    mapping: dict[tuple[int, int], int | None] = {}
+    for o in set(d0) | set(d1):
+        p0, p1 = d0.get(o, 0.0), d1.get(o, 0.0)
+        mapping[o] = None if abs(p0 - p1) <= 1e-12 else int(p1 > p0)
+    return mapping
+
+
+def decode_certainty(strategy, params: BeamSplitterParams) -> float:
+    """Probability the declared decode returns the true bit, averaged over
+    a uniform bit.  1.0 means the strategy always learns the bit."""
+    if not isinstance(strategy, GeneralCausal):
+        return 1.0  # the closed-form strategies measure the real photon
+    d0 = outcome_distribution(strategy, 0, params)
+    d1 = outcome_distribution(strategy, 1, params)
+    overlap = sum(min(d0.get(o, 0.0), d1.get(o, 0.0)) for o in set(d0) | set(d1))
+    return 1.0 - 0.5 * overlap
 
 
 def _branch_state(amp_x: complex, amp_y: complex, kept2: float) -> PhotonState:
@@ -290,3 +363,7 @@ def detection_prob(strategy, bit: int, params: BeamSplitterParams) -> float:
             p_ok += w * (1.0 - flag_probability(branch, params, bit))
         return 1.0 - p_ok
     raise TypeError(f"unknown strategy {strategy!r}")
+
+
+def average_detection_prob(strategy, params: BeamSplitterParams) -> float:
+    return 0.5 * (detection_prob(strategy, 0, params) + detection_prob(strategy, 1, params))

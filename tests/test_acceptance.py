@@ -94,8 +94,9 @@ def test_criterion_2_strategy_table():
         for bit in (0, 1):
             flags = 0
             for _ in range(n):
-                rec = strategies.apply_strategy(strategy, optics.encode(bit, bs), bs, rng)
-                ev = optics.sample_detection(rec.resent, bs, rng)
+                table = strategies.branches(strategy, bit, bs)
+                _, _, detection = table.branches[table.pick(rng)]
+                ev = optics.sample_event(detection, rng)
                 flags += ev != optics.expected_event(bit)
             tol = max(3 * math.sqrt(p * (1 - p) / n), 1e-9)
             if abs(flags / n - p) > tol:

@@ -18,10 +18,11 @@ from mzqbc.optics import (
     bs_apply,
     delay_apply,
     detection_distribution,
+    detection_table,
     encode,
     expected_event,
     phase_apply,
-    sample_detection,
+    sample_event,
 )
 
 R_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
@@ -159,14 +160,14 @@ class TestDetection:
         rng = np.random.default_rng(0)
         bs = params_for(0.3)
         for _ in range(32):
-            assert sample_detection(encode(0, bs), bs, rng) == expected_event(0)
+            table = detection_table(encode(0, bs), bs)
+            assert sample_event(table, rng) == expected_event(0)
 
     def test_sample_deterministic_for_fixed_seed(self):
         bs = params_for(0.3)
         state = photon_state({Mode(RAIL_Y, 1): 1.0})
-        draws1 = [
-            sample_detection(state, bs, np.random.default_rng(123)) for _ in range(3)
-        ]
+        table = detection_table(state, bs)
+        draws1 = [sample_event(table, np.random.default_rng(123)) for _ in range(3)]
         assert len(set(draws1)) == 1
 
     def test_sample_frequencies_match_distribution(self):
@@ -174,9 +175,8 @@ class TestDetection:
         state = photon_state({Mode(RAIL_Y, 1): 1.0})
         rng = np.random.default_rng(42)
         n = 100_000
-        hits = sum(
-            sample_detection(state, bs, rng) == DetectionEvent(1, 1) for _ in range(n)
-        )
+        table = detection_table(state, bs)
+        hits = sum(sample_event(table, rng) == DetectionEvent(1, 1) for _ in range(n))
         p = 0.3
         assert abs(hits / n - p) < 3 * math.sqrt(p * (1 - p) / n)
 
