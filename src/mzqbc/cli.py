@@ -32,14 +32,19 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        return args.func(cfg)
+        loaded = config_mod.load_config(args.config) if args.config else {}
+        cfg = _merge_config(args, loaded)
+        status = args.func(cfg)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GuardError as exc:
         print(f"guard violation: {exc}", file=sys.stderr)
         return 3
+    unused = sorted(set(loaded) - cfg.read)
+    if unused:
+        print(f"warning: unused config key(s): {', '.join(unused)}", file=sys.stderr)
+    return status
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,8 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args) -> dict[str, str]:
-    cfg = config_mod.load_config(args.config) if args.config else {}
+def _merge_config(args, loaded: dict[str, str]) -> config_mod.Config:
+    cfg = config_mod.Config(loaded)
     for key in ("seed", "out", "format", "trials", "threads"):
         val = getattr(args, key)
         if val is not None:
@@ -249,7 +254,7 @@ def cmd_sweep(cfg) -> int:
         code = codes_mod.builtin_code(name)
         for R in r_grid:
             for f in f_grid:
-                sub = dict(cfg)
+                sub = cfg.copy()
                 sub.update({"builtin_code": name, "R": repr(R), "f": repr(f)})
                 params = _load_params(sub, code=code)
                 binding = protocol.run_binding_experiment(params, trials, threads=threads)
@@ -320,11 +325,14 @@ def cmd_nogo(cfg) -> int:
     rng = np.random.default_rng(config_mod.get_int(cfg, "seed", 0))
     system = operator_model.CompositeSystem(n=code.n)
     report = operator_model.alice_local_invariance(system, modes, code, r, trials, rng)
-    posteriors = {"no_knowledge": operator_model.bob_bit_posterior(code, r, [], [])}
-    # the intercept mask is fixed, so every codeword gives the same max posterior
-    known = np.array([[m == "intercept" for m in modes]])
-    determined = kernels.parity_determined(code.generator, r, known)[0]
-    posteriors["mean_max_with_intercepted_known"] = 1.0 if determined else 0.5
+    # knowing nothing, then the intercepted positions: each mask either fixes
+    # the parity for every codeword or leaves it at exactly 1/2
+    known = np.array([[False] * code.n, [m == "intercept" for m in modes]])
+    nothing, intercepted = kernels.parity_determined(code.generator, r, known)
+    posteriors = {
+        "no_knowledge": (1.0, 0.0) if nothing else (0.5, 0.5),
+        "mean_max_with_intercepted_known": 1.0 if intercepted else 0.5,
+    }
     _emit_json(
         cfg,
         {

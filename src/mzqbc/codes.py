@@ -4,14 +4,15 @@ Codewords are numpy uint8 vectors.  Ranks come from an XOR-basis
 elimination on packed rows, and the parity halves {mG : m.(G r^T) = b}
 are handled as linear constraints on the message m, never listed.  Only
 the minimum distance is an exhaustive 2^k enumeration, exact and desk
-scale.  Hard guards refuse it beyond k=24, and refuse the full codeword
-matrix (used by the midpoint cheat and the dense committed state) beyond
-k=20, rather than approximating.
+scale, and it keeps its witnesses: every weight-d codeword, from which the
+midpoint cheat picks its pair.  Hard guards refuse it beyond k=24, and
+refuse the full codeword list (read only by the operator model's committed
+mixtures) beyond k=20, rather than approximating.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,14 +44,17 @@ def gf2_rank(matrix: np.ndarray) -> int:
 class LinearCode:
     """A binary linear code given by a full-rank k x n generator matrix.
 
-    `d` is the exact minimum distance (= minimum nonzero codeword weight),
-    computed once at construction.
+    `d` is the exact minimum distance (= minimum nonzero codeword weight)
+    and `min_words` every codeword of weight d, packed as
+    `kernels.pack_rows` packs rows and in message order; both come from one
+    walk of the span at construction.
     """
 
     generator: np.ndarray
     n: int
     k: int
     d: int
+    min_words: np.ndarray = field(repr=False)
 
     def codewords(self) -> np.ndarray:
         """All 2^k codewords as a (2^k, n) uint8 matrix, ordered by message
@@ -60,10 +64,8 @@ class LinearCode:
             return cached
         if self.k > MATERIALIZE_GUARD_K:
             raise GuardError("enumeration too large")
-        msgs = np.arange(1 << self.k, dtype=np.uint32)
-        bits = (msgs[:, None] >> np.arange(self.k)[None, :]) & 1
-        words = (bits.astype(np.uint8) @ self.generator) % 2
-        words = words.astype(np.uint8)
+        chunks = kernels._span_chunks(kernels.pack_rows(self.generator))
+        words = np.concatenate([kernels.unpack_rows(c, self.n) for c in chunks])
         object.__setattr__(self, "_codewords", words)
         return words
 
@@ -90,15 +92,10 @@ def code_from_generator(matrix) -> LinearCode:
     k, n = gen.shape
     if gf2_rank(gen) != k:
         raise ValueError("generator not full rank")
-    return LinearCode(generator=gen, n=n, k=k, d=min_distance_of_generator(gen))
-
-
-def min_distance_of_generator(gen: np.ndarray) -> int:
-    k, n = gen.shape
     if k > ENUM_GUARD_K:
         raise GuardError("enumeration too large")
-    masks = kernels.pack_rows(gen)
-    return int(kernels.min_weight(masks, n))
+    d, words = kernels.min_weight(kernels.pack_rows(gen), n)
+    return LinearCode(generator=gen, n=n, k=k, d=d, min_words=words)
 
 
 def parity(c: np.ndarray, r: np.ndarray) -> int:

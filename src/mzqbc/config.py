@@ -16,6 +16,21 @@ class ConfigError(Exception):
     pass
 
 
+class Config(dict):
+    """Raw entries that record the keys looked up, shared with every copy."""
+
+    def __init__(self, entries=(), read: set[str] | None = None):
+        super().__init__(entries)
+        self.read = set() if read is None else read
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def copy(self) -> Config:
+        return Config(self, self.read)
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -26,20 +26,6 @@ from .optics import RAIL_X, RAIL_Y, BeamSplitterParams
 
 
 @dataclass(frozen=True)
-class ProbeState:
-    """Probe amplitudes on paths a and b plus mass lost to blocking."""
-
-    amp_a: complex
-    amp_b: complex
-    absorbed: float = 0.0
-
-    def __post_init__(self):
-        total = abs(self.amp_a) ** 2 + abs(self.amp_b) ** 2 + self.absorbed
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probe state not normalized: {total}")
-
-
-@dataclass(frozen=True)
 class FbsConfig:
     """Chained-splitter approximation: M passes, each rotating the
     (a, b) amplitudes by pi/(2M), with the receiver's phase applied to

@@ -1,9 +1,10 @@
 """Numpy kernels for the hot loops, one implementation per job.
 
-GF(2) rows are packed into uint64 bitmasks (n <= 64), and one XOR-basis
-elimination serves both the rank of a generator matrix and the concealing
-game's span test.  The Monte-Carlo kernels consume pre-drawn uniform arrays
-and are exact integer/boolean counting.
+GF(2) rows are packed into uint64 bitmasks (n <= 64).  One XOR-basis
+elimination serves the rank and the concealing game's span test, and one
+chunked walk of the 2^k span serves the minimum distance (with every
+minimum-weight word) and the codeword list.  The Monte-Carlo kernels
+consume pre-drawn uniform arrays and are exact integer/boolean counting.
 """
 
 from __future__ import annotations
@@ -67,29 +68,49 @@ def parity_determined(
 
 
 # ---------------------------------------------------------------------------
-# minimum nonzero codeword weight (all 2^k messages, in chunks)
+# the span of packed rows, all 2^k messages, 2^_CHUNK_BITS per chunk
 
-#: messages encoded per numpy pass of `min_weight`
-_CHUNK = 1 << 18
+_CHUNK_BITS = 18
 
 
-def min_weight(masks: np.ndarray, n: int) -> int:
-    """Minimum Hamming weight over all nonzero codewords of the span."""
-    k = masks.shape[0]
-    total = 1 << k
-    best = n + 1
-    for start in range(0, total, _CHUNK):
-        msgs = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-        acc = np.zeros_like(msgs)
-        for j in range(k):
-            sel = ((msgs >> np.uint64(j)) & np.uint64(1)).astype(bool)
-            acc[sel] ^= masks[j]
+def _span_chunks(masks: np.ndarray):
+    """Every codeword of the span of packed rows in message order (word i
+    XORs the rows at the set bits of i): the span of the low rows, built
+    by doubling, XOR each combination of the high rows in turn."""
+    low = min(masks.shape[0], _CHUNK_BITS)
+    base = np.zeros(1, dtype=np.uint64)
+    for row in masks[:low]:
+        base = np.concatenate([base, base ^ row])
+    high = masks[low:]
+    for chunk in range(1 << len(high)):
+        offset = np.uint64(0)
+        for j, row in enumerate(high):
+            if chunk >> j & 1:
+                offset ^= row
+        yield base ^ offset
+
+
+def unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
+    """The (len(packed), n) 0/1 uint8 matrix that `pack_rows` packed."""
+    octets = np.asarray(packed, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=n, bitorder="little")
+
+
+def min_weight(masks: np.ndarray, n: int) -> tuple[int, np.ndarray]:
+    """(d, words): the minimum Hamming weight over all nonzero codewords of
+    the span, and every codeword of that weight, packed and in message
+    order."""
+    best, found = n + 1, []
+    for chunk, acc in enumerate(_span_chunks(masks)):
         weights = np.bitwise_count(acc)
-        if start == 0:
-            weights = weights[1:]  # skip the zero codeword
-        if weights.size:
-            best = min(best, int(weights.min()))
-    return best
+        if chunk == 0:
+            weights[0] = n + 1  # skip the zero codeword
+        lightest = int(weights.min())
+        if lightest < best:
+            best, found = lightest, []
+        if lightest == best:
+            found.append(acc[weights == best])
+    return best, np.concatenate(found)
 
 
 # ---------------------------------------------------------------------------

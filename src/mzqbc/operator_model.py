@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codes as codes_mod
-from . import kernels
 from .codes import LinearCode
 from .util import GuardError, haar_unitary
 
@@ -223,27 +222,3 @@ def alice_local_invariance(
             np.sum(np.abs(spectrum(np.where(bit0, weight, -weight))))
         ),
     }
-
-
-def bob_bit_posterior(
-    code: LinearCode, r: np.ndarray, known_positions, known_values
-) -> tuple[float, float]:
-    """The receiver's parity posterior from exact knowledge of some
-    codeword positions S; (0, 0) for an impossible observation.
-
-    Codewords c = mG with c[S] = v and c.r = p exist iff [v | p] lies in the
-    row span of [G[:, S] | G r^T]; they split evenly between possible p."""
-    positions = np.asarray(known_positions, dtype=np.intp)
-    values = np.asarray(known_values, dtype=np.uint8)
-    if positions.shape != values.shape:
-        raise ValueError("positions and values must have equal length")
-    width = len(positions)
-    t = codes_mod.message_mask(code, r)
-    rows = kernels.pack_rows(code.generator[:, positions])
-    basis = kernels.xor_basis([int(row) | int(bit) << width for row, bit in zip(rows, t)])
-    seen = int(kernels.pack_rows(values[None, :])[0])
-    possible = [
-        len(kernels.xor_basis(basis + [seen | p << width])) == len(basis) for p in (0, 1)
-    ]
-    total = sum(possible) or 1
-    return (possible[0] / total, possible[1] / total)

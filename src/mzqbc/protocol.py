@@ -178,21 +178,17 @@ def _bob_modes(bob: BobPolicy, n: int, rng: np.random.Generator) -> list[str]:
 def binding_pair(code: LinearCode, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(committed midpoint word, unveil target codeword) for the cheat.
 
-    The pair is the zero codeword and a minimum-weight codeword, preferring
-    one whose parity against r is 1 so the two endpoints commit opposite
-    bits.  The target is the endpoint at distance ceil(d/2) from the
-    midpoint.
+    The pair is the zero codeword and the first minimum-weight codeword in
+    message order whose parity against r is 1, so the two endpoints commit
+    opposite bits, or the first minimum-weight codeword if none is.  The
+    target is the endpoint at distance ceil(d/2) from the midpoint.
     """
-    words = code.codewords()
-    weights = words.sum(axis=1)
-    min_idx = np.flatnonzero(weights == code.d)
-    pick = min_idx[0]
-    for i in min_idx:
-        if parity(words[i], r) == 1:
-            pick = i
-            break
+    words = code.min_words
+    r_packed = kernels.pack_rows(np.asarray(r, dtype=np.uint8)[None, :])
+    odd = np.flatnonzero(np.bitwise_count(words & r_packed) & 1)
+    pick = odd[0] if odd.size else 0
     c_a = np.zeros(code.n, dtype=np.uint8)
-    c_b = words[pick]
+    c_b = kernels.unpack_rows(words[pick : pick + 1], code.n)[0]
     mid = codes_mod.midpoint_word(c_a, c_b)
     return mid, c_a  # dist(mid, c_a) = ceil(d/2)
 

@@ -1,13 +1,45 @@
 """Codeword-enumeration oracles for the GF(2) paths in `mzqbc`.
 
 Each helper lists all 2^k codewords and filters them, exactly as the
-commit, posterior and probe-flip paths once did.  The library now answers
-the same questions by linear algebra on the message; tests compare the two.
+codeword list, the midpoint cheat, the commit and the probe flip once did.
+The library now answers the same questions by linear algebra on the
+message or from the minimum-weight words kept on the code; tests compare
+the two.
 """
 
 import numpy as np
 
 from mzqbc import codes, protocol
+
+
+def codewords(code):
+    """All 2^k codewords by one generator product, row i the message whose
+    little-endian bits are i."""
+    msgs = np.arange(1 << code.k, dtype=np.uint32)
+    bits = (msgs[:, None] >> np.arange(code.k)[None, :]) & 1
+    return ((bits.astype(np.uint8) @ code.generator) % 2).astype(np.uint8)
+
+
+def min_weight_words(code):
+    """Every nonzero codeword of least weight, in message order."""
+    words = codewords(code)[1:]
+    weights = words.sum(axis=1)
+    return words[weights == weights.min()]
+
+
+def binding_pair(code, r):
+    """The midpoint cheat's (midpoint, target) from the listed codewords:
+    the first weight-d word of parity 1, else the first weight-d word."""
+    words = code.codewords()
+    weights = words.sum(axis=1)
+    min_idx = np.flatnonzero(weights == code.d)
+    pick = min_idx[0]
+    for i in min_idx:
+        if codes.parity(words[i], r) == 1:
+            pick = i
+            break
+    c_a = np.zeros(code.n, dtype=np.uint8)
+    return codes.midpoint_word(c_a, words[pick]), c_a
 
 
 def coset_parities(code, r):
@@ -49,18 +81,6 @@ def sample_codeword(code, r, b, rng):
     if len(subset) == 0:
         raise ValueError("committed subset empty; choose different r")
     return subset[rng.integers(len(subset))].copy()
-
-
-def bob_bit_posterior(code, r, known_positions, known_values):
-    """The parity posterior by counting the consistent codewords."""
-    consistent = consistent_codewords(code, known_positions, known_values)
-    if len(consistent) == 0:
-        return (0.0, 0.0)
-    parities = (consistent @ np.asarray(r, dtype=np.uint8)) % 2
-    c1 = int(parities.sum())
-    c0 = len(consistent) - c1
-    total = c0 + c1
-    return (c0 / total, c1 / total)
 
 
 def try_flip(transcript, inferred_bypass):

@@ -58,6 +58,32 @@ class TestConfigParsing:
             config_mod.get_int(cfg, "x")
 
 
+class TestUnusedKeys:
+    def test_misspelt_key_is_named_and_output_unchanged(self, tmp_path, capsys):
+        assert cli.main(["strategies", "--format", "json"]) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        cfg = write_cfg(tmp_path, "search_trails = 5\nformat = json\n")
+        assert cli.main(["strategies", "--config", cfg]) == 0
+        typo = capsys.readouterr()
+        # the same rows (the hash covers the stray key): no search ran
+        assert json.loads(typo.out)["table"] == json.loads(plain.out)["table"]
+        assert typo.err == "warning: unused config key(s): search_trails\n"
+
+    def test_keys_read_per_sweep_point_count(self, tmp_path, capsys):
+        # r and epsilon are read only on the per-point copies of the config
+        cfg = write_cfg(
+            tmp_path, "r = 11100000\nepsilon = 0.4\nf_grid = 0.5\ntrials = 500\nbuiltin_code = golay\n"
+        )
+        assert cli.main(["sweep", "--config", cfg]) == 0
+        assert capsys.readouterr().err == "warning: unused config key(s): builtin_code\n"
+
+    def test_flags_are_not_config_keys(self, capsys):
+        # every subcommand takes every flag; strategies reads no seed or trials
+        assert cli.main(["strategies", "--seed", "3", "--trials", "9"]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestRun:
     def test_honest_session(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, HONEST_CFG)
@@ -100,8 +126,9 @@ class TestRun:
         assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 2
         assert "orthogonal" in capsys.readouterr().err
 
-    def test_run_past_codeword_matrix_guard(self, tmp_path):
-        # k = 22 > MATERIALIZE_GUARD_K: committing needs no codeword list
+    @staticmethod
+    def k22_config(tmp_path, extra=""):
+        """A random (28, 22) code file and a config that commits to it."""
         rng = np.random.default_rng(3)
         while True:
             gen = rng.integers(0, 2, size=(22, 28), dtype=np.uint8)
@@ -109,11 +136,25 @@ class TestRun:
                 break
         path = tmp_path / "k22.txt"
         path.write_text("".join(codes.string_from_bits(row) + "\n" for row in gen))
-        cfg = write_cfg(tmp_path, f"code_file = {path}\nr = {'111' + '0' * 25}\nseed = 4\n")
+        text = f"code_file = {path}\nr = {'111' + '0' * 25}\nseed = 4\n{extra}"
+        return write_cfg(tmp_path, text)
+
+    def test_run_past_codeword_matrix_guard(self, tmp_path):
+        # k = 22 > MATERIALIZE_GUARD_K: committing needs no codeword list
+        out = tmp_path / "k22.json"
+        assert cli.main(["run", "--config", self.k22_config(tmp_path), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["params"]["k"] == 22
+        assert doc["unveil"] == "accept"
+
+    def test_midpoint_cheat_past_codeword_matrix_guard(self, tmp_path):
+        # nor does the cheat's pair, read off the stored minimum-weight words
+        cfg = self.k22_config(tmp_path, "alice = midpoint_cheat\nf = 0\n")
         out = tmp_path / "k22.json"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["params"]["k"] == 22
+        assert doc["committed_b"] is None
         assert doc["unveil"] == "accept"
 
     def test_midpoint_cheat_run(self, tmp_path):
@@ -238,9 +279,12 @@ class TestVerify:
             assert len(lines) == 9
             assert all(line.startswith("PASS ") and ", margin +" in line for line in lines)
 
-    def test_removed_knobs_are_ignored(self, tmp_path):
+    def test_removed_knobs_are_ignored(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "tol_mz = 1e-20\nperturb_bs = true\ntol_posterior_sigmas = 0\n")
         assert cli.main(["verify", "--config", cfg]) == 0
+        assert capsys.readouterr().err == (
+            "warning: unused config key(s): perturb_bs, tol_mz, tol_posterior_sigmas\n"
+        )
 
     def test_perturbed_convention_fails(self, monkeypatch, capsys):
         encode = optics.encode

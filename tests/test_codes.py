@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import codeword_oracles
 from codeword_oracles import consistent_codewords, coset_split
-from mzqbc import codes
+from mzqbc import codes, kernels
 from mzqbc.codes import (
     bits_from_string,
     code_from_generator,
@@ -80,6 +80,28 @@ class TestConstruction:
         rng = np.random.default_rng(seed)
         code = random_code(n=9, k=4, rng=rng)
         assert code.d == brute_force_min_distance(code.generator)
+
+
+def _sample_codes():
+    """The builtins, then random codes whose n is not a multiple of 8."""
+    rng = np.random.default_rng(31)
+    return [factory() for factory in codes.BUILTIN_CODES.values()] + [
+        random_code(n=int(n), k=int(k), rng=rng) for n, k in ((5, 3), (11, 6), (13, 9), (17, 10))
+    ]
+
+
+class TestMinimumWords:
+    @pytest.mark.parametrize("index", range(8))
+    def test_match_enumeration(self, index):
+        code = _sample_codes()[index]
+        words = kernels.unpack_rows(code.min_words, code.n)
+        np.testing.assert_array_equal(words, codeword_oracles.min_weight_words(code))
+        assert (words.sum(axis=1) == code.d).all()
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_codewords_match_generator_product(self, index):
+        code = _sample_codes()[index]
+        np.testing.assert_array_equal(code.codewords(), codeword_oracles.codewords(code))
 
 
 class TestParity:

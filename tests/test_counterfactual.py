@@ -9,7 +9,6 @@ from mzqbc import counterfactual as cf_module
 from mzqbc.counterfactual import (
     FbsConfig,
     _try_flip,
-    ProbeState,
     attack_session,
     blocked_dd_probability,
     defense_honest_invariance,
@@ -63,11 +62,6 @@ class TestProbeChain:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FbsConfig(cycles=0)
-
-    def test_probe_state_validation(self):
-        with pytest.raises(ValueError):
-            ProbeState(amp_a=1.0, amp_b=1.0)
-        ProbeState(amp_a=0.6, amp_b=0.8j)
 
 
 class TestDefenseInvariance:

@@ -1,7 +1,5 @@
 """The numpy kernels against plain-Python loop oracles on identical inputs."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -11,29 +9,37 @@ from mzqbc.util import GuardError
 
 
 def brute_min_weight(gen):
+    """(d, weight-d codewords in message order) by XOR-ing rows per message."""
     k, n = gen.shape
-    best = n + 1
-    for msg in itertools.product((0, 1), repeat=k):
-        if not any(msg):
-            continue
+    best, words = n + 1, []
+    for msg in range(1, 1 << k):
         w = np.zeros(n, dtype=np.uint8)
-        for j, bit in enumerate(msg):
-            if bit:
+        for j in range(k):
+            if msg >> j & 1:
                 w ^= gen[j]
-        best = min(best, int(w.sum()))
-    return best
+        weight = int(w.sum())
+        if weight < best:
+            best, words = weight, []
+        if weight == best:
+            words.append(w)
+    return best, np.array(words)
 
 
 def gray_min_weight(masks, n):
     """Gray-code walk over all nonzero messages: each step flips the row
-    indexed by the lowest set bit of the step number."""
+    indexed by the lowest set bit of the step number.  Returns d and the
+    sorted packed weight-d words (the walk visits them out of order)."""
     acc = 0
-    best = n + 1
+    best, words = n + 1, []
     for i in range(1, 1 << len(masks)):
         j = (i & -i).bit_length() - 1
         acc ^= int(masks[j])
-        best = min(best, bin(acc).count("1"))
-    return best
+        weight = bin(acc).count("1")
+        if weight < best:
+            best, words = weight, []
+        if weight == best:
+            words.append(acc)
+    return best, sorted(words)
 
 
 def loop_binding_counts(u_mode, u_mis, f, eps, flip_idx, threshold):
@@ -172,8 +178,10 @@ def test_pack_rows_matches_column_loop_random_shapes(seed):
 def test_min_weight_numpy_matches_oracle(seed):
     rng = np.random.default_rng(seed)
     code = codes.random_code(n=10, k=5, rng=rng)
-    masks = kernels.pack_rows(code.generator)
-    assert kernels.min_weight(masks, code.n) == brute_min_weight(code.generator)
+    d, words = kernels.min_weight(kernels.pack_rows(code.generator), code.n)
+    want_d, want_words = brute_min_weight(code.generator)
+    assert d == want_d
+    np.testing.assert_array_equal(kernels.unpack_rows(words, code.n), want_words)
 
 
 def _code(seed, n, k):
@@ -187,7 +195,28 @@ def _code(seed, n, k):
 def test_min_weight_matches_gray_walk(seed):
     code = _code(seed, n=14, k=8)
     masks = kernels.pack_rows(code.generator)
-    assert kernels.min_weight(masks, code.n) == gray_min_weight(masks, code.n)
+    d, words = kernels.min_weight(masks, code.n)
+    assert (d, sorted(int(w) for w in words)) == gray_min_weight(masks, code.n)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_min_weight_words_span_chunks(seed, monkeypatch):
+    # chunks of 64 messages: a lighter word found in a later chunk drops
+    # the words kept so far, and equal ones found later are appended
+    monkeypatch.setattr(kernels, "_CHUNK_BITS", 6)
+    code = codes.random_code(n=12, k=9, rng=np.random.default_rng(40 + seed))
+    d, words = kernels.min_weight(kernels.pack_rows(code.generator), code.n)
+    want_d, want_words = brute_min_weight(code.generator)
+    assert d == want_d
+    np.testing.assert_array_equal(kernels.unpack_rows(words, code.n), want_words)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_unpack_rows_inverts_pack_rows(seed):
+    rng = np.random.default_rng(60 + seed)
+    for n in (1, 7, 8, 13, 64):
+        rows = rng.integers(0, 2, size=(int(rng.integers(0, 20)), n), dtype=np.uint8)
+        np.testing.assert_array_equal(kernels.unpack_rows(kernels.pack_rows(rows), n), rows)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -260,6 +289,44 @@ def test_binding_numpy_semantics():
     # trial2 nothing intercepted -> proceed and accept
     out = kernels.binding_counts(u_mode, u_mis, 0.5, 0.5, flips, 10.0)
     assert out.tolist() == [2, 1, 1, 0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_parity_determined_matches_codeword_counting(seed):
+    # the known bits fix the parity iff every codeword agreeing with them
+    # has the same parity
+    rng = np.random.default_rng(700 + seed)
+    factories = [codes.hamming_7_4, codes.extended_hamming_8_4, codes.golay_24_12]
+    if seed < len(factories):
+        code = factories[seed]()
+    else:
+        n = int(rng.integers(6, 15))
+        code = codes.random_code(n, int(rng.integers(1, n)), rng)
+    words = code.codewords()
+    r = rng.integers(0, 2, size=(60, code.n), dtype=np.uint8)
+    known = rng.random((60, code.n)) < rng.random((60, 1))
+    known[0], known[1] = False, True  # nothing known, everything known
+    got = [kernels.parity_determined(code.generator, r[i], known[i : i + 1])[0] for i in range(60)]
+    want = []
+    for i in range(60):
+        positions = np.flatnonzero(known[i])
+        word = words[rng.integers(len(words))]
+        agree = codeword_oracles.consistent_codewords(code, positions, word[positions])
+        want.append(len(set((agree @ r[i] % 2).tolist())) == 1)
+    assert got == want
+    assert got[1] and True in got[2:] and False in got[2:]
+
+
+def test_parity_determined_beyond_materialize_guard():
+    code = codes.random_code(28, 22, np.random.default_rng(5))
+    r = np.zeros(code.n, dtype=np.uint8)
+    r[:2] = 1
+    known = np.zeros((4, code.n), dtype=bool)
+    known[1] = True
+    known[2, :2] = True
+    known[3, 0] = True
+    determined = kernels.parity_determined(code.generator, r, known)
+    assert determined.tolist() == [False, True, True, False]
 
 
 def _concealing_inputs(code, r, seed, trials, p_intercept=0.4):

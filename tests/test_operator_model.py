@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-import codeword_oracles
 import operator_oracles as oracles
 from mzqbc import codes, operator_model as om
 from mzqbc.codes import bits_from_string
 from mzqbc.operator_model import (
     alice_local_invariance,
-    bob_bit_posterior,
     committed_density,
     overlap,
 )
@@ -356,70 +354,6 @@ class TestOracleAgreement:
             fast, dense, _, _ = _both_reports(code, r, modes, mask, trials=2)
             for key in REPORT_FIELDS:
                 assert fast[key] == pytest.approx(dense[key], abs=1e-12), key
-
-
-class TestPosterior:
-    def test_balanced_when_nothing_known(self):
-        code = codes.hamming_7_4()
-        assert bob_bit_posterior(code, bits_from_string("1010000"), [], []) == (0.5, 0.5)
-
-    def test_degenerate_when_everything_known(self):
-        code = codes.hamming_7_4()
-        r = bits_from_string("1010000")
-        w = code.codewords()[9]
-        p = bob_bit_posterior(code, r, list(range(7)), w)
-        assert p[codes.parity(w, r)] == 1.0
-
-    def test_impossible_observation_flagged(self):
-        code = codes.repetition_code(3)
-        assert bob_bit_posterior(code, R111, [0, 1], [0, 1]) == (0.0, 0.0)
-
-    def test_partial_knowledge_hamming(self):
-        # three systematic positions known: 2 consistent codewords
-        code = codes.hamming_7_4()
-        r = bits_from_string("1010000")
-        p0, p1 = bob_bit_posterior(code, r, [0, 1, 2], [1, 0, 1])
-        assert p0 + p1 == pytest.approx(1.0)
-        assert {p0, p1} <= {0.0, 0.5, 1.0}
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_codeword_counting(self, seed):
-        rng = np.random.default_rng(700 + seed)
-        factories = [codes.hamming_7_4, codes.extended_hamming_8_4, codes.golay_24_12]
-        if seed < len(factories):
-            code = factories[seed]()
-        else:
-            n = int(rng.integers(6, 15))
-            code = codes.random_code(n, int(rng.integers(1, n)), rng)
-        words = code.codewords()
-        seen = set()
-        for _ in range(60):
-            r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
-            if not r.any():
-                continue
-            positions = rng.permutation(code.n)[: rng.integers(code.n + 1)]
-            if rng.random() < 0.7:  # observed from a codeword: consistent
-                values = words[rng.integers(len(words))][positions]
-            else:
-                values = rng.integers(0, 2, size=len(positions), dtype=np.uint8)
-            got = bob_bit_posterior(code, r, positions, values)
-            assert got == codeword_oracles.bob_bit_posterior(code, r, positions, values)
-            seen.add(got)
-        assert {(0.5, 0.5), (0.0, 0.0)} <= seen and seen & {(1.0, 0.0), (0.0, 1.0)}
-
-    def test_beyond_materialize_guard(self):
-        code = codes.random_code(28, 22, np.random.default_rng(5))
-        r = np.zeros(code.n, dtype=np.uint8)
-        r[:2] = 1
-        w = codes.sample_codeword(code, r, 1, np.random.default_rng(0))
-        everything = np.arange(code.n)
-        assert bob_bit_posterior(code, r, [], []) == (0.5, 0.5)
-        assert bob_bit_posterior(code, r, everything, w) == (0.0, 1.0)
-        assert bob_bit_posterior(code, r, [0, 1], w[:2]) == (0.0, 1.0)
-        assert bob_bit_posterior(code, r, [0], w[:1]) == (0.5, 0.5)
-        assert code.d >= 2
-        w[5] ^= 1  # no longer a codeword
-        assert bob_bit_posterior(code, r, everything, w) == (0.0, 0.0)
 
 
 class TestDensityMatrixValidation:

@@ -258,6 +258,45 @@ class TestBindingExperiment:
         )
         assert rep24["accept_rate_among_proceed"] < rep8["accept_rate_among_proceed"]
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pair_matches_codeword_list(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        factories = [codes.hamming_7_4, codes.extended_hamming_8_4, codes.golay_24_12]
+        if seed < len(factories):
+            code = factories[seed]()
+        else:
+            while True:  # the midpoint needs d >= 2
+                n = int(rng.integers(5, 16))
+                code = codes.random_code(n, int(rng.integers(1, n)), rng)
+                if code.d >= 2:
+                    break
+        for _ in range(20):
+            r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
+            got = binding_pair(code, r)
+            want = codeword_oracles.binding_pair(code, r)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+    def test_pair_without_an_odd_minimum_word(self):
+        # 1...1 is a codeword of the self-dual code: every parity is 0
+        code = codes.extended_hamming_8_4()
+        r = np.ones(8, dtype=np.uint8)
+        assert not (code.codewords() @ r % 2).any()
+        got = binding_pair(code, r)
+        want = codeword_oracles.binding_pair(code, r)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    def test_beyond_materialize_guard(self):
+        code = codes.random_code(n=28, k=22, rng=np.random.default_rng(5))
+        assert code.k > codes.MATERIALIZE_GUARD_K
+        r = np.zeros(code.n, dtype=np.uint8)
+        r[:2] = 1
+        rep = run_binding_experiment(make_params(code=code, r=r, f=0.3), trials=40_000)
+        assert rep["flips"] == (code.d + 1) // 2
+        assert 0 < rep["predicted_escape"] < 1
+        assert abs(rep["accept_rate_among_proceed"] - rep["predicted_escape"]) < rep["three_sigma"]
+
     def test_thread_count_does_not_change_results(self):
         a = run_binding_experiment(make_params(), trials=30_000, threads=1)
         b = run_binding_experiment(make_params(), trials=30_000, threads=3)
