@@ -291,44 +291,6 @@ def test_binding_numpy_semantics():
     assert out.tolist() == [2, 1, 1, 0]
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_parity_determined_matches_codeword_counting(seed):
-    # the known bits fix the parity iff every codeword agreeing with them
-    # has the same parity
-    rng = np.random.default_rng(700 + seed)
-    factories = [codes.hamming_7_4, codes.extended_hamming_8_4, codes.golay_24_12]
-    if seed < len(factories):
-        code = factories[seed]()
-    else:
-        n = int(rng.integers(6, 15))
-        code = codes.random_code(n, int(rng.integers(1, n)), rng)
-    words = code.codewords()
-    r = rng.integers(0, 2, size=(60, code.n), dtype=np.uint8)
-    known = rng.random((60, code.n)) < rng.random((60, 1))
-    known[0], known[1] = False, True  # nothing known, everything known
-    got = [kernels.parity_determined(code.generator, r[i], known[i : i + 1])[0] for i in range(60)]
-    want = []
-    for i in range(60):
-        positions = np.flatnonzero(known[i])
-        word = words[rng.integers(len(words))]
-        agree = codeword_oracles.consistent_codewords(code, positions, word[positions])
-        want.append(len(set((agree @ r[i] % 2).tolist())) == 1)
-    assert got == want
-    assert got[1] and True in got[2:] and False in got[2:]
-
-
-def test_parity_determined_beyond_materialize_guard():
-    code = codes.random_code(28, 22, np.random.default_rng(5))
-    r = np.zeros(code.n, dtype=np.uint8)
-    r[:2] = 1
-    known = np.zeros((4, code.n), dtype=bool)
-    known[1] = True
-    known[2, :2] = True
-    known[3, 0] = True
-    determined = kernels.parity_determined(code.generator, r, known)
-    assert determined.tolist() == [False, True, True, False]
-
-
 def _concealing_inputs(code, r, seed, trials, p_intercept=0.4):
     """(oracle arguments, kernel arguments) for the same trials."""
     rng = np.random.default_rng(seed)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import codeword_oracles
 import operator_oracles as oracles
-from mzqbc import codes, operator_model as om
+from mzqbc import codes, kernels, operator_model as om
 from mzqbc.codes import bits_from_string
 from mzqbc.operator_model import (
     alice_local_invariance,
@@ -354,6 +355,79 @@ class TestOracleAgreement:
             fast, dense, _, _ = _both_reports(code, r, modes, mask, trials=2)
             for key in REPORT_FIELDS:
                 assert fast[key] == pytest.approx(dense[key], abs=1e-12), key
+
+
+class TestPosterior:
+    """The receiver's posterior on the committed bit: exactly 1 when the
+    known positions fix the parity (`kernels.parity_determined`), else 1/2,
+    as `nogo` reports it."""
+
+    @staticmethod
+    def determined(code, r, known):
+        return kernels.parity_determined(code.generator, r, np.atleast_2d(known)).tolist()
+
+    @staticmethod
+    def counted(code, r, positions, values):
+        """Whether every codeword agreeing with the known bits has one parity."""
+        agree = codeword_oracles.consistent_codewords(code, positions, values)
+        return len(set((agree @ r % 2).tolist())) == 1
+
+    def test_balanced_when_nothing_known(self):
+        code = codes.hamming_7_4()
+        r = bits_from_string("1010000")
+        assert self.determined(code, r, np.zeros(7, dtype=bool)) == [False]
+        assert not self.counted(code, r, [], [])
+
+    def test_degenerate_when_everything_known(self):
+        code = codes.hamming_7_4()
+        r = bits_from_string("1010000")
+        w = code.codewords()[9]
+        assert self.determined(code, r, np.ones(7, dtype=bool)) == [True]
+        assert self.counted(code, r, list(range(7)), w)
+
+    def test_partial_knowledge_hamming(self):
+        # three systematic positions known, r inside them: 2 consistent
+        # codewords of one parity
+        code = codes.hamming_7_4()
+        r = bits_from_string("1010000")
+        known = np.zeros(7, dtype=bool)
+        known[:3] = True
+        assert self.determined(code, r, known) == [True]
+        assert self.counted(code, r, [0, 1, 2], [1, 0, 1])
+        known[2] = False
+        assert self.determined(code, r, known) == [False]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_codeword_counting(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        factories = [codes.hamming_7_4, codes.extended_hamming_8_4, codes.golay_24_12]
+        if seed < len(factories):
+            code = factories[seed]()
+        else:
+            n = int(rng.integers(6, 15))
+            code = codes.random_code(n, int(rng.integers(1, n)), rng)
+        words = code.codewords()
+        r = rng.integers(0, 2, size=(60, code.n), dtype=np.uint8)
+        known = rng.random((60, code.n)) < rng.random((60, 1))
+        known[0], known[1] = False, True  # nothing known, everything known
+        got = [self.determined(code, r[i], known[i])[0] for i in range(60)]
+        want = []
+        for i in range(60):
+            positions = np.flatnonzero(known[i])
+            word = words[rng.integers(len(words))]
+            want.append(self.counted(code, r[i], positions, word[positions]))
+        assert got == want
+        assert got[1] and True in got[2:] and False in got[2:]
+
+    def test_beyond_materialize_guard(self):
+        code = codes.random_code(28, 22, np.random.default_rng(5))
+        r = np.zeros(code.n, dtype=np.uint8)
+        r[:2] = 1
+        known = np.zeros((4, code.n), dtype=bool)
+        known[1] = True
+        known[2, :2] = True
+        known[3, 0] = True
+        assert self.determined(code, r, known) == [False, True, True, False]
 
 
 class TestDensityMatrixValidation:
