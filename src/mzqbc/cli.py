@@ -242,7 +242,9 @@ SWEEP_FIELDS = [
 
 def cmd_sweep(cfg) -> int:
     f_grid = config_mod.get_float_list(cfg, "f_grid", [0.0, 0.25, 0.5])
-    r_grid = config_mod.get_float_list(cfg, "R_grid", [config_mod.get_float(cfg, "R", 0.3)])
+    r_grid = config_mod.get_float_list(cfg, "R_grid", None)
+    if r_grid is None:
+        r_grid = [config_mod.get_float(cfg, "R", 0.3)]
     code_names = config_mod.get_str_list(cfg, "codes", ["extended_hamming"])
     trials = config_mod.get_int(cfg, "trials", 10000)
     threads = config_mod.get_int(cfg, "threads", 1)
@@ -254,9 +256,12 @@ def cmd_sweep(cfg) -> int:
         code = codes_mod.builtin_code(name)
         for R in r_grid:
             for f in f_grid:
-                sub = cfg.copy()
-                sub.update({"builtin_code": name, "R": repr(R), "f": repr(f)})
+                # the point's own keys replace the config's, so reading
+                # them on the copy must not mark the config's as used
+                point = {"builtin_code": name, "R": repr(R), "f": repr(f)}
+                sub = config_mod.Config({**cfg, **point})
                 params = _load_params(sub, code=code)
+                cfg.read.update(sub.read - point.keys())
                 binding = protocol.run_binding_experiment(params, trials, threads=threads)
                 m = int(round(f * code.n))
                 concealing = protocol.run_concealing_experiment(

@@ -17,18 +17,15 @@ class ConfigError(Exception):
 
 
 class Config(dict):
-    """Raw entries that record the keys looked up, shared with every copy."""
+    """Raw entries that record the keys looked up."""
 
-    def __init__(self, entries=(), read: set[str] | None = None):
+    def __init__(self, entries=()):
         super().__init__(entries)
-        self.read = set() if read is None else read
+        self.read: set[str] = set()
 
     def get(self, key, default=None):
         self.read.add(key)
         return super().get(key, default)
-
-    def copy(self) -> Config:
-        return Config(self, self.read)
 
 
 def parse_config_text(text: str) -> dict[str, str]:

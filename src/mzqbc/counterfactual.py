@@ -15,14 +15,12 @@ undetectable global factor on her encoded states.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, optics, protocol
-from .optics import RAIL_X, RAIL_Y, BeamSplitterParams
+from . import kernels, protocol
 
 
 @dataclass(frozen=True)
@@ -39,31 +37,48 @@ class FbsConfig:
             raise ValueError("cycles must be >= 1")
 
 
-def fbs_run(config: FbsConfig, blocked: bool) -> dict[str, float]:
-    """Exact outcome distribution over {Dc, Dd, Absorbed}.
+def probe_chain(
+    cycles: int, thetas, blocked: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact outcome probabilities (Dc, Dd, Absorbed) of the chain, as three
+    float64 arrays with one entry per per-pass phase in `thetas`.
 
     The probe starts entirely in path a.  Unblocked, the M rotations
-    compose to a pi/2 transfer into path b (detector Dc); blocked, the
-    path-b amplitude is absorbed after every pass, leaving
-    P(Dd) = cos(pi/2M)^(2M).
+    compose to a pi/2 transfer into path b (detector Dc) at phase 0;
+    blocked, the path-b amplitude is absorbed after every pass, leaving
+    P(Dd) = cos(pi/2M)^(2M) whatever the phase.  The amplitudes live in
+    four real arrays with each complex product written out per component,
+    so every entry equals the scalar complex recurrence bit for bit: hence
+    libm `cos` and `sin` for the phases, and Python's `** 2` (libm `pow`,
+    not `x * x`) on each `hypot`.
     """
-    eta = math.pi / (2 * config.cycles)
+    eta = math.pi / (2 * cycles)
     c, s = math.cos(eta), math.sin(eta)
-    phase = cmath.exp(1j * config.theta_per_cycle)
-    amp_a, amp_b = 1.0 + 0j, 0j
-    absorbed = 0.0
-    for _ in range(config.cycles):
-        amp_a, amp_b = c * amp_a - s * amp_b, s * amp_a + c * amp_b
+    thetas = np.asarray(thetas, dtype=float).tolist()
+    pc = np.array([math.cos(t) for t in thetas])
+    ps = np.array([math.sin(t) for t in thetas])
+    zero = np.zeros(len(thetas))
+    ar, ai, br, bi = np.ones(len(thetas)), zero, zero, zero
+    absorbed = zero
+    for _ in range(cycles):
+        ar, ai, br, bi = c * ar - s * br, c * ai - s * bi, s * ar + c * br, s * ai + c * bi
         if blocked:
-            absorbed += abs(amp_b) ** 2
-            amp_b = 0j
+            absorbed = absorbed + _abs_squared(br, bi)
+            br = bi = zero
         else:
-            amp_b *= phase
-    return {
-        "Dc": abs(amp_b) ** 2,
-        "Dd": abs(amp_a) ** 2,
-        "Absorbed": absorbed,
-    }
+            br, bi = br * pc - bi * ps, br * ps + bi * pc
+    return _abs_squared(br, bi), _abs_squared(ar, ai), absorbed
+
+
+def _abs_squared(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """abs(complex(re, im)) ** 2, element by element, as Python rounds it."""
+    return np.array([h ** 2 for h in np.hypot(re, im).tolist()])
+
+
+def fbs_run(config: FbsConfig, blocked: bool) -> dict[str, float]:
+    """Exact outcome distribution over {Dc, Dd, Absorbed} of one chain."""
+    dc, dd, absorbed = probe_chain(config.cycles, [config.theta_per_cycle], blocked)
+    return {"Dc": float(dc[0]), "Dd": float(dd[0]), "Absorbed": float(absorbed[0])}
 
 
 def blocked_dd_probability(cycles: int) -> float:
@@ -73,22 +88,7 @@ def blocked_dd_probability(cycles: int) -> float:
 
 def mean_dc_bypass(cycles: int, thetas) -> float:
     """Average unblocked P(Dc) over a grid of per-pass defense phases."""
-    vals = [
-        fbs_run(FbsConfig(cycles=cycles, theta_per_cycle=t), blocked=False)["Dc"]
-        for t in thetas
-    ]
-    return float(np.mean(vals))
-
-
-def defense_honest_invariance(
-    bit: int, theta: float, params: BeamSplitterParams
-) -> dict:
-    """The honest sender's detection distribution when the receiver phases
-    both rails by theta: identical to the unphased one (global factor)."""
-    state = optics.encode(bit, params)
-    state = optics.phase_apply(state, RAIL_X, theta)
-    state = optics.phase_apply(state, RAIL_Y, theta)
-    return optics.detection_distribution(state, params)
+    return float(np.mean(probe_chain(cycles, thetas)[0]))
 
 
 def attack_session(
@@ -107,63 +107,66 @@ def attack_session(
     committed one only on positions she believes were bypassed.  With the
     defense on, the receiver draws a fresh uniform phase per photon (the
     probe then sees it per pass); honest statistics are unaffected.
+
+    Each session draws its commit, then per photon the phase (defense on)
+    and the outcome uniform, alternating.  One batched chain then serves
+    the unblocked photons of every session; a blocked probe never clicks
+    Dc, whatever its phase, so it needs no chain.
     """
     n = params.n
-    mode_hits = 0
-    mode_total = 0
-    dc_bypass_probs: list[float] = []
-    flips = 0
-    # without the defence theta = 0 for every photon: one run per blocked value
-    undefended = {} if defense_on else {
-        b: fbs_run(FbsConfig(cycles=fbs.cycles), b) for b in (False, True)
-    }
+    transcripts, phases, uniforms = [], [], []
     for _ in range(sessions):
-        transcript = protocol.run_commit(
+        transcripts.append(protocol.run_commit(
             protocol.FbsProbeAlice(), protocol.HonestBob(f=params.f), params, rng
-        )
-        inferred_bypass = []
-        for i, mode in enumerate(transcript.modes):
-            blocked = mode == protocol.INTERCEPT
-            if defense_on:
-                theta = rng.uniform(0.0, 2 * math.pi)
-                dist = fbs_run(FbsConfig(cycles=fbs.cycles, theta_per_cycle=theta), blocked)
-            else:
-                dist = undefended[blocked]
-            if not blocked:
-                dc_bypass_probs.append(dist["Dc"])
-            u = rng.random()
-            outcome = "Dc" if u < dist["Dc"] else ("Dd" if u < dist["Dc"] + dist["Dd"] else "Absorbed")
-            label_bypass = outcome == "Dc"
-            inferred_bypass.append(label_bypass)
-            mode_hits += int(label_bypass == (mode == protocol.BYPASS))
-            mode_total += 1
-        flips += int(_try_flip(transcript, inferred_bypass))
+        ))
+        if defense_on:
+            draws = rng.random(2 * n)
+            phases.append(draws[0::2] * (2 * math.pi))
+            uniforms.append(draws[1::2])
+        else:
+            uniforms.append(rng.random(n))
+    modes = np.array([t.modes for t in transcripts])
+    unblocked = modes != protocol.INTERCEPT
+    thetas = np.array(phases)[unblocked] if defense_on else np.zeros(int(unblocked.sum()))
+    dc_bypass = probe_chain(fbs.cycles, thetas)[0]
+    dc = np.zeros(modes.shape)
+    dc[unblocked] = dc_bypass
+    inferred_bypass = np.array(uniforms) < dc
+    low, r_mask = _flip_masks(params)
+    flips = sum(
+        _try_flip(t, inferred, low, r_mask) for t, inferred in zip(transcripts, inferred_bypass)
+    )
     return {
         "M": fbs.cycles,
         "defense_on": defense_on,
         "sessions": sessions,
         "n": n,
         "f": params.f,
-        "mode_accuracy": mode_hits / mode_total,
+        "mode_accuracy": int((inferred_bypass == (modes == protocol.BYPASS)).sum()) / modes.size,
         "cheat_success_rate": flips / sessions,
-        "mean_Dc_bypass": float(np.mean(dc_bypass_probs)) if dc_bypass_probs else float("nan"),
+        "mean_Dc_bypass": float(np.mean(dc_bypass)) if dc_bypass.size else float("nan"),
     }
 
 
-def _try_flip(transcript: protocol.SessionTranscript, inferred_bypass: list[bool]) -> bool:
+def _flip_masks(params: protocol.ProtocolParams) -> tuple[np.ndarray, int]:
+    """The packed generator rows and the packed r that `_try_flip` reads."""
+    return kernels.pack_rows(params.code.generator), int(kernels.pack_rows(params.r[None, :])[0])
+
+
+def _try_flip(
+    transcript: protocol.SessionTranscript, inferred_bypass, low: np.ndarray, r_mask: int
+) -> bool:
     """Unveil a codeword of flipped parity touching only believed-bypass
     positions; succeeds iff the receiver's checks all pass.
 
     It announces c + w, w a codeword that is 0 on the fixed positions with
     w.r = 1: an echelon basis vector of the rows (G[:, fixed] << n) | G below
-    2^n.  A blocked probe never clicks Dc, so every intercepted position is
-    fixed and any such w gets the same verdict."""
-    params = transcript.params
-    code, n = params.code, params.code.n
+    2^n, where `low` packs G and `r_mask` packs r (see `_flip_masks`).  A
+    blocked probe never clicks Dc, so every intercepted position is fixed
+    and any such w gets the same verdict."""
+    code, n = transcript.params.code, transcript.params.code.n
     fixed = ~np.asarray(inferred_bypass, dtype=bool)
     high = kernels.pack_rows(code.generator[:, fixed])
-    low = kernels.pack_rows(code.generator)
-    r_mask = int(kernels.pack_rows(params.r[None, :])[0])
     for w in kernels.xor_basis([int(h) << n | int(lo) for h, lo in zip(high, low)]):
         if w >> n == 0 and (w & r_mask).bit_count() % 2:
             flip = np.array([w >> i & 1 for i in range(n)], dtype=np.uint8)
@@ -175,22 +178,22 @@ def _try_flip(transcript: protocol.SessionTranscript, inferred_bypass: list[bool
 
 
 def fbs_sweep_rows(cycle_grid, theta_grid) -> list[dict]:
-    """Grid of exact probe outcome probabilities for the CSV export."""
+    """Grid of exact probe outcome probabilities for the CSV export; the
+    blocked chain ignores the phase, so it runs once per M."""
     rows = []
     for m in cycle_grid:
-        for theta in theta_grid:
-            cfg = FbsConfig(cycles=m, theta_per_cycle=theta)
-            open_dist = fbs_run(cfg, blocked=False)
-            blocked_dist = fbs_run(cfg, blocked=True)
+        dc, dd, _ = probe_chain(m, theta_grid)
+        blocked = fbs_run(FbsConfig(cycles=m), blocked=True)
+        for theta, dc_bypass, dd_bypass in zip(theta_grid, dc.tolist(), dd.tolist()):
             rows.append(
                 {
                     "M": m,
                     "theta": theta,
-                    "Dc_bypass": open_dist["Dc"],
-                    "Dd_bypass": open_dist["Dd"],
-                    "Dc_intercept": blocked_dist["Dc"],
-                    "Dd_intercept": blocked_dist["Dd"],
-                    "absorbed_intercept": blocked_dist["Absorbed"],
+                    "Dc_bypass": dc_bypass,
+                    "Dd_bypass": dd_bypass,
+                    "Dc_intercept": blocked["Dc"],
+                    "Dd_intercept": blocked["Dd"],
+                    "absorbed_intercept": blocked["Absorbed"],
                 }
             )
     return rows

@@ -433,16 +433,6 @@ def run_concealing_experiment(
     }
 
 
-def sample_intercept_posterior(
-    f: float, epsilon: float, samples: int, rng: np.random.Generator
-) -> dict:
-    """Monte-Carlo oracle for the intercept posterior: the empirical
-    frequency of interception among positions that showed no mismatch."""
-    u_mode = rng.random(samples)
-    u_mis = rng.random(samples)
-    return intercept_posterior_counts(u_mode, u_mis, f, epsilon)
-
-
 def intercept_posterior_counts(
     u_mode: np.ndarray, u_mis: np.ndarray, f: float, epsilon: float
 ) -> dict:

@@ -1,0 +1,61 @@
+"""Scalar and Monte-Carlo oracles for the protocol and the probe attack.
+
+`fbs_run` is the probe chain as one complex scalar recurrence per phase,
+the loop that `mzqbc.counterfactual.probe_chain` runs batched over float
+arrays; tests compare the two bit for bit.  `defense_honest_invariance`
+and `sample_intercept_posterior` check the receiver's phase defense and
+the intercept posterior by direct simulation; the library has no use for
+either.
+"""
+
+import cmath
+import math
+
+import numpy as np
+
+from mzqbc import optics, protocol
+from mzqbc.counterfactual import FbsConfig
+from mzqbc.optics import RAIL_X, RAIL_Y, BeamSplitterParams
+
+
+def fbs_run(config: FbsConfig, blocked: bool) -> dict[str, float]:
+    """Exact outcome distribution over {Dc, Dd, Absorbed}, one complex
+    amplitude pair stepped through the M passes."""
+    eta = math.pi / (2 * config.cycles)
+    c, s = math.cos(eta), math.sin(eta)
+    phase = cmath.exp(1j * config.theta_per_cycle)
+    amp_a, amp_b = 1.0 + 0j, 0j
+    absorbed = 0.0
+    for _ in range(config.cycles):
+        amp_a, amp_b = c * amp_a - s * amp_b, s * amp_a + c * amp_b
+        if blocked:
+            absorbed += abs(amp_b) ** 2
+            amp_b = 0j
+        else:
+            amp_b *= phase
+    return {
+        "Dc": abs(amp_b) ** 2,
+        "Dd": abs(amp_a) ** 2,
+        "Absorbed": absorbed,
+    }
+
+
+def defense_honest_invariance(
+    bit: int, theta: float, params: BeamSplitterParams
+) -> dict:
+    """The honest sender's detection distribution when the receiver phases
+    both rails by theta: identical to the unphased one (global factor)."""
+    state = optics.encode(bit, params)
+    state = optics.phase_apply(state, RAIL_X, theta)
+    state = optics.phase_apply(state, RAIL_Y, theta)
+    return optics.detection_distribution(state, params)
+
+
+def sample_intercept_posterior(
+    f: float, epsilon: float, samples: int, rng: np.random.Generator
+) -> dict:
+    """Monte-Carlo oracle for the intercept posterior: the empirical
+    frequency of interception among positions that showed no mismatch."""
+    u_mode = rng.random(samples)
+    u_mis = rng.random(samples)
+    return protocol.intercept_posterior_counts(u_mode, u_mis, f, epsilon)

@@ -13,7 +13,8 @@ import time
 
 import numpy as np
 
-from mzqbc import checks, codes, counterfactual as cf, optics, protocol, strategies
+import protocol_oracles
+from mzqbc import checks, codes, optics, protocol, strategies
 
 R_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
 
@@ -113,7 +114,7 @@ def test_criterion_2_strategy_table():
 
 def test_criterion_3_intercept_posterior_oracle():
     rng = np.random.default_rng(99)
-    res = protocol.sample_intercept_posterior(0.5, 0.5, 100_000, rng)
+    res = protocol_oracles.sample_intercept_posterior(0.5, 0.5, 100_000, rng)
     dev = abs(res["empirical_posterior"] - 1 / 3)
     ok = dev <= res["three_sigma"]
     report(
@@ -176,7 +177,7 @@ def test_criterion_9_global_phase_defense():
         honest = optics.detection_distribution(optics.encode(bit, bs), bs)
         for k in range(100):
             theta = 2 * math.pi * k / 100
-            dist = cf.defense_honest_invariance(bit, theta, bs)
+            dist = protocol_oracles.defense_honest_invariance(bit, theta, bs)
             for ev in set(honest) | set(dist):
                 worst = max(worst, abs(dist.get(ev, 0.0) - honest.get(ev, 0.0)))
     ok = worst <= 1e-12

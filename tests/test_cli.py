@@ -78,6 +78,23 @@ class TestUnusedKeys:
         assert cli.main(["sweep", "--config", cfg]) == 0
         assert capsys.readouterr().err == "warning: unused config key(s): builtin_code\n"
 
+    def test_sweep_point_keys_overridden_by_grids_are_unused(self, tmp_path, capsys):
+        grids = "f_grid = 0.5\nR_grid = 0.3\nr = 11100000\ntrials = 500\n"
+        assert cli.main(["sweep", "--config", write_cfg(tmp_path, grids)]) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        cfg = write_cfg(tmp_path, grids + "f = 0.3\nR = 0.4\n")
+        assert cli.main(["sweep", "--config", cfg]) == 0
+        shadowed = capsys.readouterr()
+        assert shadowed.err == "warning: unused config key(s): R, f\n"
+
+        def rows(out):  # the config hash covers the ignored keys
+            return [{k: v for k, v in row.items() if k != "config_hash"}
+                    for row in csv.DictReader(out.splitlines())]
+
+        assert rows(shadowed.out) == rows(plain.out)
+        assert [row["f"] for row in rows(shadowed.out)] == ["0.5"]
+
     def test_flags_are_not_config_keys(self, capsys):
         # every subcommand takes every flag; strategies reads no seed or trials
         assert cli.main(["strategies", "--seed", "3", "--trials", "9"]) == 0

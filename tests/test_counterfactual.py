@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 import codeword_oracles
+import protocol_oracles
 from mzqbc import codes, optics, protocol
 from mzqbc import counterfactual as cf_module
 from mzqbc.counterfactual import (
     FbsConfig,
+    _flip_masks,
     _try_flip,
     attack_session,
     blocked_dd_probability,
-    defense_honest_invariance,
     fbs_run,
     fbs_sweep_rows,
+    probe_chain,
 )
 
 
@@ -63,17 +65,29 @@ class TestProbeChain:
         with pytest.raises(ValueError):
             FbsConfig(cycles=0)
 
+    @pytest.mark.parametrize("m", [1, 5, 25, 50, 100, 200])
+    def test_batched_chain_matches_scalar_loop_bit_for_bit(self, m):
+        thetas = np.concatenate(
+            [[0.0, math.pi], np.random.default_rng(m).random(1200) * (2 * math.pi)]
+        )
+        dc, dd, absorbed = probe_chain(m, thetas)
+        for theta, got in zip(thetas.tolist(), zip(dc.tolist(), dd.tolist(), absorbed.tolist())):
+            want = protocol_oracles.fbs_run(FbsConfig(cycles=m, theta_per_cycle=theta), False)
+            assert got == (want["Dc"], want["Dd"], want["Absorbed"])
+        blocked = [a.tolist() for a in probe_chain(m, thetas[:3], blocked=True)]
+        want = protocol_oracles.fbs_run(FbsConfig(cycles=m), True)
+        assert blocked == [[want[key]] * 3 for key in ("Dc", "Dd", "Absorbed")]
+
 
 class TestDefenseInvariance:
     def test_zero_phase_identical(self):
         bs = optics.BeamSplitterParams(R=0.3)
-        assert defense_honest_invariance(0, 0.0, bs) == optics.detection_distribution(
-            optics.encode(0, bs), bs
-        )
+        dist = protocol_oracles.defense_honest_invariance(0, 0.0, bs)
+        assert dist == optics.detection_distribution(optics.encode(0, bs), bs)
 
     def test_arbitrary_phase_keeps_point_mass(self):
         bs = optics.BeamSplitterParams(R=0.3)
-        dist = defense_honest_invariance(0, 1.234, bs)
+        dist = protocol_oracles.defense_honest_invariance(0, 1.234, bs)
         assert dist.get(optics.expected_event(0), 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_hundred_phase_sweep(self):
@@ -81,7 +95,7 @@ class TestDefenseInvariance:
         for bit in (0, 1):
             for k in range(100):
                 theta = 2 * math.pi * k / 100
-                dist = defense_honest_invariance(bit, theta, bs)
+                dist = protocol_oracles.defense_honest_invariance(bit, theta, bs)
                 assert dist.get(optics.expected_event(bit), 0.0) == pytest.approx(
                     1.0, abs=1e-12
                 )
@@ -95,17 +109,23 @@ class TestAttack:
         assert rep["mean_Dc_bypass"] == pytest.approx(1.0, abs=1e-12)
         assert rep["cheat_success_rate"] > 0.2
 
-    def test_defense_off_runs_the_chain_once_per_blocked_value(self, monkeypatch):
+    def test_attack_runs_the_chain_once_per_call(self, monkeypatch):
         calls = []
 
-        def counted(config, blocked):
-            calls.append(blocked)
-            return fbs_run(config, blocked)
+        def counted(cycles, thetas, blocked=False):
+            calls.append((len(thetas), blocked))
+            return probe_chain(cycles, thetas, blocked)
 
-        monkeypatch.setattr(cf_module, "fbs_run", counted)
-        rng = np.random.default_rng(5)
-        attack_session(make_params(), False, FbsConfig(cycles=50), rng, sessions=10)
-        assert sorted(calls) == [False, True]
+        monkeypatch.setattr(cf_module, "probe_chain", counted)
+        params = make_params()
+        for defense_on in (False, True):
+            for sessions in (1, 10):
+                calls.clear()
+                rng = np.random.default_rng(5)
+                attack_session(params, defense_on, FbsConfig(cycles=50), rng, sessions=sessions)
+                # one unblocked chain over the bypass photons of every session
+                assert len(calls) == 1 and calls[0][1] is False
+                assert 0 < calls[0][0] <= sessions * params.n
 
     def test_intercepted_probe_never_reaches_dc(self):
         for theta in (0.0, 1.0, 2.5):
@@ -157,7 +177,7 @@ class TestTryFlip:
             t = self.probed_transcript(code, r, float(rng.uniform(0.0, 0.6)), rng)
             bypass = np.array([m == protocol.BYPASS for m in t.modes])
             inferred = (bypass & (rng.random(code.n) < 0.9)).tolist()
-            got = _try_flip(t, inferred)
+            got = _try_flip(t, inferred, *_flip_masks(t.params))
             assert got == codeword_oracles.try_flip(t, inferred)
             verdicts.append(got)
         assert set(verdicts) == {False, True}
@@ -167,8 +187,9 @@ class TestTryFlip:
         r = np.zeros(code.n, dtype=np.uint8)
         r[:2] = 1
         t = self.probed_transcript(code, r, 0.0, np.random.default_rng(1))
-        assert _try_flip(t, [True] * code.n) is True
-        assert _try_flip(t, [False] * code.n) is False
+        masks = _flip_masks(t.params)
+        assert _try_flip(t, [True] * code.n, *masks) is True
+        assert _try_flip(t, [False] * code.n, *masks) is False
 
 
 def test_sweep_rows_cardinality_and_fields():

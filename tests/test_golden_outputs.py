@@ -29,6 +29,7 @@ CASES = {
         ["counterfactual", "--seed", "5"],
         "builtin_code = golay\nf = 0.5\nM = 50\nsessions = 60\n",
     ),
+    "counterfactual-csv": (["counterfactual", "--format", "csv"], ""),
     "nogo": (["nogo", "--seed", "7", "--trials", "3"], ""),
     "verify": (["verify", "--seed", "4"], ""),
     "strategies-json": (["strategies", "--format", "json"], ""),
@@ -49,6 +50,7 @@ CASES = {
 
 GOLDEN = {
     "counterfactual-json-extended_hamming": "4ab366263b3728ba54ca61262cb7bb874500f6c2f017dce724c6b68a0cff9aa8",
+    "counterfactual-csv": "5ee230d67294034295303710a874603cdc665e1d547dadc365653a72b666c2ed",
     "counterfactual-json-golay": "e402d9ee0c067eba6c752381a2ed4d9040f3c9b6902ae3403c58a6c9d2b1eafc",
     "nogo": "7c57f0c91b7774af9b38e45b626ec5fa77cd1d8489f530a1ece8fec1bbeb3393",
     "run-extended_hamming-seed17": "9dd33782b744f677e93c3449c258cf4be45763a8e78ed896a4400a2bb8c31db0",

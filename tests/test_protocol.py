@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import codeword_oracles
+from protocol_oracles import sample_intercept_posterior
 from mzqbc import codes, kernels, protocol
 from mzqbc.codes import bits_from_string
 from mzqbc.protocol import (
@@ -31,7 +32,6 @@ from mzqbc.protocol import (
     run_commit,
     run_concealing_experiment,
     run_unveil,
-    sample_intercept_posterior,
 )
 from mzqbc.strategies import FullMeasureLate
 from mzqbc.util import BLOCK_TRIALS, block_seed_sequences, block_slices
