@@ -56,6 +56,17 @@ class TestConfigParsing:
             config_mod.get_int(cfg, "absent")
         with pytest.raises(ConfigError, match="expected integer"):
             config_mod.get_int(cfg, "x")
+        lists = [
+            (config_mod.get_float_list, "0.5, 1,2e-1", [0.5, 1.0, 0.2], "0.5, x", "numbers"),
+            (config_mod.get_int_list, "1, 2,3", [1, 2, 3], "1, 2.5", "integers"),
+            (config_mod.get_str_list, " a,b , c", ["a", "b", "c"], None, "names"),
+        ]
+        for getter, value, want, bad, what in lists:
+            assert getter({"key": value}, "key") == want
+            for raw in [","] + ([bad] if bad else []):
+                with pytest.raises(ConfigError) as exc:
+                    getter({"key": raw}, "key")
+                assert str(exc.value) == f"key 'key': expected comma-separated {what}, got {raw!r}"
 
 
 class TestUnusedKeys:

@@ -18,9 +18,20 @@ CASES = {
     "run-extended_hamming-seed17": (
         ["run", "--seed", "17"], "builtin_code = extended_hamming\nf = 0.5\n"),
     "run-golay-seed3": (["run", "--seed", "3"], "builtin_code = golay\nf = 0.5\n"),
+    "run-extended_hamming-fbs_probe-partial_intercept-seed3": "88108f2869ea391a4518331ccadca554d130a5ba19d8e9e511e374b2c927b2b4",
+    "run-golay-midpoint_cheat-seed3": "08e1532c99597204e4c292eb029542a10a60b01bc4a5f9b1f29ddffbf818db3d",
     "run-golay-seed17": (["run", "--seed", "17"], "builtin_code = golay\nf = 0.5\n"),
     "run-hamming-seed3": (["run", "--seed", "3"], "builtin_code = hamming\nf = 0.5\n"),
     "run-hamming-seed17": (["run", "--seed", "17"], "builtin_code = hamming\nf = 0.5\n"),
+    # the unveil is reject_intercept_mismatch
+    "run-golay-midpoint_cheat-seed3": (
+        ["run", "--seed", "3"], "builtin_code = golay\nalice = midpoint_cheat\nf = 0.5\n"),
+    "run-extended_hamming-fbs_probe-partial_intercept-seed3": (
+        ["run", "--seed", "3"],
+        "builtin_code = extended_hamming\nalice = fbs_probe\nbob = partial_intercept\nm = 3\n",
+    ),
+    "run-hamming-full_intercept-bit1-seed3": (
+        ["run", "--seed", "3"], "builtin_code = hamming\nbob = full_intercept\ncommit_bit = 1\n"),
     "counterfactual-json-extended_hamming": (
         ["counterfactual", "--seed", "5"],
         "builtin_code = extended_hamming\nf = 0.25\nM = 50\nsessions = 60\n",
@@ -55,9 +66,12 @@ GOLDEN = {
     "nogo": "7c57f0c91b7774af9b38e45b626ec5fa77cd1d8489f530a1ece8fec1bbeb3393",
     "run-extended_hamming-seed17": "9dd33782b744f677e93c3449c258cf4be45763a8e78ed896a4400a2bb8c31db0",
     "run-extended_hamming-seed3": "5c0213cbdf68ec9385fe14daf8578a776d5eb5019c1ad474287348b467d70a57",
+    "run-extended_hamming-fbs_probe-partial_intercept-seed3": "88108f2869ea391a4518331ccadca554d130a5ba19d8e9e511e374b2c927b2b4",
+    "run-golay-midpoint_cheat-seed3": "08e1532c99597204e4c292eb029542a10a60b01bc4a5f9b1f29ddffbf818db3d",
     "run-golay-seed17": "ab40b9ddae57fede606cb131f56c7e6cbf86dbe78000224335f30c71950cbdb2",
     "run-golay-seed3": "9e8b614fb13ffcbea232a5fb1bc76ccb46b2b511ee5e407b33bb1d25a9f984c3",
     "run-hamming-seed17": "c17871c3b05308d221b11c5bd8e4e4f42f049f4dba1e52dc0cf7623d59052154",
+    "run-hamming-full_intercept-bit1-seed3": "3a3088c513d693b2cae1cebce9d918a5613c76af7d0a7b5b8576bb5674a583b7",
     "run-hamming-seed3": "b44006e521675f8d46c773c181b90b4096513ae533f54c106c4b956910951d13",
     "strategies-json": "40c19ce326d2bcb5a3ff99350f21060df95863431e13b09f33eb2641d9eb6ff2",
     "strategies-search-json-seed3": "4c5bcb9036711e3c92e6b4791ba3e9416998c06c27a748d572516ee931e0722c",

@@ -178,6 +178,25 @@ class TestUnveil:
             REJECT_INTERCEPT_MISMATCH
         )
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_partial_intercept_rejects_exactly_the_intercepted_changes(self, m):
+        # every other same-parity codeword: accepted iff it differs from the
+        # sent one only on bypassed positions
+        params = make_params()
+        verdicts = set()
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            t = run_commit(HonestAlice(seed % 2), PartialInterceptBob(m=m), params, rng)
+            intercepted = np.array(t.modes) == INTERCEPT
+            for w in codeword_oracles.coset_split(params.code, params.r)[t.committed_b]:
+                if np.array_equal(w, t.codeword):
+                    continue
+                touched = (w != t.codeword) & intercepted
+                want = REJECT_INTERCEPT_MISMATCH if touched.any() else ACCEPT
+                assert run_unveil(t, Announcement(b=t.committed_b, c=w)) == want
+                verdicts.add(want)
+        assert verdicts == {ACCEPT, REJECT_INTERCEPT_MISMATCH}
+
     def test_wrong_length_announcement(self):
         t = self._intercepted_transcript()
         with pytest.raises(ValueError):
