@@ -130,7 +130,8 @@ def _alice_policy(cfg) -> protocol.AlicePolicy:
     if name == "midpoint_cheat":
         return protocol.MidpointCheatAlice()
     if name == "fbs_probe":
-        return protocol.FbsProbeAlice(bit=config_mod.get_int(cfg, "commit_bit", None))
+        # the probe runs outside the commit, which is honest (random bit by default)
+        return protocol.HonestAlice(bit=config_mod.get_int(cfg, "commit_bit", None))
     raise ConfigError(f"unknown alice policy {name!r}")
 
 

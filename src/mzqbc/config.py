@@ -86,31 +86,23 @@ def get_float(cfg, key, default=_REQUIRED) -> float:
     return _get(cfg, key, default, float, "number")
 
 
-def get_float_list(cfg, key, default=_REQUIRED) -> list[float]:
-    def convert(raw: str) -> list[float]:
+def _get_list(cfg, key, default, item, what):
+    def convert(raw: str) -> list:
         items = [s.strip() for s in raw.split(",") if s.strip()]
         if not items:
             raise ValueError(raw)
-        return [float(s) for s in items]
+        return [item(s) for s in items]
 
-    return _get(cfg, key, default, convert, "comma-separated numbers")
+    return _get(cfg, key, default, convert, f"comma-separated {what}")
+
+
+def get_float_list(cfg, key, default=_REQUIRED) -> list[float]:
+    return _get_list(cfg, key, default, float, "numbers")
 
 
 def get_int_list(cfg, key, default=_REQUIRED) -> list[int]:
-    def convert(raw: str) -> list[int]:
-        items = [s.strip() for s in raw.split(",") if s.strip()]
-        if not items:
-            raise ValueError(raw)
-        return [int(s) for s in items]
-
-    return _get(cfg, key, default, convert, "comma-separated integers")
+    return _get_list(cfg, key, default, int, "integers")
 
 
 def get_str_list(cfg, key, default=_REQUIRED) -> list[str]:
-    def convert(raw: str) -> list[str]:
-        items = [s.strip() for s in raw.split(",") if s.strip()]
-        if not items:
-            raise ValueError(raw)
-        return items
-
-    return _get(cfg, key, default, convert, "comma-separated names")
+    return _get_list(cfg, key, default, str, "names")

@@ -30,7 +30,6 @@ class FbsConfig:
     path b per pass."""
 
     cycles: int
-    theta_per_cycle: float = 0.0
 
     def __post_init__(self):
         if self.cycles < 1:
@@ -75,20 +74,9 @@ def _abs_squared(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return np.array([h ** 2 for h in np.hypot(re, im).tolist()])
 
 
-def fbs_run(config: FbsConfig, blocked: bool) -> dict[str, float]:
-    """Exact outcome distribution over {Dc, Dd, Absorbed} of one chain."""
-    dc, dd, absorbed = probe_chain(config.cycles, [config.theta_per_cycle], blocked)
-    return {"Dc": float(dc[0]), "Dd": float(dd[0]), "Absorbed": float(absorbed[0])}
-
-
 def blocked_dd_probability(cycles: int) -> float:
     """Closed form for the blocked case: cos(pi/2M)^(2M)."""
     return math.cos(math.pi / (2 * cycles)) ** (2 * cycles)
-
-
-def mean_dc_bypass(cycles: int, thetas) -> float:
-    """Average unblocked P(Dc) over a grid of per-pass defense phases."""
-    return float(np.mean(probe_chain(cycles, thetas)[0]))
 
 
 def attack_session(
@@ -117,7 +105,7 @@ def attack_session(
     transcripts, phases, uniforms = [], [], []
     for _ in range(sessions):
         transcripts.append(protocol.run_commit(
-            protocol.FbsProbeAlice(), protocol.HonestBob(f=params.f), params, rng
+            protocol.HonestAlice(bit=None), protocol.HonestBob(f=params.f), params, rng
         ))
         if defense_on:
             draws = rng.random(2 * n)
@@ -183,7 +171,9 @@ def fbs_sweep_rows(cycle_grid, theta_grid) -> list[dict]:
     rows = []
     for m in cycle_grid:
         dc, dd, _ = probe_chain(m, theta_grid)
-        blocked = fbs_run(FbsConfig(cycles=m), blocked=True)
+        dc_blocked, dd_blocked, absorbed = (
+            float(p[0]) for p in probe_chain(m, [0.0], blocked=True)
+        )
         for theta, dc_bypass, dd_bypass in zip(theta_grid, dc.tolist(), dd.tolist()):
             rows.append(
                 {
@@ -191,9 +181,9 @@ def fbs_sweep_rows(cycle_grid, theta_grid) -> list[dict]:
                     "theta": theta,
                     "Dc_bypass": dc_bypass,
                     "Dd_bypass": dd_bypass,
-                    "Dc_intercept": blocked["Dc"],
-                    "Dd_intercept": blocked["Dd"],
-                    "absorbed_intercept": blocked["Absorbed"],
+                    "Dc_intercept": dc_blocked,
+                    "Dd_intercept": dd_blocked,
+                    "absorbed_intercept": absorbed,
                 }
             )
     return rows

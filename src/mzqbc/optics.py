@@ -78,25 +78,23 @@ def expected_event(bit: int) -> DetectionEvent:
 
 @dataclass(frozen=True)
 class BeamSplitterParams:
-    """Reflectivity/transmissivity of the (identical) beam splitters.
-
-    R + T = 1.  The protocol requires R != T; pass symmetric_ok=True for
-    deliberately symmetric experiments.
+    """Reflectivity R of the (identical) beam splitters; the
+    transmissivity is T = 1 - R.  The protocol requires R != T; pass
+    symmetric_ok=True for deliberately symmetric experiments.
     """
 
     R: float
-    T: float = None  # type: ignore[assignment]
     symmetric_ok: bool = False
 
     def __post_init__(self):
-        if self.T is None:
-            object.__setattr__(self, "T", 1.0 - self.R)
         if not (0.0 < self.R < 1.0):
             raise ValueError(f"reflectivity must lie in (0,1), got {self.R}")
-        if abs(self.R + self.T - 1.0) > 1e-12:
-            raise ValueError(f"R + T must equal 1, got {self.R + self.T}")
         if not self.symmetric_ok and abs(self.R - self.T) < 1e-12:
             raise ValueError("R == T needs symmetric_ok=True")
+
+    @property
+    def T(self) -> float:
+        return 1.0 - self.R
 
 
 class EventTable(NamedTuple):

@@ -9,7 +9,9 @@ probability f) and resends.  Each intercepted photon is flagged in the
 sender's check with probability epsilon, so she estimates the intercept
 frequency as n'/(epsilon*n) and aborts when it reaches 1 - d/n.  Unveil:
 she announces (b, c); the receiver checks codeword membership, the parity,
-and agreement with every bit he learned while intercepting.
+and agreement with every bit he learned while intercepting.  Every resend
+strategy measures the real photon, so every strategy learns the sent bit:
+what he learned is the sent word at the intercepted positions.
 
 The high-trial experiments draw their randomness with numpy generators
 (seed-split into fixed blocks, so results do not depend on the thread
@@ -30,7 +32,7 @@ from . import codes as codes_mod
 from . import kernels, optics, strategies
 from .codes import LinearCode, parity, string_from_bits
 from .optics import BeamSplitterParams, DetectionEvent, expected_event
-from .strategies import BlindGuessOnTime, InterceptRecord, ResendStrategy
+from .strategies import BlindGuessOnTime, ResendStrategy
 from .util import block_seed_sequences, block_slices
 
 BYPASS = "bypass"
@@ -100,7 +102,9 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class HonestAlice:
-    bit: int
+    """Commits `bit`, or a uniformly drawn bit when it is None."""
+
+    bit: int | None
 
 
 @dataclass(frozen=True)
@@ -109,15 +113,7 @@ class MidpointCheatAlice:
     pair, deferring the real choice to the unveil phase."""
 
 
-@dataclass(frozen=True)
-class FbsProbeAlice:
-    """Commits honestly while (externally) probing the receiver's mode with
-    one interference probe per photon; see the counterfactual module."""
-
-    bit: int | None = None
-
-
-AlicePolicy = HonestAlice | MidpointCheatAlice | FbsProbeAlice
+AlicePolicy = HonestAlice | MidpointCheatAlice
 
 
 @dataclass(frozen=True)
@@ -154,7 +150,6 @@ class SessionTranscript:
     committed_b: int | None
     codeword: np.ndarray           # the word actually encoded and sent
     modes: list[str]
-    bob_records: list[InterceptRecord | None]
     alice_events: list[DetectionEvent]
     n_mismatch: int
     f_estimate: float
@@ -202,7 +197,7 @@ def run_commit(
     """Execute the commit phase photon by photon through the exact optics."""
     code, r, bs = params.code, params.r, params.bs
     cheat_target = None
-    if isinstance(alice, (HonestAlice, FbsProbeAlice)):
+    if isinstance(alice, HonestAlice):
         bit = alice.bit
         if bit is None:
             bit = int(rng.integers(2))
@@ -221,18 +216,15 @@ def run_commit(
     tables = [strategies.branches(bob.strategy, b, bs) for b in (0, 1)]
     expected = [expected_event(b) for b in (0, 1)]
 
-    records: list[InterceptRecord | None] = []
     events: list[DetectionEvent] = []
     n_mismatch = 0
     for bit_i, mode in zip(word.tolist(), modes):
         if mode == BYPASS:
-            records.append(None)
-            event = optics.sample_event(honest[bit_i], rng)
+            detection = honest[bit_i]
         else:
             table = tables[bit_i]
-            _, rec, detection = table.branches[table.pick(rng)]
-            records.append(rec)
-            event = optics.sample_event(detection, rng)
+            detection = table.branches[table.pick(rng)][2]
+        event = optics.sample_event(detection, rng)
         events.append(event)
         if event != expected[bit_i]:
             n_mismatch += 1
@@ -244,7 +236,6 @@ def run_commit(
         committed_b=committed_b,
         codeword=word,
         modes=modes,
-        bob_records=records,
         alice_events=events,
         n_mismatch=n_mismatch,
         f_estimate=f_estimate,
@@ -261,7 +252,8 @@ def honest_announcement(transcript: SessionTranscript) -> Announcement:
 
 def run_unveil(transcript: SessionTranscript, announcement: Announcement) -> str:
     """The receiver's acceptance checks, in order: codeword membership,
-    parity against r, agreement with every intercepted bit he learned."""
+    parity against r, agreement with the sent word at every intercepted
+    position (the bits he learned)."""
     code, r = transcript.params.code, transcript.params.r
     c = np.asarray(announcement.c, dtype=np.uint8)
     if c.shape != (code.n,):
@@ -270,9 +262,9 @@ def run_unveil(transcript: SessionTranscript, announcement: Announcement) -> str
         return REJECT_NOT_CODEWORD
     if parity(c, r) != announcement.b:
         return REJECT_PARITY
-    for i, rec in enumerate(transcript.bob_records):
-        if rec is not None and rec.learned_bit != int(c[i]):
-            return REJECT_INTERCEPT_MISMATCH
+    intercepted = np.array(transcript.modes) == INTERCEPT
+    if (c != transcript.codeword)[intercepted].any():
+        return REJECT_INTERCEPT_MISMATCH
     return ACCEPT
 
 
@@ -402,8 +394,6 @@ def run_concealing_experiment(
     code, r = params.code, params.r
     if not 0 <= m <= code.n:
         raise ValueError("m must lie in 0..n")
-    if not codes_mod.message_mask(code, r).any():
-        raise ValueError("committed subset empty; choose different r")
     half = 1 << (code.k - 1)  # codewords per parity half when G r^T != 0
     eps, n, threshold = params.epsilon, code.n, params.threshold
 
@@ -496,7 +486,8 @@ def transcript_to_dict(transcript: SessionTranscript) -> dict:
         "codeword": string_from_bits(transcript.codeword),
         "modes": transcript.modes,
         "learned_bits": [
-            None if rec is None else rec.learned_bit for rec in transcript.bob_records
+            bit if mode == INTERCEPT else None
+            for mode, bit in zip(transcript.modes, transcript.codeword.tolist())
         ],
         "events": [event_to_dict(ev) for ev in transcript.alice_events],
         "n_mismatch": transcript.n_mismatch,

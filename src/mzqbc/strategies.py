@@ -4,8 +4,10 @@ detection probabilities.
 An intercepting receiver must put something back on the channels at the
 honest times (X content in bin 0, Y content in bin 1) although the photon
 he is trying to read only finishes arriving in bin 1.  Each of the three
-closed-form strategies here resolves that tension differently.
-`branches(strategy, bit, params)` lists its outcomes, built once:
+closed-form strategies here resolves that tension differently, and each
+measures the real photon, so every strategy learns the sent bit: what the
+receiver learns at an intercepted position is the committed codeword's bit
+there.  `branches(strategy, bit, params)` lists its outcomes, built once:
 `protocol.run_commit` samples them, and `detection_prob`, the exact chance
 that the sender's check flags the resent photon, sums weight x flag over
 them.  The family minimum is the detection floor used by the protocol's
@@ -26,15 +28,6 @@ from .optics import RAIL_X, RAIL_Y, RAILS, BeamSplitterParams, Mode, PhotonState
 
 
 @dataclass(frozen=True)
-class InterceptRecord:
-    """What the receiver ends up with for one intercepted photon: every
-    strategy here measures the real photon, so the bit is always learned."""
-
-    learned_bit: int
-    resent: PhotonState
-
-
-@dataclass(frozen=True)
 class BlindGuessOnTime:
     """Resend a fresh uniformly-guessed encoding on time, keep the real
     photon, and measure it at leisure (so the bit is always learned)."""
@@ -52,13 +45,10 @@ class FullMeasureLate:
 
 @dataclass(frozen=True)
 class SingleChannel:
-    """Send the whole resent amplitude down one rail at the honest time.
+    """Send the whole resent amplitude at the honest time down the rail
+    with the smaller flag probability for the learned bit (the optimal
+    play in this class)."""
 
-    rails maps the learned bit to the rail used; None picks the rail with
-    the smaller flag probability per bit (the optimal play in this class).
-    """
-
-    rails: tuple[str, str] | None = None
     label: ClassVar[str] = "single_channel"
 
 
@@ -66,10 +56,10 @@ ResendStrategy = BlindGuessOnTime | FullMeasureLate | SingleChannel
 
 
 class BranchTable(NamedTuple):
-    """(weight, record, detection table of record.resent) per outcome for
-    one encoded bit; `pick` draws an index with the strategy's own draws."""
+    """(weight, resent state, its detection table) per outcome for one
+    encoded bit; `pick` draws an index with the strategy's own draws."""
 
-    branches: tuple[tuple[float, InterceptRecord, optics.EventTable], ...]
+    branches: tuple[tuple[float, PhotonState, optics.EventTable], ...]
     pick: Callable[[np.random.Generator], int]
 
 
@@ -82,7 +72,7 @@ def _single_packet(rail: str) -> PhotonState:
 
 
 def _table(rows, pick, params: BeamSplitterParams) -> BranchTable:
-    rows = tuple((w, rec, optics.detection_table(rec.resent, params)) for w, rec in rows)
+    rows = tuple((w, s, optics.detection_table(s, params)) for w, s in rows)
     return BranchTable(rows, pick)
 
 
@@ -93,20 +83,19 @@ def branches(
     """The strategy's branch table for an encoded `bit`."""
     if isinstance(strategy, BlindGuessOnTime):
         # one fair coin picks the resent encoding; the real photon is kept
-        resent = [optics.encode(g, params) for g in (0, 1)]
-        rows = [(0.5, InterceptRecord(bit, s)) for s in resent]
+        rows = [(0.5, optics.encode(g, params)) for g in (0, 1)]
         return _table(rows, lambda rng: int(rng.integers(2)), params)
     if isinstance(strategy, FullMeasureLate):
         late = optics.delay_apply(optics.encode(bit, params), RAIL_X, 1)
         resent = optics.delay_apply(late, RAIL_Y, 1)
     elif isinstance(strategy, SingleChannel):
-        rail = strategy.rails[bit] if strategy.rails is not None else min(
+        rail = min(
             RAILS, key=lambda r: (optics.flag_probability(_single_packet(r), params, bit), r)
         )
         resent = _single_packet(rail)
     else:
         raise TypeError(f"unknown strategy {strategy!r}")
-    return _table([(1.0, InterceptRecord(bit, resent))], lambda rng: 0, params)
+    return _table([(1.0, resent)], lambda rng: 0, params)
 
 
 def detection_prob(
@@ -115,8 +104,8 @@ def detection_prob(
     """Exact probability the sender's check flags this photon: the
     weighted sum of the branches' flag probabilities."""
     return sum(
-        w * optics.flag_probability(rec.resent, params, bit)
-        for w, rec, _ in branches(strategy, bit, params).branches
+        w * optics.flag_probability(resent, params, bit)
+        for w, resent, _ in branches(strategy, bit, params).branches
     )
 
 

@@ -23,13 +23,13 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 BLOCK_TRIALS = 16384
 
 
-def block_seed_sequences(seed: int, trials: int, block: int = BLOCK_TRIALS):
+def block_seed_sequences(seed: int, trials: int):
     """Per-block SeedSequences for `trials` trials; block b covers trials
-    [b*block, min((b+1)*block, trials))."""
-    n_blocks = (trials + block - 1) // block
+    [b*BLOCK_TRIALS, min((b+1)*BLOCK_TRIALS, trials))."""
+    n_blocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
     return np.random.SeedSequence(seed).spawn(n_blocks)
 
 
-def block_slices(trials: int, block: int = BLOCK_TRIALS):
-    for start in range(0, trials, block):
-        yield start, min(start + block, trials)
+def block_slices(trials: int):
+    for start in range(0, trials, BLOCK_TRIALS):
+        yield start, min(start + BLOCK_TRIALS, trials)

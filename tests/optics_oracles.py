@@ -177,8 +177,6 @@ class InterceptRecord:
 
 def rail_for(strategy: SingleChannel, bit: int, params: BeamSplitterParams) -> str:
     """`SingleChannel.rail_for` as it was: recomputed on every call."""
-    if strategy.rails is not None:
-        return strategy.rails[bit]
     flags = {
         rail: flag_probability(_single_packet(rail), params, bit)
         for rail in (RAIL_X, RAIL_Y)

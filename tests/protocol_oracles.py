@@ -14,19 +14,18 @@ import math
 import numpy as np
 
 from mzqbc import optics, protocol
-from mzqbc.counterfactual import FbsConfig
 from mzqbc.optics import RAIL_X, RAIL_Y, BeamSplitterParams
 
 
-def fbs_run(config: FbsConfig, blocked: bool) -> dict[str, float]:
+def fbs_run(cycles: int, blocked: bool, theta: float = 0.0) -> dict[str, float]:
     """Exact outcome distribution over {Dc, Dd, Absorbed}, one complex
-    amplitude pair stepped through the M passes."""
-    eta = math.pi / (2 * config.cycles)
+    amplitude pair stepped through the M passes at per-pass phase theta."""
+    eta = math.pi / (2 * cycles)
     c, s = math.cos(eta), math.sin(eta)
-    phase = cmath.exp(1j * config.theta_per_cycle)
+    phase = cmath.exp(1j * theta)
     amp_a, amp_b = 1.0 + 0j, 0j
     absorbed = 0.0
-    for _ in range(config.cycles):
+    for _ in range(cycles):
         amp_a, amp_b = c * amp_a - s * amp_b, s * amp_a + c * amp_b
         if blocked:
             absorbed += abs(amp_b) ** 2

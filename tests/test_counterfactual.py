@@ -13,7 +13,6 @@ from mzqbc.counterfactual import (
     _try_flip,
     attack_session,
     blocked_dd_probability,
-    fbs_run,
     fbs_sweep_rows,
     probe_chain,
 )
@@ -33,33 +32,35 @@ def make_params(f=0.25, seed=0):
 class TestProbeChain:
     @pytest.mark.parametrize("m", [1, 3, 7, 25, 100])
     def test_unblocked_transfers_completely(self, m):
-        dist = fbs_run(FbsConfig(cycles=m), blocked=False)
-        assert dist["Dc"] == pytest.approx(1.0, abs=1e-12)
-        assert dist["Absorbed"] == 0.0
+        dc, _, absorbed = probe_chain(m, [0.0])
+        assert dc[0] == pytest.approx(1.0, abs=1e-12)
+        assert absorbed[0] == 0.0
 
     @pytest.mark.parametrize("m", [1, 5, 25, 100])
     def test_blocked_matches_closed_form(self, m):
-        dist = fbs_run(FbsConfig(cycles=m), blocked=True)
-        assert dist["Dd"] == pytest.approx(blocked_dd_probability(m), abs=1e-12)
-        assert dist["Dc"] == 0.0
+        dc, dd, _ = probe_chain(m, [0.0], blocked=True)
+        assert dd[0] == pytest.approx(blocked_dd_probability(m), abs=1e-12)
+        assert dc[0] == 0.0
 
     def test_blocked_m25_value(self):
         assert blocked_dd_probability(25) == pytest.approx(0.9059591594, abs=1e-9)
 
     def test_blocked_loss_shrinks_with_m(self):
-        losses = [1 - fbs_run(FbsConfig(cycles=m), True)["Dd"] for m in (1, 2, 4, 8, 16, 32, 64, 128)]
+        losses = [
+            1 - probe_chain(m, [0.0], blocked=True)[1][0] for m in (1, 2, 4, 8, 16, 32, 64, 128)
+        ]
         assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
-        assert 1 - fbs_run(FbsConfig(cycles=100), True)["Dd"] <= 0.05
+        assert 1 - probe_chain(100, [0.0], blocked=True)[1][0] <= 0.05
 
     @pytest.mark.parametrize("theta", [0.0, 0.7, 2.0, math.pi])
     @pytest.mark.parametrize("blocked", [False, True])
     def test_probability_conservation(self, theta, blocked):
-        dist = fbs_run(FbsConfig(cycles=40, theta_per_cycle=theta), blocked)
-        assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+        total = sum(probe_chain(40, [theta], blocked))
+        assert total[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_defense_phase_suppresses_transfer(self):
         # far from the zero-phase resonance the transfer nearly vanishes
-        assert fbs_run(FbsConfig(cycles=100, theta_per_cycle=math.pi), False)["Dc"] < 1e-3
+        assert probe_chain(100, [math.pi])[0][0] < 1e-3
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -72,10 +73,10 @@ class TestProbeChain:
         )
         dc, dd, absorbed = probe_chain(m, thetas)
         for theta, got in zip(thetas.tolist(), zip(dc.tolist(), dd.tolist(), absorbed.tolist())):
-            want = protocol_oracles.fbs_run(FbsConfig(cycles=m, theta_per_cycle=theta), False)
+            want = protocol_oracles.fbs_run(m, False, theta)
             assert got == (want["Dc"], want["Dd"], want["Absorbed"])
         blocked = [a.tolist() for a in probe_chain(m, thetas[:3], blocked=True)]
-        want = protocol_oracles.fbs_run(FbsConfig(cycles=m), True)
+        want = protocol_oracles.fbs_run(m, True)
         assert blocked == [[want[key]] * 3 for key in ("Dc", "Dd", "Absorbed")]
 
 
@@ -128,9 +129,8 @@ class TestAttack:
                 assert 0 < calls[0][0] <= sessions * params.n
 
     def test_intercepted_probe_never_reaches_dc(self):
-        for theta in (0.0, 1.0, 2.5):
-            dist = fbs_run(FbsConfig(cycles=50, theta_per_cycle=theta), blocked=True)
-            assert dist["Dc"] == 0.0
+        dc, _, _ = probe_chain(50, [0.0, 1.0, 2.5], blocked=True)
+        assert dc.tolist() == [0.0, 0.0, 0.0]
 
     def test_defense_on_blinds_the_probe(self):
         rng = np.random.default_rng(5)
@@ -145,7 +145,7 @@ class TestAttack:
         params = make_params(f=0.0)
         rng = np.random.default_rng(3)
         t = protocol.run_commit(
-            protocol.FbsProbeAlice(bit=0), protocol.HonestBob(f=0.0), params, rng
+            protocol.HonestAlice(0), protocol.HonestBob(f=0.0), params, rng
         )
         assert t.n_mismatch == 0
         assert t.alice_verdict == protocol.CONTINUE
@@ -156,7 +156,7 @@ class TestTryFlip:
     def probed_transcript(code, r, f, rng):
         params = protocol.ProtocolParams(code=code, r=r, R=0.3, f=f, epsilon=0.5)
         return protocol.run_commit(
-            protocol.FbsProbeAlice(), protocol.HonestBob(f=f), params, rng
+            protocol.HonestAlice(bit=None), protocol.HonestBob(f=f), params, rng
         )
 
     @pytest.mark.parametrize("seed", range(6))

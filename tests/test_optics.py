@@ -211,10 +211,6 @@ class TestInvariants:
 
 
 class TestValidation:
-    def test_params_require_r_plus_t_one(self):
-        with pytest.raises(ValueError):
-            BeamSplitterParams(R=0.3, T=0.6)
-
     def test_params_reject_out_of_range(self):
         with pytest.raises(ValueError):
             BeamSplitterParams(R=0.0)

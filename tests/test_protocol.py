@@ -121,8 +121,7 @@ class TestCommit:
         rng = np.random.default_rng(3)
         t = run_commit(HonestAlice(1), FullInterceptBob(), params, rng)
         assert all(m == INTERCEPT for m in t.modes)
-        for i, rec in enumerate(t.bob_records):
-            assert rec.learned_bit == int(t.codeword[i])
+        assert protocol.transcript_to_dict(t)["learned_bits"] == t.codeword.tolist()
 
     def test_partial_intercept_exact_count(self):
         params = make_params()

@@ -29,10 +29,10 @@ def params_for(R):
 
 def intercept(strategy, bit, bs, rng):
     """One intercepted photon as `protocol.run_commit` draws it: the
-    record and the detection table of its resent state."""
+    resent state and its detection table."""
     table = strategies.branches(strategy, bit, bs)
-    _, rec, detection = table.branches[table.pick(rng)]
-    return rec, detection
+    _, resent, detection = table.branches[table.pick(rng)]
+    return resent, detection
 
 
 class TestClosedForms:
@@ -57,11 +57,11 @@ class TestClosedForms:
         assert got == pytest.approx(min(R, 1 - R), abs=1e-12)
 
     def test_single_channel_fixed_rails(self):
-        # forcing the X rail for both bits: flag T for bit 0, R for bit 1
-        s = SingleChannel(rails=(RAIL_X, RAIL_X))
+        # an X-only packet on time is flagged with T for bit 0, R for bit 1
+        x_only = optics.photon_state({Mode(RAIL_X, 0): 1.0})
         bs = params_for(0.3)
-        assert detection_prob(s, 0, bs) == pytest.approx(0.7, abs=1e-12)
-        assert detection_prob(s, 1, bs) == pytest.approx(0.3, abs=1e-12)
+        assert optics.flag_probability(x_only, bs, 0) == pytest.approx(0.7, abs=1e-12)
+        assert optics.flag_probability(x_only, bs, 1) == pytest.approx(0.3, abs=1e-12)
 
 
 class TestMonteCarloOracle:
@@ -93,23 +93,20 @@ class TestApplyStrategy:
         incoming = optics.encode(0, bs)
         rng = np.random.default_rng(0)
         for _ in range(16):
-            rec, _ = intercept(BlindGuessOnTime(), 0, bs, rng)
-            assert rec.learned_bit == 0
-            guess = 0 if np.array_equal(rec.resent.amps, incoming.amps) else 1
-            assert np.array_equal(rec.resent.amps, optics.encode(guess, bs).amps)
+            resent, _ = intercept(BlindGuessOnTime(), 0, bs, rng)
+            guess = 0 if np.array_equal(resent.amps, incoming.amps) else 1
+            assert np.array_equal(resent.amps, optics.encode(guess, bs).amps)
 
     def test_full_measure_late_shifts_both_packets(self):
         bs = params_for(0.3)
-        rec, _ = intercept(FullMeasureLate(), 0, bs, np.random.default_rng(0))
-        assert rec.resent.modes() == {Mode(RAIL_X, 1), Mode(RAIL_Y, 2)}
-        assert rec.learned_bit == 0
+        resent, _ = intercept(FullMeasureLate(), 0, bs, np.random.default_rng(0))
+        assert resent.modes() == {Mode(RAIL_X, 1), Mode(RAIL_Y, 2)}
 
     def test_single_channel_puts_everything_on_one_rail(self):
         bs = params_for(0.3)
-        rec, _ = intercept(SingleChannel(), 0, bs, np.random.default_rng(0))
-        assert rec.learned_bit == 0
-        assert rec.resent.modes() == {Mode(RAIL_Y, 1)}
-        assert abs(rec.resent.amp(RAIL_Y, 1)) == pytest.approx(1.0, abs=1e-12)
+        resent, _ = intercept(SingleChannel(), 0, bs, np.random.default_rng(0))
+        assert resent.modes() == {Mode(RAIL_Y, 1)}
+        assert abs(resent.amp(RAIL_Y, 1)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEpsilonBounds:
