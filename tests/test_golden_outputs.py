@@ -18,8 +18,6 @@ CASES = {
     "run-extended_hamming-seed17": (
         ["run", "--seed", "17"], "builtin_code = extended_hamming\nf = 0.5\n"),
     "run-golay-seed3": (["run", "--seed", "3"], "builtin_code = golay\nf = 0.5\n"),
-    "run-extended_hamming-fbs_probe-partial_intercept-seed3": "88108f2869ea391a4518331ccadca554d130a5ba19d8e9e511e374b2c927b2b4",
-    "run-golay-midpoint_cheat-seed3": "08e1532c99597204e4c292eb029542a10a60b01bc4a5f9b1f29ddffbf818db3d",
     "run-golay-seed17": (["run", "--seed", "17"], "builtin_code = golay\nf = 0.5\n"),
     "run-hamming-seed3": (["run", "--seed", "3"], "builtin_code = hamming\nf = 0.5\n"),
     "run-hamming-seed17": (["run", "--seed", "17"], "builtin_code = hamming\nf = 0.5\n"),
@@ -39,6 +37,15 @@ CASES = {
     "counterfactual-json-golay": (
         ["counterfactual", "--seed", "5"],
         "builtin_code = golay\nf = 0.5\nM = 50\nsessions = 60\n",
+    ),
+    # a two-pass chain leaves the defended probe a nonzero flip count to pin
+    "counterfactual-json-extended_hamming-M2": (
+        ["counterfactual", "--seed", "5"],
+        "builtin_code = extended_hamming\nf = 0.25\nM = 2\nsessions = 60\n",
+    ),
+    "counterfactual-json-golay-M2": (
+        ["counterfactual", "--seed", "5"],
+        "builtin_code = golay\nf = 0.25\nM = 2\nsessions = 60\n",
     ),
     "counterfactual-csv": (["counterfactual", "--format", "csv"], ""),
     "nogo": (["nogo", "--seed", "7", "--trials", "3"], ""),
@@ -63,6 +70,8 @@ GOLDEN = {
     "counterfactual-json-extended_hamming": "4ab366263b3728ba54ca61262cb7bb874500f6c2f017dce724c6b68a0cff9aa8",
     "counterfactual-csv": "5ee230d67294034295303710a874603cdc665e1d547dadc365653a72b666c2ed",
     "counterfactual-json-golay": "e402d9ee0c067eba6c752381a2ed4d9040f3c9b6902ae3403c58a6c9d2b1eafc",
+    "counterfactual-json-extended_hamming-M2": "e47b7816a70ad8133a230c32a2d05fa43f7ce372d7538d0b4389e41b8dd5694a",
+    "counterfactual-json-golay-M2": "e1e06055144c994fd35b5fa2b25ac5916c198a9b041f0bfb729ae74d1a87675f",
     "nogo": "7c57f0c91b7774af9b38e45b626ec5fa77cd1d8489f530a1ece8fec1bbeb3393",
     "run-extended_hamming-seed17": "9dd33782b744f677e93c3449c258cf4be45763a8e78ed896a4400a2bb8c31db0",
     "run-extended_hamming-seed3": "5c0213cbdf68ec9385fe14daf8578a776d5eb5019c1ad474287348b467d70a57",
