@@ -106,8 +106,7 @@ def sender_local_invariance(rng: np.random.Generator) -> list[Result]:
     for gen, modes in INVARIANCE_CASES:
         code = codes_mod.code_from_generator(np.array(gen, dtype=np.uint8))
         report = operator_model.alice_local_invariance(
-            operator_model.CompositeSystem(n=code.n), list(modes), code,
-            np.ones(code.n, dtype=np.uint8), INVARIANCE_TRIALS, rng,
+            list(modes), code, np.ones(code.n, dtype=np.uint8), INVARIANCE_TRIALS, rng
         )
         worst = max(worst, report["max_deviation"], report["max_overlap_deviation"])
     return [Result("sender_local_invariance.max_deviation", worst, INVARIANCE_BOUND)]

@@ -329,8 +329,7 @@ def cmd_nogo(cfg) -> int:
     modes = config_mod.get_str_list(cfg, "modes", ["intercept"] + ["bypass"] * (code.n - 1))
     trials = config_mod.get_int(cfg, "trials", 100)
     rng = np.random.default_rng(config_mod.get_int(cfg, "seed", 0))
-    system = operator_model.CompositeSystem(n=code.n)
-    report = operator_model.alice_local_invariance(system, modes, code, r, trials, rng)
+    report = operator_model.alice_local_invariance(modes, code, r, trials, rng)
     # knowing nothing, then the intercepted positions: each mask either fixes
     # the parity for every codeword or leaves it at exactly 1/2
     known = np.array([[False] * code.n, [m == "intercept" for m in modes]])
@@ -358,10 +357,11 @@ def cmd_nogo(cfg) -> int:
 
 
 def cmd_counterfactual(cfg) -> int:
-    cycles = config_mod.get_int(cfg, "M", 100)
     if config_mod.get_str(cfg, "format", "json") == "csv":
         m_grid = config_mod.get_int_list(cfg, "M_grid", [1, 5, 25, 100])
         points = config_mod.get_int(cfg, "theta_points", 13)
+        if points < 1:
+            raise ConfigError("theta_points must be >= 1")
         thetas = [2 * math.pi * i / points for i in range(points)]
         rows = counterfactual.fbs_sweep_rows(m_grid, thetas)
         _emit_csv(
@@ -374,7 +374,7 @@ def cmd_counterfactual(cfg) -> int:
     params = _load_params(cfg)
     rng = np.random.default_rng(params.seed)
     sessions = config_mod.get_int(cfg, "sessions", 100)
-    fbs = counterfactual.FbsConfig(cycles=cycles)
+    fbs = counterfactual.FbsConfig(cycles=config_mod.get_int(cfg, "M", 100))
     reports = {}
     which = config_mod.get_str(cfg, "defense", "both")
     if which in ("off", "both"):

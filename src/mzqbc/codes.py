@@ -47,7 +47,8 @@ class LinearCode:
     `d` is the exact minimum distance (= minimum nonzero codeword weight)
     and `min_words` every codeword of weight d, packed as
     `kernels.pack_rows` packs rows and in message order; both come from one
-    walk of the span at construction.
+    walk of the span at construction.  `basis` is the echelon
+    `kernels.xor_basis` of the rows that the rank check built.
     """
 
     generator: np.ndarray
@@ -55,6 +56,7 @@ class LinearCode:
     k: int
     d: int
     min_words: np.ndarray = field(repr=False)
+    basis: list[int] = field(repr=False)
 
     def codewords(self) -> np.ndarray:
         """All 2^k codewords as a (2^k, n) uint8 matrix, ordered by message
@@ -70,17 +72,11 @@ class LinearCode:
         return words
 
     def contains(self, word: np.ndarray) -> bool:
-        """Whether `word` reduces to zero against an echelon basis of the
-        rows, built once per code."""
+        """Whether `word` reduces to zero against the echelon `basis`."""
         word = np.asarray(word, dtype=np.uint8)
         if word.shape != (self.n,):
             return False
-        basis = getattr(self, "_basis", None)
-        if basis is None:
-            basis = kernels.xor_basis(kernels.pack_rows(self.generator))
-            object.__setattr__(self, "_basis", basis)
-        packed = int.from_bytes(np.packbits(word, bitorder="little").tobytes(), "little")
-        return kernels.in_span(packed, basis)
+        return kernels.in_span(int(kernels.pack_rows(word[None, :])[0]), self.basis)
 
 
 def code_from_generator(matrix) -> LinearCode:
@@ -90,12 +86,14 @@ def code_from_generator(matrix) -> LinearCode:
     if not np.isin(gen, (0, 1)).all():
         raise ValueError("generator entries must be 0 or 1")
     k, n = gen.shape
-    if gf2_rank(gen) != k:
+    rows = kernels.pack_rows(gen)
+    basis = kernels.xor_basis(rows)
+    if len(basis) != k:
         raise ValueError("generator not full rank")
     if k > ENUM_GUARD_K:
         raise GuardError("enumeration too large")
-    d, words = kernels.min_weight(kernels.pack_rows(gen), n)
-    return LinearCode(generator=gen, n=n, k=k, d=d, min_words=words)
+    d, words = kernels.min_weight(rows, n)
+    return LinearCode(generator=gen, n=n, k=k, d=d, min_words=words, basis=basis)
 
 
 def parity(c: np.ndarray, r: np.ndarray) -> int:

@@ -51,6 +51,8 @@ def probe_chain(
     libm `cos` and `sin` for the phases, and Python's `** 2` (libm `pow`,
     not `x * x`) on each `hypot`.
     """
+    if cycles < 1:
+        raise ValueError("cycles must be >= 1")
     eta = math.pi / (2 * cycles)
     c, s = math.cos(eta), math.sin(eta)
     thetas = np.asarray(thetas, dtype=float).tolist()
@@ -99,30 +101,35 @@ def attack_session(
     Each session draws its commit, then per photon the phase (defense on)
     and the outcome uniform, alternating.  One batched chain then serves
     the unblocked photons of every session; a blocked probe never clicks
-    Dc, whatever its phase, so it needs no chain.
+    Dc, whatever its phase, so it needs no chain.  For the same reason
+    every intercepted position is among those she keeps, so the receiver
+    accepts the flipped word whenever one exists: exactly when the kept
+    positions leave the parity open, which one `kernels.parity_determined`
+    call decides for every session.
     """
+    if sessions < 1:
+        raise ValueError("the attack needs at least one session")
     n = params.n
-    transcripts, phases, uniforms = [], [], []
+    modes, phases, uniforms = [], [], []
     for _ in range(sessions):
-        transcripts.append(protocol.run_commit(
+        modes.append(protocol.run_commit(
             protocol.HonestAlice(bit=None), protocol.HonestBob(f=params.f), params, rng
-        ))
+        ).modes)
         if defense_on:
             draws = rng.random(2 * n)
             phases.append(draws[0::2] * (2 * math.pi))
             uniforms.append(draws[1::2])
         else:
             uniforms.append(rng.random(n))
-    modes = np.array([t.modes for t in transcripts])
+    modes = np.array(modes)
     unblocked = modes != protocol.INTERCEPT
     thetas = np.array(phases)[unblocked] if defense_on else np.zeros(int(unblocked.sum()))
     dc_bypass = probe_chain(fbs.cycles, thetas)[0]
     dc = np.zeros(modes.shape)
     dc[unblocked] = dc_bypass
     inferred_bypass = np.array(uniforms) < dc
-    low, r_mask = _flip_masks(params)
-    flips = sum(
-        _try_flip(t, inferred, low, r_mask) for t, inferred in zip(transcripts, inferred_bypass)
+    flips = np.count_nonzero(
+        ~kernels.parity_determined(params.code.generator, params.r, ~inferred_bypass)
     )
     return {
         "M": fbs.cycles,
@@ -134,35 +141,6 @@ def attack_session(
         "cheat_success_rate": flips / sessions,
         "mean_Dc_bypass": float(np.mean(dc_bypass)) if dc_bypass.size else float("nan"),
     }
-
-
-def _flip_masks(params: protocol.ProtocolParams) -> tuple[np.ndarray, int]:
-    """The packed generator rows and the packed r that `_try_flip` reads."""
-    return kernels.pack_rows(params.code.generator), int(kernels.pack_rows(params.r[None, :])[0])
-
-
-def _try_flip(
-    transcript: protocol.SessionTranscript, inferred_bypass, low: np.ndarray, r_mask: int
-) -> bool:
-    """Unveil a codeword of flipped parity touching only believed-bypass
-    positions; succeeds iff the receiver's checks all pass.
-
-    It announces c + w, w a codeword that is 0 on the fixed positions with
-    w.r = 1: an echelon basis vector of the rows (G[:, fixed] << n) | G below
-    2^n, where `low` packs G and `r_mask` packs r (see `_flip_masks`).  A
-    blocked probe never clicks Dc, so every intercepted position is fixed
-    and any such w gets the same verdict."""
-    code, n = transcript.params.code, transcript.params.code.n
-    fixed = ~np.asarray(inferred_bypass, dtype=bool)
-    high = kernels.pack_rows(code.generator[:, fixed])
-    for w in kernels.xor_basis([int(h) << n | int(lo) for h, lo in zip(high, low)]):
-        if w >> n == 0 and (w & r_mask).bit_count() % 2:
-            flip = np.array([w >> i & 1 for i in range(n)], dtype=np.uint8)
-            announcement = protocol.Announcement(
-                b=1 - transcript.committed_b, c=transcript.codeword ^ flip
-            )
-            return protocol.run_unveil(transcript, announcement) == protocol.ACCEPT
-    return False
 
 
 def fbs_sweep_rows(cycle_grid, theta_grid) -> list[dict]:

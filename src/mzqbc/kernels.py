@@ -1,10 +1,13 @@
 """Numpy kernels for the hot loops, one implementation per job.
 
 GF(2) rows are packed into uint64 bitmasks (n <= 64).  One XOR-basis
-elimination serves the rank and the concealing game's span test, and one
-chunked walk of the 2^k span serves the minimum distance (with every
-minimum-weight word) and the codeword list.  The Monte-Carlo kernels
-consume pre-drawn uniform arrays and are exact integer/boolean counting.
+elimination serves the rank, codeword membership and the span test
+`parity_determined`, which the concealing game, the probe attack and the
+nogo report share; and one chunked walk of the 2^k span serves the
+minimum distance (with every minimum-weight word) and the codeword list.
+The Monte-Carlo kernels consume pre-drawn uniform arrays and are exact
+integer/boolean counting; the sender's abort is a mismatch count reaching
+`ProtocolParams.abort_at`.
 """
 
 from __future__ import annotations
@@ -60,11 +63,14 @@ def parity_determined(
     The parity is m.(G r^T), and the known bits are m G[:, S]; they fix it
     iff G r^T lies in the column span of G[:, S].  Otherwise the two parity
     halves of the consistent codewords have equal size, so the receiver's
-    posterior is exactly 1 or 1/2.
+    posterior is exactly 1 or 1/2.  One span test runs per distinct row.
     """
     cols = pack_rows(np.asarray(generator).T)
     target = int(np.bitwise_xor.reduce(cols[np.asarray(r, dtype=bool)]))
-    return np.array([in_span(target, xor_basis(cols[row])) for row in known], dtype=bool)
+    known = np.asarray(known, dtype=bool)
+    _, first, inverse = np.unique(pack_rows(known), return_index=True, return_inverse=True)
+    distinct = [in_span(target, xor_basis(cols[row])) for row in known[first]]
+    return np.array(distinct, dtype=bool)[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +125,8 @@ def min_weight(masks: np.ndarray, n: int) -> tuple[int, np.ndarray]:
 # Per trial and photon the sender is intercepted when u_mode < f, and an
 # intercepted photon shows up as a mismatch when u_mis < eps.  The cheat
 # survives unveiling iff no flipped position was intercepted; the cheater
-# "proceeds" when she saw no mismatch on the flipped positions.  Returns
+# "proceeds" when she saw no mismatch on the flipped positions, and the
+# sender aborts when a trial's mismatch count reaches `abort_at`.  Returns
 # int64 counts [proceed, proceed & accept, accept, abort].
 #
 # The flags are bytes in rows zero-padded to whole uint64 words, so the
@@ -129,7 +136,7 @@ def min_weight(masks: np.ndarray, n: int) -> tuple[int, np.ndarray]:
 # thousand trials (`protocol.CHUNK_ROWS`), which keeps these buffers in
 # cache.
 
-def binding_counts(u_mode, u_mis, f, eps, flip_idx, threshold):
+def binding_counts(u_mode, u_mis, f, eps, flip_idx, abort_at):
     rows, n = u_mode.shape
     if n > 64:
         raise ValueError("binding counts support n <= 64 only")
@@ -144,7 +151,7 @@ def binding_counts(u_mode, u_mis, f, eps, flip_idx, threshold):
     count = np.bitwise_count(words[:, 0])  # uint8 holds up to 64
     for w in range(1, words.shape[1]):
         count += np.bitwise_count(words[:, w])
-    abort = count / (eps * n) >= threshold
+    abort = count >= abort_at
     return np.array(
         [
             np.count_nonzero(proceed),
@@ -161,17 +168,13 @@ def binding_counts(u_mode, u_mis, f, eps, flip_idx, threshold):
 #
 # Per trial the receiver learns the committed codeword exactly on his
 # intercepted positions; his parity posterior is 1 when those positions fix
-# the parity and 1/2 otherwise, whichever codeword was committed.  One span
-# test runs per distinct intercept mask.  Returns float64
-# [aborts, sum p(true parity), sum max posterior].
+# the parity and 1/2 otherwise, whichever codeword was committed.  The
+# sender aborts when a trial's mismatch count reaches `abort_at`.  Returns
+# float64 [aborts, sum p(true parity), sum max posterior].
 
-def concealing_stats(generator, r, intercept, u_mis, eps, threshold):
-    n = intercept.shape[1]
+def concealing_stats(generator, r, intercept, u_mis, eps, abort_at):
     mismatch = intercept & (u_mis < eps)
-    aborts = (mismatch.sum(axis=1) / (eps * n) >= threshold).sum()
-    _, first, inverse = np.unique(
-        pack_rows(intercept), return_index=True, return_inverse=True
-    )
-    determined = parity_determined(generator, r, intercept[first])[inverse]
+    aborts = (mismatch.sum(axis=1) >= abort_at).sum()
+    determined = parity_determined(generator, r, intercept)
     posterior = float(determined.sum()) + 0.5 * float((~determined).sum())
     return np.array([float(aborts), posterior, posterior], dtype=np.float64)

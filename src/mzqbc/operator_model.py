@@ -23,7 +23,9 @@ entries are products of per-photon inner products.
 Two structural facts carry the security argument, and both are testable:
 the committed alpha states for bit 0 and bit 1 are exactly orthogonal
 (disjoint codeword mixtures), and nothing the sender applies to her
-returned qubits alone can change the receiver's reduced state.
+returned qubits alone can change the receiver's reduced state.  The
+invariance check takes n from the code and guards its own size: one
+trial's Haar draw, then the whole run's trial budget.
 """
 
 from __future__ import annotations
@@ -61,26 +63,6 @@ class SparseDiagonalDensity:
     dim: int
     indices: np.ndarray
     weights: np.ndarray
-
-
-@dataclass(frozen=True)
-class CompositeSystem:
-    """n photons, each with a receiver qubit (beta), a committed qubit
-    (alpha) and a record qutrit (gamma).  Refused, before anything is
-    allocated, when one trial's 2^n x 2^n Haar draw is beyond
-    `MAX_TRIAL_AMPLITUDES`."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("a composite needs at least one photon")
-        if 4**self.n > MAX_TRIAL_AMPLITUDES:
-            raise GuardError(
-                f"composite of n = {self.n} photons needs a 2^{self.n} x 2^{self.n} "
-                f"Haar draw per trial; the limit is {MAX_TRIAL_AMPLITUDES} amplitudes "
-                "(n <= 9)"
-            )
 
 
 def _parity_half(code: LinearCode, r: np.ndarray, b: int) -> np.ndarray:
@@ -134,7 +116,6 @@ def _photon_kets(mode: str, fiducial: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def alice_local_invariance(
-    system: CompositeSystem,
     modes: list[str],
     code: LinearCode,
     r: np.ndarray,
@@ -154,8 +135,18 @@ def alice_local_invariance(
 
     beta_qubit is the receiver's (secret, his choice) per-qubit fiducial
     ket; default |0> in the encoding basis.
+
+    Refused before anything is drawn or allocated when one trial's
+    2^n x 2^n Haar draw is beyond `MAX_TRIAL_AMPLITUDES`, and then when
+    `trials` exceed the budget `MAX_CHECK_AMPLITUDES`.
     """
-    n = system.n
+    n = code.n
+    if 4**n > MAX_TRIAL_AMPLITUDES:
+        raise GuardError(
+            f"composite of n = {n} photons needs a 2^{n} x 2^{n} "
+            f"Haar draw per trial; the limit is {MAX_TRIAL_AMPLITUDES} amplitudes "
+            "(n <= 9)"
+        )
     if trials < 1:
         raise ValueError("the invariance check needs at least one trial")
     per_trial = max(4**n, MIN_TRIAL_AMPLITUDES)
@@ -165,8 +156,6 @@ def alice_local_invariance(
             f"{MAX_CHECK_AMPLITUDES} trial amplitudes (at most "
             f"{MAX_CHECK_AMPLITUDES // per_trial} trials)"
         )
-    if code.n != n:
-        raise ValueError("committed register dimension does not match system")
     if len(modes) != n:
         raise ValueError("one mode per photon required")
     if not codes_mod.message_mask(code, r).any():

@@ -97,6 +97,16 @@ class ProtocolParams:
         Estimates at or above it count as cheating (the check is strict)."""
         return 1.0 - self.code.d / self.code.n
 
+    @property
+    def abort_at(self) -> int:
+        """The fewest mismatches n' whose estimate n'/(epsilon*n) reaches
+        `threshold`, or n + 1 when none does: the sender aborts iff
+        n' >= abort_at.  Each n' is tested with that same floating-point
+        expression, which never decreases in n', so every verdict on a
+        count is the estimate's."""
+        n, eps = self.code.n, self.epsilon
+        return next((m for m in range(n + 1) if m / (eps * n) >= self.threshold), n + 1)
+
 
 # --- policies ---------------------------------------------------------------
 
@@ -229,8 +239,6 @@ def run_commit(
         if event != expected[bit_i]:
             n_mismatch += 1
 
-    f_estimate = n_mismatch / (params.epsilon * code.n)
-    verdict = CONTINUE if f_estimate < params.threshold else ABORT_CHEATING_BOB
     return SessionTranscript(
         params=params,
         committed_b=committed_b,
@@ -238,8 +246,8 @@ def run_commit(
         modes=modes,
         alice_events=events,
         n_mismatch=n_mismatch,
-        f_estimate=f_estimate,
-        alice_verdict=verdict,
+        f_estimate=n_mismatch / (params.epsilon * code.n),
+        alice_verdict=ABORT_CHEATING_BOB if n_mismatch >= params.abort_at else CONTINUE,
         cheat_target=cheat_target,
     )
 
@@ -308,7 +316,7 @@ def _run_blocks(worker, trials: int, seed: int, threads: int):
 CHUNK_ROWS = 4096
 
 
-def _binding_block(g: np.random.Generator, m: int, n: int, f, eps, flip_idx, threshold):
+def _binding_block(g: np.random.Generator, m: int, n: int, f, eps, flip_idx, abort_at):
     """Binding counts of one block's m trials, the same as
     `kernels.binding_counts(g.random((m, n)), g.random((m, n)), ...)`.
 
@@ -325,7 +333,7 @@ def _binding_block(g: np.random.Generator, m: int, n: int, f, eps, flip_idx, thr
         u_mode, u_mis = buf[:, : min(CHUNK_ROWS, m - lo)]
         g.random(out=u_mode)
         g_mis.random(out=u_mis)
-        counts += kernels.binding_counts(u_mode, u_mis, f, eps, flip_idx, threshold)
+        counts += kernels.binding_counts(u_mode, u_mis, f, eps, flip_idx, abort_at)
     return counts
 
 
@@ -345,13 +353,14 @@ def run_binding_experiment(
     the accept rate among trials where the cheater saw no mismatch on the
     flipped positions is (1-p)^flips with p the intercept posterior.
     """
+    if trials < 1:
+        raise ValueError("the binding experiment needs at least one trial")
     mid, target = binding_pair(params.code, params.r)
     flip_idx = np.flatnonzero(mid != target).astype(np.int64)
-    f, eps, n = params.f, params.epsilon, params.n
-    threshold = params.threshold
+    f, eps, n, abort_at = params.f, params.epsilon, params.n, params.abort_at
 
     def worker(g: np.random.Generator, m: int):
-        return _binding_block(g, m, n, f, eps, flip_idx, threshold)
+        return _binding_block(g, m, n, f, eps, flip_idx, abort_at)
 
     counts = sum(_run_blocks(worker, trials, params.seed, threads))
     proceed, proceed_accept, accept, abort = (int(x) for x in counts)
@@ -394,8 +403,10 @@ def run_concealing_experiment(
     code, r = params.code, params.r
     if not 0 <= m <= code.n:
         raise ValueError("m must lie in 0..n")
+    if trials < 1:
+        raise ValueError("the concealing experiment needs at least one trial")
     half = 1 << (code.k - 1)  # codewords per parity half when G r^T != 0
-    eps, n, threshold = params.epsilon, code.n, params.threshold
+    eps, n, abort_at = params.epsilon, code.n, params.abort_at
 
     def worker(g: np.random.Generator, count: int):
         # committed bit and word (b, pick0, pick1): unused, drawn to keep the random stream
@@ -407,9 +418,7 @@ def run_concealing_experiment(
         rows = np.repeat(np.arange(count), m)
         intercept[rows, order[:, :m].ravel()] = True
         u_mis = g.random((count, n))
-        return kernels.concealing_stats(
-            code.generator, r, intercept, u_mis, eps, threshold
-        )
+        return kernels.concealing_stats(code.generator, r, intercept, u_mis, eps, abort_at)
 
     stats = sum(_run_blocks(worker, trials, params.seed, threads))
     return {

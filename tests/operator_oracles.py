@@ -74,12 +74,15 @@ def to_dense(rho: SparseDiagonalDensity) -> DensityMatrix:
 
 
 @dataclass(frozen=True)
-class CompositeSystem(om.CompositeSystem):
+class CompositeSystem:
     """Ordered factors: n receiver qubits (beta), n committed qubits
     (alpha), n record qutrits (gamma); total dimension 12^n."""
 
+    n: int
+
     def __post_init__(self):
-        super().__post_init__()
+        if self.n < 1:
+            raise ValueError("a composite needs at least one photon")
         if self.n > DENSE_COMPOSITE_MAX_N:
             raise GuardError(
                 f"dense composite operations are guarded at n <= {DENSE_COMPOSITE_MAX_N}"

@@ -5,7 +5,8 @@ the loop that `mzqbc.counterfactual.probe_chain` runs batched over float
 arrays; tests compare the two bit for bit.  `defense_honest_invariance`
 and `sample_intercept_posterior` check the receiver's phase defense and
 the intercept posterior by direct simulation; the library has no use for
-either.
+either.  `abort_at` turns a kernel test's float abort threshold into the
+integer cutoff the kernels take.
 """
 
 import cmath
@@ -58,3 +59,9 @@ def sample_intercept_posterior(
     u_mode = rng.random(samples)
     u_mis = rng.random(samples)
     return protocol.intercept_posterior_counts(u_mode, u_mis, f, epsilon)
+
+
+def abort_at(eps: float, n: int, threshold: float) -> int:
+    """The fewest mismatch count c with c / (eps * n) >= threshold, or
+    n + 1 when no c in 0..n reaches it."""
+    return next((c for c in range(n + 1) if c / (eps * n) >= threshold), n + 1)

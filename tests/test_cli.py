@@ -106,6 +106,21 @@ class TestUnusedKeys:
         assert rows(shadowed.out) == rows(plain.out)
         assert [row["f"] for row in rows(shadowed.out)] == ["0.5"]
 
+    def test_csv_counterfactual_does_not_read_m(self, tmp_path, capsys):
+        # the CSV grid comes from M_grid, so a single M is unused there
+        assert cli.main(["counterfactual", "--format", "csv"]) == 0
+        plain = capsys.readouterr()
+        cfg = write_cfg(tmp_path, "M = 7\n")
+        assert cli.main(["counterfactual", "--format", "csv", "--config", cfg]) == 0
+        stray = capsys.readouterr()
+        assert stray.err == "warning: unused config key(s): M\n"
+
+        def rows(out):  # the config hash covers the stray key
+            return [{k: v for k, v in row.items() if k != "config_hash"}
+                    for row in csv.DictReader(out.splitlines())]
+
+        assert rows(stray.out) == rows(plain.out)
+
     def test_flags_are_not_config_keys(self, capsys):
         # every subcommand takes every flag; strategies reads no seed or trials
         assert cli.main(["strategies", "--seed", "3", "--trials", "9"]) == 0
@@ -297,6 +312,27 @@ class TestCounterfactual:
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         assert len(rows) == 4 * 13
         assert all(float(r["Dc_intercept"]) == 0.0 for r in rows)
+
+
+NON_POSITIVE_COUNTS = {
+    "sweep-trials-0": (["sweep", "--trials", "0"], ""),
+    "sweep-trials-negative": (["sweep", "--trials", "-5"], ""),
+    "counterfactual-sessions-0": (["counterfactual"], "sessions = 0\n"),
+    "counterfactual-csv-M-0": (["counterfactual", "--format", "csv"], "M_grid = 1, 0\n"),
+    "counterfactual-csv-M-negative": (["counterfactual", "--format", "csv"], "M_grid = 1, -3\n"),
+    "counterfactual-csv-theta_points-0": (["counterfactual", "--format", "csv"], "theta_points = 0\n"),
+    "counterfactual-csv-theta_points-negative": (
+        ["counterfactual", "--format", "csv"], "theta_points = -2\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_POSITIVE_COUNTS))
+def test_non_positive_count_is_parameter_error(case, tmp_path, capsys):
+    argv, text = NON_POSITIVE_COUNTS[case]
+    assert cli.main(argv + ["--config", write_cfg(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 class TestVerify:

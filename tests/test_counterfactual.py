@@ -5,12 +5,10 @@ import pytest
 
 import codeword_oracles
 import protocol_oracles
-from mzqbc import codes, optics, protocol
+from mzqbc import codes, kernels, optics, protocol
 from mzqbc import counterfactual as cf_module
 from mzqbc.counterfactual import (
     FbsConfig,
-    _flip_masks,
-    _try_flip,
     attack_session,
     blocked_dd_probability,
     fbs_sweep_rows,
@@ -152,12 +150,12 @@ class TestAttack:
 
 
 class TestTryFlip:
+    """The attack's flip test, a session cheats iff the positions she keeps
+    leave the parity open, against unveiling the first flipped codeword."""
+
     @staticmethod
-    def probed_transcript(code, r, f, rng):
-        params = protocol.ProtocolParams(code=code, r=r, R=0.3, f=f, epsilon=0.5)
-        return protocol.run_commit(
-            protocol.HonestAlice(bit=None), protocol.HonestBob(f=f), params, rng
-        )
+    def flip_exists(code, r, inferred_bypass):
+        return not kernels.parity_determined(code.generator, r, ~inferred_bypass[None, :])[0]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_codeword_search(self, seed):
@@ -174,11 +172,15 @@ class TestTryFlip:
             r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
             if not r.any() or not codes.message_mask(code, r).any():
                 continue
-            t = self.probed_transcript(code, r, float(rng.uniform(0.0, 0.6)), rng)
+            f = float(rng.uniform(0.0, 0.6))
+            params = protocol.ProtocolParams(code=code, r=r, R=0.3, f=f, epsilon=0.5)
+            t = protocol.run_commit(
+                protocol.HonestAlice(bit=None), protocol.HonestBob(f=f), params, rng
+            )
             bypass = np.array([m == protocol.BYPASS for m in t.modes])
-            inferred = (bypass & (rng.random(code.n) < 0.9)).tolist()
-            got = _try_flip(t, inferred, *_flip_masks(t.params))
-            assert got == codeword_oracles.try_flip(t, inferred)
+            inferred = bypass & (rng.random(code.n) < 0.9)
+            got = self.flip_exists(code, r, inferred)
+            assert got == codeword_oracles.try_flip(t, inferred.tolist())
             verdicts.append(got)
         assert set(verdicts) == {False, True}
 
@@ -186,10 +188,8 @@ class TestTryFlip:
         code = codes.random_code(28, 22, np.random.default_rng(5))
         r = np.zeros(code.n, dtype=np.uint8)
         r[:2] = 1
-        t = self.probed_transcript(code, r, 0.0, np.random.default_rng(1))
-        masks = _flip_masks(t.params)
-        assert _try_flip(t, [True] * code.n, *masks) is True
-        assert _try_flip(t, [False] * code.n, *masks) is False
+        assert self.flip_exists(code, r, np.ones(code.n, dtype=bool)) is True
+        assert self.flip_exists(code, r, np.zeros(code.n, dtype=bool)) is False
 
 
 def test_sweep_rows_cardinality_and_fields():

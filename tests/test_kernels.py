@@ -5,6 +5,7 @@ import pytest
 
 import codeword_oracles
 from mzqbc import codes, kernels, protocol
+from protocol_oracles import abort_at
 from mzqbc.util import GuardError
 
 
@@ -241,7 +242,8 @@ def _binding_inputs(seed, trials=4096, n=8, eps=0.5, threshold=0.5):
 
 
 # threshold c / (eps * n) puts trials with exactly c mismatches on the
-# `>=` boundary, computed by the kernel's own expression
+# `>=` boundary of the loop oracle's float rule; the kernel gets the
+# integer cutoff `abort_at` derives from it
 BINDING_ORACLE_CASES = {
     "0": (0, 8, 0.5, 0.5),
     "1": (1, 8, 0.5, 0.5),
@@ -262,7 +264,8 @@ BINDING_ORACLE_CASES = {
 )
 def test_binding_counts_match_loop_oracle(seed, n, eps, threshold):
     args = _binding_inputs(seed, n=n, eps=eps, threshold=threshold)
-    assert kernels.binding_counts(*args).tolist() == loop_binding_counts(*args)
+    got = kernels.binding_counts(*args[:-1], abort_at(eps, n, threshold))
+    assert got.tolist() == loop_binding_counts(*args)
 
 
 @pytest.mark.parametrize("case", [c for c in BINDING_ORACLE_CASES if "boundary" in c])
@@ -276,7 +279,7 @@ def test_binding_boundary_cases_reach_the_boundary(case):
 def test_binding_counts_reject_rows_past_64():
     u = np.zeros((2, 65))
     with pytest.raises(ValueError, match="n <= 64"):
-        kernels.binding_counts(u, u, 0.5, 0.5, np.array([0]), 0.5)
+        kernels.binding_counts(u, u, 0.5, 0.5, np.array([0]), 33)
 
 
 def test_binding_numpy_semantics():
@@ -286,8 +289,8 @@ def test_binding_numpy_semantics():
     flips = np.array([0], dtype=np.int64)
     # f=0.5, eps=0.5: trial0 intercept+mismatch at flip -> no proceed;
     # trial1 intercepts both, no mismatch -> proceed, not accept;
-    # trial2 nothing intercepted -> proceed and accept
-    out = kernels.binding_counts(u_mode, u_mis, 0.5, 0.5, flips, 10.0)
+    # trial2 nothing intercepted -> proceed and accept; no count reaches n + 1
+    out = kernels.binding_counts(u_mode, u_mis, 0.5, 0.5, flips, 3)
     assert out.tolist() == [2, 1, 1, 0]
 
 
@@ -300,7 +303,7 @@ def _concealing_inputs(code, r, seed, trials, p_intercept=0.4):
     intercept = rng.random((trials, code.n)) < p_intercept
     u_mis = rng.random((trials, code.n))
     oracle = (words, parities, cw_idx, intercept, u_mis, 0.5, 0.5)
-    return oracle, (code.generator, r, intercept, u_mis, 0.5, 0.5)
+    return oracle, (code.generator, r, intercept, u_mis, 0.5, abort_at(0.5, code.n, 0.5))
 
 
 @pytest.mark.parametrize("seed", [0, *range(301, 307)])

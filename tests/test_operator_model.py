@@ -169,10 +169,18 @@ class TestPipeline:
                                max_intercepts=1)
 
     def test_dimension_guard(self):
+        # the Haar draw is refused before the trial budget and any draw
         golay = codes.golay_24_12()
-        with pytest.raises(GuardError, match="Haar draw"):
-            om.CompositeSystem(n=golay.n)
-        assert om.CompositeSystem(n=codes.extended_hamming_8_4().n).n == 8
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(GuardError, match=r"n = 24 photons needs a 2\^24 x 2\^24 Haar draw"):
+            alice_local_invariance(
+                ["bypass"] * golay.n, golay, np.eye(1, golay.n, dtype=np.uint8)[0], 10**9, rng
+            )
+        assert rng.bit_generator.state == before
+        assert 4**9 <= om.MAX_TRIAL_AMPLITUDES < 4**10  # n = 9 is admitted
+        with pytest.raises(GuardError, match="n <= 3"):
+            CompositeSystem(n=4)
 
 
 class TestReducedState:
@@ -209,34 +217,29 @@ class TestInvariance:
     )
     def test_beta_rotations_invisible_to_receiver(self, n, gen, modes):
         code = codes.code_from_generator(np.array(gen, dtype=np.uint8))
-        system = om.CompositeSystem(n=n)
         rng = np.random.default_rng(13)
         report = alice_local_invariance(
-            system, modes, code, np.ones(n, dtype=np.uint8), trials=10, rng=rng
+            modes, code, np.ones(n, dtype=np.uint8), trials=10, rng=rng
         )
         assert report["max_deviation"] <= 1e-9
         assert report["max_overlap_deviation"] <= 1e-9
 
     def test_intercept_records_are_distinguishable(self):
         code = codes.repetition_code(3)
-        system = om.CompositeSystem(n=3)
         rng = np.random.default_rng(1)
         report = alice_local_invariance(
-            system, ["intercept", "bypass", "bypass"], code, R111, trials=2, rng=rng
+            ["intercept", "bypass", "bypass"], code, R111, trials=2, rng=rng
         )
         assert report["reduced_overlap"] == pytest.approx(0.0, abs=1e-12)
         assert report["reduced_trace_distance"] == pytest.approx(1.0, abs=1e-9)
 
     def test_mode_errors(self):
         code = codes.repetition_code(3)
-        system = om.CompositeSystem(n=3)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="one mode per photon"):
-            alice_local_invariance(system, ["bypass"] * 2, code, R111, 1, rng)
+            alice_local_invariance(["bypass"] * 2, code, R111, 1, rng)
         with pytest.raises(ValueError, match="unknown mode 'measure'"):
-            alice_local_invariance(system, ["bypass", "measure", "bypass"], code, R111, 1, rng)
-        with pytest.raises(ValueError, match="does not match"):
-            alice_local_invariance(om.CompositeSystem(n=4), ["bypass"] * 4, code, R111, 1, rng)
+            alice_local_invariance(["bypass", "measure", "bypass"], code, R111, 1, rng)
 
     def test_r_orthogonal_to_the_code_rejected_before_any_draw(self):
         code = codes.extended_hamming_8_4()
@@ -244,8 +247,7 @@ class TestInvariance:
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match="r is orthogonal to every codeword"):
             alice_local_invariance(
-                om.CompositeSystem(n=8), ["intercept"] + ["bypass"] * 7, code,
-                np.ones(8, dtype=np.uint8), 5, rng,
+                ["intercept"] + ["bypass"] * 7, code, np.ones(8, dtype=np.uint8), 5, rng
             )
         assert rng.bit_generator.state == before
 
@@ -258,7 +260,7 @@ class TestInvariance:
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         with pytest.raises(GuardError, match=f"at most {limit} trials"):
-            alice_local_invariance(om.CompositeSystem(n=n), modes, code, r, limit + 1, rng)
+            alice_local_invariance(modes, code, r, limit + 1, rng)
         assert rng.bit_generator.state == before
 
     def test_trial_budget_admits_the_default_at_n_9(self):
@@ -270,8 +272,8 @@ class TestInvariance:
     def test_extended_hamming(self):
         code = codes.extended_hamming_8_4()
         report = alice_local_invariance(
-            om.CompositeSystem(n=8), ["intercept"] + ["bypass"] * 7, code,
-            bits_from_string("10000000"), 3, np.random.default_rng(2),
+            ["intercept"] + ["bypass"] * 7, code, bits_from_string("10000000"), 3,
+            np.random.default_rng(2),
         )
         assert report["max_deviation"] <= 1e-9
         assert report["max_overlap_deviation"] <= 1e-9
@@ -280,8 +282,8 @@ class TestInvariance:
         assert report["reduced_trace_distance"] == pytest.approx(1.0, abs=1e-12)
         # one intercepted photon that does not fix the parity reveals nothing
         report = alice_local_invariance(
-            om.CompositeSystem(n=8), ["intercept"] + ["bypass"] * 7, code,
-            bits_from_string("01000000"), 3, np.random.default_rng(2),
+            ["intercept"] + ["bypass"] * 7, code, bits_from_string("01000000"), 3,
+            np.random.default_rng(2),
         )
         assert report["reduced_trace_distance"] == pytest.approx(0.0, abs=1e-12)
         assert report["reduced_overlap"] == pytest.approx(0.5, abs=1e-12)
@@ -313,9 +315,7 @@ def _both_reports(code, r, modes, seed, beta=None, trials=3):
     """The product-ket and the dense report from generators seeded alike,
     and the two generators afterwards."""
     fast_rng, dense_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    fast = alice_local_invariance(
-        om.CompositeSystem(n=code.n), modes, code, r, trials, fast_rng, beta
-    )
+    fast = alice_local_invariance(modes, code, r, trials, fast_rng, beta)
     dense = oracles.alice_local_invariance(
         CompositeSystem(n=code.n), modes, code, r, trials, dense_rng, beta
     )

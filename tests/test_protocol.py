@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import codeword_oracles
-from protocol_oracles import sample_intercept_posterior
+from protocol_oracles import abort_at, sample_intercept_posterior
 from mzqbc import codes, kernels, protocol
 from mzqbc.codes import bits_from_string
 from mzqbc.protocol import (
@@ -50,9 +50,32 @@ def make_params(**kw):
     return ProtocolParams(**defaults)
 
 
+#: epsilon grid for the integer abort cutoff: every builtin code gets counts
+#: whose estimate is within rounding of 1 - d/n (n' = 2 of extended Hamming
+#: at 0.5 exactly on it, n' = 4 of Golay at 0.25 one ulp below it)
+ABORT_EPSILONS = (0.1, 0.125, 0.25, 0.3, 1 / 3, 0.375, 0.5, 2 / 3, 0.75, 1.0)
+#: every builtin code with d < n, the ones a session accepts
+ABORT_CODES = [name for name in codes.BUILTIN_CODES
+               if codes.builtin_code(name).d < codes.builtin_code(name).n]
+
+
 class TestParams:
     def test_threshold(self):
         assert make_params().threshold == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("name", ABORT_CODES)
+    def test_abort_at_agrees_with_the_float_rule(self, name):
+        code = codes.builtin_code(name)
+        n = code.n
+        on_boundary = 0
+        for eps in ABORT_EPSILONS:
+            params = make_params(code=code, r=np.eye(1, n, dtype=np.uint8)[0], epsilon=eps)
+            estimates = [c / (eps * n) for c in range(n + 1)]
+            assert [c >= params.abort_at for c in range(n + 1)] == [
+                e >= params.threshold for e in estimates
+            ]
+            on_boundary += sum(math.isclose(e, params.threshold) for e in estimates)
+        assert on_boundary > 0
 
     def test_zero_r_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -326,12 +349,12 @@ def _flip_idx(code, r):
     return np.flatnonzero(mid != target)
 
 
-def _counts_drawn_whole(g, m, n, f, eps, flip_idx, threshold):
+def _counts_drawn_whole(g, m, n, f, eps, flip_idx, cutoff):
     """A block's binding counts from its two whole (m, n) arrays, drawn one
     after the other from the block's generator."""
     u_mode = g.random((m, n))
     u_mis = g.random((m, n))
-    return kernels.binding_counts(u_mode, u_mis, f, eps, flip_idx, threshold)
+    return kernels.binding_counts(u_mode, u_mis, f, eps, flip_idx, cutoff)
 
 
 class TestBindingStreams:
@@ -367,13 +390,14 @@ class TestBindingStreams:
         code = self.CODES[n]()
         assert code.n == n
         flip_idx = _flip_idx(code, np.eye(1, n, dtype=np.uint8)[0])
-        f, eps, threshold = 0.4, 0.3, 1 - code.d / n
+        f, eps = 0.4, 0.3
+        cutoff = abort_at(eps, n, 1 - code.d / n)
         seq = np.random.SeedSequence([m, n])
         got = protocol._binding_block(
-            np.random.default_rng(seq), m, n, f, eps, flip_idx, threshold
+            np.random.default_rng(seq), m, n, f, eps, flip_idx, cutoff
         )
         want = _counts_drawn_whole(
-            np.random.default_rng(seq), m, n, f, eps, flip_idx, threshold
+            np.random.default_rng(seq), m, n, f, eps, flip_idx, cutoff
         )
         assert got.tolist() == want.tolist()
         assert want[0] > 0 or m == 1
@@ -389,7 +413,7 @@ class TestBindingStreams:
         counts = sum(
             _counts_drawn_whole(
                 np.random.default_rng(seq), hi - lo, 24, params.f, params.epsilon,
-                flip_idx, params.threshold,
+                flip_idx, params.abort_at,
             )
             for seq, (lo, hi) in zip(block_seed_sequences(21, trials), block_slices(trials))
         )
