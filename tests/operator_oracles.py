@@ -14,7 +14,6 @@ from math import prod
 
 import numpy as np
 
-from mzqbc import operator_model as om
 from mzqbc.operator_model import QUTRIT_UNMEASURED, SparseDiagonalDensity, committed_density
 from mzqbc.util import GuardError, haar_unitary
 
