@@ -1,10 +1,11 @@
 """Numpy kernels for the hot loops, one implementation per job.
 
 GF(2) rows are packed into uint64 bitmasks (n <= 64).  One XOR-basis
-elimination serves the rank, codeword membership and the span test
-`parity_determined`, which the concealing game, the probe attack and the
-nogo report share; and one chunked walk of the 2^k span serves the
-minimum distance (with every minimum-weight word) and the codeword list.
+elimination serves the rank and codeword membership; one column
+elimination, batched over masks, serves the span test `parity_determined`,
+which the concealing game, the probe attack and the nogo report share;
+and one chunked walk of the 2^k span serves the minimum distance (with
+every minimum-weight word) and the codeword list.
 The Monte-Carlo kernels consume pre-drawn uniform arrays and are exact
 integer/boolean counting; the sender's abort is a mismatch count reaching
 `ProtocolParams.abort_at`.
@@ -63,14 +64,30 @@ def parity_determined(
     The parity is m.(G r^T), and the known bits are m G[:, S]; they fix it
     iff G r^T lies in the column span of G[:, S].  Otherwise the two parity
     halves of the consistent codewords have equal size, so the receiver's
-    posterior is exactly 1 or 1/2.  One span test runs per distinct row.
+    posterior is exactly 1 or 1/2.
+
+    One column elimination runs over all distinct rows at once.  Row i of
+    `a` holds the known columns (0 where unknown) and then the target;
+    for each bit b, a known column with bit b is XORed into every column
+    with bit b, itself included, so it leaves the elimination and the
+    rest lose bit b.  The target ends at 0 iff it was in their span.
     """
     cols = pack_rows(np.asarray(generator).T)
-    target = int(np.bitwise_xor.reduce(cols[np.asarray(r, dtype=bool)]))
+    n = cols.shape[0]
     known = np.asarray(known, dtype=bool)
     _, first, inverse = np.unique(pack_rows(known), return_index=True, return_inverse=True)
-    distinct = [in_span(target, xor_basis(cols[row])) for row in known[first]]
-    return np.array(distinct, dtype=bool)[inverse]
+    a = np.zeros((first.shape[0], n + 1), dtype=np.uint64)
+    np.copyto(a[:, :n], cols, where=known[first])
+    a[:, n] = np.bitwise_xor.reduce(cols[np.asarray(r, dtype=bool)])
+    has = np.empty_like(a)
+    for b in range(np.asarray(generator).shape[0]):
+        np.right_shift(a, np.uint64(b), out=has)
+        has &= np.uint64(1)
+        pivot = np.take_along_axis(a, has[:, :n].argmax(axis=1)[:, None], axis=1)
+        pivot *= pivot >> np.uint64(b) & np.uint64(1)  # 0 where no column has bit b
+        has *= pivot
+        a ^= has
+    return (a[:, n] == 0)[inverse]
 
 
 # ---------------------------------------------------------------------------

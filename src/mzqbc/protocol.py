@@ -413,10 +413,10 @@ def run_concealing_experiment(
         g.integers(2, size=count)
         g.integers(half, size=count)
         g.integers(half, size=count)
-        order = np.argsort(g.random((count, n)), axis=1, kind="stable")
+        # the m positions with the smallest keys (kth = -1 when m = 0 picks none)
+        picked = np.argpartition(g.random((count, n)), m - 1, axis=1)[:, :m]
         intercept = np.zeros((count, n), dtype=bool)
-        rows = np.repeat(np.arange(count), m)
-        intercept[rows, order[:, :m].ravel()] = True
+        np.put_along_axis(intercept, picked, True, axis=1)
         u_mis = g.random((count, n))
         return kernels.concealing_stats(code.generator, r, intercept, u_mis, eps, abort_at)
 

@@ -229,6 +229,63 @@ def test_gf2_rank_matches_row_reduction(seed):
     assert codes.gf2_rank(matrix) == eliminate_rank(matrix)
 
 
+def loop_parity_determined(generator, r, known):
+    """One `xor_basis` span test per row of `known`: is G r^T in the span
+    of the known columns of G."""
+    cols = kernels.pack_rows(np.asarray(generator).T)
+    target = int(np.bitwise_xor.reduce(cols[np.asarray(r, dtype=bool)]))
+    return [
+        kernels.in_span(target, kernels.xor_basis(cols[row]))
+        for row in np.asarray(known, dtype=bool)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_parity_determined_matches_xor_basis_loop(seed):
+    rng = np.random.default_rng(1100 + seed)
+    shapes = [(64, 24), (64, 1), (24, 24), (1, 1)]
+    for i in range(40):
+        n, k = shapes[i] if i < len(shapes) else (0, 0)
+        if not n:
+            n = int(rng.integers(1, 65))
+            k = int(rng.integers(1, min(n, 24) + 1))
+        gen = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
+        r = rng.integers(0, 2, size=n, dtype=np.uint8)
+        known = rng.random((60, n)) < rng.random()
+        got = kernels.parity_determined(gen, r, known)
+        assert got.dtype == bool and got.shape == (60,)
+        assert got.tolist() == loop_parity_determined(gen, r, known)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (8, 4), (24, 12), (40, 24), (64, 24)])
+def test_parity_determined_edge_masks(n, k):
+    rng = np.random.default_rng(1200 + n + k)
+    gen = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
+    gen[-1] = gen[0]  # a repeated row: the columns span at most k - 1 bits
+    r = rng.integers(0, 2, size=n, dtype=np.uint8)
+    r[0] = 1
+    empty, full = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+    # rank-deficient: the known columns are 0, or repeat one another, or
+    # one of them is the XOR of the others
+    deficient = []
+    for _ in range(6):
+        s = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        g = gen.copy()
+        g[:, s[-1]] = np.bitwise_xor.reduce(g[:, s[:-1]], axis=1) if len(s) > 1 else 0
+        g[:, s[: len(s) // 2]] = g[:, s[:1]]
+        mask = np.zeros(n, dtype=bool)
+        mask[s] = True
+        deficient.append((g, mask))
+    known = np.array([empty, full, *(rng.random((5, n)) < 0.5)])
+    repeated = known[rng.integers(len(known), size=50)]
+    for g, rows in [(gen, known), (gen, repeated), *((g, m[None, :]) for g, m in deficient)]:
+        assert kernels.parity_determined(g, r, rows).tolist() == loop_parity_determined(g, r, rows)
+    got = kernels.parity_determined(gen, r, known)
+    target = int(np.bitwise_xor.reduce(kernels.pack_rows(gen.T)[r.astype(bool)]))
+    assert got[0] == (target == 0)  # nothing known fixes only a constant parity
+    assert got[1]  # the whole word fixes it
+
+
 def _binding_inputs(seed, trials=4096, n=8, eps=0.5, threshold=0.5):
     rng = np.random.default_rng(seed)
     return (

@@ -443,6 +443,19 @@ class TestConcealingExperiment:
         sigma = math.sqrt(expected * (1 - expected) / 50_000)
         assert abs(rep["abort_frequency"] - expected) < 3 * sigma
 
+    @pytest.mark.parametrize("m", [0, 1, 5, 8])
+    def test_every_trial_intercepts_exactly_m_positions(self, m, monkeypatch):
+        seen = []
+
+        def record(generator, r, intercept, u_mis, eps, abort_at):
+            seen.append(intercept.sum(axis=1))
+            return np.zeros(3)
+
+        monkeypatch.setattr(kernels, "concealing_stats", record)
+        run_concealing_experiment(make_params(), m=m, trials=BLOCK_TRIALS + 7)
+        counts = np.concatenate(seen)
+        assert counts.shape == (BLOCK_TRIALS + 7,) and (counts == m).all()
+
     def test_m_out_of_range(self):
         with pytest.raises(ValueError):
             run_concealing_experiment(make_params(), m=9, trials=10)
