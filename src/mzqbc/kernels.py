@@ -139,32 +139,33 @@ def min_weight(masks: np.ndarray, n: int) -> tuple[int, np.ndarray]:
 # ---------------------------------------------------------------------------
 # binding-cheat trial counting
 #
-# Per trial and photon the sender is intercepted when u_mode < f, and an
-# intercepted photon shows up as a mismatch when u_mis < eps.  The cheat
-# survives unveiling iff no flipped position was intercepted; the cheater
-# "proceeds" when she saw no mismatch on the flipped positions, and the
-# sender aborts when a trial's mismatch count reaches `abort_at`.  Returns
-# int64 counts [proceed, proceed & accept, accept, abort].
+# One uniform u per trial and photon: the sender is intercepted when u < f,
+# and an intercepted photon shows up as a mismatch when u < f*eps, which
+# for eps <= 1 implies u < f and has P(mismatch | intercept) = eps to one
+# rounding.  The cheat survives unveiling iff no flipped position was
+# intercepted; the cheater "proceeds" when she saw no mismatch on the
+# flipped positions, and the sender aborts when a trial's mismatch count
+# reaches `abort_at`.  Returns int64 counts
+# [proceed, proceed & accept, accept, abort].
 #
-# The flags are bytes in rows zero-padded to whole uint64 words, so the
-# popcount of a word is the number of its flagged photons and a trial's
-# mismatch count costs one add per word instead of a reduction along a
-# short row.  The caller streams the draws through in chunks of a few
-# thousand trials (`protocol.CHUNK_ROWS`), which keeps these buffers in
+# The mismatch flags are bytes in rows zero-padded to whole uint64 words,
+# so the popcount of a word is the number of its flagged photons and a
+# trial's mismatch count costs one add per word instead of a reduction
+# along a short row.  The caller streams the draws through in chunks of a
+# few thousand trials (`protocol.CHUNK_ROWS`), which keeps these buffers in
 # cache.
 
-def binding_counts(u_mode, u_mis, f, eps, flip_idx, abort_at):
-    rows, n = u_mode.shape
+def binding_counts(u, f, eps, flip_idx, abort_at):
+    rows, n = u.shape
     if n > 64:
         raise ValueError("binding counts support n <= 64 only")
-    flags = np.zeros((2, rows, 8 * -(-n // 8)), dtype=bool)
-    intercept, mismatch = flags[0, :, :n], flags[1, :, :n]
-    np.less(u_mode, f, out=intercept)
-    np.less(u_mis, eps, out=mismatch)
-    flags[1] &= flags[0]  # whole padded rows: contiguous, and the padding stays 0
-    proceed = ~mismatch[:, flip_idx].any(axis=1)
-    accept = ~intercept[:, flip_idx].any(axis=1)
-    words = flags[1].view(np.uint64)
+    f_eps = f * eps
+    padded = np.zeros((rows, 8 * -(-n // 8)), dtype=bool)
+    np.less(u, f_eps, out=padded[:, :n])
+    flips = u[:, flip_idx]
+    proceed = (flips >= f_eps).all(axis=1)
+    accept = (flips >= f).all(axis=1)
+    words = padded.view(np.uint64)
     count = np.bitwise_count(words[:, 0])  # uint8 holds up to 64
     for w in range(1, words.shape[1]):
         count += np.bitwise_count(words[:, w])

@@ -21,7 +21,6 @@ streams each block through in chunks of `CHUNK_ROWS` trials.
 
 from __future__ import annotations
 
-import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -311,29 +310,22 @@ def _run_blocks(worker, trials: int, seed: int, threads: int):
     return results
 
 
-#: trials per binding-kernel call: two draw buffers of this many rows stay in
-#: cache, where a whole block's arrays (3 MB each for Golay) would not
+#: trials per binding-kernel call: a draw buffer of this many rows stays in
+#: cache, where a whole block's array (3 MB for Golay) would not
 CHUNK_ROWS = 4096
 
 
 def _binding_block(g: np.random.Generator, m: int, n: int, f, eps, flip_idx, abort_at):
     """Binding counts of one block's m trials, the same as
-    `kernels.binding_counts(g.random((m, n)), g.random((m, n)), ...)`.
-
-    One `random()` double consumes one PCG64 output, so a copy of the
-    generator advanced by m*n yields the second array while the original
-    yields the first; both stream through a (2, CHUNK_ROWS, n) buffer.
-    """
-    ahead = copy.deepcopy(g.bit_generator)
-    ahead.advance(m * n)
-    g_mis = np.random.Generator(ahead)
-    buf = np.empty((2, min(m, CHUNK_ROWS), n))
+    `kernels.binding_counts(g.random((m, n)), ...)`: one `random()` double
+    consumes one PCG64 output, so the draws stream through a
+    (CHUNK_ROWS, n) buffer chunk by chunk."""
+    buf = np.empty((min(m, CHUNK_ROWS), n))
     counts = np.zeros(4, dtype=np.int64)
     for lo in range(0, m, CHUNK_ROWS):
-        u_mode, u_mis = buf[:, : min(CHUNK_ROWS, m - lo)]
-        g.random(out=u_mode)
-        g_mis.random(out=u_mis)
-        counts += kernels.binding_counts(u_mode, u_mis, f, eps, flip_idx, abort_at)
+        u = buf[: min(CHUNK_ROWS, m - lo)]
+        g.random(out=u)
+        counts += kernels.binding_counts(u, f, eps, flip_idx, abort_at)
     return counts
 
 
@@ -405,14 +397,9 @@ def run_concealing_experiment(
         raise ValueError("m must lie in 0..n")
     if trials < 1:
         raise ValueError("the concealing experiment needs at least one trial")
-    half = 1 << (code.k - 1)  # codewords per parity half when G r^T != 0
     eps, n, abort_at = params.epsilon, code.n, params.abort_at
 
     def worker(g: np.random.Generator, count: int):
-        # committed bit and word (b, pick0, pick1): unused, drawn to keep the random stream
-        g.integers(2, size=count)
-        g.integers(half, size=count)
-        g.integers(half, size=count)
         # the m positions with the smallest keys (kth = -1 when m = 0 picks none)
         picked = np.argpartition(g.random((count, n)), m - 1, axis=1)[:, :m]
         intercept = np.zeros((count, n), dtype=bool)

@@ -84,8 +84,8 @@ GOLDEN = {
     "run-hamming-seed3": "b44006e521675f8d46c773c181b90b4096513ae533f54c106c4b956910951d13",
     "strategies-json": "40c19ce326d2bcb5a3ff99350f21060df95863431e13b09f33eb2641d9eb6ff2",
     "strategies-search-json-seed3": "4c5bcb9036711e3c92e6b4791ba3e9416998c06c27a748d572516ee931e0722c",
-    "sweep-two-codes": "7593f108c69d5a9e6a7d8ee714068495b0b53ff689286b43e94cf14803c2be01",
-    "sweep-two-codes-40000": "3724e7c1ca230bc1c987ed58220a77b239c927e591e48ffca0968b0864a82237",
+    "sweep-two-codes": "ad60e0416f88bb578254375f1b49a08169c39b0a5c445e0c4e47aabe51c76d2e",
+    "sweep-two-codes-40000": "2f943efbdf69c5079b543253dace58ab22a7ca2b7a7bc67d458797f7d290ef25",
     "verify": "1cf5908eb92236c157f319ca1cd85aee0c0829c19e9ddc73f98815ea7c2877cb",
 }
 

@@ -43,20 +43,22 @@ def gray_min_weight(masks, n):
     return best, sorted(words)
 
 
-def loop_binding_counts(u_mode, u_mis, f, eps, flip_idx, threshold):
-    trials, n = u_mode.shape
+def loop_binding_counts(u, f, eps, flip_idx, threshold):
+    """One uniform per photon: intercepted iff u < f, a mismatch iff
+    u < f * eps; the abort is the float estimate rule."""
+    trials, n = u.shape
     out = [0, 0, 0, 0]
     for t in range(trials):
         n_mis = 0
         for i in range(n):
-            if u_mode[t, i] < f and u_mis[t, i] < eps:
+            if u[t, i] < f * eps:
                 n_mis += 1
         proceed = True
         accept = True
         for i in flip_idx:
-            if u_mode[t, i] < f:
+            if u[t, i] < f:
                 accept = False
-                if u_mis[t, i] < eps:
+                if u[t, i] < f * eps:
                     proceed = False
         if proceed:
             out[0] += 1
@@ -290,7 +292,6 @@ def _binding_inputs(seed, trials=4096, n=8, eps=0.5, threshold=0.5):
     rng = np.random.default_rng(seed)
     return (
         rng.random((trials, n)),
-        rng.random((trials, n)),
         0.5,
         eps,
         np.array([0, 4], dtype=np.int64) if n == 8 else np.arange(0, n, 3),
@@ -328,27 +329,30 @@ def test_binding_counts_match_loop_oracle(seed, n, eps, threshold):
 @pytest.mark.parametrize("case", [c for c in BINDING_ORACLE_CASES if "boundary" in c])
 def test_binding_boundary_cases_reach_the_boundary(case):
     seed, n, eps, threshold = BINDING_ORACLE_CASES[case]
-    u_mode, u_mis, f, eps, _, threshold = _binding_inputs(seed, n=n, eps=eps, threshold=threshold)
-    count = ((u_mode < f) & (u_mis < eps)).sum(axis=1)
+    u, f, eps, _, threshold = _binding_inputs(seed, n=n, eps=eps, threshold=threshold)
+    count = (u < f * eps).sum(axis=1)
     assert (count / (eps * n) == threshold).sum() > 100
 
 
 def test_binding_counts_reject_rows_past_64():
     u = np.zeros((2, 65))
     with pytest.raises(ValueError, match="n <= 64"):
-        kernels.binding_counts(u, u, 0.5, 0.5, np.array([0]), 33)
+        kernels.binding_counts(u, 0.5, 0.5, np.array([0]), 33)
 
 
 def test_binding_numpy_semantics():
-    # two photons, one flipped position, hand-checkable draws
-    u_mode = np.array([[0.1, 0.9], [0.1, 0.1], [0.9, 0.9]])
-    u_mis = np.array([[0.1, 0.5], [0.9, 0.9], [0.5, 0.5]])
+    # two photons, one flipped position, hand-checkable draws; f = 0.5 and
+    # eps = 0.5, so u < 0.5 intercepts and u < 0.25 is a mismatch
+    u = np.array([[0.1, 0.9], [0.3, 0.3], [0.9, 0.9], [0.3, 0.1]])
     flips = np.array([0], dtype=np.int64)
-    # f=0.5, eps=0.5: trial0 intercept+mismatch at flip -> no proceed;
+    # trial0 intercept+mismatch at flip -> no proceed;
     # trial1 intercepts both, no mismatch -> proceed, not accept;
-    # trial2 nothing intercepted -> proceed and accept; no count reaches n + 1
-    out = kernels.binding_counts(u_mode, u_mis, 0.5, 0.5, flips, 3)
-    assert out.tolist() == [2, 1, 1, 0]
+    # trial2 nothing intercepted -> proceed and accept;
+    # trial3 intercepts both, mismatch off the flip -> proceed, not accept
+    out = kernels.binding_counts(u, 0.5, 0.5, flips, 3)
+    assert out.tolist() == [3, 1, 1, 0]  # no count reaches n + 1
+    # one mismatch aborts trials 0 and 3
+    assert kernels.binding_counts(u, 0.5, 0.5, flips, 1).tolist() == [3, 1, 1, 2]
 
 
 def _concealing_inputs(code, r, seed, trials, p_intercept=0.4):
