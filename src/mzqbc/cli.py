@@ -252,6 +252,8 @@ def cmd_sweep(cfg) -> int:
     s_over_n = config_mod.get_float(cfg, "s_over_n", 10.0)
     if not f_grid or not r_grid or not code_names:
         raise ConfigError("empty sweep grid")
+    if not s_over_n > 0:
+        raise ConfigError(f"s_over_n must be > 0, got {s_over_n}")
     rows = []
     for name in code_names:
         code = codes_mod.builtin_code(name)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -99,12 +100,10 @@ class ProtocolParams:
     @property
     def abort_at(self) -> int:
         """The fewest mismatches n' whose estimate n'/(epsilon*n) reaches
-        `threshold`, or n + 1 when none does: the sender aborts iff
-        n' >= abort_at.  Each n' is tested with that same floating-point
-        expression, which never decreases in n', so every verdict on a
-        count is the estimate's."""
-        n, eps = self.code.n, self.epsilon
-        return next((m for m in range(n + 1) if m / (eps * n) >= self.threshold), n + 1)
+        `threshold`, in exact arithmetic on the float epsilon: the sender
+        aborts iff n' >= epsilon*(n - d).  As 0 < epsilon <= 1 and d < n,
+        it lies in 1..n - d."""
+        return math.ceil(Fraction(self.epsilon) * (self.code.n - self.code.d))
 
 
 # --- policies ---------------------------------------------------------------

@@ -317,6 +317,9 @@ class TestCounterfactual:
 NON_POSITIVE_COUNTS = {
     "sweep-trials-0": (["sweep", "--trials", "0"], ""),
     "sweep-trials-negative": (["sweep", "--trials", "-5"], ""),
+    # the predecessor scheme's sending slots per photon
+    "sweep-s_over_n-0": (["sweep"], "s_over_n = 0\n"),
+    "sweep-s_over_n-negative": (["sweep"], "s_over_n = -2\n"),
     "counterfactual-sessions-0": (["counterfactual"], "sessions = 0\n"),
     "counterfactual-csv-M-0": (["counterfactual", "--format", "csv"], "M_grid = 1, 0\n"),
     "counterfactual-csv-M-negative": (["counterfactual", "--format", "csv"], "M_grid = 1, -3\n"),

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,8 +52,8 @@ def make_params(**kw):
 
 
 #: epsilon grid for the integer abort cutoff: every builtin code gets counts
-#: whose estimate is within rounding of 1 - d/n (n' = 2 of extended Hamming
-#: at 0.5 exactly on it, n' = 4 of Golay at 0.25 one ulp below it)
+#: exactly on the boundary n' = epsilon*(n - d), where the float estimate can
+#: land one ulp below 1 - d/n (n' = 4 of Golay at 0.25)
 ABORT_EPSILONS = (0.1, 0.125, 0.25, 0.3, 1 / 3, 0.375, 0.5, 2 / 3, 0.75, 1.0)
 #: every builtin code with d < n, the ones a session accepts
 ABORT_CODES = [name for name in codes.BUILTIN_CODES
@@ -64,18 +65,27 @@ class TestParams:
         assert make_params().threshold == pytest.approx(0.5)
 
     @pytest.mark.parametrize("name", ABORT_CODES)
-    def test_abort_at_agrees_with_the_float_rule(self, name):
+    def test_abort_at_is_the_exact_rational_rule(self, name):
         code = codes.builtin_code(name)
-        n = code.n
+        n, d = code.n, code.d
         on_boundary = 0
         for eps in ABORT_EPSILONS:
             params = make_params(code=code, r=np.eye(1, n, dtype=np.uint8)[0], epsilon=eps)
-            estimates = [c / (eps * n) for c in range(n + 1)]
+            # n'/(eps n) >= 1 - d/n, every term an exact rational
+            estimates = [Fraction(c) / (Fraction(eps) * n) for c in range(n + 1)]
             assert [c >= params.abort_at for c in range(n + 1)] == [
-                e >= params.threshold for e in estimates
+                e >= 1 - Fraction(d, n) for e in estimates
             ]
-            on_boundary += sum(math.isclose(e, params.threshold) for e in estimates)
+            on_boundary += estimates.count(1 - Fraction(d, n))
         assert on_boundary > 0
+
+    def test_golay_abort_at_counts_on_the_boundary(self):
+        # the float estimate 4/(0.25*24) is one ulp below 1 - 8/24; the
+        # paper's n' >= eps*(n - d) aborts at 4, 8 and 16 mismatches
+        code = codes.golay_24_12()
+        r = np.eye(1, 24, dtype=np.uint8)[0]
+        got = [make_params(code=code, r=r, epsilon=e).abort_at for e in (0.25, 0.5, 1.0)]
+        assert got == [4, 8, 16]
 
     def test_zero_r_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
