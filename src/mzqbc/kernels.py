@@ -72,19 +72,22 @@ def parity_determined(
     with bit b, itself included, so it leaves the elimination and the
     rest lose bit b.  The target ends at 0 iff it was in their span.
     """
-    cols = pack_rows(np.asarray(generator).T)
+    generator = np.asarray(generator)
+    k = generator.shape[0]
+    cols = pack_rows(generator.T).astype(np.uint32 if k <= 32 else np.uint64)
     n = cols.shape[0]
     known = np.asarray(known, dtype=bool)
     _, first, inverse = np.unique(pack_rows(known), return_index=True, return_inverse=True)
-    a = np.zeros((first.shape[0], n + 1), dtype=np.uint64)
+    a = np.zeros((first.shape[0], n + 1), dtype=cols.dtype)
     np.copyto(a[:, :n], cols, where=known[first])
     a[:, n] = np.bitwise_xor.reduce(cols[np.asarray(r, dtype=bool)])
     has = np.empty_like(a)
-    for b in range(np.asarray(generator).shape[0]):
-        np.right_shift(a, np.uint64(b), out=has)
-        has &= np.uint64(1)
+    for b in range(k):
+        np.right_shift(a, b, out=has)
+        has &= 1
+        # where no known column has bit b, this "pivot" lacks it too: XORed
+        # into the target it moves it within the span, and bit b stays set
         pivot = np.take_along_axis(a, has[:, :n].argmax(axis=1)[:, None], axis=1)
-        pivot *= pivot >> np.uint64(b) & np.uint64(1)  # 0 where no column has bit b
         has *= pivot
         a ^= has
     return (a[:, n] == 0)[inverse]

@@ -245,7 +245,8 @@ def loop_parity_determined(generator, r, known):
 @pytest.mark.parametrize("seed", range(8))
 def test_parity_determined_matches_xor_basis_loop(seed):
     rng = np.random.default_rng(1100 + seed)
-    shapes = [(64, 24), (64, 1), (24, 24), (1, 1)]
+    # k > 32 runs the elimination on uint64 words, k <= 32 on uint32
+    shapes = [(64, 24), (64, 1), (24, 24), (1, 1), (40, 33), (64, 64), (64, 32)]
     for i in range(40):
         n, k = shapes[i] if i < len(shapes) else (0, 0)
         if not n:
@@ -259,7 +260,7 @@ def test_parity_determined_matches_xor_basis_loop(seed):
         assert got.tolist() == loop_parity_determined(gen, r, known)
 
 
-@pytest.mark.parametrize("n, k", [(1, 1), (8, 4), (24, 12), (40, 24), (64, 24)])
+@pytest.mark.parametrize("n, k", [(1, 1), (8, 4), (24, 12), (40, 24), (64, 24), (64, 40)])
 def test_parity_determined_edge_masks(n, k):
     rng = np.random.default_rng(1200 + n + k)
     gen = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
