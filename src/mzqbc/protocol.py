@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -103,7 +102,8 @@ class ProtocolParams:
         `threshold`, in exact arithmetic on the float epsilon: the sender
         aborts iff n' >= epsilon*(n - d).  As 0 < epsilon <= 1 and d < n,
         it lies in 1..n - d."""
-        return math.ceil(Fraction(self.epsilon) * (self.code.n - self.code.d))
+        num, den = self.epsilon.as_integer_ratio()  # the float's exact value
+        return -(-num * (self.code.n - self.code.d) // den)  # the ceiling
 
 
 # --- policies ---------------------------------------------------------------
