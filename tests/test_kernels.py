@@ -248,8 +248,9 @@ def test_parity_determined_matches_xor_basis_loop(seed):
     # k > 32 runs the elimination on uint64 words, k <= 32 on uint32
     shapes = [(64, 24), (64, 1), (24, 24), (1, 1), (40, 33), (64, 64), (64, 32)]
     for i in range(40):
-        n, k = shapes[i] if i < len(shapes) else (0, 0)
-        if not n:
+        if i < len(shapes):
+            n, k = shapes[i]
+        else:
             n = int(rng.integers(1, 65))
             k = int(rng.integers(1, min(n, 24) + 1))
         gen = rng.integers(0, 2, size=(k, n), dtype=np.uint8)

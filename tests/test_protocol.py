@@ -53,7 +53,7 @@ def make_params(**kw):
 
 #: epsilon grid for the integer abort cutoff: every builtin code gets counts
 #: exactly on the boundary n' = epsilon*(n - d), where the float estimate can
-#: land one ulp below 1 - d/n (n' = 4 of Golay at 0.25)
+#: land one ulp below 1 - d/n (Golay at 0.25, 0.5 and 1 aborts at 4, 8, 16)
 ABORT_EPSILONS = (0.1, 0.125, 0.25, 0.3, 1 / 3, 0.375, 0.5, 2 / 3, 0.75, 1.0)
 #: every builtin code with d < n, the ones a session accepts
 ABORT_CODES = [name for name in codes.BUILTIN_CODES
@@ -78,14 +78,6 @@ class TestParams:
             ]
             on_boundary += estimates.count(1 - Fraction(d, n))
         assert on_boundary > 0
-
-    def test_golay_abort_at_counts_on_the_boundary(self):
-        # the float estimate 4/(0.25*24) is one ulp below 1 - 8/24; the
-        # paper's n' >= eps*(n - d) aborts at 4, 8 and 16 mismatches
-        code = codes.golay_24_12()
-        r = np.eye(1, 24, dtype=np.uint8)[0]
-        got = [make_params(code=code, r=r, epsilon=e).abort_at for e in (0.25, 0.5, 1.0)]
-        assert got == [4, 8, 16]
 
     def test_zero_r_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
