@@ -399,11 +399,12 @@ def run_concealing_experiment(
     eps, n, abort_at = params.epsilon, code.n, params.abort_at
 
     def worker(g: np.random.Generator, count: int):
-        # the m positions with the smallest keys (kth = -1 when m = 0 picks none)
+        # the m positions with the smallest keys (kth = -1 when m = 0 picks
+        # none); keys and indices stay temporaries, freed before the span test
         intercept = np.zeros((count, n), dtype=bool)
-        order = np.argpartition(g.random((count, n)), m - 1, axis=1)
-        np.put_along_axis(intercept, order[:, :m], True, axis=1)
-        del order  # 8 bytes a photon, freed before the span test
+        np.put_along_axis(
+            intercept, np.argpartition(g.random((count, n)), m - 1, axis=1)[:, :m], True, axis=1
+        )
         u_mis = g.random((count, n))
         return kernels.concealing_stats(code.generator, r, intercept, u_mis, eps, abort_at)
 
