@@ -23,7 +23,7 @@ import numpy as np
 
 from . import codes as codes_mod
 from . import config as config_mod
-from . import checks, counterfactual, kernels, operator_model, optics, protocol, strategies
+from . import checks, counterfactual, operator_model, optics, protocol, strategies
 from .config import ConfigError
 from .util import GuardError
 
@@ -332,13 +332,11 @@ def cmd_nogo(cfg) -> int:
     trials = config_mod.get_int(cfg, "trials", 100)
     rng = np.random.default_rng(config_mod.get_int(cfg, "seed", 0))
     report = operator_model.alice_local_invariance(modes, code, r, trials, rng)
-    # knowing nothing, then the intercepted positions: each mask either fixes
-    # the parity for every codeword or leaves it at exactly 1/2
-    known = np.array([[False] * code.n, [m == "intercept" for m in modes]])
-    nothing, intercepted = kernels.parity_determined(code.generator, r, known)
+    # r is not orthogonal to the code, so knowing nothing leaves the bit at
+    # exactly 1/2; the records tell the bits apart with Helstrom's (1 + D)/2
     posteriors = {
-        "no_knowledge": (1.0, 0.0) if nothing else (0.5, 0.5),
-        "mean_max_with_intercepted_known": 1.0 if intercepted else 0.5,
+        "no_knowledge": (0.5, 0.5),
+        "mean_max_with_intercepted_known": (1.0 + report["reduced_trace_distance"]) / 2,
     }
     _emit_json(
         cfg,

@@ -1,4 +1,4 @@
-"""Operator model of the commit phase, one product ket per codeword.
+"""Operator model of the commit phase, read off the intercepted pattern.
 
 The commit phase is equivalent to a three-stage process: the sender hands
 over a register `alpha` of n qubits (one per photon, in the orthonormal
@@ -15,10 +15,15 @@ Every gate is a swap or a controlled permutation, and the committed state
 is a uniform mixture over the parity-b codewords c.  So each branch c stays
 a product over photons: a bypassed photon leaves beta_i = |c_i> and
 (alpha_i, gamma_i) = (fiducial, |2>), an intercepted one leaves beta_i =
-fiducial and (alpha_i, gamma_i) = (|c_i>, |c_i>).  The receiver holds
-rho_b = mean_c |B_c><B_c|, and everything about it follows from the Gram
-matrix of the B_c over both parity halves (at most 2^k on a side), whose
-entries are products of per-photon inner products.
+fiducial and (alpha_i, gamma_i) = (|c_i>, |c_i>).  The receiver's ket B_c
+thus depends only on the pattern c_S of the intercepted positions S: two
+branches with one pattern are equal and two with different patterns are
+orthogonal, whatever the fiducial.  So rho_b = mean_c |B_c><B_c| is
+diagonal in the patterns, and the two states are read off S alone: when S
+fixes the parity (`kernels.parity_determined`) they sit on disjoint
+patterns, trace distance 1 and overlap 0; otherwise both are the uniform
+mixture of the 2^rank(G[:, S]) patterns, trace distance 0 and overlap
+2^-rank.
 
 Two structural facts carry the security argument, and both are testable:
 the committed alpha states for bit 0 and bit 1 are exactly orthogonal
@@ -35,13 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codes as codes_mod
+from . import kernels
 from .codes import LinearCode
 from .util import GuardError, haar_unitary
 
 #: Largest per-trial array of the invariance check, in complex amplitudes:
-#: the 2^n x 2^n Haar draw, which also bounds the 2^k branch kets of 2^n
-#: amplitudes each (a full-rank generator has k <= n).  One Haar draw took
-#: 16 ms at n = 8, 78 ms at n = 9, 0.36 s at n = 10 and 2.9 s at n = 11
+#: the 2^n x 2^n Haar draw, which also bounds the 2^(k-1) of its columns that
+#: the bit-0 branches read (a full-rank generator has k <= n).  One Haar draw
+#: took 16 ms at n = 8, 78 ms at n = 9, 0.36 s at n = 10 and 2.9 s at n = 11
 #: (2-core VM), so n <= 9 keeps the default 100 trials under 10 s.
 MAX_TRIAL_AMPLITUDES = 1 << 18
 #: Budget of one invariance check, in trials x 4^n amplitudes, a trial
@@ -51,9 +57,6 @@ MAX_TRIAL_AMPLITUDES = 1 << 18
 #: admitted run under about 20 s.
 MAX_CHECK_AMPLITUDES = 1 << 25
 MIN_TRIAL_AMPLITUDES = 4**5
-
-QUTRIT_UNMEASURED = 2
-
 
 @dataclass(frozen=True)
 class SparseDiagonalDensity:
@@ -100,28 +103,12 @@ def overlap(rho_a: SparseDiagonalDensity, rho_b: SparseDiagonalDensity) -> float
     return float(rho_a.weights[ia] @ rho_b.weights[ib])
 
 
-def _photon_kets(mode: str, fiducial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One photon's kets after its gate, row a for codeword bit c_i = a: the
-    returned qubit beta_i (2 amplitudes) and the receiver's alpha_i x gamma_i
-    (6 amplitudes)."""
-    qubit, qutrit = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
-    if mode == "bypass":  # swap: beta_i takes |a>, alpha_i the fiducial
-        kept = np.kron(fiducial, qutrit[QUTRIT_UNMEASURED])
-        return qubit, np.stack([kept, kept])
-    if mode == "intercept":  # measure and record: |a>|2> -> |a>|a>
-        return np.stack([fiducial, fiducial]), np.stack(
-            [np.kron(qubit[a], qutrit[a]) for a in (0, 1)]
-        )
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def alice_local_invariance(
     modes: list[str],
     code: LinearCode,
     r: np.ndarray,
     trials: int,
     rng: np.random.Generator,
-    beta_qubit: np.ndarray | None = None,
 ) -> dict:
     """Check that unitaries on the sender's returned qubits cannot move the
     receiver's reduced state.
@@ -129,12 +116,11 @@ def alice_local_invariance(
     For `trials` Haar-random unitaries V on the beta register, each
     codeword branch of the bit-0 commitment is reweighted by |V beta_c|^2;
     the report gives the largest change of the receiver's state (operator
-    norm, which bounds every matrix entry) and of its overlap with the
-    bit-1 state.  Also reports how distinguishable the two reduced states
-    are, which is what the receiver's intercept records buy him.
-
-    beta_qubit is the receiver's (secret, his choice) per-qubit fiducial
-    ket; default |0> in the encoding basis.
+    norm, which bounds every matrix entry: the largest per-pattern sum of
+    the weight changes) and of its overlap with the bit-1 state.  Also
+    reports how distinguishable the two reduced states are, which is what
+    the receiver's intercept records buy him.  The fiducial is |0>; no
+    reported field depends on it.
 
     Refused before anything is drawn or allocated when one trial's
     2^n x 2^n Haar draw is beyond `MAX_TRIAL_AMPLITUDES`, and then when
@@ -158,48 +144,36 @@ def alice_local_invariance(
         )
     if len(modes) != n:
         raise ValueError("one mode per photon required")
+    for mode in modes:
+        if mode not in ("bypass", "intercept"):
+            raise ValueError(f"unknown mode {mode!r}")
     if not codes_mod.message_mask(code, r).any():
         raise ValueError("r is orthogonal to every codeword: the parity commits no bit")
-    fiducial = np.array([1.0, 0.0] if beta_qubit is None else beta_qubit, dtype=complex)
-    fiducial = fiducial / np.linalg.norm(fiducial)
 
-    halves = [_parity_half(code, r, b) for b in (0, 1)]
-    words = np.concatenate(halves)
-    m, m0 = len(words), len(halves[0])
-    beta = np.ones((m, 1), dtype=complex)
-    gram = np.ones((m, m), dtype=complex)
-    for i, mode in enumerate(modes):
-        beta_i, kept_i = _photon_kets(mode, fiducial)
-        bits = words[:, i]
-        beta = (beta[:, :, None] * beta_i[bits][:, None, :]).reshape(m, -1)
-        gram *= (kept_i.conj() @ kept_i.T)[bits[:, None], bits[None, :]]
+    intercepted = np.array([mode == "intercept" for mode in modes])
+    determined = bool(kernels.parity_determined(code.generator, r, intercepted[None])[0])
+    # an open parity puts 2^(k - rank - 1) words of each parity in every one
+    # of the 2^rank patterns, so both states are the uniform pattern mixture
+    base_overlap = 0.0 if determined else 2.0 ** -codes_mod.gf2_rank(
+        code.generator[:, intercepted]
+    )
 
-    # The B_c as columns in an orthonormal basis of their span, read off the
-    # Gram matrix; directions below its rank tolerance are null in exact
-    # arithmetic, and keeping their roundoff would split zero eigenvalues
-    # by about sqrt(eps).  sum_c x_c |B_c><B_c| then has the spectrum of
-    # coords diag(x) coords^dagger.
-    lam, u = np.linalg.eigh(gram)
-    keep = lam > m * np.finfo(float).eps * lam[-1]
-    coords = np.sqrt(lam[keep])[:, None] * u[:, keep].conj().T
-
-    def spectrum(x: np.ndarray) -> np.ndarray:
-        return np.linalg.eigvalsh((coords * x) @ coords.conj().T)
-
-    bit0 = np.arange(m) < m0
-    weight = np.sum(np.abs(beta) ** 2, axis=1) / np.where(bit0, m0, m - m0)
-    cross = np.abs(gram[:m0, m0:]) ** 2 @ weight[m0:]
-    base_overlap = float(weight[:m0] @ cross)
+    words = _parity_half(code, r, 0)
+    m0 = len(words)
+    # with the fiducial |0>, branch c's returned qubits are the basis ket
+    # |c_i on bypassed photons, 0 on intercepted ones>, so V reweights it by
+    # the squared norm of that column of V
+    columns = (words * ~intercepted) @ (1 << np.arange(n - 1, -1, -1))
+    _, pattern = np.unique(kernels.pack_rows(words[:, intercepted]), return_inverse=True)
 
     max_dev = 0.0
     max_overlap_dev = 0.0
-    change = np.zeros(m)
     for _ in range(trials):
         v = haar_unitary(1 << n, rng)
-        rotated = np.sum(np.abs(beta[:m0] @ v.T) ** 2, axis=1) / m0
-        change[:m0] = rotated - weight[:m0]
-        max_dev = max(max_dev, float(np.max(np.abs(spectrum(change)))))
-        max_overlap_dev = max(max_overlap_dev, abs(float(rotated @ cross) - base_overlap))
+        change = np.sum(np.abs(v.T[columns]) ** 2, axis=1) / m0 - 1.0 / m0
+        per_pattern = np.bincount(pattern, weights=change)
+        max_dev = max(max_dev, float(np.max(np.abs(per_pattern))))
+        max_overlap_dev = max(max_overlap_dev, abs(float(change.sum())) * base_overlap)
     return {
         "n": n,
         "modes": list(modes),
@@ -207,7 +181,5 @@ def alice_local_invariance(
         "max_deviation": max_dev,
         "max_overlap_deviation": max_overlap_dev,
         "reduced_overlap": base_overlap,
-        "reduced_trace_distance": 0.5 * float(
-            np.sum(np.abs(spectrum(np.where(bit0, weight, -weight))))
-        ),
+        "reduced_trace_distance": 1.0 if determined else 0.0,
     }

@@ -1,10 +1,15 @@
-"""Dense reference for the operator model, on the full 12^n composite.
+"""Reference implementations of the operator model, for tests only.
 
-`mzqbc.operator_model` keeps each committed codeword as a product of
-per-photon kets.  This module is the former dense pipeline it replaced:
-the (beta x alpha x gamma) density matrix, the per-photon 4x4 swap and 6x6
-measure-and-record unitaries applied factor by factor, Haar rotations of
-the beta register and partial traces.  Tests compare the two at n <= 3.
+`mzqbc.operator_model` reads the receiver's reduced states off which
+positions were intercepted.  This module keeps the two models it replaced:
+
+- the dense pipeline on the full 12^n composite: the (beta x alpha x gamma)
+  density matrix, the per-photon 4x4 swap and 6x6 measure-and-record
+  unitaries applied factor by factor, Haar rotations of the beta register
+  and partial traces.  Tests compare it at n <= 3.
+- the product-ket model: one product ket per codeword and the Gram matrix
+  of the receiver's kets over both parity halves, its eigh and an eigvalsh
+  per Haar trial, with any fiducial.  It reaches n <= 9.
 """
 
 from __future__ import annotations
@@ -14,8 +19,10 @@ from math import prod
 
 import numpy as np
 
-from mzqbc.operator_model import QUTRIT_UNMEASURED, SparseDiagonalDensity, committed_density
+from mzqbc.operator_model import SparseDiagonalDensity, committed_density
 from mzqbc.util import GuardError, haar_unitary
+
+QUTRIT_UNMEASURED = 2
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -344,3 +351,87 @@ def committed_density_by_loop(code, r: np.ndarray, b: int) -> SparseDiagonalDens
     indices = np.array([codeword_basis_index(w) for w in subset], dtype=np.int64)
     weights = np.full(len(subset), 1.0 / len(subset))
     return SparseDiagonalDensity(dim=1 << code.n, indices=indices, weights=weights)
+
+
+# --- product-ket (Gram matrix) model ------------------------------------------
+
+def _photon_kets(mode: str, fiducial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One photon's kets after its gate, row a for codeword bit c_i = a: the
+    returned qubit beta_i (2 amplitudes) and the receiver's alpha_i x gamma_i
+    (6 amplitudes)."""
+    qubit, qutrit = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
+    if mode == "bypass":  # swap: beta_i takes |a>, alpha_i the fiducial
+        kept = np.kron(fiducial, qutrit[QUTRIT_UNMEASURED])
+        return qubit, np.stack([kept, kept])
+    if mode == "intercept":  # measure and record: |a>|2> -> |a>|a>
+        return np.stack([fiducial, fiducial]), np.stack(
+            [np.kron(qubit[a], qutrit[a]) for a in (0, 1)]
+        )
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def gram_local_invariance(
+    modes: list[str],
+    code,
+    r: np.ndarray,
+    trials: int,
+    rng: np.random.Generator,
+    beta_qubit: np.ndarray | None = None,
+) -> dict:
+    """The invariance report from the Gram matrix of the receiver's branch
+    kets: the same keys and the same Haar draws as
+    `mzqbc.operator_model.alice_local_invariance`, with the receiver's
+    per-qubit fiducial `beta_qubit` (default |0>)."""
+    fiducial = np.array([1.0, 0.0] if beta_qubit is None else beta_qubit, dtype=complex)
+    fiducial = fiducial / np.linalg.norm(fiducial)
+    n = code.n
+    words = code.codewords()
+    parity = words @ np.asarray(r, dtype=np.uint8) % 2
+    halves = [words[parity == b] for b in (0, 1)]
+    words = np.concatenate(halves)
+    m, m0 = len(words), len(halves[0])
+    beta = np.ones((m, 1), dtype=complex)
+    gram = np.ones((m, m), dtype=complex)
+    for i, mode in enumerate(modes):
+        beta_i, kept_i = _photon_kets(mode, fiducial)
+        bits = words[:, i]
+        beta = (beta[:, :, None] * beta_i[bits][:, None, :]).reshape(m, -1)
+        gram *= (kept_i.conj() @ kept_i.T)[bits[:, None], bits[None, :]]
+
+    # The B_c as columns in an orthonormal basis of their span, read off the
+    # Gram matrix; directions below its rank tolerance are null in exact
+    # arithmetic, and keeping their roundoff would split zero eigenvalues
+    # by about sqrt(eps).  sum_c x_c |B_c><B_c| then has the spectrum of
+    # coords diag(x) coords^dagger.
+    lam, u = np.linalg.eigh(gram)
+    keep = lam > m * np.finfo(float).eps * lam[-1]
+    coords = np.sqrt(lam[keep])[:, None] * u[:, keep].conj().T
+
+    def spectrum(x: np.ndarray) -> np.ndarray:
+        return np.linalg.eigvalsh((coords * x) @ coords.conj().T)
+
+    bit0 = np.arange(m) < m0
+    weight = np.sum(np.abs(beta) ** 2, axis=1) / np.where(bit0, m0, m - m0)
+    cross = np.abs(gram[:m0, m0:]) ** 2 @ weight[m0:]
+    base_overlap = float(weight[:m0] @ cross)
+
+    max_dev = 0.0
+    max_overlap_dev = 0.0
+    change = np.zeros(m)
+    for _ in range(trials):
+        v = haar_unitary(1 << n, rng)
+        rotated = np.sum(np.abs(beta[:m0] @ v.T) ** 2, axis=1) / m0
+        change[:m0] = rotated - weight[:m0]
+        max_dev = max(max_dev, float(np.max(np.abs(spectrum(change)))))
+        max_overlap_dev = max(max_overlap_dev, abs(float(rotated @ cross) - base_overlap))
+    return {
+        "n": n,
+        "modes": list(modes),
+        "trials": trials,
+        "max_deviation": max_dev,
+        "max_overlap_deviation": max_overlap_dev,
+        "reduced_overlap": base_overlap,
+        "reduced_trace_distance": 0.5 * float(
+            np.sum(np.abs(spectrum(np.where(bit0, weight, -weight))))
+        ),
+    }

@@ -265,8 +265,25 @@ class TestNogo:
         assert doc["code"] == "(8,4,4)"
         assert doc["max_deviation"] <= 1e-9
         assert doc["max_overlap_deviation"] <= 1e-9
-        assert doc["overlaps"]["reduced_trace_distance"] == pytest.approx(1.0, abs=1e-12)
+        assert doc["overlaps"]["reduced_trace_distance"] == 1.0
+        assert doc["overlaps"]["reduced_overlap"] == 0.0
         assert doc["posteriors"]["mean_max_with_intercepted_known"] == 1.0
+
+    def test_open_parity_overlap_is_two_to_the_minus_rank(self, tmp_path):
+        # positions 2 and 3 carry two independent message bits, neither of
+        # them the parity bit 1: four equally likely patterns on both sides
+        cfg = write_cfg(
+            tmp_path,
+            "builtin_code = extended_hamming\nr = 10000000\n"
+            "modes = bypass, intercept, intercept, bypass, bypass, bypass, bypass, bypass\n",
+        )
+        out = tmp_path / "nogo.json"
+        assert cli.main(["nogo", "--config", cfg, "--out", str(out), "--trials", "3"]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["overlaps"]["reduced_overlap"] == 0.25
+        assert doc["overlaps"]["reduced_trace_distance"] == 0.0
+        assert doc["posteriors"]["mean_max_with_intercepted_known"] == 0.5
+        assert doc["max_overlap_deviation"] <= 1e-9
 
     def test_self_dual_code_needs_an_explicit_r(self, tmp_path, capsys):
         # r = 1...1 is a codeword of the self-dual extended Hamming code

@@ -78,7 +78,7 @@ GOLDEN = {
     "counterfactual-json-extended_hamming-M2": "e47b7816a70ad8133a230c32a2d05fa43f7ce372d7538d0b4389e41b8dd5694a",
     "counterfactual-json-golay-M2": "e1e06055144c994fd35b5fa2b25ac5916c198a9b041f0bfb729ae74d1a87675f",
     "nogo": "7c57f0c91b7774af9b38e45b626ec5fa77cd1d8489f530a1ece8fec1bbeb3393",
-    "nogo-extended_hamming-r10000000": "2bcf463c03b1ed09b94ca70389e475ad7b7fde43ae23a99a0ac90187e34607f0",
+    "nogo-extended_hamming-r10000000": "36ca9284b0dd7166e87436af6ad5c85a5e1df72611af45575aec32ada82d4c3c",
     "run-extended_hamming-seed17": "9dd33782b744f677e93c3449c258cf4be45763a8e78ed896a4400a2bb8c31db0",
     "run-extended_hamming-seed3": "5c0213cbdf68ec9385fe14daf8578a776d5eb5019c1ad474287348b467d70a57",
     "run-extended_hamming-fbs_probe-partial_intercept-seed3": "88108f2869ea391a4518331ccadca554d130a5ba19d8e9e511e374b2c927b2b4",

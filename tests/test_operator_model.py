@@ -230,16 +230,19 @@ class TestInvariance:
         report = alice_local_invariance(
             ["intercept", "bypass", "bypass"], code, R111, trials=2, rng=rng
         )
-        assert report["reduced_overlap"] == pytest.approx(0.0, abs=1e-12)
-        assert report["reduced_trace_distance"] == pytest.approx(1.0, abs=1e-9)
+        assert report["reduced_overlap"] == 0.0
+        assert report["reduced_trace_distance"] == 1.0
 
     def test_mode_errors(self):
         code = codes.repetition_code(3)
         rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
         with pytest.raises(ValueError, match="one mode per photon"):
             alice_local_invariance(["bypass"] * 2, code, R111, 1, rng)
+        assert rng.bit_generator.state == before
         with pytest.raises(ValueError, match="unknown mode 'measure'"):
             alice_local_invariance(["bypass", "measure", "bypass"], code, R111, 1, rng)
+        assert rng.bit_generator.state == before
 
     def test_r_orthogonal_to_the_code_rejected_before_any_draw(self):
         code = codes.extended_hamming_8_4()
@@ -278,15 +281,15 @@ class TestInvariance:
         assert report["max_deviation"] <= 1e-9
         assert report["max_overlap_deviation"] <= 1e-9
         # the intercepted photon is the parity bit: records tell the bits apart
-        assert report["reduced_overlap"] == pytest.approx(0.0, abs=1e-12)
-        assert report["reduced_trace_distance"] == pytest.approx(1.0, abs=1e-12)
+        assert report["reduced_overlap"] == 0.0
+        assert report["reduced_trace_distance"] == 1.0
         # one intercepted photon that does not fix the parity reveals nothing
         report = alice_local_invariance(
             ["intercept"] + ["bypass"] * 7, code, bits_from_string("01000000"), 3,
             np.random.default_rng(2),
         )
-        assert report["reduced_trace_distance"] == pytest.approx(0.0, abs=1e-12)
-        assert report["reduced_overlap"] == pytest.approx(0.5, abs=1e-12)
+        assert report["reduced_trace_distance"] == 0.0
+        assert report["reduced_overlap"] == 0.5
 
 
 REPORT_FIELDS = (
@@ -312,10 +315,11 @@ def _random_case(rng, n):
 
 
 def _both_reports(code, r, modes, seed, beta=None, trials=3):
-    """The product-ket and the dense report from generators seeded alike,
-    and the two generators afterwards."""
+    """The pattern-counting and the dense report from generators seeded
+    alike, the dense one with the fiducial `beta`, and the two generators
+    afterwards."""
     fast_rng, dense_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    fast = alice_local_invariance(modes, code, r, trials, fast_rng, beta)
+    fast = alice_local_invariance(modes, code, r, trials, fast_rng)
     dense = oracles.alice_local_invariance(
         CompositeSystem(n=code.n), modes, code, r, trials, dense_rng, beta
     )
@@ -323,8 +327,9 @@ def _both_reports(code, r, modes, seed, beta=None, trials=3):
 
 
 class TestOracleAgreement:
-    """The product-ket model against the dense 12^n pipeline (about 1.4 s
-    per dense call at n = 3, so n = 3 gets one random case per fiducial)."""
+    """The pattern-counting model against the dense 12^n pipeline (about
+    1.4 s per dense call at n = 3, so n = 3 gets one random case per
+    fiducial).  The fiducial is the oracle's only: the model has none."""
 
     @pytest.mark.parametrize("n,cases", [(1, 6), (2, 6), (3, 1)])
     @pytest.mark.parametrize(
@@ -355,6 +360,34 @@ class TestOracleAgreement:
             fast, dense, _, _ = _both_reports(code, r, modes, mask, trials=2)
             for key in REPORT_FIELDS:
                 assert fast[key] == pytest.approx(dense[key], abs=1e-12), key
+
+
+class TestGramOracle:
+    """The pattern-counting model against the Gram matrix of the receiver's
+    branch kets (`operator_oracles.gram_local_invariance`), which reaches
+    every n the Haar guard admits; 151 random cases with n from 2 to 9."""
+
+    @pytest.mark.parametrize(
+        "n,cases", [(2, 30), (3, 30), (4, 25), (5, 25), (6, 20), (7, 12), (8, 6), (9, 3)]
+    )
+    def test_report_matches_gram_oracle(self, n, cases):
+        rng = np.random.default_rng(1700 + n)
+        for _ in range(cases):
+            code, r, modes = _random_case(rng, n)
+            fiducial = rng.normal(size=2) + 1j * rng.normal(size=2)
+            seed = int(rng.integers(1 << 30))
+            fast_rng, gram_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            fast = alice_local_invariance(modes, code, r, 2, fast_rng)
+            gram = oracles.gram_local_invariance(modes, code, r, 2, gram_rng, fiducial)
+            for key in REPORT_FIELDS:
+                assert fast[key] == pytest.approx(gram[key], abs=1e-12), key
+            assert fast_rng.bit_generator.state == gram_rng.bit_generator.state
+            # the closed forms are exact: distinct patterns or 2^rank of them
+            intercepted = np.array([m == "intercept" for m in modes])
+            rank = codes.gf2_rank(code.generator[:, intercepted])
+            assert (fast["reduced_trace_distance"], fast["reduced_overlap"]) in (
+                (1.0, 0.0), (0.0, 2.0**-rank)
+            )
 
 
 class TestPosterior:
