@@ -389,6 +389,26 @@ class TestGramOracle:
                 (1.0, 0.0), (0.0, 2.0**-rank)
             )
 
+    def test_non_unitary_draw_is_summed_per_pattern(self, monkeypatch):
+        # a Haar draw changes the weights by roundoff only, so the fields
+        # above agree to 1e-12 however the changes are grouped; a Gaussian
+        # draw changes them by O(1/m0) and shows the per-pattern sums
+        def gaussian(dim, rng):
+            z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            return z / np.sqrt(2 * dim)
+
+        monkeypatch.setattr(om, "haar_unitary", gaussian)
+        monkeypatch.setattr(oracles, "haar_unitary", gaussian)
+        rng = np.random.default_rng(1800)
+        for n in (2, 3, 4, 5, 6) * 4:
+            code, r, modes = _random_case(rng, n)
+            seed = int(rng.integers(1 << 30))
+            fast = alice_local_invariance(modes, code, r, 2, np.random.default_rng(seed))
+            gram = oracles.gram_local_invariance(modes, code, r, 2, np.random.default_rng(seed))
+            assert fast["max_deviation"] > 1e-6
+            for key in REPORT_FIELDS:
+                assert fast[key] == pytest.approx(gram[key], rel=1e-9, abs=1e-12), key
+
 
 class TestPosterior:
     """The receiver's posterior on the committed bit: exactly 1 when the
