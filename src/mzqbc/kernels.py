@@ -6,12 +6,15 @@ elimination, batched over masks, serves the span test `parity_determined`,
 which the concealing game, the probe attack and the nogo report share;
 and one chunked walk of the 2^k span serves the minimum distance (with
 every minimum-weight word) and the codeword list.
-The Monte-Carlo kernels consume pre-drawn uniform arrays and are exact
-integer/boolean counting; the sender's abort is a mismatch count reaching
-`ProtocolParams.abort_at`.
+The Monte-Carlo kernels consume pre-drawn uint32 uniforms and are exact
+integer/boolean counting: an event of probability p is u < t(p) with the
+integer threshold t(p) = `uint32_threshold(p)`, and the sender's abort is
+a mismatch count reaching `ProtocolParams.abort_at`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -142,32 +145,35 @@ def min_weight(masks: np.ndarray, n: int) -> tuple[int, np.ndarray]:
 # ---------------------------------------------------------------------------
 # binding-cheat trial counting
 #
-# One uniform u per trial and photon: the sender is intercepted when u < f,
-# and an intercepted photon shows up as a mismatch when u < f*eps, which
-# for eps <= 1 implies u < f and has P(mismatch | intercept) = eps to one
-# rounding.  The cheat survives unveiling iff no flipped position was
-# intercepted; the cheater "proceeds" when she saw no mismatch on the
-# flipped positions, and the sender aborts when a trial's mismatch count
-# reaches `abort_at`.  Returns int64 counts
+# One uniform 32-bit u per trial and photon: the sender is intercepted when
+# u < t(f), and an intercepted photon shows up as a mismatch when
+# u < t(f*eps), which for eps <= 1 implies u < t(f).  The cheat survives
+# unveiling iff no flipped position was intercepted; the cheater "proceeds"
+# when she saw no mismatch on the flipped positions, and the sender aborts
+# when a trial's mismatch count reaches `abort_at`.  Returns int64 counts
 # [proceed, proceed & accept, accept, abort].
 #
 # The mismatch flags are bytes in rows zero-padded to whole uint64 words,
 # so the popcount of a word is the number of its flagged photons and a
 # trial's mismatch count costs one add per word instead of a reduction
-# along a short row.  The caller streams the draws through in chunks of a
-# few thousand trials (`protocol.CHUNK_ROWS`), which keeps these buffers in
-# cache.
+# along a short row.  The caller passes a whole 16384-trial block at once.
 
-def binding_counts(u, f, eps, flip_idx, abort_at):
+def uint32_threshold(p: float) -> int:
+    """The integer t with P(u < t) = t / 2^32 in [p, p + 2^-32) for a
+    uniform uint32 u: ceil(p * 2^32), where the product is exact because
+    the factor is a power of two.  At p = 1 it is 2^32, above every uint32."""
+    return math.ceil(p * 2**32)
+
+
+def binding_counts(u, t_f, t_fe, flip_idx, abort_at):
     rows, n = u.shape
     if n > 64:
         raise ValueError("binding counts support n <= 64 only")
-    f_eps = f * eps
     padded = np.zeros((rows, 8 * -(-n // 8)), dtype=bool)
-    np.less(u, f_eps, out=padded[:, :n])
+    np.less(u, t_fe, out=padded[:, :n])
     flips = u[:, flip_idx]
-    proceed = (flips >= f_eps).all(axis=1)
-    accept = (flips >= f).all(axis=1)
+    proceed = (flips >= t_fe).all(axis=1)
+    accept = (flips >= t_f).all(axis=1)
     words = padded.view(np.uint64)
     count = np.bitwise_count(words[:, 0])  # uint8 holds up to 64
     for w in range(1, words.shape[1]):
@@ -189,12 +195,13 @@ def binding_counts(u, f, eps, flip_idx, abort_at):
 #
 # Per trial the receiver learns the committed codeword exactly on his
 # intercepted positions; his parity posterior is 1 when those positions fix
-# the parity and 1/2 otherwise, whichever codeword was committed.  The
-# sender aborts when a trial's mismatch count reaches `abort_at`.  Returns
-# float64 [aborts, sum p(true parity), sum max posterior].
+# the parity and 1/2 otherwise, whichever codeword was committed.  An
+# intercepted photon shows up as a mismatch when its uint32 u_mis < t(eps),
+# and the sender aborts when a trial's mismatch count reaches `abort_at`.
+# Returns float64 [aborts, sum p(true parity), sum max posterior].
 
-def concealing_stats(generator, r, intercept, u_mis, eps, abort_at):
-    mismatch = intercept & (u_mis < eps)
+def concealing_stats(generator, r, intercept, u_mis, t_eps, abort_at):
+    mismatch = intercept & (u_mis < t_eps)
     aborts = (mismatch.sum(axis=1) >= abort_at).sum()
     determined = parity_determined(generator, r, intercept)
     posterior = float(determined.sum()) + 0.5 * float((~determined).sum())

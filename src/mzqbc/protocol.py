@@ -15,8 +15,9 @@ what he learned is the sent word at the intercepted positions.
 
 The high-trial experiments draw their randomness with numpy generators
 (seed-split into fixed blocks, so results do not depend on the thread
-count) and feed it to the counting kernels in `kernels`; the binding game
-streams each block through in chunks of `CHUNK_ROWS` trials.
+count) and feed it to the counting kernels in `kernels`.  Their per-photon
+uniforms are 32 bits, two per raw PCG64 output, drawn once per block and
+compared with the integer thresholds of `kernels.uint32_threshold`.
 """
 
 from __future__ import annotations
@@ -309,23 +310,13 @@ def _run_blocks(worker, trials: int, seed: int, threads: int):
     return results
 
 
-#: trials per binding-kernel call: a draw buffer of this many rows stays in
-#: cache, where a whole block's array (3 MB for Golay) would not
-CHUNK_ROWS = 4096
-
-
-def _binding_block(g: np.random.Generator, m: int, n: int, f, eps, flip_idx, abort_at):
-    """Binding counts of one block's m trials, the same as
-    `kernels.binding_counts(g.random((m, n)), ...)`: one `random()` double
-    consumes one PCG64 output, so the draws stream through a
-    (CHUNK_ROWS, n) buffer chunk by chunk."""
-    buf = np.empty((min(m, CHUNK_ROWS), n))
-    counts = np.zeros(4, dtype=np.int64)
-    for lo in range(0, m, CHUNK_ROWS):
-        u = buf[: min(CHUNK_ROWS, m - lo)]
-        g.random(out=u)
-        counts += kernels.binding_counts(u, f, eps, flip_idx, abort_at)
-    return counts
+def _uniforms32(g: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    """A (rows, n) array of uniform uint32 draws, two per raw PCG64 output,
+    low half first on every platform; when rows * n is odd the last
+    output's high half is dropped."""
+    size = rows * n
+    raw = g.bit_generator.random_raw(-(-size // 2))
+    return raw.astype("<u8", copy=False).view("<u4")[:size].reshape(rows, n)
 
 
 def run_binding_experiment(
@@ -349,9 +340,10 @@ def run_binding_experiment(
     mid, target = binding_pair(params.code, params.r)
     flip_idx = np.flatnonzero(mid != target).astype(np.int64)
     f, eps, n, abort_at = params.f, params.epsilon, params.n, params.abort_at
+    t_f, t_fe = kernels.uint32_threshold(f), kernels.uint32_threshold(f * eps)
 
     def worker(g: np.random.Generator, m: int):
-        return _binding_block(g, m, n, f, eps, flip_idx, abort_at)
+        return kernels.binding_counts(_uniforms32(g, m, n), t_f, t_fe, flip_idx, abort_at)
 
     counts = sum(_run_blocks(worker, trials, params.seed, threads))
     proceed, proceed_accept, accept, abort = (int(x) for x in counts)
@@ -397,16 +389,19 @@ def run_concealing_experiment(
     if trials < 1:
         raise ValueError("the concealing experiment needs at least one trial")
     eps, n, abort_at = params.epsilon, code.n, params.abort_at
+    t_eps = kernels.uint32_threshold(eps)
 
     def worker(g: np.random.Generator, count: int):
         # the m positions with the smallest keys (kth = -1 when m = 0 picks
-        # none); keys and indices stay temporaries, freed before the span test
+        # none); keys and indices stay temporaries, freed before the span test.
+        # The keys stay doubles: a tie is broken by index, which biases the
+        # pick, and 32-bit keys would tie 2^21 times as often
         intercept = np.zeros((count, n), dtype=bool)
         np.put_along_axis(
             intercept, np.argpartition(g.random((count, n)), m - 1, axis=1)[:, :m], True, axis=1
         )
-        u_mis = g.random((count, n))
-        return kernels.concealing_stats(code.generator, r, intercept, u_mis, eps, abort_at)
+        u_mis = _uniforms32(g, count, n)
+        return kernels.concealing_stats(code.generator, r, intercept, u_mis, t_eps, abort_at)
 
     stats = sum(_run_blocks(worker, trials, params.seed, threads))
     return {

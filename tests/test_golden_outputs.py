@@ -64,7 +64,7 @@ CASES = {
         ["sweep", "--seed", "9", "--trials", "3000"],
         "codes = extended_hamming, golay\n",
     ),
-    # three blocks, the last one ragged: pins the draws across block and chunk edges
+    # three blocks, the last one ragged: pins the draws across block edges
     "sweep-two-codes-40000": (
         ["sweep", "--seed", "9", "--trials", "40000"],
         "codes = extended_hamming, golay\n",
@@ -90,8 +90,8 @@ GOLDEN = {
     "run-hamming-seed3": "b44006e521675f8d46c773c181b90b4096513ae533f54c106c4b956910951d13",
     "strategies-json": "40c19ce326d2bcb5a3ff99350f21060df95863431e13b09f33eb2641d9eb6ff2",
     "strategies-search-json-seed3": "4c5bcb9036711e3c92e6b4791ba3e9416998c06c27a748d572516ee931e0722c",
-    "sweep-two-codes": "ad60e0416f88bb578254375f1b49a08169c39b0a5c445e0c4e47aabe51c76d2e",
-    "sweep-two-codes-40000": "2f943efbdf69c5079b543253dace58ab22a7ca2b7a7bc67d458797f7d290ef25",
+    "sweep-two-codes": "96268ea52d3459a3ed7839fedccd17751269bba3aed5f1e1cc95f7934143ecb3",
+    "sweep-two-codes-40000": "e62e44586a37175180ba4d82bde8b0c67b90de8790f4f6932ef77fff31d95ceb",
     "verify": "1cf5908eb92236c157f319ca1cd85aee0c0829c19e9ddc73f98815ea7c2877cb",
 }
 

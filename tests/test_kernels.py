@@ -1,5 +1,7 @@
 """The numpy kernels against plain-Python loop oracles on identical inputs."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -43,22 +45,22 @@ def gray_min_weight(masks, n):
     return best, sorted(words)
 
 
-def loop_binding_counts(u, f, eps, flip_idx, threshold):
-    """One uniform per photon: intercepted iff u < f, a mismatch iff
-    u < f * eps; the abort is the float estimate rule."""
+def loop_binding_counts(u, t_f, t_fe, flip_idx, eps, threshold):
+    """One uint32 uniform per photon: intercepted iff u < t_f, a mismatch
+    iff u < t_fe; the abort is the float estimate rule."""
     trials, n = u.shape
     out = [0, 0, 0, 0]
     for t in range(trials):
         n_mis = 0
         for i in range(n):
-            if u[t, i] < f * eps:
+            if u[t, i] < t_fe:
                 n_mis += 1
         proceed = True
         accept = True
         for i in flip_idx:
-            if u[t, i] < f:
+            if u[t, i] < t_f:
                 accept = False
-                if u[t, i] < f * eps:
+                if u[t, i] < t_fe:
                     proceed = False
         if proceed:
             out[0] += 1
@@ -71,15 +73,17 @@ def loop_binding_counts(u, f, eps, flip_idx, threshold):
     return out
 
 
-def loop_concealing_stats(codewords, parities, cw_idx, intercept, u_mis, eps, threshold):
+def loop_concealing_stats(codewords, parities, cw_idx, intercept, u_mis, t_eps, eps, threshold):
     """Codeword counting per trial: the receiver's parity posterior among
-    the codewords that agree with the committed one where he intercepted."""
+    the codewords that agree with the committed one where he intercepted.
+    An intercepted photon is a mismatch iff its uint32 u_mis < t_eps; the
+    abort is the float estimate rule."""
     trials, n = intercept.shape
     out = [0.0, 0.0, 0.0]
     for t in range(trials):
         n_mis = 0
         for i in range(n):
-            if intercept[t, i] and u_mis[t, i] < eps:
+            if intercept[t, i] and u_mis[t, i] < t_eps:
                 n_mis += 1
         if n_mis / (eps * n) >= threshold:
             out[0] += 1.0
@@ -103,10 +107,10 @@ def loop_concealing_stats(codewords, parities, cw_idx, intercept, u_mis, eps, th
     return out
 
 
-def broadcast_concealing_stats(codewords, parities, cw_idx, intercept, u_mis, eps, threshold):
+def broadcast_concealing_stats(codewords, parities, cw_idx, intercept, u_mis, t_eps, eps, threshold):
     """The same counting as one (trials, 2^k, n) boolean broadcast."""
     n = intercept.shape[1]
-    mismatch = intercept & (u_mis < eps)
+    mismatch = intercept & (u_mis < t_eps)
     aborts = (mismatch.sum(axis=1) / (eps * n) >= threshold).sum()
     committed = codewords[cw_idx]
     agree = (codewords[None, :, :] == committed[:, None, :]) | ~intercept[:, None, :]
@@ -290,71 +294,109 @@ def test_parity_determined_edge_masks(n, k):
     assert got[1]  # the whole word fixes it
 
 
-def _binding_inputs(seed, trials=4096, n=8, eps=0.5, threshold=0.5):
+def _edge_uniforms(rng, shape, thresholds):
+    """uint32 uniforms with every threshold t, and t - 1, that fits in 32
+    bits planted in about one cell in ten: photons exactly on each side of
+    the strict `<`."""
+    u = rng.integers(0, 2**32, size=shape, dtype=np.uint32)
+    edges = [e for t in thresholds for e in (t - 1, t) if 0 <= e < 2**32]
+    cells = rng.random(shape) < 0.1
+    u[cells] = rng.choice(edges, size=int(cells.sum()))
+    return u
+
+
+def _binding_inputs(seed, trials=4096, n=8, eps=0.5, f=0.5):
+    """(u, t_f, t_fe, flip_idx) for the kernel."""
     rng = np.random.default_rng(seed)
+    t_f, t_fe = kernels.uint32_threshold(f), kernels.uint32_threshold(f * eps)
     return (
-        rng.random((trials, n)),
-        0.5,
-        eps,
+        _edge_uniforms(rng, (trials, n), (t_f, t_fe)),
+        t_f,
+        t_fe,
         np.array([0, 4], dtype=np.int64) if n == 8 else np.arange(0, n, 3),
-        threshold,
     )
 
 
 # threshold c / (eps * n) puts trials with exactly c mismatches on the
 # `>=` boundary of the loop oracle's float rule; the kernel gets the
-# integer cutoff `abort_at` derives from it
+# integer cutoff `abort_at` derives from it.  f = 0 and f = 1 give the
+# thresholds 0 and 2^32, below and above every uint32.
 BINDING_ORACLE_CASES = {
-    "0": (0, 8, 0.5, 0.5),
-    "1": (1, 8, 0.5, 0.5),
-    "2": (2, 8, 0.5, 0.5),
-    "n13": (3, 13, 0.5, 0.5),
-    "n24": (4, 24, 0.5, 0.5),
-    "n13-boundary": (5, 13, 0.3, 2 / (0.3 * 13)),
-    "n24-boundary": (6, 24, 0.5, 6 / (0.5 * 24)),
-    "n24-boundary-eps0.3": (7, 24, 0.3, 4 / (0.3 * 24)),
-    "n24-golay-threshold": (8, 24, 0.3, 1 - 8 / 24),
+    "0": (0, 8, 0.5, 0.5, 0.5),
+    "1": (1, 8, 0.5, 0.5, 0.5),
+    "2": (2, 8, 0.5, 0.5, 0.5),
+    "n13": (3, 13, 0.5, 0.5, 0.5),
+    "n24": (4, 24, 0.5, 0.5, 0.5),
+    "n13-boundary": (5, 13, 0.3, 2 / (0.3 * 13), 0.5),
+    "n24-boundary": (6, 24, 0.5, 6 / (0.5 * 24), 0.5),
+    "n24-boundary-eps0.3": (7, 24, 0.3, 4 / (0.3 * 24), 0.5),
+    "n24-golay-threshold": (8, 24, 0.3, 1 - 8 / 24, 0.5),
+    "f0": (9, 8, 0.5, 0.5, 0.0),
+    "f1-n13": (10, 13, 0.3, 1 - 3 / 13, 1.0),
+    "f0.1-eps0.3": (11, 24, 0.3, 1 - 8 / 24, 0.1),
 }
 
 
 @pytest.mark.parametrize(
-    "seed, n, eps, threshold",
+    "seed, n, eps, threshold, f",
     list(BINDING_ORACLE_CASES.values()),
     ids=list(BINDING_ORACLE_CASES),
 )
-def test_binding_counts_match_loop_oracle(seed, n, eps, threshold):
-    args = _binding_inputs(seed, n=n, eps=eps, threshold=threshold)
-    got = kernels.binding_counts(*args[:-1], abort_at(eps, n, threshold))
-    assert got.tolist() == loop_binding_counts(*args)
+def test_binding_counts_match_loop_oracle(seed, n, eps, threshold, f):
+    u, t_f, t_fe, flip_idx = _binding_inputs(seed, n=n, eps=eps, f=f)
+    got = kernels.binding_counts(u, t_f, t_fe, flip_idx, abort_at(eps, n, threshold))
+    assert got.tolist() == loop_binding_counts(u, t_f, t_fe, flip_idx, eps, threshold)
 
 
 @pytest.mark.parametrize("case", [c for c in BINDING_ORACLE_CASES if "boundary" in c])
 def test_binding_boundary_cases_reach_the_boundary(case):
-    seed, n, eps, threshold = BINDING_ORACLE_CASES[case]
-    u, f, eps, _, threshold = _binding_inputs(seed, n=n, eps=eps, threshold=threshold)
-    count = (u < f * eps).sum(axis=1)
+    seed, n, eps, threshold, f = BINDING_ORACLE_CASES[case]
+    u, t_f, t_fe, _ = _binding_inputs(seed, n=n, eps=eps, f=f)
+    count = (u < t_fe).sum(axis=1)
     assert (count / (eps * n) == threshold).sum() > 100
+    for edge in (t_f - 1, t_f, t_fe - 1, t_fe):
+        assert (u == edge).sum() > 100
+
+
+def test_uint32_threshold_overshoots_by_less_than_one_step():
+    fs = (0.0, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.75, 1.0)
+    grid = {0.0, 1.0, 2**-32, 2**-33, 3 * 2**-33, 5e-324, 1 - 2**-53, 0.1 * 0.3}
+    grid |= {f * eps for f in fs for eps in (0.01, 0.1, 0.125, 0.25, 0.3, 1 / 3, 0.5, 2 / 3, 1.0)}
+    grid |= set(np.linspace(0, 1, 1001).tolist())
+    for p in sorted(grid):
+        t = kernels.uint32_threshold(p)
+        assert isinstance(t, int) and 0 <= t <= 2**32
+        assert 0 <= Fraction(t, 2**32) - Fraction(p) < Fraction(1, 2**32), p
 
 
 def test_binding_counts_reject_rows_past_64():
-    u = np.zeros((2, 65))
+    u = np.zeros((2, 65), dtype=np.uint32)
     with pytest.raises(ValueError, match="n <= 64"):
-        kernels.binding_counts(u, 0.5, 0.5, np.array([0]), 33)
+        kernels.binding_counts(u, 2**31, 2**30, np.array([0]), 33)
 
 
 def test_binding_numpy_semantics():
-    # two photons, one flipped position, hand-checkable draws; f = 0.5 and
-    # eps = 0.5, so u < 0.5 intercepts and u < 0.25 is a mismatch
-    u = np.array([[0.1, 0.9], [0.3, 0.3], [0.9, 0.9], [0.3, 0.1]])
+    # two photons, one flipped position, draws on the thresholds of f = 0.5
+    # and eps = 0.5: u < 2^31 intercepts and u < 2^30 is a mismatch
+    t_f, t_fe = kernels.uint32_threshold(0.5), kernels.uint32_threshold(0.25)
+    assert (t_f, t_fe) == (2**31, 2**30)
+    u = np.array(
+        [[t_fe - 1, t_f], [t_fe, t_f - 1], [t_f, 2**32 - 1], [t_f - 1, 0]], dtype=np.uint32
+    )
     flips = np.array([0], dtype=np.int64)
     # trial0 intercept+mismatch at flip -> no proceed;
     # trial1 intercepts both, no mismatch -> proceed, not accept;
     # trial2 nothing intercepted -> proceed and accept;
     # trial3 intercepts both, mismatch off the flip -> proceed, not accept
-    out = kernels.binding_counts(u, 0.5, 0.5, flips, 3)
+    out = kernels.binding_counts(u, t_f, t_fe, flips, 3)
     assert out.tolist() == [3, 1, 1, 0]  # no count reaches n + 1
     # one mismatch aborts trials 0 and 3
-    assert kernels.binding_counts(u, 0.5, 0.5, flips, 1).tolist() == [3, 1, 1, 2]
+    assert kernels.binding_counts(u, t_f, t_fe, flips, 1).tolist() == [3, 1, 1, 2]
+    # f = 0: threshold 0, nothing is intercepted, not even u = 0
+    assert kernels.binding_counts(u, 0, 0, flips, 1).tolist() == [4, 4, 4, 0]
+    # f = 1: threshold 2^32, everything is, even u = 2^32 - 1
+    assert kernels.binding_counts(u, 2**32, 2**32, flips, 2).tolist() == [0, 0, 0, 4]
+    assert kernels.binding_counts(u, 2**32, t_f, flips, 2).tolist() == [1, 0, 0, 2]
 
 
 def _concealing_inputs(code, r, seed, trials, p_intercept=0.4):
@@ -364,9 +406,10 @@ def _concealing_inputs(code, r, seed, trials, p_intercept=0.4):
     parities = codeword_oracles.coset_parities(code, r)
     cw_idx = rng.integers(len(words), size=trials)
     intercept = rng.random((trials, code.n)) < p_intercept
-    u_mis = rng.random((trials, code.n))
-    oracle = (words, parities, cw_idx, intercept, u_mis, 0.5, 0.5)
-    return oracle, (code.generator, r, intercept, u_mis, 0.5, abort_at(0.5, code.n, 0.5))
+    t_eps = kernels.uint32_threshold(0.5)
+    u_mis = _edge_uniforms(rng, (trials, code.n), (t_eps,))
+    oracle = (words, parities, cw_idx, intercept, u_mis, t_eps, 0.5, 0.5)
+    return oracle, (code.generator, r, intercept, u_mis, t_eps, abort_at(0.5, code.n, 0.5))
 
 
 @pytest.mark.parametrize("seed", [0, *range(301, 307)])

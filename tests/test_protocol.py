@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import codeword_oracles
-from protocol_oracles import abort_at, sample_intercept_posterior
+from protocol_oracles import sample_intercept_posterior
 from mzqbc import codes, kernels, protocol
 from mzqbc.codes import bits_from_string
 from mzqbc.protocol import (
@@ -351,46 +351,40 @@ def _flip_idx(code, r):
     return np.flatnonzero(mid != target)
 
 
+def _uniforms_split(g, m, n):
+    """A block's (m, n) uint32 uniforms by splitting each raw PCG64 output
+    into its low and then its high 32 bits, dropping the last high half
+    when m * n is odd."""
+    raw = g.bit_generator.random_raw(-(-m * n // 2))
+    halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
+    return halves[: m * n].astype(np.uint32).reshape(m, n)
+
+
 def _counts_drawn_whole(g, m, n, f, eps, flip_idx, cutoff):
-    """A block's binding counts from one whole (m, n) array drawn from the
-    block's generator."""
-    return kernels.binding_counts(g.random((m, n)), f, eps, flip_idx, cutoff)
+    """A block's binding counts from the whole split of its raw stream."""
+    return kernels.binding_counts(
+        _uniforms_split(g, m, n), kernels.uint32_threshold(f),
+        kernels.uint32_threshold(f * eps), flip_idx, cutoff,
+    )
 
 
 class TestBindingStreams:
-    """The chunked worker against the same stream drawn as one array.
+    """Each block's uniforms against its raw PCG64 stream split by hand.
 
-    These fail if a numpy release changes how many PCG64 outputs a double
-    takes; the golden digests would then move too.
+    The contract: a block of m trials at n photons draws ceil(m * n / 2)
+    raw outputs once, and its uniforms are their low and high 32-bit
+    halves in turn, so the draws are the same on every platform and at
+    every thread count.  The golden digests would move with them.
     """
 
-    CODES = {
-        8: codes.extended_hamming_8_4,
-        # not a multiple of 8: the kernel pads each row to two words
-        13: lambda: codes.random_code(n=13, k=5, rng=np.random.default_rng(13)),
-        24: codes.golay_24_12,
-    }
-
-    @pytest.mark.parametrize("n", sorted(CODES))
-    @pytest.mark.parametrize(
-        "m",
-        [1, protocol.CHUNK_ROWS - 1, protocol.CHUNK_ROWS, protocol.CHUNK_ROWS + 1, BLOCK_TRIALS],
-    )
+    @pytest.mark.parametrize("n", [8, 13, 24])  # 13: m * n is odd for odd m
+    @pytest.mark.parametrize("m", [1, 4095, 4096, 4097, BLOCK_TRIALS])
     def test_chunked_block_matches_whole_arrays(self, m, n):
-        code = self.CODES[n]()
-        assert code.n == n
-        flip_idx = _flip_idx(code, np.eye(1, n, dtype=np.uint8)[0])
-        f, eps = 0.4, 0.3
-        cutoff = abort_at(eps, n, 1 - code.d / n)
         seq = np.random.SeedSequence([m, n])
-        got = protocol._binding_block(
-            np.random.default_rng(seq), m, n, f, eps, flip_idx, cutoff
-        )
-        want = _counts_drawn_whole(
-            np.random.default_rng(seq), m, n, f, eps, flip_idx, cutoff
-        )
-        assert got.tolist() == want.tolist()
-        assert want[0] > 0 or m == 1
+        g, oracle = np.random.default_rng(seq), np.random.default_rng(seq)
+        np.testing.assert_array_equal(protocol._uniforms32(g, m, n), _uniforms_split(oracle, m, n))
+        # one draw of ceil(m * n / 2) outputs: an odd m * n drops the last high half
+        assert g.bit_generator.state == oracle.bit_generator.state
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_golay_blocks_match_whole_arrays(self, threads):
@@ -437,7 +431,7 @@ class TestConcealingExperiment:
     def test_every_trial_intercepts_exactly_m_positions(self, m, monkeypatch):
         seen = []
 
-        def record(generator, r, intercept, u_mis, eps, abort_at):
+        def record(generator, r, intercept, u_mis, t_eps, abort_at):
             seen.append(intercept.sum(axis=1))
             return np.zeros(3)
 
@@ -445,6 +439,23 @@ class TestConcealingExperiment:
         run_concealing_experiment(make_params(), m=m, trials=BLOCK_TRIALS + 7)
         counts = np.concatenate(seen)
         assert counts.shape == (BLOCK_TRIALS + 7,) and (counts == m).all()
+
+    def test_mismatch_uniforms_follow_the_keys_in_the_raw_stream(self, monkeypatch):
+        seen = []
+
+        def record(generator, r, intercept, u_mis, t_eps, abort_at):
+            seen.append(u_mis)
+            return np.zeros(3)
+
+        monkeypatch.setattr(kernels, "concealing_stats", record)
+        trials = BLOCK_TRIALS + 7  # a ragged block of 7 * 8 trials x photons
+        run_concealing_experiment(make_params(seed=3), m=4, trials=trials)
+        for u_mis, seq, (lo, hi) in zip(
+            seen, block_seed_sequences(3, trials), block_slices(trials)
+        ):
+            g = np.random.default_rng(seq)
+            g.random((hi - lo, 8))  # the position keys
+            np.testing.assert_array_equal(u_mis, _uniforms_split(g, hi - lo, 8))
 
     def test_m_out_of_range(self):
         with pytest.raises(ValueError):
