@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codes as codes_mod
-from . import counterfactual, operator_model, optics, protocol
+from . import counterfactual, kernels, operator_model, optics, protocol
 
 R_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 #: Masks drawn per builtin code for the orthogonality check.
@@ -32,9 +32,10 @@ INVARIANCE_TRIALS = 100
 PROBE_CYCLES = (1, 2, 4, 5, 8, 16, 25, 32, 64, 100, 128)
 DEFENDED_CYCLES = 100
 DEFENSE_PHASES = 360
-#: Side of the (u_mode, u_mis) midpoint grid; an even side puts exactly
-#: half of each axis below 1/2, so the grid hits 1/3 at f = epsilon = 1/2.
-POSTERIOR_GRID_SIDE = 316
+#: Slices of the uint32 range whose midpoints the posterior check draws; a
+#: power of two puts exactly a quarter of them below t(1/4) and half below
+#: t(1/2), so the grid hits 1/3 at f = epsilon = 1/2.
+POSTERIOR_SLICES = 1 << 16
 
 EXACT_BOUND = 1e-12
 INVARIANCE_BOUND = 1e-9
@@ -140,10 +141,15 @@ def probe_chain_convergence() -> list[Result]:
 
 
 def intercept_posterior_oracle() -> list[Result]:
-    """The intercept posterior counted on a midpoint grid of uniforms, by
-    the code that counts the Monte-Carlo draw, against its closed form."""
-    u = (np.arange(POSTERIOR_GRID_SIDE) + 0.5) / POSTERIOR_GRID_SIDE
-    u_mode, u_mis = np.meshgrid(u, u)
-    res = protocol.intercept_posterior_counts(u_mode.ravel(), u_mis.ravel(), 0.5, 0.5)
-    dev = abs(res["empirical_posterior"] - res["predicted_posterior"])
+    """The intercept posterior counted on a midpoint grid of one photon's
+    uint32 draws, by the kernel that counts the binding game, against its
+    closed form: among draws with no mismatch, the share intercepted."""
+    f = eps = 0.5
+    step = (1 << 32) // POSTERIOR_SLICES
+    u = np.arange(step // 2, 1 << 32, step, dtype=np.uint32)[:, None]
+    proceed, proceed_accept, _, _ = kernels.binding_counts(
+        u, kernels.uint32_threshold(f), kernels.uint32_threshold(f * eps), np.array([0]), 1
+    ).tolist()
+    posterior = (proceed - proceed_accept) / proceed
+    dev = abs(posterior - protocol.intercept_posterior(f, eps))
     return [Result("intercept_posterior_oracle.grid_deviation", dev, POSTERIOR_BOUND)]

@@ -129,9 +129,6 @@ def _alice_policy(cfg) -> protocol.AlicePolicy:
         return protocol.HonestAlice(bit=config_mod.get_int(cfg, "commit_bit", 0))
     if name == "midpoint_cheat":
         return protocol.MidpointCheatAlice()
-    if name == "fbs_probe":
-        # the probe runs outside the commit, which is honest (random bit by default)
-        return protocol.HonestAlice(bit=config_mod.get_int(cfg, "commit_bit", None))
     raise ConfigError(f"unknown alice policy {name!r}")
 
 
@@ -162,7 +159,7 @@ def _provenance(cfg) -> dict:
 
 def _emit_json(cfg, obj) -> None:
     payload = {**_provenance(cfg), **obj}
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     out = config_mod.get_str(cfg, "out", None)
     if out is None:
         print(text)
@@ -387,6 +384,9 @@ def cmd_counterfactual(cfg) -> int:
         )
     if not reports:
         raise ConfigError("defense must be on, off, or both")
+    for rep in reports.values():
+        if math.isnan(rep["mean_Dc_bypass"]):  # no photon was bypassed
+            rep["mean_Dc_bypass"] = None
     _emit_json(cfg, {"reports": reports})
     return 0
 

@@ -98,36 +98,29 @@ def attack_session(
     defense on, the receiver draws a fresh uniform phase per photon (the
     probe then sees it per pass); honest statistics are unaffected.
 
-    Each session draws its commit, then per photon the phase (defense on)
-    and the outcome uniform, alternating.  One batched chain then serves
-    the unblocked photons of every session; a blocked probe never clicks
-    Dc, whatever its phase, so it needs no chain.  For the same reason
-    every intercepted position is among those she keeps, so the receiver
-    accepts the flipped word whenever one exists: exactly when the kept
-    positions leave the parity open, which one `kernels.parity_determined`
-    call decides for every session.
+    The attack reads three things per photon, drawn as (sessions, n)
+    arrays in this order: the receiver's mode (intercepted iff a uniform
+    falls below f, the honest receiver's law), the defense phase 2*pi*u
+    (defense on only) and the probe's outcome uniform.  One batched chain
+    then serves the bypassed photons of every session; a blocked probe
+    never clicks Dc, whatever its phase, so it needs no chain.  For the
+    same reason every intercepted position is among those she keeps, so
+    the receiver accepts the flipped word whenever one exists: exactly
+    when the kept positions leave the parity open, which one
+    `kernels.parity_determined` call decides for every session.
     """
     if sessions < 1:
         raise ValueError("the attack needs at least one session")
-    n = params.n
-    modes, phases, uniforms = [], [], []
-    for _ in range(sessions):
-        modes.append(protocol.run_commit(
-            protocol.HonestAlice(bit=None), protocol.HonestBob(f=params.f), params, rng
-        ).modes)
-        if defense_on:
-            draws = rng.random(2 * n)
-            phases.append(draws[0::2] * (2 * math.pi))
-            uniforms.append(draws[1::2])
-        else:
-            uniforms.append(rng.random(n))
-    modes = np.array(modes)
-    unblocked = modes != protocol.INTERCEPT
-    thetas = np.array(phases)[unblocked] if defense_on else np.zeros(int(unblocked.sum()))
+    shape = (sessions, params.n)
+    intercepted = rng.random(shape) < params.f
+    bypass = ~intercepted
+    thetas = np.zeros(np.count_nonzero(bypass))
+    if defense_on:
+        thetas = rng.random(shape)[bypass] * (2 * math.pi)
     dc_bypass = probe_chain(fbs.cycles, thetas)[0]
-    dc = np.zeros(modes.shape)
-    dc[unblocked] = dc_bypass
-    inferred_bypass = np.array(uniforms) < dc
+    dc = np.zeros(shape)
+    dc[bypass] = dc_bypass
+    inferred_bypass = rng.random(shape) < dc
     flips = np.count_nonzero(
         ~kernels.parity_determined(params.code.generator, params.r, ~inferred_bypass)
     )
@@ -135,9 +128,9 @@ def attack_session(
         "M": fbs.cycles,
         "defense_on": defense_on,
         "sessions": sessions,
-        "n": n,
+        "n": params.n,
         "f": params.f,
-        "mode_accuracy": int((inferred_bypass == (modes == protocol.BYPASS)).sum()) / modes.size,
+        "mode_accuracy": np.count_nonzero(inferred_bypass != intercepted) / intercepted.size,
         "cheat_success_rate": flips / sessions,
         "mean_Dc_bypass": float(np.mean(dc_bypass)) if dc_bypass.size else float("nan"),
     }

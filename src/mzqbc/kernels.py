@@ -153,10 +153,11 @@ def min_weight(masks: np.ndarray, n: int) -> tuple[int, np.ndarray]:
 # when a trial's mismatch count reaches `abort_at`.  Returns int64 counts
 # [proceed, proceed & accept, accept, abort].
 #
-# The mismatch flags are bytes in rows zero-padded to whole uint64 words,
-# so the popcount of a word is the number of its flagged photons and a
-# trial's mismatch count costs one add per word instead of a reduction
-# along a short row.  The caller passes a whole 16384-trial block at once.
+# The caller passes a whole 16384-trial block at once.  Both games count a
+# trial's mismatches with `_mismatch_counts`: the flags are bytes in rows
+# zero-padded to whole uint64 words, so the popcount of a word is the
+# number of its flagged photons and a count costs one add per word instead
+# of a reduction along a short row.
 
 def uint32_threshold(p: float) -> int:
     """The integer t with P(u < t) = t / 2^32 in [p, p + 2^-32) for a
@@ -165,19 +166,29 @@ def uint32_threshold(p: float) -> int:
     return math.ceil(p * 2**32)
 
 
-def binding_counts(u, t_f, t_fe, flip_idx, abort_at):
+def _mismatch_counts(u, t, intercept=None):
+    """Per row of the uint32 draws u, the number of entries with u < t (and
+    `intercept`, when given), as uint8."""
     rows, n = u.shape
     if n > 64:
-        raise ValueError("binding counts support n <= 64 only")
+        raise ValueError("mismatch counts support n <= 64 only")
     padded = np.zeros((rows, 8 * -(-n // 8)), dtype=bool)
-    np.less(u, t_fe, out=padded[:, :n])
-    flips = u[:, flip_idx]
-    proceed = (flips >= t_fe).all(axis=1)
-    accept = (flips >= t_f).all(axis=1)
+    flags = padded[:, :n]
+    np.less(u, t, out=flags)
+    if intercept is not None:
+        flags &= intercept
     words = padded.view(np.uint64)
     count = np.bitwise_count(words[:, 0])  # uint8 holds up to 64
     for w in range(1, words.shape[1]):
         count += np.bitwise_count(words[:, w])
+    return count
+
+
+def binding_counts(u, t_f, t_fe, flip_idx, abort_at):
+    count = _mismatch_counts(u, t_fe)
+    flips = u[:, flip_idx]
+    proceed = (flips >= t_fe).all(axis=1)
+    accept = (flips >= t_f).all(axis=1)
     abort = count >= abort_at
     return np.array(
         [
@@ -201,8 +212,7 @@ def binding_counts(u, t_f, t_fe, flip_idx, abort_at):
 # Returns float64 [aborts, sum p(true parity), sum max posterior].
 
 def concealing_stats(generator, r, intercept, u_mis, t_eps, abort_at):
-    mismatch = intercept & (u_mis < t_eps)
-    aborts = (mismatch.sum(axis=1) >= abort_at).sum()
+    aborts = np.count_nonzero(_mismatch_counts(u_mis, t_eps, intercept) >= abort_at)
     determined = parity_determined(generator, r, intercept)
     posterior = float(determined.sum()) + 0.5 * float((~determined).sum())
     return np.array([float(aborts), posterior, posterior], dtype=np.float64)

@@ -111,9 +111,9 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class HonestAlice:
-    """Commits `bit`, or a uniformly drawn bit when it is None."""
+    """Commits `bit`."""
 
-    bit: int | None
+    bit: int
 
 
 @dataclass(frozen=True)
@@ -207,11 +207,8 @@ def run_commit(
     code, r, bs = params.code, params.r, params.bs
     cheat_target = None
     if isinstance(alice, HonestAlice):
-        bit = alice.bit
-        if bit is None:
-            bit = int(rng.integers(2))
-        word = codes_mod.sample_codeword(code, r, bit, rng)
-        committed_b: int | None = bit
+        word = codes_mod.sample_codeword(code, r, alice.bit, rng)
+        committed_b: int | None = alice.bit
     elif isinstance(alice, MidpointCheatAlice):
         word, cheat_target = binding_pair(code, r)
         committed_b = None
@@ -412,28 +409,6 @@ def run_concealing_experiment(
         "abort_frequency": float(stats[0]) / trials,
         "mean_posterior_true_bit": float(stats[1]) / trials,
         "mean_max_posterior": float(stats[2]) / trials,
-    }
-
-
-def intercept_posterior_counts(
-    u_mode: np.ndarray, u_mis: np.ndarray, f: float, epsilon: float
-) -> dict:
-    """Interception frequency among silent positions, one position per pair
-    of uniforms: intercepted iff u_mode < f, and an intercepted position
-    shows a mismatch iff u_mis < epsilon."""
-    samples = len(u_mode)
-    intercept = u_mode < f
-    silent = ~(intercept & (u_mis < epsilon))
-    n_silent = int(silent.sum())
-    hits = int((intercept & silent).sum())
-    predicted = intercept_posterior(f, epsilon)
-    sigma = math.sqrt(predicted * (1 - predicted) / n_silent) if n_silent else float("nan")
-    return {
-        "samples": samples,
-        "silent_positions": n_silent,
-        "empirical_posterior": hits / n_silent if n_silent else float("nan"),
-        "predicted_posterior": predicted,
-        "three_sigma": 3 * sigma,
     }
 
 

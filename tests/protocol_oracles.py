@@ -4,8 +4,9 @@
 the loop that `mzqbc.counterfactual.probe_chain` runs batched over float
 arrays; tests compare the two bit for bit.  `defense_honest_invariance`
 and `sample_intercept_posterior` check the receiver's phase defense and
-the intercept posterior by direct simulation; the library has no use for
-either.  `abort_at` turns a kernel test's float abort threshold into the
+the intercept posterior by direct simulation, the latter counting two
+independent float uniforms per position with `intercept_posterior_counts`;
+the library has no use for either.  `abort_at` turns a kernel test's float abort threshold into the
 integer cutoff the kernels take.
 """
 
@@ -58,7 +59,29 @@ def sample_intercept_posterior(
     frequency of interception among positions that showed no mismatch."""
     u_mode = rng.random(samples)
     u_mis = rng.random(samples)
-    return protocol.intercept_posterior_counts(u_mode, u_mis, f, epsilon)
+    return intercept_posterior_counts(u_mode, u_mis, f, epsilon)
+
+
+def intercept_posterior_counts(
+    u_mode: np.ndarray, u_mis: np.ndarray, f: float, epsilon: float
+) -> dict:
+    """Interception frequency among silent positions, one position per pair
+    of uniforms: intercepted iff u_mode < f, and an intercepted position
+    shows a mismatch iff u_mis < epsilon."""
+    samples = len(u_mode)
+    intercept = u_mode < f
+    silent = ~(intercept & (u_mis < epsilon))
+    n_silent = int(silent.sum())
+    hits = int((intercept & silent).sum())
+    predicted = protocol.intercept_posterior(f, epsilon)
+    sigma = math.sqrt(predicted * (1 - predicted) / n_silent) if n_silent else float("nan")
+    return {
+        "samples": samples,
+        "silent_positions": n_silent,
+        "empirical_posterior": hits / n_silent if n_silent else float("nan"),
+        "predicted_posterior": predicted,
+        "three_sigma": 3 * sigma,
+    }
 
 
 def abort_at(eps: float, n: int, threshold: float) -> int:

@@ -148,6 +148,15 @@ class TestRun:
         cli.main(["run", "--config", cfg, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_fbs_probe_is_an_unknown_policy(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "alice = fbs_probe\n")
+        assert cli.main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: unknown alice policy 'fbs_probe'\n"
+
+    def test_non_finite_json_value_is_an_error(self):
+        with pytest.raises(ValueError):
+            cli._emit_json(config_mod.Config({}), {"value": math.nan})
+
     def test_zero_r_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "builtin_code = extended_hamming\nr = 00000000\n")
         assert cli.main(["run", "--config", cfg]) == 2

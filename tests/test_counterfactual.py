@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import codeword_oracles
 import protocol_oracles
-from mzqbc import codes, kernels, optics, protocol
+from mzqbc import cli, codes, kernels, optics, protocol
 from mzqbc import counterfactual as cf_module
 from mzqbc.counterfactual import (
     FbsConfig,
@@ -138,6 +139,62 @@ class TestAttack:
         assert on["mode_accuracy"] < off["mode_accuracy"]
         assert on["cheat_success_rate"] < off["cheat_success_rate"]
 
+    def test_no_intercept_reads_every_mode_and_always_cheats(self):
+        rng = np.random.default_rng(8)
+        rep = attack_session(make_params(f=0.0), False, FbsConfig(cycles=50), rng, sessions=40)
+        assert rep["mode_accuracy"] == 1.0
+        assert rep["cheat_success_rate"] == 1.0
+
+    @pytest.mark.parametrize("defense_on", [False, True])
+    def test_full_intercept_reads_every_mode_and_never_cheats(self, defense_on):
+        rng = np.random.default_rng(8)
+        rep = attack_session(make_params(f=1.0), defense_on, FbsConfig(cycles=50), rng, sessions=40)
+        assert rep["mode_accuracy"] == 1.0
+        assert rep["cheat_success_rate"] == 0.0
+        assert math.isnan(rep["mean_Dc_bypass"])
+
+    def test_cli_prints_null_when_no_photon_is_bypassed(self, tmp_path, capsys):
+        cfg = tmp_path / "attack.cfg"
+        cfg.write_text("builtin_code = extended_hamming\nf = 1\nM = 5\nsessions = 3\n")
+        assert cli.main(["counterfactual", "--config", str(cfg)]) == 0
+        text = capsys.readouterr().out
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        doc = json.loads(text, parse_constant=reject)
+        for rep in doc["reports"].values():
+            assert rep["mean_Dc_bypass"] is None
+            assert rep["mode_accuracy"] == 1.0
+
+    @pytest.mark.parametrize("f", [0.1, 0.25])
+    def test_defended_mode_accuracy_follows_the_mode_law(self, f):
+        # an intercepted photon is always read right, a bypassed one with
+        # probability P(Dc); intercepting with probability 1 - f instead
+        # would read 1 - f + f * P(Dc)
+        sessions = 2500
+        rep = attack_session(
+            make_params(f=f), True, FbsConfig(cycles=20), np.random.default_rng(11),
+            sessions=sessions,
+        )
+        dc = rep["mean_Dc_bypass"]
+        p = f + (1 - f) * dc
+        sigma = math.sqrt(p * (1 - p) / (sessions * 8))
+        assert abs(rep["mode_accuracy"] - p) < 4 * sigma
+        assert abs(1 - f + f * dc - p) > 8 * sigma
+
+    def test_attack_runs_no_commit(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the attack must not run a commit")
+
+        monkeypatch.setattr(protocol, "run_commit", refuse)
+        for defense_on in (False, True):
+            rep = attack_session(
+                make_params(), defense_on, FbsConfig(cycles=50), np.random.default_rng(2),
+                sessions=5,
+            )
+            assert rep["sessions"] == 5
+
     def test_honest_protocol_unaffected_by_defense(self):
         # the sender's own statistics stay exact while the defense runs
         params = make_params(f=0.0)
@@ -175,7 +232,7 @@ class TestTryFlip:
             f = float(rng.uniform(0.0, 0.6))
             params = protocol.ProtocolParams(code=code, r=r, R=0.3, f=f, epsilon=0.5)
             t = protocol.run_commit(
-                protocol.HonestAlice(bit=None), protocol.HonestBob(f=f), params, rng
+                protocol.HonestAlice(int(rng.integers(2))), protocol.HonestBob(f=f), params, rng
             )
             bypass = np.array([m == protocol.BYPASS for m in t.modes])
             inferred = bypass & (rng.random(code.n) < 0.9)

@@ -24,9 +24,10 @@ CASES = {
     # the unveil is reject_intercept_mismatch
     "run-golay-midpoint_cheat-seed3": (
         ["run", "--seed", "3"], "builtin_code = golay\nalice = midpoint_cheat\nf = 0.5\n"),
-    "run-extended_hamming-fbs_probe-partial_intercept-seed3": (
+    # an honest commit of bit 1 against a receiver intercepting m = 3 photons
+    "run-extended_hamming-partial3-bit1-seed3": (
         ["run", "--seed", "3"],
-        "builtin_code = extended_hamming\nalice = fbs_probe\nbob = partial_intercept\nm = 3\n",
+        "builtin_code = extended_hamming\ncommit_bit = 1\nbob = partial_intercept\nm = 3\n",
     ),
     "run-hamming-full_intercept-bit1-seed3": (
         ["run", "--seed", "3"], "builtin_code = hamming\nbob = full_intercept\ncommit_bit = 1\n"),
@@ -72,16 +73,16 @@ CASES = {
 }
 
 GOLDEN = {
-    "counterfactual-json-extended_hamming": "4ab366263b3728ba54ca61262cb7bb874500f6c2f017dce724c6b68a0cff9aa8",
+    "counterfactual-json-extended_hamming": "b44ed70cd6ce9ea65f09c4b9356d446f929db19286b3bf365c8006e30c7f09d4",
     "counterfactual-csv": "5ee230d67294034295303710a874603cdc665e1d547dadc365653a72b666c2ed",
-    "counterfactual-json-golay": "e402d9ee0c067eba6c752381a2ed4d9040f3c9b6902ae3403c58a6c9d2b1eafc",
-    "counterfactual-json-extended_hamming-M2": "e47b7816a70ad8133a230c32a2d05fa43f7ce372d7538d0b4389e41b8dd5694a",
-    "counterfactual-json-golay-M2": "e1e06055144c994fd35b5fa2b25ac5916c198a9b041f0bfb729ae74d1a87675f",
+    "counterfactual-json-golay": "11e6692d180b02f0358305d2c006ad271425797dbc9a25c2ecab4d4b43897a94",
+    "counterfactual-json-extended_hamming-M2": "24fe096e832188926725f77e9eeea430d933b638739ca5f24a14e36d6b30afaa",
+    "counterfactual-json-golay-M2": "9a1bbf3606cec7785332804c5bce3f9ac63007aa1bed5449096b17f9987b1421",
     "nogo": "7c57f0c91b7774af9b38e45b626ec5fa77cd1d8489f530a1ece8fec1bbeb3393",
     "nogo-extended_hamming-r10000000": "36ca9284b0dd7166e87436af6ad5c85a5e1df72611af45575aec32ada82d4c3c",
     "run-extended_hamming-seed17": "9dd33782b744f677e93c3449c258cf4be45763a8e78ed896a4400a2bb8c31db0",
     "run-extended_hamming-seed3": "5c0213cbdf68ec9385fe14daf8578a776d5eb5019c1ad474287348b467d70a57",
-    "run-extended_hamming-fbs_probe-partial_intercept-seed3": "88108f2869ea391a4518331ccadca554d130a5ba19d8e9e511e374b2c927b2b4",
+    "run-extended_hamming-partial3-bit1-seed3": "970b5e93fec2a3aa6941eb8774544c1ea50240c1c9dbdd40e823b81227f39184",
     "run-golay-midpoint_cheat-seed3": "08e1532c99597204e4c292eb029542a10a60b01bc4a5f9b1f29ddffbf818db3d",
     "run-golay-seed17": "ab40b9ddae57fede606cb131f56c7e6cbf86dbe78000224335f30c71950cbdb2",
     "run-golay-seed3": "9e8b614fb13ffcbea232a5fb1bc76ccb46b2b511ee5e407b33bb1d25a9f984c3",
