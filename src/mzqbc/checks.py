@@ -77,8 +77,8 @@ def mz_determinism() -> list[Result]:
     for R in R_GRID:
         bs = optics.BeamSplitterParams(R=R, symmetric_ok=True)
         for bit in (0, 1):
-            dist = optics.detection_distribution(optics.encode(bit, bs), bs)
-            worst = max(worst, abs(1.0 - dist.get(optics.expected_event(bit), 0.0)))
+            table = optics.detection_table(optics.encode(bit, bs), bs)
+            worst = max(worst, abs(optics.flag_probability(table, bit)))
     return [Result("mz_determinism.max_miss_probability", worst, EXACT_BOUND)]
 
 

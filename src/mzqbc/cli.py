@@ -143,9 +143,10 @@ def _bob_policy(cfg) -> protocol.BobPolicy:
     raise ConfigError(f"unknown bob policy {name!r}")
 
 
-# presentation-only keys: they never affect computed results, so they stay
-# out of the provenance hash (threads is excluded because trial blocks are
-# seed-split independently of the worker count)
+# keys left out of the provenance hash.  `out` and `threads` never change a
+# payload (trial blocks are seed-split independently of the worker count).
+# `format` is not presentation-only: `counterfactual --format csv` computes
+# the probe-chain grid in place of the attack report, under the same hash
 _NON_SEMANTIC_KEYS = frozenset({"out", "format", "threads"})
 
 

@@ -22,7 +22,9 @@ Conventions, fixed once and validated by the test suite:
 
 The encoded states are built once per `BeamSplitterParams`, and a state
 keeps its `EventTable` per splitter, so sampling it is one uniform and a
-bisection.  Probabilities are abs(amp) ** 2 on Python complex numbers.
+bisection; `mix_tables` folds weighted tables into one, so a photon whose
+resent state is itself random is still one uniform.  Probabilities are
+abs(amp) ** 2 on Python complex numbers.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ class DetectionEvent(NamedTuple):
 NO_CLICK = DetectionEvent(None, None)
 #: D0 (on the Y output port) then D1 (X port), by bin: the sampling order
 _CLICKS = [DetectionEvent(d, b) for d in (0, 1) for b in range(MAX_BIN + 1)]
+_ORDER = {ev: i for i, ev in enumerate(_CLICKS + [NO_CLICK])}
 
 
 def expected_event(bit: int) -> DetectionEvent:
@@ -200,6 +203,12 @@ def encode(bit: int, params: BeamSplitterParams) -> PhotonState:
     return _encoded(params)[bit]
 
 
+def _event_table(pairs) -> EventTable:
+    """The table of nonzero (event, probability) pairs, in sampling order."""
+    events, probs = zip(*sorted(pairs, key=lambda pair: _ORDER[pair[0]]))
+    return EventTable(events, probs, tuple(itertools.accumulate(probs)))
+
+
 def detection_table(state: PhotonState, params: BeamSplitterParams) -> EventTable:
     """Exact outcome distribution of the time-resolved detectors, built once
     per state and splitter.  The receiver's interferometer delays X, shifts
@@ -214,32 +223,32 @@ def detection_table(state: PhotonState, params: BeamSplitterParams) -> EventTabl
     pairs = [(ev, p) for ev, p in zip(_CLICKS, probs) if p != 0.0]
     if state.absorbed > 0.0:
         pairs.append((NO_CLICK, state.absorbed))
-    events, probs = zip(*pairs)
-    table = EventTable(events, probs, tuple(itertools.accumulate(probs)))
+    table = _event_table(pairs)
     state._tables[params] = table
     return table
 
 
-def detection_distribution(
-    state: PhotonState, params: BeamSplitterParams
-) -> dict[DetectionEvent, float]:
-    """`detection_table` as an event -> probability dict."""
-    table = detection_table(state, params)
-    return dict(zip(table.events, table.probs))
+def mix_tables(weighted) -> EventTable:
+    """The mixture of (weight, `EventTable`) pairs: each event's probability
+    is the sum of weight x probability over the tables, added in the given
+    order."""
+    mixed: dict[DetectionEvent, float] = {}
+    for w, table in weighted:
+        for ev, p in zip(table.events, table.probs):
+            mixed[ev] = mixed.get(ev, 0.0) + w * p
+    return _event_table(mixed.items())
 
 
-def sample_event(table: EventTable, rng: np.random.Generator) -> DetectionEvent:
-    """Draw one event of `table` with a single `rng.random()` u: the first
-    event whose running sum exceeds u, else the last event."""
-    i = bisect.bisect_right(table.cumulative, rng.random())
+def sample_event(table: EventTable, u: float) -> DetectionEvent:
+    """The event a uniform `u` in [0, 1) picks: the first whose running sum
+    exceeds u, else the last event."""
+    i = bisect.bisect_right(table.cumulative, u)
     return table.events[min(i, len(table.events) - 1)]
 
 
-def flag_probability(
-    state: PhotonState, params: BeamSplitterParams, bit: int
-) -> float:
-    """Probability this state fails the honest check for `bit`: anything
-    but a D_bit click in the expected bin, so a click on the wrong detector
-    or in the wrong bin, or no click at all (in the ideal lossless setting a
-    missing photon is itself a mismatch)."""
-    return 1.0 - detection_distribution(state, params).get(expected_event(bit), 0.0)
+def flag_probability(table: EventTable, bit: int) -> float:
+    """Probability that an outcome of `table` fails the honest check for
+    `bit`: anything but a D_bit click in the expected bin, so a click on the
+    wrong detector or in the wrong bin, or no click at all (in the ideal
+    lossless setting a missing photon is itself a mismatch)."""
+    return 1.0 - dict(zip(table.events, table.probs)).get(expected_event(bit), 0.0)

@@ -115,6 +115,10 @@ class HonestAlice:
 
     bit: int
 
+    def __post_init__(self):
+        if self.bit not in (0, 1):
+            raise ValueError(f"commit_bit must be 0 or 1, got {self.bit}")
+
 
 @dataclass(frozen=True)
 class MidpointCheatAlice:
@@ -166,19 +170,6 @@ class SessionTranscript:
     cheat_target: np.ndarray | None = None
 
 
-def _bob_modes(bob: BobPolicy, n: int, rng: np.random.Generator) -> list[str]:
-    if isinstance(bob, HonestBob):
-        return [INTERCEPT if rng.random() < bob.f else BYPASS for _ in range(n)]
-    if isinstance(bob, FullInterceptBob):
-        return [INTERCEPT] * n
-    if isinstance(bob, PartialInterceptBob):
-        if not 0 <= bob.m <= n:
-            raise ValueError("intercept count m must lie in 0..n")
-        chosen = set(rng.permutation(n)[: bob.m].tolist())
-        return [INTERCEPT if i in chosen else BYPASS for i in range(n)]
-    raise TypeError(f"unknown receiver policy {bob!r}")
-
-
 def binding_pair(code: LinearCode, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(committed midpoint word, unveil target codeword) for the cheat.
 
@@ -203,7 +194,9 @@ def run_commit(
     params: ProtocolParams,
     rng: np.random.Generator,
 ) -> SessionTranscript:
-    """Execute the commit phase photon by photon through the exact optics."""
+    """Execute the commit phase through the exact optics: the receiver's
+    intercepts first, then one uniform per photon, which picks its event
+    from the outcome table of its (intercepted, bit)."""
     code, r, bs = params.code, params.r, params.bs
     cheat_target = None
     if isinstance(alice, HonestAlice):
@@ -215,31 +208,36 @@ def run_commit(
     else:
         raise TypeError(f"unknown sender policy {alice!r}")
 
-    modes = _bob_modes(bob, code.n, rng)
-    # per session, not per photon: the honest detection tables, the
-    # strategy's branch tables and the expected events, one per bit
-    honest = [optics.detection_table(optics.encode(b, bs), bs) for b in (0, 1)]
-    tables = [strategies.branches(bob.strategy, b, bs) for b in (0, 1)]
+    n = code.n
+    if isinstance(bob, HonestBob):
+        intercepted = rng.random(n) < bob.f
+    elif isinstance(bob, FullInterceptBob):
+        intercepted = np.ones(n, dtype=bool)
+    elif isinstance(bob, PartialInterceptBob):
+        if not 0 <= bob.m <= n:
+            raise ValueError("intercept count m must lie in 0..n")
+        intercepted = np.zeros(n, dtype=bool)
+        intercepted[rng.permutation(n)[: bob.m]] = True
+    else:
+        raise TypeError(f"unknown receiver policy {bob!r}")
+    # per session, not per photon: the outcome tables by (intercepted, bit)
+    # and the expected events by bit
+    tables = (
+        [optics.detection_table(optics.encode(b, bs), bs) for b in (0, 1)],
+        [strategies.outcome_table(bob.strategy, b, bs) for b in (0, 1)],
+    )
     expected = [expected_event(b) for b in (0, 1)]
-
-    events: list[DetectionEvent] = []
-    n_mismatch = 0
-    for bit_i, mode in zip(word.tolist(), modes):
-        if mode == BYPASS:
-            detection = honest[bit_i]
-        else:
-            table = tables[bit_i]
-            detection = table.branches[table.pick(rng)][2]
-        event = optics.sample_event(detection, rng)
-        events.append(event)
-        if event != expected[bit_i]:
-            n_mismatch += 1
+    marks, bits = intercepted.tolist(), word.tolist()
+    events = [
+        optics.sample_event(tables[i][b], u) for i, b, u in zip(marks, bits, rng.random(n).tolist())
+    ]
+    n_mismatch = sum(ev != expected[b] for ev, b in zip(events, bits))
 
     return SessionTranscript(
         params=params,
         committed_b=committed_b,
         codeword=word,
-        modes=modes,
+        modes=[INTERCEPT if i else BYPASS for i in marks],
         alice_events=events,
         n_mismatch=n_mismatch,
         f_estimate=n_mismatch / (params.epsilon * code.n),
@@ -296,6 +294,8 @@ def escape_probability(p: float, flips: int) -> float:
 # --- Monte-Carlo experiments --------------------------------------------------
 
 def _run_blocks(worker, trials: int, seed: int, threads: int):
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     seqs = block_seed_sequences(seed, trials)
     slices = list(block_slices(trials))
     jobs = [(np.random.default_rng(sq), hi - lo) for sq, (lo, hi) in zip(seqs, slices)]

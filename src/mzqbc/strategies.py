@@ -7,21 +7,21 @@ he is trying to read only finishes arriving in bin 1.  Each of the three
 closed-form strategies here resolves that tension differently, and each
 measures the real photon, so every strategy learns the sent bit: what the
 receiver learns at an intercepted position is the committed codeword's bit
-there.  `branches(strategy, bit, params)` lists its outcomes, built once:
-`protocol.run_commit` samples them, and `detection_prob`, the exact chance
-that the sender's check flags the resent photon, sums weight x flag over
-them.  The family minimum is the detection floor used by the protocol's
-estimator; `floor_strategy` proves that no causal coupling with certain
-decode goes below it, so that minimum is exact, not a search's upper bound.
+there.  `resent(strategy, bit, params)` lists the weighted states it sends
+back (the blind guess's coin is a weight), and `outcome_table` mixes their
+detection tables into one, built once: `protocol.run_commit` samples it
+with one uniform per photon, and `detection_prob`, the exact chance that
+the sender's check flags the resent photon, reads it.  The family minimum
+is the detection floor used by the protocol's estimator; `floor_strategy`
+proves that no causal coupling with certain decode goes below it, so that
+minimum is exact, not a search's upper bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, ClassVar, NamedTuple
-
-import numpy as np
+from typing import ClassVar
 
 from . import optics
 from .optics import RAIL_X, RAIL_Y, RAILS, BeamSplitterParams, Mode, PhotonState
@@ -55,14 +55,6 @@ class SingleChannel:
 ResendStrategy = BlindGuessOnTime | FullMeasureLate | SingleChannel
 
 
-class BranchTable(NamedTuple):
-    """(weight, resent state, its detection table) per outcome for one
-    encoded bit; `pick` draws an index with the strategy's own draws."""
-
-    branches: tuple[tuple[float, PhotonState, optics.EventTable], ...]
-    pick: Callable[[np.random.Generator], int]
-
-
 def strategy_name(strategy: ResendStrategy) -> str:
     return strategy.label
 
@@ -71,42 +63,39 @@ def _single_packet(rail: str) -> PhotonState:
     return optics.photon_state({Mode(rail, 0 if rail == RAIL_X else 1): 1.0})
 
 
-def _table(rows, pick, params: BeamSplitterParams) -> BranchTable:
-    rows = tuple((w, s, optics.detection_table(s, params)) for w, s in rows)
-    return BranchTable(rows, pick)
+def resent(
+    strategy: ResendStrategy, bit: int, params: BeamSplitterParams
+) -> tuple[tuple[float, PhotonState], ...]:
+    """The (weight, resent state) pairs of the strategy for an encoded `bit`."""
+    if isinstance(strategy, BlindGuessOnTime):
+        # one fair coin picks the resent encoding; the real photon is kept
+        return tuple((0.5, optics.encode(g, params)) for g in (0, 1))
+    if isinstance(strategy, FullMeasureLate):
+        late = optics.delay_apply(optics.encode(bit, params), RAIL_X, 1)
+        return ((1.0, optics.delay_apply(late, RAIL_Y, 1)),)
+    if isinstance(strategy, SingleChannel):
+        tables = {r: optics.detection_table(_single_packet(r), params) for r in RAILS}
+        rail = min(RAILS, key=lambda r: (optics.flag_probability(tables[r], bit), r))
+        return ((1.0, _single_packet(rail)),)
+    raise TypeError(f"unknown strategy {strategy!r}")
 
 
 @lru_cache(maxsize=1024)
-def branches(
+def outcome_table(
     strategy: ResendStrategy, bit: int, params: BeamSplitterParams
-) -> BranchTable:
-    """The strategy's branch table for an encoded `bit`."""
-    if isinstance(strategy, BlindGuessOnTime):
-        # one fair coin picks the resent encoding; the real photon is kept
-        rows = [(0.5, optics.encode(g, params)) for g in (0, 1)]
-        return _table(rows, lambda rng: int(rng.integers(2)), params)
-    if isinstance(strategy, FullMeasureLate):
-        late = optics.delay_apply(optics.encode(bit, params), RAIL_X, 1)
-        resent = optics.delay_apply(late, RAIL_Y, 1)
-    elif isinstance(strategy, SingleChannel):
-        rail = min(
-            RAILS, key=lambda r: (optics.flag_probability(_single_packet(r), params, bit), r)
-        )
-        resent = _single_packet(rail)
-    else:
-        raise TypeError(f"unknown strategy {strategy!r}")
-    return _table([(1.0, resent)], lambda rng: 0, params)
+) -> optics.EventTable:
+    """The sender's detection outcomes for an intercepted `bit`: the resent
+    states' tables mixed by their weights, in branch order."""
+    return optics.mix_tables(
+        (w, optics.detection_table(state, params)) for w, state in resent(strategy, bit, params)
+    )
 
 
 def detection_prob(
     strategy: ResendStrategy, bit: int, params: BeamSplitterParams
 ) -> float:
-    """Exact probability the sender's check flags this photon: the
-    weighted sum of the branches' flag probabilities."""
-    return sum(
-        w * optics.flag_probability(resent, params, bit)
-        for w, resent, _ in branches(strategy, bit, params).branches
-    )
+    """Exact probability the sender's check flags this photon."""
+    return optics.flag_probability(outcome_table(strategy, bit, params), bit)
 
 
 def average_detection_prob(

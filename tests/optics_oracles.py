@@ -5,8 +5,9 @@ This is the single-photon optics as it was before states became fixed
 arrays: a state is a dict keyed by (rail, bin) modes, re-validated on every
 step, and every photon rebuilds its encoding and its measurement.  The two
 `isinstance` ladders (`apply_strategy`, `detection_prob`) are the strategy
-code that the branch tables in `mzqbc.strategies` replace.  Tests compare
-the library with these, float for float and draw for draw.
+code that the outcome tables in `mzqbc.strategies` replace, and
+`intercept_detection` mixes the dict distributions as those tables do.
+Tests compare the library with these, float for float and draw for draw.
 
 `GeneralCausal` is the ancilla coupling model behind the detection floor
 that `mzqbc.strategies.floor_strategy` proves: the tests of that proof run
@@ -166,6 +167,11 @@ def flag_probability(
     return 1.0 - dist.get(expected_event(bit), 0.0)
 
 
+def table_distribution(table) -> dict[DetectionEvent, float]:
+    """A library `EventTable` as an event -> probability dict."""
+    return dict(zip(table.events, table.probs))
+
+
 # --- strategies -------------------------------------------------------------------
 
 
@@ -314,6 +320,22 @@ def apply_strategy(strategy, incoming, params, rng) -> InterceptRecord:
     if isinstance(strategy, GeneralCausal):
         return _apply_general_causal(strategy, b, params, rng)
     raise TypeError(f"unknown strategy {strategy!r}")
+
+
+def intercept_detection(strategy, bit: int, params: BeamSplitterParams) -> dict:
+    """The sender's detection distribution for an intercepted `bit`: each
+    resent state's distribution times its probability, summed per event in
+    the order of the resent states (the blind guess's coin, then one state
+    for the deterministic strategies)."""
+    if isinstance(strategy, BlindGuessOnTime):
+        weighted = [(0.5, encode(g, params)) for g in (0, 1)]
+    else:
+        weighted = [(1.0, apply_strategy(strategy, encode(bit, params), params, None).resent)]
+    dist: dict[DetectionEvent, float] = {}
+    for w, state in weighted:
+        for ev, p in detection_distribution(state, params).items():
+            dist[ev] = dist.get(ev, 0.0) + w * p
+    return dist
 
 
 def _apply_general_causal(strategy, bit, params, rng) -> InterceptRecord:

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from optics_oracles import table_distribution
 from mzqbc import optics, protocol
 from mzqbc.optics import RAIL_X, RAIL_Y, BeamSplitterParams
 
@@ -49,7 +50,7 @@ def defense_honest_invariance(
     state = optics.encode(bit, params)
     state = optics.phase_apply(state, RAIL_X, theta)
     state = optics.phase_apply(state, RAIL_Y, theta)
-    return optics.detection_distribution(state, params)
+    return table_distribution(optics.detection_table(state, params))
 
 
 def sample_intercept_posterior(

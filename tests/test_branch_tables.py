@@ -1,4 +1,4 @@
-"""The array optics and the strategy branch tables against the dict-backed
+"""The array optics and the strategy outcome tables against the dict-backed
 oracles in `optics_oracles`: the same floats and the same random draws."""
 
 import numpy as np
@@ -50,13 +50,11 @@ def test_detection_distribution_matches_dict_optics(seed):
             (optics.delay_apply(state, "Y", 0), oracle.delay_apply(ref, "Y", 0)),
         ]
         for new, old in pairs:
-            assert optics.detection_distribution(new, bs) == oracle.detection_distribution(
-                old, bs
-            )
+            table = optics.detection_table(new, bs)
+            assert oracle.table_distribution(table) == oracle.detection_distribution(old, bs)
             # the same uniforms pick the same events
             rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-            table = optics.detection_table(new, bs)
-            got = [optics.sample_event(table, rng_new) for _ in range(20)]
+            got = [optics.sample_event(table, u) for u in rng_new.random(20).tolist()]
             assert got == [oracle.sample_detection(old, bs, rng_old) for _ in range(20)]
 
 
@@ -86,20 +84,36 @@ def assert_same_state(new, old):
     assert new.absorbed == old.absorbed
 
 
+@pytest.mark.parametrize("R", R_GRID)
+@pytest.mark.parametrize("bit", [0, 1])
+def test_outcome_table_is_the_dict_mixture(R, bit):
+    bs = params_for(R)
+    for strategy in CLOSED_FORMS:
+        table = strategies.outcome_table(strategy, bit, bs)
+        assert oracle.table_distribution(table) == oracle.intercept_detection(strategy, bit, bs)
+        assert table.cumulative[-1] == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("strategy", CLOSED_FORMS, ids=strategies.strategy_name)
 def test_draw_for_draw_equal_to_oracle(strategy):
     bs = BeamSplitterParams(R=0.3)
     bits = np.random.default_rng(99).integers(0, 2, size=2000)
     rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
     for bit in bits.tolist():
-        table = strategies.branches(strategy, bit, bs)
-        _, resent, detection = table.branches[table.pick(rng_new)]
-        ev = optics.sample_event(detection, rng_new)
-        ref = oracle.apply_strategy(strategy, oracle.encode(bit, bs), bs, rng_old)
-        ev_ref = oracle.sample_detection(ref.resent, bs, rng_old)
+        ref = oracle.apply_strategy(strategy, oracle.encode(bit, bs), bs, np.random.default_rng(0))
         assert ref.learned_bit == bit
-        assert_same_state(resent, ref.resent)
-        assert ev == ev_ref
+        weighted = strategies.resent(strategy, bit, bs)
+        if isinstance(strategy, BlindGuessOnTime):
+            assert [w for w, _ in weighted] == [0.5, 0.5]
+            for g, (_, state) in enumerate(weighted):
+                assert_same_state(state, oracle.encode(g, bs))
+        else:
+            [(w, state)] = weighted
+            assert w == 1.0
+            assert_same_state(state, ref.resent)
+        # one uniform per photon picks the event from the mixed table
+        ev = optics.sample_event(strategies.outcome_table(strategy, bit, bs), rng_new.random())
+        assert ev == oracle.sample_event(oracle.intercept_detection(strategy, bit, bs), rng_old)
     assert rng_new.random() == rng_old.random()
 
 

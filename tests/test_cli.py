@@ -153,6 +153,14 @@ class TestRun:
         assert cli.main(["run", "--config", cfg]) == 2
         assert capsys.readouterr().err == "error: unknown alice policy 'fbs_probe'\n"
 
+    @pytest.mark.parametrize("bit", ["2", "-1"])
+    def test_commit_bit_outside_zero_one_is_parameter_error(self, bit, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, f"commit_bit = {bit}\n")
+        assert cli.main(["run", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: commit_bit must be 0 or 1, got {bit}\n"
+
     def test_non_finite_json_value_is_an_error(self):
         with pytest.raises(ValueError):
             cli._emit_json(config_mod.Config({}), {"value": math.nan})
@@ -343,6 +351,8 @@ class TestCounterfactual:
 NON_POSITIVE_COUNTS = {
     "sweep-trials-0": (["sweep", "--trials", "0"], ""),
     "sweep-trials-negative": (["sweep", "--trials", "-5"], ""),
+    "sweep-threads-0": (["sweep", "--threads", "0"], ""),
+    "sweep-threads-negative": (["sweep", "--threads", "-3"], ""),
     # the predecessor scheme's sending slots per photon
     "sweep-s_over_n-0": (["sweep"], "s_over_n = 0\n"),
     "sweep-s_over_n-negative": (["sweep"], "s_over_n = -2\n"),

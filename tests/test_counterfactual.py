@@ -83,7 +83,8 @@ class TestDefenseInvariance:
     def test_zero_phase_identical(self):
         bs = optics.BeamSplitterParams(R=0.3)
         dist = protocol_oracles.defense_honest_invariance(0, 0.0, bs)
-        assert dist == optics.detection_distribution(optics.encode(0, bs), bs)
+        table = optics.detection_table(optics.encode(0, bs), bs)
+        assert dist == dict(zip(table.events, table.probs))
 
     def test_arbitrary_phase_keeps_point_mass(self):
         bs = optics.BeamSplitterParams(R=0.3)

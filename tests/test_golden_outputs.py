@@ -29,6 +29,12 @@ CASES = {
         ["run", "--seed", "3"],
         "builtin_code = extended_hamming\ncommit_bit = 1\nbob = partial_intercept\nm = 3\n",
     ),
+    # no intercept at all: every photon is one honest uniform
+    "run-golay-f0-seed3": (["run", "--seed", "3"], "builtin_code = golay\nf = 0\n"),
+    "run-extended_hamming-partial0-bit1-seed3": (
+        ["run", "--seed", "3"],
+        "builtin_code = extended_hamming\ncommit_bit = 1\nbob = partial_intercept\nm = 0\n",
+    ),
     "run-hamming-full_intercept-bit1-seed3": (
         ["run", "--seed", "3"], "builtin_code = hamming\nbob = full_intercept\ncommit_bit = 1\n"),
     "counterfactual-json-extended_hamming": (
@@ -80,15 +86,17 @@ GOLDEN = {
     "counterfactual-json-golay-M2": "9a1bbf3606cec7785332804c5bce3f9ac63007aa1bed5449096b17f9987b1421",
     "nogo": "7c57f0c91b7774af9b38e45b626ec5fa77cd1d8489f530a1ece8fec1bbeb3393",
     "nogo-extended_hamming-r10000000": "36ca9284b0dd7166e87436af6ad5c85a5e1df72611af45575aec32ada82d4c3c",
-    "run-extended_hamming-seed17": "9dd33782b744f677e93c3449c258cf4be45763a8e78ed896a4400a2bb8c31db0",
-    "run-extended_hamming-seed3": "5c0213cbdf68ec9385fe14daf8578a776d5eb5019c1ad474287348b467d70a57",
-    "run-extended_hamming-partial3-bit1-seed3": "970b5e93fec2a3aa6941eb8774544c1ea50240c1c9dbdd40e823b81227f39184",
-    "run-golay-midpoint_cheat-seed3": "08e1532c99597204e4c292eb029542a10a60b01bc4a5f9b1f29ddffbf818db3d",
-    "run-golay-seed17": "ab40b9ddae57fede606cb131f56c7e6cbf86dbe78000224335f30c71950cbdb2",
-    "run-golay-seed3": "9e8b614fb13ffcbea232a5fb1bc76ccb46b2b511ee5e407b33bb1d25a9f984c3",
-    "run-hamming-seed17": "c17871c3b05308d221b11c5bd8e4e4f42f049f4dba1e52dc0cf7623d59052154",
-    "run-hamming-full_intercept-bit1-seed3": "3a3088c513d693b2cae1cebce9d918a5613c76af7d0a7b5b8576bb5674a583b7",
-    "run-hamming-seed3": "b44006e521675f8d46c773c181b90b4096513ae533f54c106c4b956910951d13",
+    "run-extended_hamming-seed17": "9437859e1910724bc58ca50a62aff52a91b66730e0d8b0a83e08571d416bcbf8",
+    "run-extended_hamming-seed3": "0e1454b4799a8c5860b17d0a6a819ae02c9214451d11b9bbed3a98282d72649e",
+    "run-extended_hamming-partial3-bit1-seed3": "08132b7be86133562d49490accb67239a9abac766ef99270788191d33512bce7",
+    "run-golay-midpoint_cheat-seed3": "939ee607583771c00fce2209a7616d8b82436800f50b206fd84b876168b234ef",
+    "run-golay-f0-seed3": "cf027991a6c0ef205e72e488c300ed7e3fdf9ad22e1a0a5f48da1ab466e3eb9b",
+    "run-extended_hamming-partial0-bit1-seed3": "7a52419e29f63431af95ce785f23b7fec9d529caac51ff775a7ca55438b192f1",
+    "run-golay-seed17": "369fe0335584b1d6f84b244a1c9a3c0e661b2417e7a0a4a4dce4ad0a9327d152",
+    "run-golay-seed3": "a288bd8da12bd52c908542c01477e1ac69fc0673d938bb2187c62ad12087bea9",
+    "run-hamming-seed17": "c7a628f8770e1d4fbf840afae733ec54fc54e57bb4d0d1db5521bb4a2bd99476",
+    "run-hamming-full_intercept-bit1-seed3": "d1052e528ce68d118931aa03cc499e2128de008b9c11e4a9775e9354044d7fdd",
+    "run-hamming-seed3": "a1b32a0cec90474410c273571a309f1aa26eedea34e4d8eeb01e1fcf9e4d6ff2",
     "strategies-json": "40c19ce326d2bcb5a3ff99350f21060df95863431e13b09f33eb2641d9eb6ff2",
     "strategies-search-json-seed3": "4c5bcb9036711e3c92e6b4791ba3e9416998c06c27a748d572516ee931e0722c",
     "sweep-two-codes": "96268ea52d3459a3ed7839fedccd17751269bba3aed5f1e1cc95f7934143ecb3",

@@ -17,10 +17,11 @@ from mzqbc.optics import (
     photon_state,
     bs_apply,
     delay_apply,
-    detection_distribution,
     detection_table,
     encode,
     expected_event,
+    flag_probability,
+    mix_tables,
     phase_apply,
     sample_event,
 )
@@ -30,6 +31,12 @@ R_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
 
 def params_for(R):
     return BeamSplitterParams(R=R, symmetric_ok=True)
+
+
+def detection_distribution(state, params):
+    """`detection_table` as an event -> probability dict."""
+    table = detection_table(state, params)
+    return dict(zip(table.events, table.probs))
 
 
 def bs_matrix(R):
@@ -161,13 +168,13 @@ class TestDetection:
         bs = params_for(0.3)
         for _ in range(32):
             table = detection_table(encode(0, bs), bs)
-            assert sample_event(table, rng) == expected_event(0)
+            assert sample_event(table, rng.random()) == expected_event(0)
 
     def test_sample_deterministic_for_fixed_seed(self):
         bs = params_for(0.3)
         state = photon_state({Mode(RAIL_Y, 1): 1.0})
         table = detection_table(state, bs)
-        draws1 = [sample_event(table, np.random.default_rng(123)) for _ in range(3)]
+        draws1 = [sample_event(table, np.random.default_rng(123).random()) for _ in range(3)]
         assert len(set(draws1)) == 1
 
     def test_sample_frequencies_match_distribution(self):
@@ -176,9 +183,47 @@ class TestDetection:
         rng = np.random.default_rng(42)
         n = 100_000
         table = detection_table(state, bs)
-        hits = sum(sample_event(table, rng) == DetectionEvent(1, 1) for _ in range(n))
+        hits = sum(sample_event(table, u) == DetectionEvent(1, 1) for u in rng.random(n).tolist())
         p = 0.3
         assert abs(hits / n - p) < 3 * math.sqrt(p * (1 - p) / n)
+
+    def test_sample_reads_the_running_sums(self):
+        # the event whose running sum first exceeds u; past the last sum
+        # (rounding can leave it below 1) the last event
+        state = photon_state({Mode(RAIL_Y, 1): 1.0})
+        table = detection_table(state, params_for(0.3))
+        assert table.events == (DetectionEvent(0, 1), DetectionEvent(1, 1))
+        assert sample_event(table, 0.0) == DetectionEvent(0, 1)
+        assert sample_event(table, table.cumulative[0]) == DetectionEvent(1, 1)
+        assert sample_event(table, 1.0) == DetectionEvent(1, 1)
+
+    def test_no_click_is_a_flag_for_either_bit(self):
+        vacuum = detection_table(optics.VACUUM, params_for(0.3))
+        assert flag_probability(vacuum, 0) == flag_probability(vacuum, 1) == 1.0
+
+
+class TestMixTables:
+    def test_single_table_at_weight_one_is_itself(self):
+        bs = params_for(0.3)
+        table = detection_table(photon_state({Mode(RAIL_Y, 1): 1.0}), bs)
+        assert mix_tables([(1.0, table)]) == table
+
+    def test_weights_sum_per_event_in_sampling_order(self):
+        bs = params_for(0.3)
+        y_late = detection_table(photon_state({Mode(RAIL_Y, 2): 1.0}), bs)
+        y_on_time = detection_table(photon_state({Mode(RAIL_Y, 1): 1.0}), bs)
+        vacuum = detection_table(optics.VACUUM, bs)
+        mixed = mix_tables([(0.25, vacuum), (0.5, y_late), (0.25, y_on_time)])
+        assert mixed.events == (
+            DetectionEvent(0, 1), DetectionEvent(0, 2),
+            DetectionEvent(1, 1), DetectionEvent(1, 2), NO_CLICK,
+        )
+        want = {NO_CLICK: 0.25}
+        for w, table in [(0.5, y_late), (0.25, y_on_time)]:
+            for ev, p in zip(table.events, table.probs):
+                want[ev] = want.get(ev, 0.0) + w * p
+        assert dict(zip(mixed.events, mixed.probs)) == want
+        assert mixed.cumulative[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestInvariants:

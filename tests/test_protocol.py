@@ -7,7 +7,7 @@ import pytest
 
 import codeword_oracles
 from protocol_oracles import sample_intercept_posterior
-from mzqbc import codes, kernels, protocol
+from mzqbc import codes, kernels, optics, protocol, strategies
 from mzqbc.codes import bits_from_string
 from mzqbc.protocol import (
     ACCEPT,
@@ -34,7 +34,7 @@ from mzqbc.protocol import (
     run_concealing_experiment,
     run_unveil,
 )
-from mzqbc.strategies import FullMeasureLate
+from mzqbc.strategies import FullMeasureLate, SingleChannel
 from mzqbc.util import BLOCK_TRIALS, block_seed_sequences, block_slices
 
 
@@ -153,6 +153,49 @@ class TestCommit:
         rng = np.random.default_rng(3)
         t = run_commit(HonestAlice(0), PartialInterceptBob(m=3), params, rng)
         assert sum(m == INTERCEPT for m in t.modes) == 3
+
+    @pytest.mark.parametrize(
+        "bob",
+        [
+            HonestBob(f=0.4),
+            HonestBob(f=0.4, strategy=SingleChannel()),
+            PartialInterceptBob(m=3),
+            PartialInterceptBob(m=5, strategy=FullMeasureLate()),
+            FullInterceptBob(),
+        ],
+        ids=repr,
+    )
+    def test_draws_intercepts_then_one_uniform_per_photon(self, bob):
+        # after the codeword: the intercepts (n doubles against f, or one
+        # permutation), then one uniform per photon searched over the
+        # outcome table of its (intercepted, bit); the blind guess's coin
+        # is a weight of that table, not a draw
+        params = make_params(R=0.3)
+        bs, n = params.bs, params.n
+        for seed in range(20):
+            t = run_commit(HonestAlice(seed % 2), bob, params, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            word = codes.sample_codeword(params.code, params.r, seed % 2, rng)
+            if isinstance(bob, HonestBob):
+                intercepted = rng.random(n) < bob.f
+            elif isinstance(bob, PartialInterceptBob):
+                intercepted = np.isin(np.arange(n), rng.permutation(n)[: bob.m])
+            else:
+                intercepted = np.ones(n, dtype=bool)
+            events = []
+            for hit, bit, u in zip(intercepted, word.tolist(), rng.random(n).tolist()):
+                table = (
+                    strategies.outcome_table(bob.strategy, bit, bs)
+                    if hit
+                    else optics.detection_table(optics.encode(bit, bs), bs)
+                )
+                events.append(optics.sample_event(table, u))
+            assert np.array_equal(t.codeword, word)
+            assert t.modes == [INTERCEPT if hit else protocol.BYPASS for hit in intercepted]
+            assert t.alice_events == events
+            assert t.n_mismatch == sum(
+                ev != optics.expected_event(bit) for ev, bit in zip(events, word.tolist())
+            )
 
     def test_boundary_estimate_aborts(self):
         # late resends are flagged with certainty; intercepting exactly
@@ -339,6 +382,13 @@ class TestBindingExperiment:
         assert rep["flips"] == (code.d + 1) // 2
         assert 0 < rep["predicted_escape"] < 1
         assert abs(rep["accept_rate_among_proceed"] - rep["predicted_escape"]) < rep["three_sigma"]
+
+    def test_thread_count_below_one_rejected(self):
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                run_binding_experiment(make_params(), trials=100, threads=threads)
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                run_concealing_experiment(make_params(), m=2, trials=100, threads=threads)
 
     def test_thread_count_does_not_change_results(self):
         a = run_binding_experiment(make_params(), trials=30_000, threads=1)

@@ -27,14 +27,6 @@ def params_for(R):
     return BeamSplitterParams(R=R, symmetric_ok=True)
 
 
-def intercept(strategy, bit, bs, rng):
-    """One intercepted photon as `protocol.run_commit` draws it: the
-    resent state and its detection table."""
-    table = strategies.branches(strategy, bit, bs)
-    _, resent, detection = table.branches[table.pick(rng)]
-    return resent, detection
-
-
 class TestClosedForms:
     @pytest.mark.parametrize("R", R_GRID)
     @pytest.mark.parametrize("bit", [0, 1])
@@ -58,10 +50,10 @@ class TestClosedForms:
 
     def test_single_channel_fixed_rails(self):
         # an X-only packet on time is flagged with T for bit 0, R for bit 1
-        x_only = optics.photon_state({Mode(RAIL_X, 0): 1.0})
         bs = params_for(0.3)
-        assert optics.flag_probability(x_only, bs, 0) == pytest.approx(0.7, abs=1e-12)
-        assert optics.flag_probability(x_only, bs, 1) == pytest.approx(0.3, abs=1e-12)
+        x_only = optics.detection_table(optics.photon_state({Mode(RAIL_X, 0): 1.0}), bs)
+        assert optics.flag_probability(x_only, 0) == pytest.approx(0.7, abs=1e-12)
+        assert optics.flag_probability(x_only, 1) == pytest.approx(0.3, abs=1e-12)
 
 
 class TestMonteCarloOracle:
@@ -78,33 +70,36 @@ class TestMonteCarloOracle:
         rng = np.random.default_rng(11)
         n = 20_000
         for bit in (0, 1):
-            flags = 0
-            for _ in range(n):
-                _, detection = intercept(strategy, bit, bs, rng)
-                ev = optics.sample_event(detection, rng)
-                flags += ev != optics.expected_event(bit)
+            # one uniform per intercepted photon, as `protocol.run_commit` draws
+            table = strategies.outcome_table(strategy, bit, bs)
+            flags = sum(
+                optics.sample_event(table, u) != optics.expected_event(bit)
+                for u in rng.random(n).tolist()
+            )
             sigma = math.sqrt(max(expected * (1 - expected), 1e-12) / n)
             assert abs(flags / n - expected) <= max(3 * sigma, 1e-9)
 
 
 class TestApplyStrategy:
     def test_blind_guess_matching_resend_is_identical(self):
+        # a fair coin over the two honest encodings, whatever the sent bit
         bs = params_for(0.3)
-        incoming = optics.encode(0, bs)
-        rng = np.random.default_rng(0)
-        for _ in range(16):
-            resent, _ = intercept(BlindGuessOnTime(), 0, bs, rng)
-            guess = 0 if np.array_equal(resent.amps, incoming.amps) else 1
-            assert np.array_equal(resent.amps, optics.encode(guess, bs).amps)
+        for bit in (0, 1):
+            weighted = strategies.resent(BlindGuessOnTime(), bit, bs)
+            assert [w for w, _ in weighted] == [0.5, 0.5]
+            for guess, (_, state) in enumerate(weighted):
+                assert np.array_equal(state.amps, optics.encode(guess, bs).amps)
 
     def test_full_measure_late_shifts_both_packets(self):
         bs = params_for(0.3)
-        resent, _ = intercept(FullMeasureLate(), 0, bs, np.random.default_rng(0))
+        [(w, resent)] = strategies.resent(FullMeasureLate(), 0, bs)
+        assert w == 1.0
         assert resent.modes() == {Mode(RAIL_X, 1), Mode(RAIL_Y, 2)}
 
     def test_single_channel_puts_everything_on_one_rail(self):
         bs = params_for(0.3)
-        resent, _ = intercept(SingleChannel(), 0, bs, np.random.default_rng(0))
+        [(w, resent)] = strategies.resent(SingleChannel(), 0, bs)
+        assert w == 1.0
         assert resent.modes() == {Mode(RAIL_Y, 1)}
         assert abs(resent.amp(RAIL_Y, 1)) == pytest.approx(1.0, abs=1e-12)
 
