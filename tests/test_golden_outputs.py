@@ -61,6 +61,12 @@ CASES = {
         ["nogo", "--seed", "7", "--trials", "3"],
         "builtin_code = extended_hamming\nr = 10000000\n",
     ),
+    # the largest builtin code: its reduced states are read off S exactly
+    "nogo-golay": (
+        ["nogo", "--seed", "7"],
+        f"builtin_code = golay\nr = 1{'0' * 23}\nmodes = "
+        + ", ".join("intercept" if i in (1, 2, 3, 7) else "bypass" for i in range(24)) + "\n",
+    ),
     "verify": (["verify", "--seed", "4"], ""),
     "strategies-json": (["strategies", "--format", "json"], ""),
     "strategies-search-json-seed3": (
@@ -84,8 +90,9 @@ GOLDEN = {
     "counterfactual-json-golay": "11e6692d180b02f0358305d2c006ad271425797dbc9a25c2ecab4d4b43897a94",
     "counterfactual-json-extended_hamming-M2": "24fe096e832188926725f77e9eeea430d933b638739ca5f24a14e36d6b30afaa",
     "counterfactual-json-golay-M2": "9a1bbf3606cec7785332804c5bce3f9ac63007aa1bed5449096b17f9987b1421",
-    "nogo": "7c57f0c91b7774af9b38e45b626ec5fa77cd1d8489f530a1ece8fec1bbeb3393",
-    "nogo-extended_hamming-r10000000": "36ca9284b0dd7166e87436af6ad5c85a5e1df72611af45575aec32ada82d4c3c",
+    "nogo": "17b44a95acfeec1c6110686f8a508fa6df78d9ece50ddba27ff7c74c7f7ad38d",
+    "nogo-extended_hamming-r10000000": "6b231c37e5a54184b6cff236b5bf177906d263dbf94c817df018cb53bae3b606",
+    "nogo-golay": "c565033be56270ec76ccef580504f790c3dbe2b439fccf540b3ad279059bbc49",
     "run-extended_hamming-seed17": "9437859e1910724bc58ca50a62aff52a91b66730e0d8b0a83e08571d416bcbf8",
     "run-extended_hamming-seed3": "0e1454b4799a8c5860b17d0a6a819ae02c9214451d11b9bbed3a98282d72649e",
     "run-extended_hamming-partial3-bit1-seed3": "08132b7be86133562d49490accb67239a9abac766ef99270788191d33512bce7",

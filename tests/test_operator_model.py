@@ -3,14 +3,16 @@ import pytest
 
 import codeword_oracles
 import operator_oracles as oracles
-from mzqbc import codes, kernels, operator_model as om
+from mzqbc import codes, kernels
 from mzqbc.codes import bits_from_string
 from mzqbc.operator_model import (
-    alice_local_invariance,
     committed_density,
+    intercept_mask,
     overlap,
+    reduced_states,
+    state_change,
 )
-from mzqbc.util import GuardError
+from mzqbc.util import GuardError, haar_unitary
 from operator_oracles import (
     CompositeSystem,
     DensityMatrix,
@@ -169,16 +171,6 @@ class TestPipeline:
                                max_intercepts=1)
 
     def test_dimension_guard(self):
-        # the Haar draw is refused before the trial budget and any draw
-        golay = codes.golay_24_12()
-        rng = np.random.default_rng(0)
-        before = rng.bit_generator.state
-        with pytest.raises(GuardError, match=r"n = 24 photons needs a 2\^24 x 2\^24 Haar draw"):
-            alice_local_invariance(
-                ["bypass"] * golay.n, golay, np.eye(1, golay.n, dtype=np.uint8)[0], 10**9, rng
-            )
-        assert rng.bit_generator.state == before
-        assert 4**9 <= om.MAX_TRIAL_AMPLITUDES < 4**10  # n = 9 is admitted
         with pytest.raises(GuardError, match="n <= 3"):
             CompositeSystem(n=4)
 
@@ -206,6 +198,23 @@ class TestReducedState:
         assert np.allclose(red.matrix, expect, atol=1e-12)
 
 
+def _model_report(code, r, modes, trials, rng):
+    """The oracles' report fields from `reduced_states` and `state_change`,
+    under the oracles' Haar draws: `trials` of them from `rng`, in order."""
+    intercepted = intercept_mask(modes, code.n)
+    distance, base_overlap = reduced_states(code, r, intercepted)
+    changes = [
+        state_change(code, r, intercepted, haar_unitary(1 << code.n, rng))
+        for _ in range(trials)
+    ]
+    return {
+        "max_deviation": max(dev for dev, _ in changes),
+        "max_overlap_deviation": max(dev for _, dev in changes),
+        "reduced_overlap": base_overlap,
+        "reduced_trace_distance": distance,
+    }
+
+
 class TestInvariance:
     @pytest.mark.parametrize(
         "n,gen,modes",
@@ -217,66 +226,39 @@ class TestInvariance:
     )
     def test_beta_rotations_invisible_to_receiver(self, n, gen, modes):
         code = codes.code_from_generator(np.array(gen, dtype=np.uint8))
-        rng = np.random.default_rng(13)
-        report = alice_local_invariance(
-            modes, code, np.ones(n, dtype=np.uint8), trials=10, rng=rng
+        report = _model_report(
+            code, np.ones(n, dtype=np.uint8), modes, 10, np.random.default_rng(13)
         )
         assert report["max_deviation"] <= 1e-9
         assert report["max_overlap_deviation"] <= 1e-9
 
     def test_intercept_records_are_distinguishable(self):
         code = codes.repetition_code(3)
-        rng = np.random.default_rng(1)
-        report = alice_local_invariance(
-            ["intercept", "bypass", "bypass"], code, R111, trials=2, rng=rng
-        )
-        assert report["reduced_overlap"] == 0.0
-        assert report["reduced_trace_distance"] == 1.0
+        intercepted = intercept_mask(["intercept", "bypass", "bypass"], 3)
+        assert reduced_states(code, R111, intercepted) == (1.0, 0.0)
 
     def test_mode_errors(self):
-        code = codes.repetition_code(3)
-        rng = np.random.default_rng(0)
-        before = rng.bit_generator.state
         with pytest.raises(ValueError, match="one mode per photon"):
-            alice_local_invariance(["bypass"] * 2, code, R111, 1, rng)
-        assert rng.bit_generator.state == before
+            intercept_mask(["bypass"] * 2, 3)
         with pytest.raises(ValueError, match="unknown mode 'measure'"):
-            alice_local_invariance(["bypass", "measure", "bypass"], code, R111, 1, rng)
-        assert rng.bit_generator.state == before
+            intercept_mask(["bypass", "measure", "bypass"], 3)
+        assert intercept_mask(["bypass", "intercept"], 2).tolist() == [False, True]
 
     def test_r_orthogonal_to_the_code_rejected_before_any_draw(self):
+        # nogo draws nothing; the one-V change rejects the same r
         code = codes.extended_hamming_8_4()
-        rng = np.random.default_rng(0)
-        before = rng.bit_generator.state
+        r = np.ones(8, dtype=np.uint8)
+        intercepted = intercept_mask(["intercept"] + ["bypass"] * 7, 8)
         with pytest.raises(ValueError, match="r is orthogonal to every codeword"):
-            alice_local_invariance(
-                ["intercept"] + ["bypass"] * 7, code, np.ones(8, dtype=np.uint8), 5, rng
-            )
-        assert rng.bit_generator.state == before
-
-    @pytest.mark.parametrize("n", [1, 3, 8])
-    def test_trial_budget_guarded_before_any_draw(self, n):
-        code = codes.repetition_code(n) if n > 1 else codes.code_from_generator([[1]])
-        modes = ["intercept"] + ["bypass"] * (n - 1)
-        r = np.ones(n, dtype=np.uint8)
-        limit = om.MAX_CHECK_AMPLITUDES // max(4**n, om.MIN_TRIAL_AMPLITUDES)
-        rng = np.random.default_rng(0)
-        before = rng.bit_generator.state
-        with pytest.raises(GuardError, match=f"at most {limit} trials"):
-            alice_local_invariance(modes, code, r, limit + 1, rng)
-        assert rng.bit_generator.state == before
-
-    def test_trial_budget_admits_the_default_at_n_9(self):
-        # 100 trials (the nogo default) at the largest composite allowed, and
-        # under 200 there (about 96 ms each on a 2-core VM)
-        assert 100 * 4**9 <= om.MAX_CHECK_AMPLITUDES
-        assert om.MAX_CHECK_AMPLITUDES // 4**9 < 200
+            reduced_states(code, r, intercepted)
+        with pytest.raises(ValueError, match="r is orthogonal to every codeword"):
+            state_change(code, r, intercepted, np.eye(1 << 8))
 
     def test_extended_hamming(self):
         code = codes.extended_hamming_8_4()
-        report = alice_local_invariance(
-            ["intercept"] + ["bypass"] * 7, code, bits_from_string("10000000"), 3,
-            np.random.default_rng(2),
+        modes = ["intercept"] + ["bypass"] * 7
+        report = _model_report(
+            code, bits_from_string("10000000"), modes, 3, np.random.default_rng(2)
         )
         assert report["max_deviation"] <= 1e-9
         assert report["max_overlap_deviation"] <= 1e-9
@@ -284,12 +266,15 @@ class TestInvariance:
         assert report["reduced_overlap"] == 0.0
         assert report["reduced_trace_distance"] == 1.0
         # one intercepted photon that does not fix the parity reveals nothing
-        report = alice_local_invariance(
-            ["intercept"] + ["bypass"] * 7, code, bits_from_string("01000000"), 3,
-            np.random.default_rng(2),
-        )
-        assert report["reduced_trace_distance"] == 0.0
-        assert report["reduced_overlap"] == 0.5
+        intercepted = intercept_mask(modes, 8)
+        assert reduced_states(code, bits_from_string("01000000"), intercepted) == (0.0, 0.5)
+
+    def test_exact_unitary_changes_nothing(self):
+        # a permutation is an exact unitary: every column has norm 1
+        code = codes.extended_hamming_8_4()
+        intercepted = intercept_mask(["intercept", "bypass"] * 4, 8)
+        v = np.eye(1 << 8)[np.random.default_rng(3).permutation(1 << 8)]
+        assert state_change(code, bits_from_string("01000000"), intercepted, v) == (0.0, 0.0)
 
 
 REPORT_FIELDS = (
@@ -315,11 +300,10 @@ def _random_case(rng, n):
 
 
 def _both_reports(code, r, modes, seed, beta=None, trials=3):
-    """The pattern-counting and the dense report from generators seeded
-    alike, the dense one with the fiducial `beta`, and the two generators
-    afterwards."""
+    """The model's and the dense report from generators seeded alike, the
+    dense one with the fiducial `beta`, and the two generators afterwards."""
     fast_rng, dense_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    fast = alice_local_invariance(modes, code, r, trials, fast_rng)
+    fast = _model_report(code, r, modes, trials, fast_rng)
     dense = oracles.alice_local_invariance(
         CompositeSystem(n=code.n), modes, code, r, trials, dense_rng, beta
     )
@@ -345,9 +329,6 @@ class TestOracleAgreement:
             )
             for key in REPORT_FIELDS:
                 assert fast[key] == pytest.approx(dense[key], abs=1e-12), key
-            assert {k: fast[k] for k in ("n", "modes", "trials")} == {
-                k: dense[k] for k in ("n", "modes", "trials")
-            }
             # same Haar draws, in the same order: the generators end level
             assert fast_rng.bit_generator.state == dense_rng.bit_generator.state
 
@@ -364,8 +345,8 @@ class TestOracleAgreement:
 
 class TestGramOracle:
     """The pattern-counting model against the Gram matrix of the receiver's
-    branch kets (`operator_oracles.gram_local_invariance`), which reaches
-    every n the Haar guard admits; 151 random cases with n from 2 to 9."""
+    branch kets (`operator_oracles.gram_local_invariance`); 151 random cases
+    with n from 2 to 9."""
 
     @pytest.mark.parametrize(
         "n,cases", [(2, 30), (3, 30), (4, 25), (5, 25), (6, 20), (7, 12), (8, 6), (9, 3)]
@@ -377,7 +358,7 @@ class TestGramOracle:
             fiducial = rng.normal(size=2) + 1j * rng.normal(size=2)
             seed = int(rng.integers(1 << 30))
             fast_rng, gram_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            fast = alice_local_invariance(modes, code, r, 2, fast_rng)
+            fast = _model_report(code, r, modes, 2, fast_rng)
             gram = oracles.gram_local_invariance(modes, code, r, 2, gram_rng, fiducial)
             for key in REPORT_FIELDS:
                 assert fast[key] == pytest.approx(gram[key], abs=1e-12), key
@@ -397,17 +378,21 @@ class TestGramOracle:
             z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             return z / np.sqrt(2 * dim)
 
-        monkeypatch.setattr(om, "haar_unitary", gaussian)
         monkeypatch.setattr(oracles, "haar_unitary", gaussian)
         rng = np.random.default_rng(1800)
         for n in (2, 3, 4, 5, 6) * 4:
             code, r, modes = _random_case(rng, n)
             seed = int(rng.integers(1 << 30))
-            fast = alice_local_invariance(modes, code, r, 2, np.random.default_rng(seed))
+            draws = np.random.default_rng(seed)
+            intercepted = intercept_mask(modes, n)
+            changes = [
+                state_change(code, r, intercepted, gaussian(1 << n, draws)) for _ in range(2)
+            ]
             gram = oracles.gram_local_invariance(modes, code, r, 2, np.random.default_rng(seed))
-            assert fast["max_deviation"] > 1e-6
-            for key in REPORT_FIELDS:
-                assert fast[key] == pytest.approx(gram[key], rel=1e-9, abs=1e-12), key
+            fast = max(dev for dev, _ in changes), max(dev for _, dev in changes)
+            assert fast[0] > 1e-6
+            assert fast[0] == pytest.approx(gram["max_deviation"], rel=1e-9, abs=1e-12)
+            assert fast[1] == pytest.approx(gram["max_overlap_deviation"], rel=1e-9, abs=1e-12)
 
 
 class TestPosterior:
