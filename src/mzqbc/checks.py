@@ -85,19 +85,20 @@ def mz_determinism() -> list[Result]:
 
 def committed_state_orthogonality(rng: np.random.Generator) -> list[Result]:
     """The committed states of bit 0 and bit 1 are exactly orthogonal: the
-    largest overlap over random masks r on every builtin code."""
+    largest overlap over random masks r on every builtin code.  With every
+    photon intercepted the records hold the whole codeword, so the
+    receiver's reduced states are the committed mixtures themselves."""
     worst = 0.0
     for name in codes_mod.BUILTIN_CODES:
         code = codes_mod.builtin_code(name)
+        everything = np.ones(code.n, dtype=bool)
         drawn = 0
         while drawn < MASKS_PER_CODE:
             r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
             if not r.any() or not codes_mod.message_mask(code, r).any():
                 continue  # parity constant on the code: no commitment possible
             drawn += 1
-            rho0 = operator_model.committed_density(code, r, 0)
-            rho1 = operator_model.committed_density(code, r, 1)
-            worst = max(worst, abs(operator_model.overlap(rho0, rho1)))
+            worst = max(worst, abs(operator_model.reduced_states(code, r, everything)[1]))
     return [Result("committed_state_orthogonality.max_overlap", worst, EXACT_BOUND)]
 
 

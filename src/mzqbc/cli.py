@@ -143,15 +143,17 @@ def _bob_policy(cfg) -> protocol.BobPolicy:
     raise ConfigError(f"unknown bob policy {name!r}")
 
 
-# keys left out of the provenance hash.  `out` and `threads` never change a
-# payload (trial blocks are seed-split independently of the worker count).
-# `format` is not presentation-only: `counterfactual --format csv` computes
-# the probe-chain grid in place of the attack report, under the same hash
+# the provenance hash covers the keys the subcommand read, less these, so a
+# key it ignores (`trials` to `nogo`) leaves the hash alone.  `out` and
+# `threads` never change a payload (trial blocks are seed-split
+# independently of the worker count).  `format` is not presentation-only:
+# `counterfactual --format csv` computes the probe-chain grid in place of
+# the attack report, under the same hash
 _NON_SEMANTIC_KEYS = frozenset({"out", "format", "threads"})
 
 
 def _provenance(cfg) -> dict:
-    semantic = {k: v for k, v in cfg.items() if k not in _NON_SEMANTIC_KEYS}
+    semantic = {k: cfg[k] for k in cfg.read & cfg.keys() - _NON_SEMANTIC_KEYS}
     return {
         "config_hash": config_mod.config_hash(semantic),
         "seed": config_mod.get_int(cfg, "seed", 0),

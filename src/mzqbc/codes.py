@@ -5,9 +5,8 @@ elimination on packed rows, and the parity halves {mG : m.(G r^T) = b}
 are handled as linear constraints on the message m, never listed.  Only
 the minimum distance is an exhaustive 2^k enumeration, exact and desk
 scale, and it keeps its witnesses: every weight-d codeword, from which the
-midpoint cheat picks its pair.  Hard guards refuse it beyond k=24, and
-refuse the full codeword list (read only by the operator model's committed
-mixtures) beyond k=20, rather than approximating.
+midpoint cheat picks its pair.  A hard guard refuses it beyond k=24 rather
+than approximating.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from .util import GuardError
 
 #: 2^k enumeration bound for the minimum distance.
 ENUM_GUARD_K = 24
-#: Bound for materializing the full codeword matrix in memory.
-MATERIALIZE_GUARD_K = 20
 
 
 def bits_from_string(s: str) -> np.ndarray:
@@ -57,19 +54,6 @@ class LinearCode:
     d: int
     min_words: np.ndarray = field(repr=False)
     basis: list[int] = field(repr=False)
-
-    def codewords(self) -> np.ndarray:
-        """All 2^k codewords as a (2^k, n) uint8 matrix, ordered by message
-        index (row i encodes the little-endian bits of i)."""
-        cached = getattr(self, "_codewords", None)
-        if cached is not None:
-            return cached
-        if self.k > MATERIALIZE_GUARD_K:
-            raise GuardError("enumeration too large")
-        chunks = kernels._span_chunks(kernels.pack_rows(self.generator))
-        words = np.concatenate([kernels.unpack_rows(c, self.n) for c in chunks])
-        object.__setattr__(self, "_codewords", words)
-        return words
 
     def contains(self, word: np.ndarray) -> bool:
         """Whether `word` reduces to zero against the echelon `basis`."""

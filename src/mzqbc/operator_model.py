@@ -25,66 +25,23 @@ patterns, trace distance 1 and overlap 0; otherwise both are the uniform
 mixture of the 2^rank(G[:, S]) patterns, trace distance 0 and overlap
 2^-rank.
 
-Two structural facts carry the security argument, and both are testable:
-the committed alpha states for bit 0 and bit 1 are exactly orthogonal
-(disjoint codeword mixtures), and nothing the sender applies to her
-returned qubits alone can change the receiver's reduced state.
+Two structural facts carry the security argument, and both are read off
+the patterns.  The committed alpha states for bit 0 and bit 1 are exactly
+orthogonal: with every photon intercepted the records hold the whole
+codeword, so the receiver's reduced state is the committed register's own
+mixture, and `reduced_states` on the full mask gives its overlap, 0
+because the whole word fixes the parity.  And nothing the sender applies
+to the returned qubits alone can change the receiver's reduced state
+(`state_change`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import codes as codes_mod
 from . import kernels
 from .codes import LinearCode
-
-
-@dataclass(frozen=True)
-class SparseDiagonalDensity:
-    """Diagonal density matrix stored as (index, weight) pairs; this is how
-    committed-register states look in the codeword basis."""
-
-    dim: int
-    indices: np.ndarray
-    weights: np.ndarray
-
-
-def _parity_half(code: LinearCode, r: np.ndarray, b: int) -> np.ndarray:
-    words = code.codewords()
-    return words[words @ np.asarray(r, dtype=np.uint8) % 2 == b]
-
-
-def committed_density(
-    code: LinearCode, r: np.ndarray, b: int
-) -> SparseDiagonalDensity:
-    """The committed register's state: the uniform mixture of the product
-    encodings of the parity-b codewords, diagonal in the codeword basis.
-
-    The sparse form carries only the |C_b| nonzero weights, so it scales to
-    every enumerable code.
-    """
-    if b and not codes_mod.message_mask(code, r).any():
-        raise ValueError("committed subset empty; choose different r")
-    if code.n > 63:
-        raise ValueError("basis indices beyond 63 qubits overflow int64")
-    subset = _parity_half(code, r, b)
-    # basis index of |c_1 ... c_n>, qubit 1 the most significant
-    indices = subset.astype(np.int64) @ (1 << np.arange(code.n - 1, -1, -1, dtype=np.int64))
-    weights = np.full(len(subset), 1.0 / len(subset))
-    return SparseDiagonalDensity(dim=1 << code.n, indices=indices, weights=weights)
-
-
-def overlap(rho_a: SparseDiagonalDensity, rho_b: SparseDiagonalDensity) -> float:
-    """trace(rho_a rho_b) of two diagonal states."""
-    if rho_a.dim != rho_b.dim:
-        raise ValueError("dimension mismatch")
-    _, ia, ib = np.intersect1d(
-        rho_a.indices, rho_b.indices, assume_unique=True, return_indices=True
-    )
-    return float(rho_a.weights[ia] @ rho_b.weights[ib])
 
 
 def intercept_mask(modes: list[str], n: int) -> np.ndarray:
@@ -126,7 +83,10 @@ def state_change(
     unitary.  The fiducial is |0>; no returned field depends on it.
     """
     _, base_overlap = reduced_states(code, r, intercepted)
-    words = _parity_half(code, r, 0)
+    # V is 2^n x 2^n, so the parity-0 branches can be listed in message order
+    chunks = kernels._span_chunks(kernels.pack_rows(code.generator))
+    words = np.concatenate([kernels.unpack_rows(c, code.n) for c in chunks])
+    words = words[words @ np.asarray(r, dtype=np.uint8) % 2 == 0]
     m0 = len(words)
     # with the fiducial |0>, branch c's returned qubits are the basis ket
     # |c_i on bypassed photons, 0 on intercepted ones>, so V reweights it by

@@ -326,11 +326,13 @@ def run_binding_experiment(
     The cheater commits the midpoint of a minimum-distance codeword pair
     and unveils the endpoint ceil(d/2) flips away.  The receiver, playing
     honestly with intercept probability f, learns every intercepted bit
-    exactly and flags each intercepted photon with probability epsilon
-    (true of the default blind-guess resend).  The cheat is accepted iff
-    no flipped position was intercepted; the closed-form prediction for
-    the accept rate among trials where the cheater saw no mismatch on the
-    flipped positions is (1-p)^flips with p the intercept posterior.
+    exactly.  The game flags each intercepted photon with probability
+    epsilon, by default the floor strategy's rate min(R, T); `run`'s
+    blind-guess resend flags at that rate only at R = 0.5 (ROADMAP item 2).
+    The cheat is accepted iff no flipped position was intercepted; the
+    closed-form prediction for the accept rate among trials where the
+    cheater saw no mismatch on the flipped positions is (1-p)^flips with p
+    the intercept posterior.
     """
     if trials < 1:
         raise ValueError("the binding experiment needs at least one trial")

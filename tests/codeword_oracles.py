@@ -30,7 +30,7 @@ def min_weight_words(code):
 def binding_pair(code, r):
     """The midpoint cheat's (midpoint, target) from the listed codewords:
     the first weight-d word of parity 1, else the first weight-d word."""
-    words = code.codewords()
+    words = codewords(code)
     weights = words.sum(axis=1)
     min_idx = np.flatnonzero(weights == code.d)
     pick = min_idx[0]
@@ -47,7 +47,7 @@ def coset_parities(code, r):
     r = np.asarray(r, dtype=np.uint8)
     if r.shape != (code.n,):
         raise ValueError(f"r must have length {code.n}")
-    return ((code.codewords() & r[None, :]).sum(axis=1) % 2).astype(np.uint8)
+    return ((codewords(code) & r[None, :]).sum(axis=1) % 2).astype(np.uint8)
 
 
 def coset_split(code, r):
@@ -56,7 +56,7 @@ def coset_split(code, r):
     if not r.any():
         raise ValueError("r must be nonzero")
     parities = coset_parities(code, r)
-    words = code.codewords()
+    words = codewords(code)
     return words[parities == 0], words[parities == 1]
 
 
@@ -68,7 +68,7 @@ def consistent_codewords(code, positions, values):
         raise ValueError("positions and values must have equal length")
     if len(np.unique(positions)) != len(positions):
         raise ValueError("positions must be distinct")
-    words = code.codewords()
+    words = codewords(code)
     if len(positions) == 0:
         return words
     mask = (words[:, positions] == values[None, :]).all(axis=1)

@@ -1,8 +1,12 @@
 """Reference implementations of the operator model, for tests only.
 
 `mzqbc.operator_model` reads the receiver's reduced states off which
-positions were intercepted.  This module keeps the two models it replaced:
+positions were intercepted.  This module keeps the models it replaced:
 
+- the committed register's state, the uniform mixture of the product
+  encodings of the parity-b codewords, as a sparse diagonal density over
+  the listed codewords, and its overlap with the other bit's state.  With
+  every photon intercepted it is the receiver's reduced state.
 - the dense pipeline on the full 12^n composite: the (beta x alpha x gamma)
   density matrix, the per-photon 4x4 swap and 6x6 measure-and-record
   unitaries applied factor by factor, Haar rotations of the beta register
@@ -19,7 +23,8 @@ from math import prod
 
 import numpy as np
 
-from mzqbc.operator_model import SparseDiagonalDensity, committed_density
+import codeword_oracles
+from mzqbc import codes
 from mzqbc.util import GuardError, haar_unitary
 
 QUTRIT_UNMEASURED = 2
@@ -69,6 +74,39 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
+
+
+@dataclass(frozen=True)
+class SparseDiagonalDensity:
+    """Diagonal density matrix stored as (index, weight) pairs; this is how
+    committed-register states look in the codeword basis."""
+
+    dim: int
+    indices: np.ndarray
+    weights: np.ndarray
+
+
+def committed_density(code, r: np.ndarray, b: int) -> SparseDiagonalDensity:
+    """The committed register's state: the uniform mixture of the product
+    encodings |c_1 ... c_n> (qubit 1 the most significant) of the parity-b
+    codewords, diagonal in the codeword basis."""
+    if b and not codes.message_mask(code, r).any():
+        raise ValueError("committed subset empty; choose different r")
+    words = codeword_oracles.codewords(code)
+    subset = words[words @ np.asarray(r, dtype=np.uint8) % 2 == b]
+    indices = subset.astype(np.int64) @ (1 << np.arange(code.n - 1, -1, -1, dtype=np.int64))
+    weights = np.full(len(subset), 1.0 / len(subset))
+    return SparseDiagonalDensity(dim=1 << code.n, indices=indices, weights=weights)
+
+
+def sparse_overlap(rho_a: SparseDiagonalDensity, rho_b: SparseDiagonalDensity) -> float:
+    """trace(rho_a rho_b) of two diagonal states."""
+    if rho_a.dim != rho_b.dim:
+        raise ValueError("dimension mismatch")
+    _, ia, ib = np.intersect1d(
+        rho_a.indices, rho_b.indices, assume_unique=True, return_indices=True
+    )
+    return float(rho_a.weights[ia] @ rho_b.weights[ib])
 
 
 def to_dense(rho: SparseDiagonalDensity) -> DensityMatrix:
@@ -335,24 +373,6 @@ def alice_local_invariance(
     }
 
 
-def codeword_basis_index(word: np.ndarray) -> int:
-    """Basis index of |c_1 ... c_n> with qubit 1 the most significant."""
-    idx = 0
-    for b in word:
-        idx = (idx << 1) | int(b)
-    return idx
-
-
-def committed_density_by_loop(code, r: np.ndarray, b: int) -> SparseDiagonalDensity:
-    """The former `committed_density` body: one basis index per codeword,
-    built bit by bit."""
-    words = code.codewords()
-    subset = words[words @ np.asarray(r, dtype=np.uint8) % 2 == b]
-    indices = np.array([codeword_basis_index(w) for w in subset], dtype=np.int64)
-    weights = np.full(len(subset), 1.0 / len(subset))
-    return SparseDiagonalDensity(dim=1 << code.n, indices=indices, weights=weights)
-
-
 # --- product-ket (Gram matrix) model ------------------------------------------
 
 def _photon_kets(mode: str, fiducial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -385,7 +405,7 @@ def gram_local_invariance(
     fiducial = np.array([1.0, 0.0] if beta_qubit is None else beta_qubit, dtype=complex)
     fiducial = fiducial / np.linalg.norm(fiducial)
     n = code.n
-    words = code.codewords()
+    words = codeword_oracles.codewords(code)
     parity = words @ np.asarray(r, dtype=np.uint8) % 2
     halves = [words[parity == b] for b in (0, 1)]
     words = np.concatenate(halves)

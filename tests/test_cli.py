@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import codeword_oracles
 from mzqbc import checks, cli, codes, config as config_mod, optics, protocol
 from mzqbc.config import ConfigError, parse_config_text
 
@@ -201,7 +202,7 @@ class TestRun:
         return write_cfg(tmp_path, text)
 
     def test_run_past_codeword_matrix_guard(self, tmp_path):
-        # k = 22 > MATERIALIZE_GUARD_K: committing needs no codeword list
+        # k = 22: committing needs no codeword list
         out = tmp_path / "k22.json"
         assert cli.main(["run", "--config", self.k22_config(tmp_path), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
@@ -303,6 +304,19 @@ class TestNogo:
         assert doc["posteriors"]["mean_max_with_intercepted_known"] == 0.5
         assert doc["max_overlap_deviation"] <= 1e-9
 
+    def test_unread_keys_leave_the_provenance_alone(self, tmp_path, capsys):
+        # nogo never reads `trials`: identical payloads, identical bytes; a
+        # key it reads is hashed
+        assert cli.main(["nogo"]) == 0
+        plain = capsys.readouterr().out
+        assert cli.main(["nogo", "--trials", "3"]) == 0
+        assert capsys.readouterr().out == plain
+        assert json.loads(plain)["config_hash"] == config_mod.config_hash({})
+        cfg = write_cfg(tmp_path, "builtin_code = repetition\ntrials = 3\n")
+        assert cli.main(["nogo", "--config", cfg]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config_hash"] == config_mod.config_hash({"builtin_code": "repetition"})
+
     def test_self_dual_code_needs_an_explicit_r(self, tmp_path, capsys):
         # r = 1...1 is a codeword of the self-dual extended Hamming code
         cfg = write_cfg(tmp_path, "builtin_code = extended_hamming\n")
@@ -319,7 +333,7 @@ class TestNogo:
         """Trace distance and overlap of the receiver's two states, counted
         over the codewords: the pattern on the intercepted positions, per
         parity."""
-        words = code.codewords()
+        words = codeword_oracles.codewords(code)
         probs = []
         for b in (0, 1):
             half = words[words @ r % 2 == b][:, intercepted]

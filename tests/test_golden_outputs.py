@@ -90,9 +90,9 @@ GOLDEN = {
     "counterfactual-json-golay": "11e6692d180b02f0358305d2c006ad271425797dbc9a25c2ecab4d4b43897a94",
     "counterfactual-json-extended_hamming-M2": "24fe096e832188926725f77e9eeea430d933b638739ca5f24a14e36d6b30afaa",
     "counterfactual-json-golay-M2": "9a1bbf3606cec7785332804c5bce3f9ac63007aa1bed5449096b17f9987b1421",
-    "nogo": "17b44a95acfeec1c6110686f8a508fa6df78d9ece50ddba27ff7c74c7f7ad38d",
-    "nogo-extended_hamming-r10000000": "6b231c37e5a54184b6cff236b5bf177906d263dbf94c817df018cb53bae3b606",
-    "nogo-golay": "c565033be56270ec76ccef580504f790c3dbe2b439fccf540b3ad279059bbc49",
+    "nogo": "3efae389536d499ada28d55a66c57480930eda23daee5e47771dc2c18b25c6c2",
+    "nogo-extended_hamming-r10000000": "b57c9842721b3635e113f0925f6d9450ca2f61e7f482832902ae578954ad1e61",
+    "nogo-golay": "8d3f870c17a527393c282b4573a74130a9bd8df43de31ff968c5ea10be8ed29d",
     "run-extended_hamming-seed17": "9437859e1910724bc58ca50a62aff52a91b66730e0d8b0a83e08571d416bcbf8",
     "run-extended_hamming-seed3": "0e1454b4799a8c5860b17d0a6a819ae02c9214451d11b9bbed3a98282d72649e",
     "run-extended_hamming-partial3-bit1-seed3": "08132b7be86133562d49490accb67239a9abac766ef99270788191d33512bce7",
@@ -105,7 +105,7 @@ GOLDEN = {
     "run-hamming-full_intercept-bit1-seed3": "d1052e528ce68d118931aa03cc499e2128de008b9c11e4a9775e9354044d7fdd",
     "run-hamming-seed3": "a1b32a0cec90474410c273571a309f1aa26eedea34e4d8eeb01e1fcf9e4d6ff2",
     "strategies-json": "40c19ce326d2bcb5a3ff99350f21060df95863431e13b09f33eb2641d9eb6ff2",
-    "strategies-search-json-seed3": "4c5bcb9036711e3c92e6b4791ba3e9416998c06c27a748d572516ee931e0722c",
+    "strategies-search-json-seed3": "e3317ec19c2615d9c9c3ad251da2f1729703e3bad2fb6ffaeae8cf18364ee19a",
     "sweep-two-codes": "96268ea52d3459a3ed7839fedccd17751269bba3aed5f1e1cc95f7934143ecb3",
     "sweep-two-codes-40000": "e62e44586a37175180ba4d82bde8b0c67b90de8790f4f6932ef77fff31d95ceb",
     "verify": "1cf5908eb92236c157f319ca1cd85aee0c0829c19e9ddc73f98815ea7c2877cb",

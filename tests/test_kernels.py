@@ -8,7 +8,6 @@ import pytest
 import codeword_oracles
 from mzqbc import codes, kernels, protocol
 from protocol_oracles import abort_at
-from mzqbc.util import GuardError
 
 
 def brute_min_weight(gen):
@@ -402,7 +401,7 @@ def test_binding_numpy_semantics():
 def _concealing_inputs(code, r, seed, trials, p_intercept=0.4):
     """(oracle arguments, kernel arguments) for the same trials."""
     rng = np.random.default_rng(seed)
-    words = code.codewords()
+    words = codeword_oracles.codewords(code)
     parities = codeword_oracles.coset_parities(code, r)
     cw_idx = rng.integers(len(words), size=trials)
     intercept = rng.random((trials, code.n)) < p_intercept
@@ -444,9 +443,7 @@ def test_concealing_numpy_posterior_bounds():
 def test_concealing_experiment_beyond_materialize_guard():
     rng = np.random.default_rng(5)
     code = codes.random_code(n=28, k=22, rng=rng)
-    assert code.k > codes.MATERIALIZE_GUARD_K
-    with pytest.raises(GuardError):
-        code.codewords()
+    assert code.k == 22
     r = np.zeros(code.n, dtype=np.uint8)
     r[:2] = 1
     params = protocol.ProtocolParams(code=code, r=r, R=0.3, f=0.25, epsilon=0.3)

@@ -5,13 +5,7 @@ import codeword_oracles
 import operator_oracles as oracles
 from mzqbc import codes, kernels
 from mzqbc.codes import bits_from_string
-from mzqbc.operator_model import (
-    committed_density,
-    intercept_mask,
-    overlap,
-    reduced_states,
-    state_change,
-)
+from mzqbc.operator_model import intercept_mask, reduced_states, state_change
 from mzqbc.util import GuardError, haar_unitary
 from operator_oracles import (
     CompositeSystem,
@@ -19,9 +13,11 @@ from operator_oracles import (
     apply_mode_unitary,
     bob_reduced_state,
     bypass_unitary,
+    committed_density,
     initial_composite_state,
     intercept_unitary,
     partial_trace,
+    sparse_overlap,
     to_dense,
     trace_distance,
 )
@@ -41,15 +37,18 @@ class TestCommittedDensity:
         r = bits_from_string("1010000")
         rho0 = committed_density(code, r, 0)
         rho1 = committed_density(code, r, 1)
-        assert overlap(rho0, rho1) == 0.0
-        assert overlap(rho0, rho0) == pytest.approx(1 / 8)  # purity of 8-word mixture
+        assert sparse_overlap(rho0, rho1) == 0.0
+        assert sparse_overlap(rho0, rho0) == pytest.approx(1 / 8)  # purity of 8-word mixture
         dense0, dense1 = to_dense(rho0), to_dense(rho1)
         assert abs(oracles.overlap(dense0, dense1)) <= 1e-12
         assert dense0.purity() == pytest.approx(1 / 8)
 
     @pytest.mark.parametrize("name", sorted(codes.BUILTIN_CODES))
-    def test_indices_match_the_per_word_loop(self, name):
+    def test_full_intercept_reads_the_committed_overlap(self, name):
+        # with every photon intercepted the receiver's states are the
+        # committed mixtures: criterion 6 reads their overlap off the mask
         code = codes.builtin_code(name)
+        everything = np.ones(code.n, dtype=bool)
         rng = np.random.default_rng(13)
         masks = 0
         while masks < 3:
@@ -57,17 +56,15 @@ class TestCommittedDensity:
             if not r.any() or not codes.message_mask(code, r).any():
                 continue
             masks += 1
-            for b in (0, 1):
-                fast = committed_density(code, r, b)
-                loop = oracles.committed_density_by_loop(code, r, b)
-                assert fast.dim == loop.dim
-                assert fast.indices.dtype == loop.indices.dtype
-                assert np.array_equal(fast.indices, loop.indices)
-                assert np.array_equal(fast.weights, loop.weights)
+            rho0, rho1 = committed_density(code, r, 0), committed_density(code, r, 1)
+            assert reduced_states(code, r, everything) == (1.0, 0.0)
+            assert sparse_overlap(rho0, rho1) == 0.0
+            if code.n <= 3:
+                assert trace_distance(to_dense(rho0), to_dense(rho1)) == 1.0
 
     def test_empty_subset_rejected(self):
         code = codes.extended_hamming_8_4()
-        r = code.codewords()[1]  # self-dual: parity constant on the code
+        r = codeword_oracles.codewords(code)[1]  # self-dual: parity constant on the code
         with pytest.raises(ValueError, match="committed subset empty"):
             committed_density(code, r, 1)
 
@@ -81,7 +78,7 @@ class TestCommittedDensity:
         a = committed_density(codes.repetition_code(3), R111, 0)
         b = committed_density(codes.repetition_code(4), np.ones(4, dtype=np.uint8), 0)
         with pytest.raises(ValueError):
-            overlap(a, b)
+            sparse_overlap(a, b)
 
 
 class TestModeUnitaries:
@@ -419,7 +416,7 @@ class TestPosterior:
     def test_degenerate_when_everything_known(self):
         code = codes.hamming_7_4()
         r = bits_from_string("1010000")
-        w = code.codewords()[9]
+        w = codeword_oracles.codewords(code)[9]
         assert self.determined(code, r, np.ones(7, dtype=bool)) == [True]
         assert self.counted(code, r, list(range(7)), w)
 
@@ -444,7 +441,7 @@ class TestPosterior:
         else:
             n = int(rng.integers(6, 15))
             code = codes.random_code(n, int(rng.integers(1, n)), rng)
-        words = code.codewords()
+        words = codeword_oracles.codewords(code)
         r = rng.integers(0, 2, size=(60, code.n), dtype=np.uint8)
         known = rng.random((60, code.n)) < rng.random((60, 1))
         known[0], known[1] = False, True  # nothing known, everything known
@@ -466,6 +463,8 @@ class TestPosterior:
         known[2, :2] = True
         known[3, 0] = True
         assert self.determined(code, r, known) == [False, True, True, False]
+        # criterion 6's reading: every photon intercepted, 2^22 words unlisted
+        assert reduced_states(code, r, known[1]) == (1.0, 0.0)
 
 
 class TestDensityMatrixValidation:
