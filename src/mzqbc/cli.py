@@ -144,7 +144,8 @@ def _bob_policy(cfg) -> protocol.BobPolicy:
 
 
 # the provenance hash covers the keys the subcommand read, less these, so a
-# key it ignores (`trials` to `nogo`) leaves the hash alone.  `out` and
+# key it ignores (`trials` to `nogo`) leaves the hash alone, and printing
+# the seed reads no key (an ignored `seed` is warned about).  `out` and
 # `threads` never change a payload (trial blocks are seed-split
 # independently of the worker count).  `format` is not presentation-only:
 # `counterfactual --format csv` computes the probe-chain grid in place of
@@ -156,7 +157,7 @@ def _provenance(cfg) -> dict:
     semantic = {k: cfg[k] for k in cfg.read & cfg.keys() - _NON_SEMANTIC_KEYS}
     return {
         "config_hash": config_mod.config_hash(semantic),
-        "seed": config_mod.get_int(cfg, "seed", 0),
+        "seed": config_mod.get_int(dict(cfg), "seed", 0),
     }
 
 

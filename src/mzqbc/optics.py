@@ -20,21 +20,18 @@ Conventions, fixed once and validated by the test suite:
   watches the Y output port, D1 the X output port.  The honest click arrives
   in bin 1.
 
-The encoded states are built once per `BeamSplitterParams`, and a state
-keeps its `EventTable` per splitter, so sampling it is one uniform and a
-bisection; `mix_tables` folds weighted tables into one, so a photon whose
-resent state is itself random is still one uniform.  Probabilities are
-abs(amp) ** 2 on Python complex numbers.
+Every outcome has one place in `EVENTS`: D0 by bin, then D1 by bin, then
+no click.  A detection table is the float64 array of their probabilities,
+abs(amp) ** 2 on Python complex numbers, so mixing tables is a weighted
+sum; `pick_events` picks a whole session's events from their
+`running_sums`, one uniform per photon.
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -69,14 +66,15 @@ class DetectionEvent(NamedTuple):
 
 
 NO_CLICK = DetectionEvent(None, None)
-#: D0 (on the Y output port) then D1 (X port), by bin: the sampling order
-_CLICKS = [DetectionEvent(d, b) for d in (0, 1) for b in range(MAX_BIN + 1)]
-_ORDER = {ev: i for i, ev in enumerate(_CLICKS + [NO_CLICK])}
+#: the entries of a detection table: D0 (on the Y output port) by bin, then
+#: D1 (X port) by bin, then no click
+EVENTS = tuple(DetectionEvent(d, b) for d in (0, 1) for b in range(MAX_BIN + 1)) + (NO_CLICK,)
 
 
-def expected_event(bit: int) -> DetectionEvent:
-    """The one event an honest bit-`bit` photon must produce."""
-    return DetectionEvent(bit, EXPECTED_BIN)
+def expected_index(bit):
+    """The position in `EVENTS` of the one event an honest photon must
+    produce, D_bit in `EXPECTED_BIN`, for a bit or an array of bits."""
+    return bit * (MAX_BIN + 1) + EXPECTED_BIN
 
 
 @dataclass(frozen=True)
@@ -100,26 +98,16 @@ class BeamSplitterParams:
         return 1.0 - self.R
 
 
-class EventTable(NamedTuple):
-    """Events in sampling order (clicks by detector and bin, then no-click),
-    their probabilities and the running sums, added left to right."""
-
-    events: tuple[DetectionEvent, ...]
-    probs: tuple[float, ...]
-    cumulative: tuple[float, ...]
-
-
 class PhotonState:
     """Read-only amplitudes `amps[rail, bin]` plus absorbed mass; operations
     return new states.  Not validated here: see `photon_state`."""
 
-    __slots__ = ("amps", "absorbed", "_tables")
+    __slots__ = ("amps", "absorbed")
 
     def __init__(self, amps: np.ndarray, absorbed: float = 0.0):
         amps.setflags(write=False)
         self.amps = amps
         self.absorbed = absorbed
-        self._tables: dict = {}  # BeamSplitterParams -> EventTable
 
     def total_probability(self) -> float:
         return sum(abs(a) ** 2 for a in self.amps.ravel().tolist()) + self.absorbed
@@ -185,70 +173,46 @@ def delay_apply(state: PhotonState, rail: str, bins: int) -> PhotonState:
     return PhotonState(amps, state.absorbed)
 
 
-@lru_cache(maxsize=256)
-def _encoded(params: BeamSplitterParams) -> tuple[PhotonState, PhotonState]:
-    """The encoded states of bits 0 and 1, entering on Y and X in bin 0."""
-    return tuple(
-        delay_apply(bs_apply(photon_state({Mode(rail, 0): 1.0}), 0, params), RAIL_Y, 1)
-        for rail in (RAIL_Y, RAIL_X)
-    )
-
-
 def encode(bit: int, params: BeamSplitterParams) -> PhotonState:
-    """The sender's output for one committed bit, shared per splitter: the
-    photon is split on the first beam splitter (bit 0 enters via the Y port,
-    bit 1 via the X port) and the sender's ring delays the Y packet a bin."""
+    """The sender's output for one committed bit: the photon is split on
+    the first beam splitter (bit 0 enters via the Y port, bit 1 via the X
+    port) and the sender's ring delays the Y packet a bin."""
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
-    return _encoded(params)[bit]
+    rail = RAIL_Y if bit == 0 else RAIL_X
+    return delay_apply(bs_apply(photon_state({Mode(rail, 0): 1.0}), 0, params), RAIL_Y, 1)
 
 
-def _event_table(pairs) -> EventTable:
-    """The table of nonzero (event, probability) pairs, in sampling order."""
-    events, probs = zip(*sorted(pairs, key=lambda pair: _ORDER[pair[0]]))
-    return EventTable(events, probs, tuple(itertools.accumulate(probs)))
-
-
-def detection_table(state: PhotonState, params: BeamSplitterParams) -> EventTable:
-    """Exact outcome distribution of the time-resolved detectors, built once
-    per state and splitter.  The receiver's interferometer delays X, shifts
-    Y by pi and recombines every bin; D0 watches the Y output port and D1
-    the X port.  The no-click probability equals the absorbed mass."""
-    table = state._tables.get(params)
-    if table is not None:
-        return table
+def detection_table(state: PhotonState, params: BeamSplitterParams) -> np.ndarray:
+    """Exact outcome distribution of the time-resolved detectors, in
+    `EVENTS` order.  The receiver's interferometer delays X, shifts Y by pi
+    and recombines every bin; D0 watches the Y output port and D1 the X
+    port.  The no-click probability equals the absorbed mass, or 0 where
+    rounding left that mass below 0."""
     state_in = phase_apply(delay_apply(state, RAIL_X, 1), RAIL_Y, math.pi)
     out_x, out_y = bs_apply(state_in, slice(None), params).amps.tolist()
-    probs = [abs(a) ** 2 for a in out_y + out_x]
-    pairs = [(ev, p) for ev, p in zip(_CLICKS, probs) if p != 0.0]
-    if state.absorbed > 0.0:
-        pairs.append((NO_CLICK, state.absorbed))
-    table = _event_table(pairs)
-    state._tables[params] = table
-    return table
+    return np.array([abs(a) ** 2 for a in out_y + out_x] + [max(state.absorbed, 0.0)])
 
 
-def mix_tables(weighted) -> EventTable:
-    """The mixture of (weight, `EventTable`) pairs: each event's probability
-    is the sum of weight x probability over the tables, added in the given
-    order."""
-    mixed: dict[DetectionEvent, float] = {}
-    for w, table in weighted:
-        for ev, p in zip(table.events, table.probs):
-            mixed[ev] = mixed.get(ev, 0.0) + w * p
-    return _event_table(mixed.items())
+def running_sums(tables: np.ndarray) -> np.ndarray:
+    """Running sums along the last axis, added left to right, and inf from
+    each table's last nonzero entry on: a uniform at or past a total that
+    rounding left below 1 still picks the last possible event."""
+    sums = np.cumsum(tables, axis=-1)
+    last = len(EVENTS) - 1 - np.argmax(tables[..., ::-1] != 0.0, axis=-1)
+    sums[np.arange(len(EVENTS)) >= last[..., None]] = np.inf
+    return sums
 
 
-def sample_event(table: EventTable, u: float) -> DetectionEvent:
-    """The event a uniform `u` in [0, 1) picks: the first whose running sum
-    exceeds u, else the last event."""
-    i = bisect.bisect_right(table.cumulative, u)
-    return table.events[min(i, len(table.events) - 1)]
+def pick_events(sums: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The `EVENTS` indices that uniforms `u` pick from rows of
+    `running_sums`: per uniform, the first entry whose sum exceeds it."""
+    return np.count_nonzero(sums <= u[..., None], axis=-1)
 
 
-def flag_probability(table: EventTable, bit: int) -> float:
+def flag_probability(table: np.ndarray, bit: int) -> float:
     """Probability that an outcome of `table` fails the honest check for
     `bit`: anything but a D_bit click in the expected bin, so a click on the
     wrong detector or in the wrong bin, or no click at all (in the ideal
     lossless setting a missing photon is itself a mismatch)."""
-    return 1.0 - dict(zip(table.events, table.probs)).get(expected_event(bit), 0.0)
+    return 1.0 - float(table[expected_index(bit)])

@@ -31,7 +31,7 @@ import numpy as np
 from . import codes as codes_mod
 from . import kernels, optics, strategies
 from .codes import LinearCode, parity, string_from_bits
-from .optics import BeamSplitterParams, DetectionEvent, expected_event
+from .optics import BeamSplitterParams, DetectionEvent
 from .strategies import BlindGuessOnTime, ResendStrategy
 from .util import block_seed_sequences, block_slices
 
@@ -196,7 +196,7 @@ def run_commit(
 ) -> SessionTranscript:
     """Execute the commit phase through the exact optics: the receiver's
     intercepts first, then one uniform per photon, which picks its event
-    from the outcome table of its (intercepted, bit)."""
+    from the running sums of its (intercepted, bit) detection table."""
     code, r, bs = params.code, params.r, params.bs
     cheat_target = None
     if isinstance(alice, HonestAlice):
@@ -220,25 +220,16 @@ def run_commit(
         intercepted[rng.permutation(n)[: bob.m]] = True
     else:
         raise TypeError(f"unknown receiver policy {bob!r}")
-    # per session, not per photon: the outcome tables by (intercepted, bit)
-    # and the expected events by bit
-    tables = (
-        [optics.detection_table(optics.encode(b, bs), bs) for b in (0, 1)],
-        [strategies.outcome_table(bob.strategy, b, bs) for b in (0, 1)],
-    )
-    expected = [expected_event(b) for b in (0, 1)]
-    marks, bits = intercepted.tolist(), word.tolist()
-    events = [
-        optics.sample_event(tables[i][b], u) for i, b, u in zip(marks, bits, rng.random(n).tolist())
-    ]
-    n_mismatch = sum(ev != expected[b] for ev, b in zip(events, bits))
+    _, sums = strategies.outcome_tables(bob.strategy, bs)
+    picks = optics.pick_events(sums.reshape(4, -1)[2 * intercepted + word], rng.random(n))
+    n_mismatch = int(np.count_nonzero(picks != optics.expected_index(word)))
 
     return SessionTranscript(
         params=params,
         committed_b=committed_b,
         codeword=word,
-        modes=[INTERCEPT if i else BYPASS for i in marks],
-        alice_events=events,
+        modes=[INTERCEPT if i else BYPASS for i in intercepted.tolist()],
+        alice_events=[optics.EVENTS[i] for i in picks.tolist()],
         n_mismatch=n_mismatch,
         f_estimate=n_mismatch / (params.epsilon * code.n),
         alice_verdict=ABORT_CHEATING_BOB if n_mismatch >= params.abort_at else CONTINUE,

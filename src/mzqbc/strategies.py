@@ -8,13 +8,15 @@ closed-form strategies here resolves that tension differently, and each
 measures the real photon, so every strategy learns the sent bit: what the
 receiver learns at an intercepted position is the committed codeword's bit
 there.  `resent(strategy, bit, params)` lists the weighted states it sends
-back (the blind guess's coin is a weight), and `outcome_table` mixes their
-detection tables into one, built once: `protocol.run_commit` samples it
-with one uniform per photon, and `detection_prob`, the exact chance that
-the sender's check flags the resent photon, reads it.  The family minimum
-is the detection floor used by the protocol's estimator; `floor_strategy`
-proves that no causal coupling with certain decode goes below it, so that
-minimum is exact, not a search's upper bound.
+back (the blind guess's coin is a weight).  `outcome_tables`, the one
+cache, builds per (strategy, splitter) the sender's detection tables by
+(intercepted, bit), each an array in `optics.EVENTS` order, and their
+running sums: `protocol.run_commit` picks a session's events from the sums,
+and `detection_prob`, the exact chance that the sender's check flags the
+resent photon, reads the tables.  The family minimum is the detection floor
+used by the protocol's estimator; `floor_strategy` proves that no causal
+coupling with certain decode goes below it, so that minimum is exact, not
+a search's upper bound.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar
+
+import numpy as np
 
 from . import optics
 from .optics import RAIL_X, RAIL_Y, RAILS, BeamSplitterParams, Mode, PhotonState
@@ -81,21 +85,31 @@ def resent(
 
 
 @lru_cache(maxsize=1024)
-def outcome_table(
-    strategy: ResendStrategy, bit: int, params: BeamSplitterParams
-) -> optics.EventTable:
-    """The sender's detection outcomes for an intercepted `bit`: the resent
-    states' tables mixed by their weights, in branch order."""
-    return optics.mix_tables(
-        (w, optics.detection_table(state, params)) for w, state in resent(strategy, bit, params)
-    )
+def outcome_tables(
+    strategy: ResendStrategy, params: BeamSplitterParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sender's read-only detection tables by (intercepted, bit, event)
+    and their `optics.running_sums`.  A bypassed photon is the sender's own
+    encoding; an intercepted one is the resent states' tables summed by
+    weight, in branch order."""
+    bypassed = [optics.detection_table(optics.encode(b, params), params) for b in (0, 1)]
+    intercepted = [
+        sum(w * optics.detection_table(state, params) for w, state in resent(strategy, b, params))
+        for b in (0, 1)
+    ]
+    tables = np.array([bypassed, intercepted])
+    sums = optics.running_sums(tables)
+    tables.setflags(write=False)
+    sums.setflags(write=False)
+    return tables, sums
 
 
 def detection_prob(
     strategy: ResendStrategy, bit: int, params: BeamSplitterParams
 ) -> float:
     """Exact probability the sender's check flags this photon."""
-    return optics.flag_probability(outcome_table(strategy, bit, params), bit)
+    tables, _ = outcome_tables(strategy, params)
+    return optics.flag_probability(tables[1, bit], bit)
 
 
 def average_detection_prob(

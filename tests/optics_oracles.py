@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mzqbc.optics import (
+    EVENTS,
     EXPECTED_BIN,
     MAX_BIN,
     NO_CLICK,
@@ -162,8 +163,9 @@ def flag_probability(
 
 
 def table_distribution(table) -> dict[DetectionEvent, float]:
-    """A library `EventTable` as an event -> probability dict."""
-    return dict(zip(table.events, table.probs))
+    """A library detection table as an event -> probability dict of its
+    nonzero entries."""
+    return {ev: p for ev, p in zip(EVENTS, table.tolist()) if p != 0.0}
 
 
 # --- strategies -------------------------------------------------------------------

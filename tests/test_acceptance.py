@@ -85,37 +85,29 @@ def test_criterion_2_strategy_table():
                     worst_exact,
                     abs(strategies.detection_prob(strategy, bit, bs) - closed(R)),
                 )
-    mc_ok = sampler_ok = True
+    mc_ok = True
     details = []
     bs = optics.BeamSplitterParams(R=0.3)
     rng = np.random.default_rng(7)
     n = 100_000
     for strategy, closed in cases:
         p = closed(0.3)
+        _, sums = strategies.outcome_tables(strategy, bs)
         for bit in (0, 1):
-            # one uniform per photon, searched over the mixed outcome table's
-            # running sums as `optics.sample_event` searches them
-            table = strategies.outcome_table(strategy, bit, bs)
-            u = rng.random(n)
-            picked = np.minimum(
-                np.searchsorted(table.cumulative, u, side="right"), len(table.events) - 1
-            )
-            flagged = np.array([ev != optics.expected_event(bit) for ev in table.events])
-            flags = int(np.count_nonzero(flagged[picked]))
-            sampler_ok &= [table.events[i] for i in picked[:1000].tolist()] == [
-                optics.sample_event(table, x) for x in u[:1000].tolist()
-            ]
+            # one uniform per photon, picked from the mixed outcome table's
+            # running sums as `protocol.run_commit` picks them
+            picked = optics.pick_events(sums[1, bit], rng.random(n))
+            flags = int(np.count_nonzero(picked != optics.expected_index(bit)))
             tol = max(3 * math.sqrt(p * (1 - p) / n), 1e-9)
             if abs(flags / n - p) > tol:
                 mc_ok = False
                 details.append(f"{strategies.strategy_name(strategy)}/{bit}")
-    ok = worst_exact <= 1e-12 and mc_ok and sampler_ok
+    ok = worst_exact <= 1e-12 and mc_ok
     report(
         2,
         ok,
         f"strategy detection probs: closed-form dev {worst_exact:.1e} <= 1e-12, "
-        f"MC 1e5-sample oracle within 3 sigma{' except ' + ','.join(details) if details else ''}, "
-        f"first 1000 draws {'equal' if sampler_ok else 'differ from'} sample_event's",
+        f"MC 1e5-sample oracle within 3 sigma{' except ' + ','.join(details) if details else ''}",
     )
 
 
@@ -181,8 +173,9 @@ def test_criterion_9_global_phase_defense():
     bs = optics.BeamSplitterParams(R=0.3)
     worst = 0.0
     for bit in (0, 1):
-        table = optics.detection_table(optics.encode(bit, bs), bs)
-        honest = dict(zip(table.events, table.probs))
+        honest = protocol_oracles.table_distribution(
+            optics.detection_table(optics.encode(bit, bs), bs)
+        )
         for k in range(100):
             theta = 2 * math.pi * k / 100
             dist = protocol_oracles.defense_honest_invariance(bit, theta, bs)

@@ -55,7 +55,8 @@ def test_detection_distribution_matches_dict_optics(seed):
             assert oracle.table_distribution(table) == dist
             # the same uniforms pick the same events
             rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = [optics.sample_event(table, u) for u in rng_new.random(20).tolist()]
+            picks = optics.pick_events(optics.running_sums(table), rng_new.random(20))
+            got = [optics.EVENTS[i] for i in picks.tolist()]
             assert got == [oracle.sample_event(dist, rng_old) for _ in range(20)]
 
 
@@ -89,10 +90,13 @@ def assert_same_state(new, old):
 @pytest.mark.parametrize("bit", [0, 1])
 def test_outcome_table_is_the_dict_mixture(R, bit):
     bs = params_for(R)
+    honest = oracle.detection_distribution(oracle.encode(bit, bs), bs)
     for strategy in CLOSED_FORMS:
-        table = strategies.outcome_table(strategy, bit, bs)
-        assert oracle.table_distribution(table) == oracle.intercept_detection(strategy, bit, bs)
-        assert table.cumulative[-1] == pytest.approx(1.0, abs=1e-12)
+        tables, _ = strategies.outcome_tables(strategy, bs)
+        assert oracle.table_distribution(tables[0, bit]) == honest
+        mixed = oracle.intercept_detection(strategy, bit, bs)
+        assert oracle.table_distribution(tables[1, bit]) == mixed
+        assert np.cumsum(tables[1, bit])[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("strategy", CLOSED_FORMS, ids=strategies.strategy_name)
@@ -113,9 +117,46 @@ def test_draw_for_draw_equal_to_oracle(strategy):
             assert w == 1.0
             assert_same_state(state, ref.resent)
         # one uniform per photon picks the event from the mixed table
-        ev = optics.sample_event(strategies.outcome_table(strategy, bit, bs), rng_new.random())
+        _, sums = strategies.outcome_tables(strategy, bs)
+        ev = optics.EVENTS[int(optics.pick_events(sums[1, bit], np.array(rng_new.random())))]
         assert ev == oracle.sample_event(oracle.intercept_detection(strategy, bit, bs), rng_old)
     assert rng_new.random() == rng_old.random()
+
+
+class _Uniforms:
+    """Given uniforms, handed out one per `random()` call like a generator's."""
+
+    def __init__(self, us):
+        self._us = iter(us)
+
+    def random(self):
+        return next(self._us)
+
+
+@pytest.mark.parametrize("strategy", CLOSED_FORMS, ids=strategies.strategy_name)
+def test_pick_matches_oracle_at_edge_uniforms(strategy):
+    # every table of the strategy on a fine R grid, bypassed and
+    # intercepted, at the uniforms where a pick can go wrong: 0, each
+    # running sum, the total (rounding can leave it below 1), both its
+    # float neighbours, and 1
+    for k in range(1, 200):
+        bs = params_for(k / 200)
+        tables, sums = strategies.outcome_tables(strategy, bs)
+        for hit in (0, 1):
+            for bit in (0, 1):
+                run = np.cumsum(tables[hit, bit])
+                total = run[-1]
+                u = np.concatenate(
+                    [[0.0], run, [np.nextafter(total, 0.0), np.nextafter(total, 2.0), 1.0]]
+                )
+                got = [optics.EVENTS[i] for i in optics.pick_events(sums[hit, bit], u).tolist()]
+                dist = (
+                    oracle.intercept_detection(strategy, bit, bs)
+                    if hit
+                    else oracle.detection_distribution(oracle.encode(bit, bs), bs)
+                )
+                feed = _Uniforms(u.tolist())
+                assert got == [oracle.sample_event(dist, feed) for _ in u], (k, hit, bit)
 
 
 def test_cached_states_are_read_only():

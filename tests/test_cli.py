@@ -123,6 +123,22 @@ class TestUnusedKeys:
 
         assert rows(stray.out) == rows(plain.out)
 
+    @pytest.mark.parametrize(
+        "argv", [["nogo"], ["strategies"], ["counterfactual", "--format", "csv"]], ids=" ".join
+    )
+    def test_seed_that_is_never_drawn_from_is_unused(self, tmp_path, capsys, argv):
+        # printing the seed in the provenance is not a read: the payload and
+        # its hash stay, the config key is named, and --seed draws no warning
+        assert cli.main(argv) == 0
+        plain = capsys.readouterr()
+        assert cli.main(argv + ["--config", write_cfg(tmp_path, "seed = 3\n")]) == 0
+        stray = capsys.readouterr()
+        assert stray.err == "warning: unused config key(s): seed\n"
+        assert stray.out == plain.out.replace('"seed": 0', '"seed": 3').replace(",0\n", ",3\n")
+        assert cli.main(argv + ["--seed", "3"]) == 0
+        flag = capsys.readouterr()
+        assert (flag.out, flag.err) == (stray.out, "")
+
     def test_flags_are_not_config_keys(self, capsys):
         # every subcommand takes every flag; strategies reads no seed or trials
         assert cli.main(["strategies", "--seed", "3", "--trials", "9"]) == 0

@@ -374,12 +374,18 @@ class TestConsistentCodewords:
 class TestLinearity:
     @pytest.mark.parametrize("factory", [repetition_code, hamming_7_4, extended_hamming_8_4])
     def test_sum_of_codewords_is_codeword(self, factory):
+        # `contains` accepts every pairwise sum and rejects it with any one
+        # bit flipped: that word lies at distance 1 < d from a codeword
         code = factory()
         words = {string_from_bits(w) for w in codeword_oracles.codewords(code)}
         lst = codeword_oracles.codewords(code)
+        flips = np.eye(code.n, dtype=np.uint8)
         for i in range(len(lst)):
             for j in range(len(lst)):
-                assert string_from_bits(lst[i] ^ lst[j]) in words
+                word = lst[i] ^ lst[j]
+                assert string_from_bits(word) in words
+                assert code.contains(word)
+                assert not any(code.contains(word ^ e) for e in flips)
 
     @pytest.mark.parametrize("factory", [repetition_code, hamming_7_4, extended_hamming_8_4, golay_24_12])
     def test_pairwise_distance_at_least_d(self, factory):

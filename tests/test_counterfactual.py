@@ -84,12 +84,13 @@ class TestDefenseInvariance:
         bs = optics.BeamSplitterParams(R=0.3)
         dist = protocol_oracles.defense_honest_invariance(0, 0.0, bs)
         table = optics.detection_table(optics.encode(0, bs), bs)
-        assert dist == dict(zip(table.events, table.probs))
+        assert dist == protocol_oracles.table_distribution(table)
 
     def test_arbitrary_phase_keeps_point_mass(self):
         bs = optics.BeamSplitterParams(R=0.3)
         dist = protocol_oracles.defense_honest_invariance(0, 1.234, bs)
-        assert dist.get(optics.expected_event(0), 0.0) == pytest.approx(1.0, abs=1e-12)
+        honest = optics.DetectionEvent(0, optics.EXPECTED_BIN)
+        assert dist.get(honest, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_hundred_phase_sweep(self):
         bs = optics.BeamSplitterParams(R=0.3)
@@ -97,9 +98,8 @@ class TestDefenseInvariance:
             for k in range(100):
                 theta = 2 * math.pi * k / 100
                 dist = protocol_oracles.defense_honest_invariance(bit, theta, bs)
-                assert dist.get(optics.expected_event(bit), 0.0) == pytest.approx(
-                    1.0, abs=1e-12
-                )
+                honest = optics.DetectionEvent(bit, optics.EXPECTED_BIN)
+                assert dist.get(honest, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestAttack:

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzqbc import optics
+from mzqbc import optics, strategies
 from mzqbc.optics import (
+    EVENTS,
+    EXPECTED_BIN,
     MAX_BIN,
     NO_CLICK,
     RAIL_X,
@@ -19,12 +21,12 @@ from mzqbc.optics import (
     delay_apply,
     detection_table,
     encode,
-    expected_event,
     flag_probability,
-    mix_tables,
     phase_apply,
-    sample_event,
+    pick_events,
+    running_sums,
 )
+from mzqbc.strategies import BlindGuessOnTime, FullMeasureLate, SingleChannel
 
 R_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
 
@@ -34,9 +36,14 @@ def params_for(R):
 
 
 def detection_distribution(state, params):
-    """`detection_table` as an event -> probability dict."""
-    table = detection_table(state, params)
-    return dict(zip(table.events, table.probs))
+    """`detection_table` as an event -> probability dict of its nonzero
+    entries."""
+    return {ev: p for ev, p in zip(EVENTS, detection_table(state, params).tolist()) if p != 0.0}
+
+
+def pick_one(table, u):
+    """The event one uniform picks from `table`."""
+    return EVENTS[int(pick_events(running_sums(table), np.array(u)))]
 
 
 def bs_matrix(R):
@@ -147,7 +154,7 @@ class TestDetection:
     @pytest.mark.parametrize("bit", [0, 1])
     def test_honest_point_mass(self, R, bit):
         dist = detection_distribution(encode(bit, params_for(R)), params_for(R))
-        assert dist.get(expected_event(bit), 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert dist.get(DetectionEvent(bit, EXPECTED_BIN), 0.0) == pytest.approx(1.0, abs=1e-12)
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("R", [0.2, 0.3, 0.7])
@@ -168,13 +175,13 @@ class TestDetection:
         bs = params_for(0.3)
         for _ in range(32):
             table = detection_table(encode(0, bs), bs)
-            assert sample_event(table, rng.random()) == expected_event(0)
+            assert pick_one(table, rng.random()) == DetectionEvent(0, EXPECTED_BIN)
 
     def test_sample_deterministic_for_fixed_seed(self):
         bs = params_for(0.3)
         state = photon_state({Mode(RAIL_Y, 1): 1.0})
         table = detection_table(state, bs)
-        draws1 = [sample_event(table, np.random.default_rng(123).random()) for _ in range(3)]
+        draws1 = [pick_one(table, np.random.default_rng(123).random()) for _ in range(3)]
         assert len(set(draws1)) == 1
 
     def test_sample_frequencies_match_distribution(self):
@@ -182,20 +189,25 @@ class TestDetection:
         state = photon_state({Mode(RAIL_Y, 1): 1.0})
         rng = np.random.default_rng(42)
         n = 100_000
-        table = detection_table(state, bs)
-        hits = sum(sample_event(table, u) == DetectionEvent(1, 1) for u in rng.random(n).tolist())
+        picks = pick_events(running_sums(detection_table(state, bs)), rng.random(n))
+        hits = np.count_nonzero(picks == EVENTS.index(DetectionEvent(1, 1)))
         p = 0.3
         assert abs(hits / n - p) < 3 * math.sqrt(p * (1 - p) / n)
 
     def test_sample_reads_the_running_sums(self):
         # the event whose running sum first exceeds u; past the last sum
-        # (rounding can leave it below 1) the last event
+        # (rounding can leave it below 1) the last event with a nonzero
+        # probability, not the zero entries after it
         state = photon_state({Mode(RAIL_Y, 1): 1.0})
         table = detection_table(state, params_for(0.3))
-        assert table.events == (DetectionEvent(0, 1), DetectionEvent(1, 1))
-        assert sample_event(table, 0.0) == DetectionEvent(0, 1)
-        assert sample_event(table, table.cumulative[0]) == DetectionEvent(1, 1)
-        assert sample_event(table, 1.0) == DetectionEvent(1, 1)
+        assert [EVENTS[i] for i in np.flatnonzero(table)] == [
+            DetectionEvent(0, 1), DetectionEvent(1, 1)
+        ]
+        sums = running_sums(table)
+        d0, d1 = EVENTS.index(DetectionEvent(0, 1)), EVENTS.index(DetectionEvent(1, 1))
+        assert sums[d0] == table[d0] and np.isinf(sums[d1:]).all()
+        u = np.array([0.0, sums[d0], np.nextafter(1.0, 0.0), 1.0])
+        assert pick_events(sums, u).tolist() == [d0, d1, d1, d1]
 
     def test_no_click_is_a_flag_for_either_bit(self):
         vacuum = detection_table(optics.VACUUM, params_for(0.3))
@@ -204,26 +216,33 @@ class TestDetection:
 
 class TestMixTables:
     def test_single_table_at_weight_one_is_itself(self):
+        # single-branch resends: the intercepted row is the resent state's
+        # own table, and the bypassed row the sender's encoding
         bs = params_for(0.3)
-        table = detection_table(photon_state({Mode(RAIL_Y, 1): 1.0}), bs)
-        assert mix_tables([(1.0, table)]) == table
+        for strategy in (FullMeasureLate(), SingleChannel()):
+            tables, _ = strategies.outcome_tables(strategy, bs)
+            for bit in (0, 1):
+                [(w, state)] = strategies.resent(strategy, bit, bs)
+                assert w == 1.0
+                assert np.array_equal(tables[1, bit], detection_table(state, bs))
+                assert np.array_equal(tables[0, bit], detection_table(encode(bit, bs), bs))
 
     def test_weights_sum_per_event_in_sampling_order(self):
         bs = params_for(0.3)
-        y_late = detection_table(photon_state({Mode(RAIL_Y, 2): 1.0}), bs)
-        y_on_time = detection_table(photon_state({Mode(RAIL_Y, 1): 1.0}), bs)
-        vacuum = detection_table(optics.VACUUM, bs)
-        mixed = mix_tables([(0.25, vacuum), (0.5, y_late), (0.25, y_on_time)])
-        assert mixed.events == (
-            DetectionEvent(0, 1), DetectionEvent(0, 2),
-            DetectionEvent(1, 1), DetectionEvent(1, 2), NO_CLICK,
-        )
-        want = {NO_CLICK: 0.25}
-        for w, table in [(0.5, y_late), (0.25, y_on_time)]:
-            for ev, p in zip(table.events, table.probs):
-                want[ev] = want.get(ev, 0.0) + w * p
-        assert dict(zip(mixed.events, mixed.probs)) == want
-        assert mixed.cumulative[-1] == pytest.approx(1.0, abs=1e-12)
+        tables, sums = strategies.outcome_tables(BlindGuessOnTime(), bs)
+        assert not tables.flags.writeable and not sums.flags.writeable
+        guesses = [detection_table(encode(g, bs), bs) for g in (0, 1)]
+        for bit in (0, 1):
+            want = {}
+            for w, table in zip((0.5, 0.5), guesses):
+                for ev, p in zip(EVENTS, table.tolist()):
+                    want[ev] = want.get(ev, 0.0) + w * p
+            assert dict(zip(EVENTS, tables[1, bit].tolist())) == want
+            # the honest D0 and D1 clicks of the two guesses, nothing else
+            assert [EVENTS[i] for i in np.flatnonzero(tables[1, bit])] == [
+                DetectionEvent(0, 1), DetectionEvent(1, 1)
+            ]
+            assert np.cumsum(tables[1, bit])[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestInvariants:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import codeword_oracles
+import optics_oracles as oracle
 from protocol_oracles import sample_intercept_posterior
-from mzqbc import codes, kernels, optics, protocol, strategies
+from mzqbc import codes, kernels, protocol
 from mzqbc.codes import bits_from_string
 from mzqbc.protocol import (
     ACCEPT,
@@ -167,9 +168,10 @@ class TestCommit:
     )
     def test_draws_intercepts_then_one_uniform_per_photon(self, bob):
         # after the codeword: the intercepts (n doubles against f, or one
-        # permutation), then one uniform per photon searched over the
-        # outcome table of its (intercepted, bit); the blind guess's coin
-        # is a weight of that table, not a draw
+        # permutation), then one uniform per photon, which picks its event
+        # as the dict oracle's scalar running sum over the distribution of
+        # its (intercepted, bit) does; the blind guess's coin is a weight
+        # of that distribution, not a draw
         params = make_params(R=0.3)
         bs, n = params.bs, params.n
         for seed in range(20):
@@ -183,18 +185,18 @@ class TestCommit:
             else:
                 intercepted = np.ones(n, dtype=bool)
             events = []
-            for hit, bit, u in zip(intercepted, word.tolist(), rng.random(n).tolist()):
-                table = (
-                    strategies.outcome_table(bob.strategy, bit, bs)
+            for hit, bit in zip(intercepted, word.tolist()):
+                dist = (
+                    oracle.intercept_detection(bob.strategy, bit, bs)
                     if hit
-                    else optics.detection_table(optics.encode(bit, bs), bs)
+                    else oracle.detection_distribution(oracle.encode(bit, bs), bs)
                 )
-                events.append(optics.sample_event(table, u))
+                events.append(oracle.sample_event(dist, rng))
             assert np.array_equal(t.codeword, word)
             assert t.modes == [INTERCEPT if hit else protocol.BYPASS for hit in intercepted]
             assert t.alice_events == events
             assert t.n_mismatch == sum(
-                ev != optics.expected_event(bit) for ev, bit in zip(events, word.tolist())
+                ev != oracle.expected_event(bit) for ev, bit in zip(events, word.tolist())
             )
 
     def test_boundary_estimate_aborts(self):

@@ -69,13 +69,11 @@ class TestMonteCarloOracle:
         bs = params_for(0.3)
         rng = np.random.default_rng(11)
         n = 20_000
+        _, sums = strategies.outcome_tables(strategy, bs)
         for bit in (0, 1):
             # one uniform per intercepted photon, as `protocol.run_commit` draws
-            table = strategies.outcome_table(strategy, bit, bs)
-            flags = sum(
-                optics.sample_event(table, u) != optics.expected_event(bit)
-                for u in rng.random(n).tolist()
-            )
+            picks = optics.pick_events(sums[1, bit], rng.random(n))
+            flags = np.count_nonzero(picks != optics.expected_index(bit))
             sigma = math.sqrt(max(expected * (1 - expected), 1e-12) / n)
             assert abs(flags / n - expected) <= max(3 * sigma, 1e-9)
 
