@@ -76,7 +76,7 @@ def mz_determinism() -> list[Result]:
     splitter ratio: the largest miss probability over R and the bit."""
     worst = 0.0
     for R in R_GRID:
-        bs = optics.BeamSplitterParams(R=R, symmetric_ok=True)
+        bs = optics.BeamSplitterParams(R=R)
         for bit in (0, 1):
             table = optics.detection_table(optics.encode(bit, bs), bs)
             worst = max(worst, abs(optics.flag_probability(table, bit)))

@@ -109,7 +109,6 @@ def _load_params(cfg, code=None) -> protocol.ProtocolParams:
         f=config_mod.get_float(cfg, "f", 0.25),
         epsilon=eps,
         seed=seed,
-        symmetric_ok=abs(R - 0.5) < 1e-12,
     )
 
 
@@ -307,7 +306,7 @@ def cmd_strategies(cfg) -> int:
     rows = strategies.strategy_table_rows(r_grid)
     if config_mod.get_int(cfg, "search_trials", 0) > 0:
         for R in r_grid:
-            bs = optics.BeamSplitterParams(R=R, symmetric_ok=True)
+            bs = optics.BeamSplitterParams(R=R)
             best = strategies.floor_strategy(bs)
             for bit in (0, 1):
                 rows.append(

@@ -2,10 +2,9 @@
 
 A photon lives in a superposition over modes (rail, time bin), with rails X
 and Y and time counted in integer units of the storage-ring delay.  A state
-is a fixed (2, MAX_BIN+1) complex array (row 0 rail X, row 1 rail Y) plus
-the mass `absorbed` removed from the rails (a blocked path, a photon kept
-by an intercepting party), so that sum(|amp|^2) + absorbed == 1 always;
-`photon_state` checks that for states made from outside.
+is a read-only (2, MAX_BIN+1) complex array, row 0 rail X and row 1 rail Y.
+Every operation here is unitary and returns a new array, so a state built
+from `packet` or `encode` stays normalized.
 
 Conventions, fixed once and validated by the test suite:
 
@@ -20,8 +19,8 @@ Conventions, fixed once and validated by the test suite:
   watches the Y output port, D1 the X output port.  The honest click arrives
   in bin 1.
 
-Every outcome has one place in `EVENTS`: D0 by bin, then D1 by bin, then
-no click.  A detection table is the float64 array of their probabilities,
+Every click has one place in `EVENTS`: D0 by bin, then D1 by bin.  A
+detection table is the float64 array of their 10 probabilities,
 abs(amp) ** 2 on Python complex numbers, so mixing tables is a weighted
 sum; `pick_events` picks a whole session's events from their
 `running_sums`, one uniform per photon.
@@ -38,7 +37,7 @@ import numpy as np
 
 RAIL_X = "X"
 RAIL_Y = "Y"
-#: rails in the row order of `PhotonState.amps`
+#: rails in the row order of a state
 RAILS = (RAIL_X, RAIL_Y)
 
 #: Honest photons click in this bin; anything else is "wrong time".
@@ -47,28 +46,20 @@ EXPECTED_BIN = 1
 #: Largest tracked time bin.  Every in-scope strategy produces events in
 #: bins 0..3; amplitudes pushed past this are a modeling error.
 MAX_BIN = 4
-#: shape of `PhotonState.amps`: (rail, bin)
+#: shape of a state: (rail, bin)
 SHAPE = (2, MAX_BIN + 1)
-
-NORM_TOL = 1e-9
-
-
-class Mode(NamedTuple):
-    rail: str
-    bin: int
 
 
 class DetectionEvent(NamedTuple):
-    """A click of detector 0/1 in a given bin, or no click at all."""
+    """A click of detector 0 or 1 in a time bin."""
 
-    detector: int | None
-    bin: int | None
+    detector: int
+    bin: int
 
 
-NO_CLICK = DetectionEvent(None, None)
 #: the entries of a detection table: D0 (on the Y output port) by bin, then
-#: D1 (X port) by bin, then no click
-EVENTS = tuple(DetectionEvent(d, b) for d in (0, 1) for b in range(MAX_BIN + 1)) + (NO_CLICK,)
+#: D1 (X port) by bin
+EVENTS = tuple(DetectionEvent(d, b) for d in (0, 1) for b in range(MAX_BIN + 1))
 
 
 def expected_index(bit):
@@ -80,64 +71,34 @@ def expected_index(bit):
 @dataclass(frozen=True)
 class BeamSplitterParams:
     """Reflectivity R of the (identical) beam splitters; the
-    transmissivity is T = 1 - R.  The protocol requires R != T; pass
-    symmetric_ok=True for deliberately symmetric experiments.
+    transmissivity is T = 1 - R.  The protocol binds only for R != T, but
+    R = T = 1/2 is a valid splitter for symmetric experiments.
     """
 
     R: float
-    symmetric_ok: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.R < 1.0):
             raise ValueError(f"reflectivity must lie in (0,1), got {self.R}")
-        if not self.symmetric_ok and abs(self.R - self.T) < 1e-12:
-            raise ValueError("R == T needs symmetric_ok=True")
 
     @property
     def T(self) -> float:
         return 1.0 - self.R
 
 
-class PhotonState:
-    """Read-only amplitudes `amps[rail, bin]` plus absorbed mass; operations
-    return new states.  Not validated here: see `photon_state`."""
-
-    __slots__ = ("amps", "absorbed")
-
-    def __init__(self, amps: np.ndarray, absorbed: float = 0.0):
-        amps.setflags(write=False)
-        self.amps = amps
-        self.absorbed = absorbed
-
-    def total_probability(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amps.ravel().tolist()) + self.absorbed
-
-    def amp(self, rail: str, bin: int) -> complex:
-        return complex(self.amps[RAILS.index(rail), bin])
-
-    def modes(self) -> set[Mode]:
-        """The modes with a nonzero amplitude."""
-        return {Mode(RAILS[i], int(b)) for i, b in zip(*np.nonzero(self.amps))}
+def _frozen(amps: np.ndarray) -> np.ndarray:
+    amps.setflags(write=False)
+    return amps
 
 
-def photon_state(amps: dict[Mode, complex], absorbed: float = 0.0) -> PhotonState:
-    """A validated state from per-mode amplitudes: rails X and Y, bins
-    0..MAX_BIN, and |amps|^2 + absorbed == 1."""
-    arr = np.zeros(SHAPE, dtype=complex)
-    for (rail, bin), a in amps.items():
-        if rail not in RAILS or not 0 <= bin <= MAX_BIN:
-            raise ValueError(f"no mode ({rail!r}, {bin}): rails X, Y and bins 0..{MAX_BIN}")
-        arr[RAILS.index(rail), bin] = a
-    state = PhotonState(arr, absorbed)
-    if abs(state.total_probability() - 1.0) > NORM_TOL:
-        raise ValueError(f"not normalized: |amps|^2 + absorbed = {state.total_probability()}")
-    return state
+def packet(rail: str, bin: int) -> np.ndarray:
+    """A photon in the one mode (rail, bin), for a bin in 0..MAX_BIN."""
+    amps = np.zeros(SHAPE, dtype=complex)
+    amps[RAILS.index(rail), bin] = 1.0
+    return _frozen(amps)
 
 
-VACUUM = PhotonState(np.zeros(SHAPE, dtype=complex), absorbed=1.0)
-
-
-def bs_apply(state: PhotonState, bin, params: BeamSplitterParams) -> PhotonState:
+def bs_apply(state: np.ndarray, bin, params: BeamSplitterParams) -> np.ndarray:
     """Mix the (X, bin) and (Y, bin) amplitudes on one beam splitter, for
     one bin or a slice of bins; identity on every other mode.
 
@@ -145,53 +106,53 @@ def bs_apply(state: PhotonState, bin, params: BeamSplitterParams) -> PhotonState
     """
     t = math.sqrt(params.T)
     r = -1j * math.sqrt(params.R)
-    amps = state.amps.copy()
+    amps = state.copy()
     x, y = amps[0, bin], amps[1, bin]
     amps[0, bin], amps[1, bin] = t * x + r * y, t * y + r * x
-    return PhotonState(amps, state.absorbed)
+    return _frozen(amps)
 
 
-def phase_apply(state: PhotonState, rail: str, theta: float) -> PhotonState:
+def phase_apply(state: np.ndarray, rail: str, theta: float) -> np.ndarray:
     """Multiply every amplitude on `rail` by exp(i*theta)."""
     # exact -1 for the half-wave shifter, so honest interference cancels to 0
     ph = -1.0 + 0j if theta in (math.pi, -math.pi) else cmath.exp(1j * theta)
-    amps = state.amps.copy()
+    amps = state.copy()
     i = RAILS.index(rail)
     amps[i] = [a * ph for a in amps[i].tolist()]  # Python complex products
-    return PhotonState(amps, state.absorbed)
+    return _frozen(amps)
 
 
-def delay_apply(state: PhotonState, rail: str, bins: int) -> PhotonState:
+def delay_apply(state: np.ndarray, rail: str, bins: int) -> np.ndarray:
     """Shift every mode on `rail` by `bins` time bins (a storage ring)."""
     if bins < 0:
         raise ValueError("delay must be non-negative")
     i = RAILS.index(rail)
-    if state.amps[i, max(0, MAX_BIN + 1 - bins):].any():
+    if state[i, max(0, MAX_BIN + 1 - bins):].any():
         raise ValueError(f"delay pushes amplitude past time bin {MAX_BIN}")
-    amps = state.amps.copy()
+    amps = state.copy()
     amps[i] = np.roll(amps[i], bins)  # what wraps around is zero
-    return PhotonState(amps, state.absorbed)
+    return _frozen(amps)
 
 
-def encode(bit: int, params: BeamSplitterParams) -> PhotonState:
+def encode(bit: int, params: BeamSplitterParams) -> np.ndarray:
     """The sender's output for one committed bit: the photon is split on
     the first beam splitter (bit 0 enters via the Y port, bit 1 via the X
     port) and the sender's ring delays the Y packet a bin."""
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
     rail = RAIL_Y if bit == 0 else RAIL_X
-    return delay_apply(bs_apply(photon_state({Mode(rail, 0): 1.0}), 0, params), RAIL_Y, 1)
+    return delay_apply(bs_apply(packet(rail, 0), 0, params), RAIL_Y, 1)
 
 
-def detection_table(state: PhotonState, params: BeamSplitterParams) -> np.ndarray:
-    """Exact outcome distribution of the time-resolved detectors, in
+def detection_table(state: np.ndarray, params: BeamSplitterParams) -> np.ndarray:
+    """Exact click distribution of the time-resolved detectors, in
     `EVENTS` order.  The receiver's interferometer delays X, shifts Y by pi
     and recombines every bin; D0 watches the Y output port and D1 the X
-    port.  The no-click probability equals the absorbed mass, or 0 where
-    rounding left that mass below 0."""
+    port.  The table of an all-zero state, a photon that never reaches the
+    detectors, is all 0."""
     state_in = phase_apply(delay_apply(state, RAIL_X, 1), RAIL_Y, math.pi)
-    out_x, out_y = bs_apply(state_in, slice(None), params).amps.tolist()
-    return np.array([abs(a) ** 2 for a in out_y + out_x] + [max(state.absorbed, 0.0)])
+    out_x, out_y = bs_apply(state_in, slice(None), params).tolist()
+    return np.array([abs(a) ** 2 for a in out_y + out_x])
 
 
 def running_sums(tables: np.ndarray) -> np.ndarray:
@@ -213,6 +174,7 @@ def pick_events(sums: np.ndarray, u: np.ndarray) -> np.ndarray:
 def flag_probability(table: np.ndarray, bit: int) -> float:
     """Probability that an outcome of `table` fails the honest check for
     `bit`: anything but a D_bit click in the expected bin, so a click on the
-    wrong detector or in the wrong bin, or no click at all (in the ideal
-    lossless setting a missing photon is itself a mismatch)."""
+    wrong detector or in the wrong bin.  A photon that never reaches the
+    detectors gives no expected click, so it is flagged: an all-zero table
+    flags with probability 1."""
     return 1.0 - float(table[expected_index(bit)])

@@ -61,7 +61,6 @@ class ProtocolParams:
     f: float
     epsilon: float = None  # type: ignore[assignment]
     seed: int = 0
-    symmetric_ok: bool = False
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=np.uint8)
@@ -85,7 +84,7 @@ class ProtocolParams:
 
     @property
     def bs(self) -> BeamSplitterParams:
-        return BeamSplitterParams(R=self.R, symmetric_ok=self.symmetric_ok)
+        return BeamSplitterParams(R=self.R)
 
     @property
     def n(self) -> int:

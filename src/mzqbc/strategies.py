@@ -28,7 +28,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import optics
-from .optics import RAIL_X, RAIL_Y, RAILS, BeamSplitterParams, Mode, PhotonState
+from .optics import RAIL_X, RAIL_Y, RAILS, BeamSplitterParams
 
 
 @dataclass(frozen=True)
@@ -63,13 +63,9 @@ def strategy_name(strategy: ResendStrategy) -> str:
     return strategy.label
 
 
-def _single_packet(rail: str) -> PhotonState:
-    return optics.photon_state({Mode(rail, 0 if rail == RAIL_X else 1): 1.0})
-
-
 def resent(
     strategy: ResendStrategy, bit: int, params: BeamSplitterParams
-) -> tuple[tuple[float, PhotonState], ...]:
+) -> tuple[tuple[float, np.ndarray], ...]:
     """The (weight, resent state) pairs of the strategy for an encoded `bit`."""
     if isinstance(strategy, BlindGuessOnTime):
         # one fair coin picks the resent encoding; the real photon is kept
@@ -78,9 +74,11 @@ def resent(
         late = optics.delay_apply(optics.encode(bit, params), RAIL_X, 1)
         return ((1.0, optics.delay_apply(late, RAIL_Y, 1)),)
     if isinstance(strategy, SingleChannel):
-        tables = {r: optics.detection_table(_single_packet(r), params) for r in RAILS}
+        # on time: X content in bin 0, Y content in bin 1
+        packets = {r: optics.packet(r, b) for b, r in enumerate(RAILS)}
+        tables = {r: optics.detection_table(packets[r], params) for r in RAILS}
         rail = min(RAILS, key=lambda r: (optics.flag_probability(tables[r], bit), r))
-        return ((1.0, _single_packet(rail)),)
+        return ((1.0, packets[rail]),)
     raise TypeError(f"unknown strategy {strategy!r}")
 
 
@@ -146,7 +144,8 @@ def floor_strategy(params: BeamSplitterParams) -> ResendStrategy:
     or sqrt(T), never 0, so a certain decode (no outcome possible under both
     bits) forces x = 0.  Then only Y-rail content is forwarded, and a
     Y-only packet is flagged with flag_Y(0) + flag_Y(1) = 1; a kept photon
-    leaves vacuum, which `optics.flag_probability` flags with probability 1.
+    leaves the rails empty, the table of an empty state is all 0, and so
+    `optics.flag_probability` flags it with probability 1.
     With s_b the forwarded probability under bit b, the bit-averaged
     detection is 1 - (s_0 (1 - flag_Y(0)) + s_1 (1 - flag_Y(1))) / 2 >= 1/2.
     """
@@ -157,7 +156,7 @@ def strategy_table_rows(reflectivities) -> list[dict]:
     """Rows (strategy, R, bit, detection_prob) for the exported table."""
     rows = []
     for R in reflectivities:
-        params = BeamSplitterParams(R=R, symmetric_ok=True)
+        params = BeamSplitterParams(R=R)
         for s in closed_form_strategies():
             for bit in (0, 1):
                 p = detection_prob(s, bit, params)

@@ -2,8 +2,9 @@
 model, kept as oracles.
 
 This is the single-photon optics as it was before states became fixed
-arrays: a state is a dict keyed by (rail, bin) modes, re-validated on every
-step, and every photon rebuilds its encoding and its measurement.  The two
+arrays: a state is a dict keyed by (rail, bin) modes plus the absorbed mass
+that a coupling keeping the photon leaves (a no-click outcome), re-validated
+on every step, and every photon rebuilds its encoding and its measurement.  The two
 `isinstance` ladders (`apply_strategy`, `detection_prob`) are the strategy
 code that the outcome tables in `mzqbc.strategies` replace, and
 `intercept_detection` mixes the dict distributions as those tables do.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,21 +28,29 @@ from mzqbc.optics import (
     EVENTS,
     EXPECTED_BIN,
     MAX_BIN,
-    NO_CLICK,
-    NORM_TOL,
     RAIL_X,
     RAIL_Y,
     BeamSplitterParams,
     DetectionEvent,
-    Mode,
 )
 from mzqbc.strategies import BlindGuessOnTime, FullMeasureLate, SingleChannel
 
+NORM_TOL = 1e-9
 UNITARY_TOL = 1e-10
 #: declared-decode certainty at/above which a strategy "knows" the bit
 CERTAINTY_TOL = 1e-9
 
 _POS_X, _POS_Y, _POS_KEPT = 0, 1, 2
+
+
+class Mode(NamedTuple):
+    rail: str
+    bin: int
+
+
+#: the outcome of the absorbed mass: the library's states are lossless and
+#: its tables list clicks only, but a coupling here can keep the photon
+NO_CLICK = DetectionEvent(None, None)
 
 
 def expected_event(bit: int) -> DetectionEvent:

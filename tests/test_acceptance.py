@@ -48,7 +48,7 @@ def test_criterion_1_honest_determinism():
     photons_per_R = 10_000
     clean = True
     for R in R_GRID:
-        params = make_params(R=R, f=0.0, symmetric_ok=True)
+        params = make_params(R=R, f=0.0)
         rng = np.random.default_rng(params.seed)
         sessions = photons_per_R // params.n
         for _ in range(sessions):
@@ -78,7 +78,7 @@ def test_criterion_2_strategy_table():
     ]
     worst_exact = 0.0
     for R in R_GRID:
-        bs = optics.BeamSplitterParams(R=R, symmetric_ok=True)
+        bs = optics.BeamSplitterParams(R=R)
         for strategy, closed in cases:
             for bit in (0, 1):
                 worst_exact = max(

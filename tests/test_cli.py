@@ -188,13 +188,24 @@ class TestRun:
         assert cli.main(["run", "--config", cfg]) == 2
         assert "nonzero" in capsys.readouterr().err
 
-    def test_guard_violation_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["run", "nogo"])
+    def test_guard_violation_exit_code(self, command, tmp_path, capsys):
+        # every code is built with its minimum distance, so k = 25 is too
+        # large for every subcommand
         rows = "\n".join("0" * i + "1" + "0" * (25 - i) for i in range(25))
         gen = tmp_path / "big.txt"
         gen.write_text(rows + "\n")
         cfg = write_cfg(tmp_path, f"code_file = {gen}\nr = {'1'*26}\n")
-        assert cli.main(["run", "--config", cfg]) == 3
+        assert cli.main([command, "--config", cfg]) == 3
         assert "guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("R", ["1", "nan"])
+    def test_reflectivity_outside_zero_one_is_parameter_error(self, R, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, f"R = {R}\n")
+        assert cli.main(["run", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: reflectivity must lie in (0,1), got {float(R)}\n"
 
     @pytest.mark.parametrize("commit_bit", [0, 1])
     def test_r_orthogonal_to_the_code_is_config_error(self, tmp_path, capsys, commit_bit):

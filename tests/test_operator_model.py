@@ -6,6 +6,7 @@ import operator_oracles as oracles
 from mzqbc import codes, kernels
 from mzqbc.codes import bits_from_string
 from mzqbc.operator_model import intercept_mask, reduced_states, state_change
+from mzqbc.protocol import ProtocolParams
 from mzqbc.util import GuardError, haar_unitary
 from operator_oracles import (
     CompositeSystem,
@@ -26,6 +27,11 @@ R111 = bits_from_string("111")
 
 
 class TestCommittedDensity:
+    """The committed states, as the library reads them and as the sparse
+    committed-density oracle of `operator_oracles` lists them.  The full
+    intercept and empty-subset tests check the library against the oracle;
+    the others check the oracle itself."""
+
     def test_singleton_subset_is_pure(self):
         rho = committed_density(codes.repetition_code(3), R111, 0)
         assert rho.indices.tolist() == [0]
@@ -67,6 +73,12 @@ class TestCommittedDensity:
         r = codeword_oracles.codewords(code)[1]  # self-dual: parity constant on the code
         with pytest.raises(ValueError, match="committed subset empty"):
             committed_density(code, r, 1)
+        with pytest.raises(ValueError, match="committed subset empty"):
+            codes.sample_codeword(code, r, 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="orthogonal"):
+            reduced_states(code, r, np.ones(code.n, dtype=bool))
+        with pytest.raises(ValueError, match="orthogonal"):
+            ProtocolParams(code=code, r=r, R=0.3, f=0.25)
 
     def test_dense_conversion_guarded(self):
         rho = committed_density(codes.repetition_code(13), np.ones(13, dtype=np.uint8), 0)

@@ -5,23 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzqbc import optics, strategies
+from mzqbc import strategies
 from mzqbc.optics import (
     EVENTS,
     EXPECTED_BIN,
     MAX_BIN,
-    NO_CLICK,
     RAIL_X,
     RAIL_Y,
+    SHAPE,
     BeamSplitterParams,
     DetectionEvent,
-    Mode,
-    photon_state,
     bs_apply,
     delay_apply,
     detection_table,
     encode,
     flag_probability,
+    packet,
     phase_apply,
     pick_events,
     running_sums,
@@ -29,10 +28,8 @@ from mzqbc.optics import (
 from mzqbc.strategies import BlindGuessOnTime, FullMeasureLate, SingleChannel
 
 R_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
-
-
-def params_for(R):
-    return BeamSplitterParams(R=R, symmetric_ok=True)
+#: rows of a state
+X, Y = 0, 1
 
 
 def detection_distribution(state, params):
@@ -56,17 +53,15 @@ class TestBeamSplitter:
     def test_source_input_gives_encoded_amplitudes(self):
         # photon entering the Y port with R=0.3 splits into sqrt(0.7) on Y
         # and -i*sqrt(0.3) on X
-        state = photon_state({Mode(RAIL_Y, 0): 1.0})
-        out = bs_apply(state, 0, params_for(0.3))
-        assert out.amp(RAIL_Y, 0) == pytest.approx(math.sqrt(0.7), abs=1e-15)
-        assert out.amp(RAIL_X, 0) == pytest.approx(-1j * math.sqrt(0.3), abs=1e-15)
+        out = bs_apply(packet(RAIL_Y, 0), 0, BeamSplitterParams(0.3))
+        assert out[Y, 0] == pytest.approx(math.sqrt(0.7), abs=1e-15)
+        assert out[X, 0] == pytest.approx(-1j * math.sqrt(0.3), abs=1e-15)
 
     @pytest.mark.parametrize("R", R_GRID)
     def test_single_input_splits_T_R(self, R):
-        state = photon_state({Mode(RAIL_X, 0): 1.0})
-        out = bs_apply(state, 0, params_for(R))
-        assert abs(out.amp(RAIL_X, 0)) ** 2 == pytest.approx(1 - R, abs=1e-12)
-        assert abs(out.amp(RAIL_Y, 0)) ** 2 == pytest.approx(R, abs=1e-12)
+        out = bs_apply(packet(RAIL_X, 0), 0, BeamSplitterParams(R))
+        assert abs(out[X, 0]) ** 2 == pytest.approx(1 - R, abs=1e-12)
+        assert abs(out[Y, 0]) ** 2 == pytest.approx(R, abs=1e-12)
 
     @pytest.mark.parametrize("R", R_GRID)
     def test_matrix_unitary(self, R):
@@ -78,82 +73,75 @@ class TestBeamSplitter:
         # deterministically exits on its input rail
         u = bs_matrix(0.5) @ np.diag([1.0, -1.0]) @ bs_matrix(0.5)
         assert np.max(np.abs(u - np.diag([1.0, -1.0]))) < 1e-12
-        state = photon_state({Mode(RAIL_X, 0): 1.0})
-        state = bs_apply(state, 0, params_for(0.5))
+        state = bs_apply(packet(RAIL_X, 0), 0, BeamSplitterParams(0.5))
         state = phase_apply(state, RAIL_Y, math.pi)
-        state = bs_apply(state, 0, params_for(0.5))
-        assert abs(state.amp(RAIL_X, 0)) ** 2 == pytest.approx(1.0, abs=1e-12)
+        state = bs_apply(state, 0, BeamSplitterParams(0.5))
+        assert abs(state[X, 0]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_untouched_modes_pass_through(self):
-        state = photon_state(
-            {Mode(RAIL_X, 0): 1 / math.sqrt(2), Mode(RAIL_Y, 2): 1 / math.sqrt(2)}
-        )
-        out = bs_apply(state, 0, params_for(0.3))
-        assert out.amp(RAIL_Y, 2) == state.amp(RAIL_Y, 2)
+        state = (packet(RAIL_X, 0) + packet(RAIL_Y, 2)) / math.sqrt(2)
+        out = bs_apply(state, 0, BeamSplitterParams(0.3))
+        assert out[Y, 2] == state[Y, 2]
 
 
 class TestPhaseAndDelay:
     def test_phase_zero_is_identity(self):
-        state = encode(0, params_for(0.3))
-        assert np.array_equal(phase_apply(state, RAIL_Y, 0.0).amps, state.amps)
+        state = encode(0, BeamSplitterParams(0.3))
+        assert np.array_equal(phase_apply(state, RAIL_Y, 0.0), state)
 
     def test_phase_pi_flips_sign(self):
-        state = encode(0, params_for(0.3))  # amp(Y,1) = sqrt(0.7)
+        state = encode(0, BeamSplitterParams(0.3))  # amp(Y,1) = sqrt(0.7)
         out = phase_apply(state, RAIL_Y, math.pi)
-        assert out.amp(RAIL_Y, 1) == pytest.approx(-math.sqrt(0.7), abs=1e-15)
+        assert out[Y, 1] == pytest.approx(-math.sqrt(0.7), abs=1e-15)
 
     def test_delay_zero_identity_and_shift(self):
-        state = photon_state({Mode(RAIL_X, 0): 1.0})
-        assert np.array_equal(delay_apply(state, RAIL_X, 0).amps, state.amps)
-        assert delay_apply(state, RAIL_X, 1).amp(RAIL_X, 1) == 1.0
+        state = packet(RAIL_X, 0)
+        assert np.array_equal(delay_apply(state, RAIL_X, 0), state)
+        assert delay_apply(state, RAIL_X, 1)[X, 1] == 1.0
 
     def test_delay_beyond_max_bin_rejected(self):
-        state = photon_state({Mode(RAIL_X, MAX_BIN): 1.0})
         with pytest.raises(ValueError):
-            delay_apply(state, RAIL_X, 1)
+            delay_apply(packet(RAIL_X, MAX_BIN), RAIL_X, 1)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            delay_apply(photon_state({Mode(RAIL_X, 1): 1.0}), RAIL_X, -1)
+            delay_apply(packet(RAIL_X, 1), RAIL_X, -1)
 
 
 class TestEncode:
     def test_encoded_amplitudes_R03(self):
-        s0 = encode(0, params_for(0.3))
-        assert s0.amp(RAIL_Y, 1) == pytest.approx(0.8366600265340756, abs=1e-12)
-        assert s0.amp(RAIL_X, 0) == pytest.approx(-0.5477225575051661j, abs=1e-12)
-        s1 = encode(1, params_for(0.3))
-        assert s1.amp(RAIL_X, 0) == pytest.approx(0.8366600265340756, abs=1e-12)
-        assert s1.amp(RAIL_Y, 1) == pytest.approx(-0.5477225575051661j, abs=1e-12)
+        s0 = encode(0, BeamSplitterParams(0.3))
+        assert s0[Y, 1] == pytest.approx(0.8366600265340756, abs=1e-12)
+        assert s0[X, 0] == pytest.approx(-0.5477225575051661j, abs=1e-12)
+        s1 = encode(1, BeamSplitterParams(0.3))
+        assert s1[X, 0] == pytest.approx(0.8366600265340756, abs=1e-12)
+        assert s1[Y, 1] == pytest.approx(-0.5477225575051661j, abs=1e-12)
 
     def test_symmetric_case_equal_magnitudes(self):
         for b in (0, 1):
-            s = encode(b, params_for(0.5))
-            assert abs(s.amp(RAIL_X, 0)) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-            assert abs(s.amp(RAIL_Y, 1)) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+            s = encode(b, BeamSplitterParams(0.5))
+            assert abs(s[X, 0]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+            assert abs(s[Y, 1]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_timing_y_packet_delayed(self):
-        s = encode(0, params_for(0.3))
-        assert s.modes() == {Mode(RAIL_X, 0), Mode(RAIL_Y, 1)}
+        s = encode(0, BeamSplitterParams(0.3))
+        assert np.argwhere(s).tolist() == [[X, 0], [Y, 1]]
 
     @pytest.mark.parametrize("R", R_GRID)
     def test_encoded_states_orthogonal(self, R):
-        s0, s1 = encode(0, params_for(R)), encode(1, params_for(R))
-        inner = sum(
-            s0.amp(*m).conjugate() * s1.amp(*m) for m in s0.modes()
-        )
-        assert abs(inner) < 1e-12
+        s0, s1 = encode(0, BeamSplitterParams(R)), encode(1, BeamSplitterParams(R))
+        assert abs(np.vdot(s0, s1)) < 1e-12
 
     def test_bad_bit_rejected(self):
         with pytest.raises(ValueError):
-            encode(2, params_for(0.3))
+            encode(2, BeamSplitterParams(0.3))
 
 
 class TestDetection:
     @pytest.mark.parametrize("R", R_GRID)
     @pytest.mark.parametrize("bit", [0, 1])
     def test_honest_point_mass(self, R, bit):
-        dist = detection_distribution(encode(bit, params_for(R)), params_for(R))
+        dist = detection_distribution(encode(bit, BeamSplitterParams(R)), BeamSplitterParams(R))
         assert dist.get(DetectionEvent(bit, EXPECTED_BIN), 0.0) == pytest.approx(1.0, abs=1e-12)
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -161,35 +149,29 @@ class TestDetection:
     def test_single_packet_split(self, R):
         # one packet on (Y,1) reaches the final splitter alone: it exits to
         # D0 with probability T and D1 with probability R
-        state = photon_state({Mode(RAIL_Y, 1): 1.0})
-        dist = detection_distribution(state, params_for(R))
+        dist = detection_distribution(packet(RAIL_Y, 1), BeamSplitterParams(R))
         assert dist[DetectionEvent(0, 1)] == pytest.approx(1 - R, abs=1e-12)
         assert dist[DetectionEvent(1, 1)] == pytest.approx(R, abs=1e-12)
 
-    def test_vacuum_gives_no_click(self):
-        dist = detection_distribution(optics.VACUUM, params_for(0.3))
-        assert dist == {NO_CLICK: 1.0}
 
     def test_sample_point_mass(self):
         rng = np.random.default_rng(0)
-        bs = params_for(0.3)
+        bs = BeamSplitterParams(0.3)
         for _ in range(32):
             table = detection_table(encode(0, bs), bs)
             assert pick_one(table, rng.random()) == DetectionEvent(0, EXPECTED_BIN)
 
     def test_sample_deterministic_for_fixed_seed(self):
-        bs = params_for(0.3)
-        state = photon_state({Mode(RAIL_Y, 1): 1.0})
-        table = detection_table(state, bs)
+        bs = BeamSplitterParams(0.3)
+        table = detection_table(packet(RAIL_Y, 1), bs)
         draws1 = [pick_one(table, np.random.default_rng(123).random()) for _ in range(3)]
         assert len(set(draws1)) == 1
 
     def test_sample_frequencies_match_distribution(self):
-        bs = params_for(0.3)
-        state = photon_state({Mode(RAIL_Y, 1): 1.0})
+        bs = BeamSplitterParams(0.3)
         rng = np.random.default_rng(42)
         n = 100_000
-        picks = pick_events(running_sums(detection_table(state, bs)), rng.random(n))
+        picks = pick_events(running_sums(detection_table(packet(RAIL_Y, 1), bs)), rng.random(n))
         hits = np.count_nonzero(picks == EVENTS.index(DetectionEvent(1, 1)))
         p = 0.3
         assert abs(hits / n - p) < 3 * math.sqrt(p * (1 - p) / n)
@@ -198,8 +180,7 @@ class TestDetection:
         # the event whose running sum first exceeds u; past the last sum
         # (rounding can leave it below 1) the last event with a nonzero
         # probability, not the zero entries after it
-        state = photon_state({Mode(RAIL_Y, 1): 1.0})
-        table = detection_table(state, params_for(0.3))
+        table = detection_table(packet(RAIL_Y, 1), BeamSplitterParams(0.3))
         assert [EVENTS[i] for i in np.flatnonzero(table)] == [
             DetectionEvent(0, 1), DetectionEvent(1, 1)
         ]
@@ -210,15 +191,17 @@ class TestDetection:
         assert pick_events(sums, u).tolist() == [d0, d1, d1, d1]
 
     def test_no_click_is_a_flag_for_either_bit(self):
-        vacuum = detection_table(optics.VACUUM, params_for(0.3))
-        assert flag_probability(vacuum, 0) == flag_probability(vacuum, 1) == 1.0
+        # a photon kept off the rails leaves an all-zero state: no click
+        empty = detection_table(np.zeros(SHAPE, dtype=complex), BeamSplitterParams(0.3))
+        assert empty.tolist() == [0.0] * len(EVENTS)
+        assert flag_probability(empty, 0) == flag_probability(empty, 1) == 1.0
 
 
 class TestMixTables:
     def test_single_table_at_weight_one_is_itself(self):
         # single-branch resends: the intercepted row is the resent state's
         # own table, and the bypassed row the sender's encoding
-        bs = params_for(0.3)
+        bs = BeamSplitterParams(0.3)
         for strategy in (FullMeasureLate(), SingleChannel()):
             tables, _ = strategies.outcome_tables(strategy, bs)
             for bit in (0, 1):
@@ -228,7 +211,7 @@ class TestMixTables:
                 assert np.array_equal(tables[0, bit], detection_table(encode(bit, bs), bs))
 
     def test_weights_sum_per_event_in_sampling_order(self):
-        bs = params_for(0.3)
+        bs = BeamSplitterParams(0.3)
         tables, sums = strategies.outcome_tables(BlindGuessOnTime(), bs)
         assert not tables.flags.writeable and not sums.flags.writeable
         guesses = [detection_table(encode(g, bs), bs) for g in (0, 1)]
@@ -254,17 +237,17 @@ class TestInvariants:
     )
     @settings(max_examples=60, deadline=None)
     def test_norm_conserved_through_pipeline(self, R, bit, theta, bins):
-        bs = params_for(R)
+        bs = BeamSplitterParams(R)
         state = encode(bit, bs)
         state = phase_apply(state, RAIL_X, theta)
         state = delay_apply(state, RAIL_X, bins)
         state = bs_apply(state, 1, bs)
-        assert state.total_probability() == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     @given(theta=st.floats(0, 2 * math.pi), bit=st.integers(0, 1))
     @settings(max_examples=60, deadline=None)
     def test_global_phase_invisible(self, theta, bit):
-        bs = params_for(0.3)
+        bs = BeamSplitterParams(0.3)
         plain = detection_distribution(encode(bit, bs), bs)
         shifted = encode(bit, bs)
         shifted = phase_apply(shifted, RAIL_X, theta)
@@ -276,20 +259,17 @@ class TestInvariants:
 
 class TestValidation:
     def test_params_reject_out_of_range(self):
-        with pytest.raises(ValueError):
-            BeamSplitterParams(R=0.0)
+        for R in (0.0, 1.0, -0.1, 1.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="reflectivity"):
+                BeamSplitterParams(R=R)
 
-    def test_symmetric_needs_flag(self):
-        with pytest.raises(ValueError):
-            BeamSplitterParams(R=0.5)
-        BeamSplitterParams(R=0.5, symmetric_ok=True)
-
-    def test_state_normalization_checked(self):
-        with pytest.raises(ValueError):
-            photon_state({Mode(RAIL_X, 0): 0.5})
-
-    def test_state_rejects_unknown_rail_and_bin(self):
-        with pytest.raises(ValueError):
-            photon_state({Mode("Z", 0): 1.0})
-        with pytest.raises(ValueError):
-            photon_state({Mode(RAIL_X, MAX_BIN + 1): 1.0})
+    def test_symmetric_splitter_is_valid(self):
+        # R = T binds nothing, but the splitter builds: the blind guess and
+        # the single channel both flag at 1/2, and the floor takes the blind
+        # guess, first in list order, on that tie
+        bs = BeamSplitterParams(R=0.5)
+        for strategy in (BlindGuessOnTime(), SingleChannel()):
+            for bit in (0, 1):
+                p = strategies.detection_prob(strategy, bit, bs)
+                assert p == pytest.approx(0.5, abs=1e-12)
+        assert isinstance(strategies.floor_strategy(bs), BlindGuessOnTime)

@@ -119,7 +119,7 @@ class TestCommit:
     @pytest.mark.parametrize("R", [0.1, 0.3, 0.5, 0.9])
     @pytest.mark.parametrize("bit", [0, 1])
     def test_honest_session_is_perfect(self, R, bit):
-        params = make_params(R=R, f=0.0, symmetric_ok=True)
+        params = make_params(R=R, f=0.0)
         rng = np.random.default_rng(5)
         t = run_commit(HonestAlice(bit), HonestBob(f=0.0), params, rng)
         assert t.n_mismatch == 0

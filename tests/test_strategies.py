@@ -6,8 +6,8 @@ import pytest
 
 import optics_oracles as oracle
 from optics_oracles import GeneralCausal, decode_certainty
-from mzqbc import cli, optics, strategies
-from mzqbc.optics import RAIL_X, RAIL_Y, BeamSplitterParams, Mode
+from mzqbc import cli, codes, optics, protocol, strategies
+from mzqbc.optics import RAIL_X, RAIL_Y, BeamSplitterParams
 from mzqbc.strategies import (
     BlindGuessOnTime,
     FullMeasureLate,
@@ -23,35 +23,31 @@ from mzqbc.util import haar_unitary
 R_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
 
 
-def params_for(R):
-    return BeamSplitterParams(R=R, symmetric_ok=True)
-
-
 class TestClosedForms:
     @pytest.mark.parametrize("R", R_GRID)
     @pytest.mark.parametrize("bit", [0, 1])
     def test_blind_guess_is_half(self, R, bit):
-        assert detection_prob(BlindGuessOnTime(), bit, params_for(R)) == pytest.approx(
+        assert detection_prob(BlindGuessOnTime(), bit, BeamSplitterParams(R)) == pytest.approx(
             0.5, abs=1e-12
         )
 
     @pytest.mark.parametrize("R", R_GRID)
     @pytest.mark.parametrize("bit", [0, 1])
     def test_full_measure_late_always_flagged(self, R, bit):
-        assert detection_prob(FullMeasureLate(), bit, params_for(R)) == pytest.approx(
+        assert detection_prob(FullMeasureLate(), bit, BeamSplitterParams(R)) == pytest.approx(
             1.0, abs=1e-12
         )
 
     @pytest.mark.parametrize("R", R_GRID)
     @pytest.mark.parametrize("bit", [0, 1])
     def test_single_channel_optimal_is_min_R_T(self, R, bit):
-        got = detection_prob(SingleChannel(), bit, params_for(R))
+        got = detection_prob(SingleChannel(), bit, BeamSplitterParams(R))
         assert got == pytest.approx(min(R, 1 - R), abs=1e-12)
 
     def test_single_channel_fixed_rails(self):
         # an X-only packet on time is flagged with T for bit 0, R for bit 1
-        bs = params_for(0.3)
-        x_only = optics.detection_table(optics.photon_state({Mode(RAIL_X, 0): 1.0}), bs)
+        bs = BeamSplitterParams(0.3)
+        x_only = optics.detection_table(optics.packet(RAIL_X, 0), bs)
         assert optics.flag_probability(x_only, 0) == pytest.approx(0.7, abs=1e-12)
         assert optics.flag_probability(x_only, 1) == pytest.approx(0.3, abs=1e-12)
 
@@ -66,7 +62,7 @@ class TestMonteCarloOracle:
         ],
     )
     def test_sampled_flag_frequency(self, strategy, expected):
-        bs = params_for(0.3)
+        bs = BeamSplitterParams(0.3)
         rng = np.random.default_rng(11)
         n = 20_000
         _, sums = strategies.outcome_tables(strategy, bs)
@@ -81,30 +77,29 @@ class TestMonteCarloOracle:
 class TestApplyStrategy:
     def test_blind_guess_matching_resend_is_identical(self):
         # a fair coin over the two honest encodings, whatever the sent bit
-        bs = params_for(0.3)
+        bs = BeamSplitterParams(0.3)
         for bit in (0, 1):
             weighted = strategies.resent(BlindGuessOnTime(), bit, bs)
             assert [w for w, _ in weighted] == [0.5, 0.5]
             for guess, (_, state) in enumerate(weighted):
-                assert np.array_equal(state.amps, optics.encode(guess, bs).amps)
+                assert np.array_equal(state, optics.encode(guess, bs))
 
     def test_full_measure_late_shifts_both_packets(self):
-        bs = params_for(0.3)
+        bs = BeamSplitterParams(0.3)
         [(w, resent)] = strategies.resent(FullMeasureLate(), 0, bs)
         assert w == 1.0
-        assert resent.modes() == {Mode(RAIL_X, 1), Mode(RAIL_Y, 2)}
+        assert np.argwhere(resent).tolist() == [[0, 1], [1, 2]]  # (X, 1), (Y, 2)
 
     def test_single_channel_puts_everything_on_one_rail(self):
-        bs = params_for(0.3)
+        bs = BeamSplitterParams(0.3)
         [(w, resent)] = strategies.resent(SingleChannel(), 0, bs)
         assert w == 1.0
-        assert resent.modes() == {Mode(RAIL_Y, 1)}
-        assert abs(resent.amp(RAIL_Y, 1)) == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(resent, optics.packet(RAIL_Y, 1))
 
 
 class TestEpsilonBounds:
     def test_protocol_default_is_min_R_T(self):
-        assert protocol_epsilon(params_for(0.2)) == pytest.approx(0.2, abs=1e-12)
+        assert protocol_epsilon(BeamSplitterParams(0.2)) == pytest.approx(0.2, abs=1e-12)
 
 
 def capture_both_packets_strategy(R: float) -> GeneralCausal:
@@ -143,7 +138,7 @@ class TestGeneralCausal:
             GeneralCausal(u1=m, u2=np.eye(4, dtype=complex), ancilla_dim=2)
 
     def test_identity_couplings_are_a_bypass(self):
-        bs = params_for(0.3)
+        bs = BeamSplitterParams(0.3)
         s = GeneralCausal(
             u1=np.eye(4, dtype=complex), u2=np.eye(4, dtype=complex), ancilla_dim=2
         )
@@ -153,7 +148,7 @@ class TestGeneralCausal:
     @pytest.mark.parametrize("seed", range(5))
     def test_norm_preserved(self, seed):
         rng = np.random.default_rng(seed)
-        bs = params_for(0.3)
+        bs = BeamSplitterParams(0.3)
         s = GeneralCausal(
             u1=haar_unitary(4, rng), u2=haar_unitary(4, rng), ancilla_dim=2
         )
@@ -164,7 +159,7 @@ class TestGeneralCausal:
             assert rec.resent.total_probability() == pytest.approx(1.0, abs=1e-9)
 
     def test_capture_both_packets_learns_with_certainty(self):
-        bs = params_for(0.3)
+        bs = BeamSplitterParams(0.3)
         s = capture_both_packets_strategy(0.3)
         assert decode_certainty(s, bs) == pytest.approx(1.0, abs=1e-12)
         # never resends: every photon is flagged as a missing click
@@ -179,7 +174,7 @@ class TestGeneralCausal:
     def test_informative_strategies_are_detectable(self):
         # anything that learns the bit with certainty while emitting on
         # time must be flagged with nonvanishing probability
-        bs = params_for(0.3)
+        bs = BeamSplitterParams(0.3)
         rng = np.random.default_rng(6)
         candidates = list(strategies.closed_form_strategies())
         candidates.append(capture_both_packets_strategy(0.3))
@@ -226,8 +221,8 @@ def certain_decode_strategy(a: int, bs, rng) -> GeneralCausal:
     for bit in (0, 1):
         enc = optics.encode(bit, bs)
         y = np.zeros(a, dtype=complex)
-        y[0] = enc.amp(RAIL_Y, 1)
-        inputs.append(np.concatenate([y, enc.amp(RAIL_X, 0) * kept]))
+        y[0] = enc[1, 1]  # (Y, 1)
+        inputs.append(np.concatenate([y, enc[0, 0] * kept]))  # (X, 0)
     order = rng.permutation(2 * a)
     cut = int(rng.integers(1, 2 * a))
     outputs = []
@@ -245,19 +240,19 @@ class TestSearch:
     the bit with certainty."""
 
     def test_floor_is_min_R_T(self):
-        bs = params_for(0.3)
+        bs = BeamSplitterParams(0.3)
         assert average_detection_prob(floor_strategy(bs), bs) == pytest.approx(0.3, abs=1e-9)
 
     def test_never_above_closed_form_minimum(self):
         for R in R_GRID:
-            bs = params_for(R)
+            bs = BeamSplitterParams(R)
             eps = average_detection_prob(floor_strategy(bs), bs)
             assert eps <= min(
                 average_detection_prob(s, bs) for s in strategies.closed_form_strategies()
             )
 
     def test_symmetric_case_bounded_by_half(self):
-        bs = params_for(0.5)
+        bs = BeamSplitterParams(0.5)
         assert average_detection_prob(floor_strategy(bs), bs) <= 0.5 + 1e-9
 
     def test_symmetric_tie_takes_blind_guess(self, tmp_path, capsys):
@@ -273,14 +268,14 @@ class TestSearch:
         assert by_name["search_best"] == by_name["blind_guess_on_time"]
         assert by_name["search_best"] == [0.4999999999999998] * 2
         assert by_name["single_channel"] == [0.4999999999999999] * 2
-        assert isinstance(floor_strategy(params_for(0.5)), BlindGuessOnTime)
+        assert isinstance(floor_strategy(BeamSplitterParams(0.5)), BlindGuessOnTime)
 
     @pytest.mark.parametrize("R", [0.2, 0.3, 0.4, 0.6])
     @pytest.mark.parametrize("a", [1, 2, 3])
     def test_random_couplings_respect_the_floor(self, R, a):
-        bs = params_for(R)
+        bs = BeamSplitterParams(R)
         rng = np.random.default_rng(int(10 * R) * 10 + a)
-        x_amps = [abs(optics.encode(bit, bs).amp(RAIL_X, 0)) ** 2 for bit in (0, 1)]
+        x_amps = [abs(optics.encode(bit, bs)[0, 0]) ** 2 for bit in (0, 1)]  # (X, 0)
         for _ in range(30):
             haar = GeneralCausal(
                 u1=haar_unitary(2 * a, rng), u2=haar_unitary(2 * a, rng), ancilla_dim=a
@@ -308,3 +303,17 @@ def test_strategy_table_rows():
     by_name = {(r["strategy"], r["bit"]): r["detection_prob"] for r in rows}
     assert by_name[("blind_guess_on_time", 0)] == pytest.approx(0.5)
     assert by_name[("single_channel", 1)] == pytest.approx(0.3, abs=1e-12)
+
+
+def test_outcome_tables_hold_one_entry_per_strategy_and_splitter():
+    # a splitter is its R alone, so the strategies grid and a session at
+    # R = 0.3 share their tables
+    strategies.outcome_tables.cache_clear()
+    strategy_table_rows(R_GRID)
+    params = protocol.ProtocolParams(
+        code=codes.extended_hamming_8_4(), r=codes.bits_from_string("11100000"), R=0.3, f=0.25
+    )
+    protocol.run_commit(
+        protocol.HonestAlice(0), protocol.HonestBob(f=0.25), params, np.random.default_rng(0)
+    )
+    assert strategies.outcome_tables.cache_info().currsize == 3 * len(R_GRID)
