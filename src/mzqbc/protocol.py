@@ -52,7 +52,9 @@ class ProtocolParams:
     """Session parameters agreed before the commit phase.
 
     epsilon defaults to the closed-form strategy-family minimum at this R
-    (the estimator must be computable by both parties up front).
+    (the estimator must be computable by both parties up front).  The
+    splitter `bs` is built, and so R checked, whether or not epsilon is
+    given.
     """
 
     code: LinearCode
@@ -61,6 +63,7 @@ class ProtocolParams:
     f: float
     epsilon: float = None  # type: ignore[assignment]
     seed: int = 0
+    bs: BeamSplitterParams = field(init=False)
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=np.uint8)
@@ -77,14 +80,11 @@ class ProtocolParams:
             raise ValueError("protocol requires d < n")
         if not 0.0 <= self.f <= 1.0:
             raise ValueError("f must lie in [0,1]")
+        object.__setattr__(self, "bs", BeamSplitterParams(R=self.R))
         if self.epsilon is None:
             object.__setattr__(self, "epsilon", strategies.protocol_epsilon(self.bs))
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0,1]")
-
-    @property
-    def bs(self) -> BeamSplitterParams:
-        return BeamSplitterParams(R=self.R)
 
     @property
     def n(self) -> int:

@@ -84,7 +84,8 @@ class TestUnusedKeys:
         assert typo.err == "warning: unused config key(s): search_trails\n"
 
     def test_keys_read_per_sweep_point_count(self, tmp_path, capsys):
-        # r and epsilon are read only on the per-point copies of the config
+        # every grid point reads r, seed and epsilon from the config; the
+        # grid gives its code, so builtin_code is never read
         cfg = write_cfg(
             tmp_path, "r = 11100000\nepsilon = 0.4\nf_grid = 0.5\ntrials = 500\nbuiltin_code = golay\n"
         )
@@ -143,6 +144,47 @@ class TestUnusedKeys:
         # every subcommand takes every flag; strategies reads no seed or trials
         assert cli.main(["strategies", "--seed", "3", "--trials", "9"]) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestParser:
+    def test_flags_may_come_before_the_command(self, capsys):
+        assert cli.main(["nogo", "--seed", "3"]) == 0
+        after = capsys.readouterr()
+        assert cli.main(["--seed", "3", "nogo"]) == 0
+        assert capsys.readouterr() == after
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["frobnicate"], ["nogo", "--bogus"], ["nogo", "--format", "xml"]],
+        ids=["missing", "unknown-command", "unknown-flag", "format-xml"],
+    )
+    def test_usage_error_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mzqbc: error: " in captured.err
+
+    @pytest.mark.parametrize("command", ["strategies", "counterfactual"])
+    @pytest.mark.parametrize("fmt", ["xml", "CSV"])
+    def test_config_file_format_is_checked_like_the_flag(self, command, fmt, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, f"format = {fmt}\n")
+        assert cli.main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: format must be csv or json, got {fmt!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["nogo"], ["strategies"], ["counterfactual", "--format", "csv"]], ids=" ".join
+    )
+    def test_out_file_holds_the_stdout_bytes(self, argv, tmp_path, capsys):
+        assert cli.main(argv) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "payload"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode()
 
 
 class TestRun:
@@ -206,6 +248,17 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: reflectivity must lie in (0,1), got {float(R)}\n"
+
+    @pytest.mark.parametrize("argv, text", [
+        (["sweep", "--trials", "100"], "codes = hamming\nR_grid = 1.5\nepsilon = 0.5\n"),
+        (["counterfactual"], "R = 1.5\nepsilon = 0.5\n"),
+    ], ids=["sweep", "counterfactual"])
+    def test_reflectivity_checked_with_epsilon_given(self, argv, text, tmp_path, capsys):
+        # a given epsilon skips the optics, not the check on R
+        assert cli.main(argv + ["--config", write_cfg(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: reflectivity must lie in (0,1), got 1.5\n"
 
     @pytest.mark.parametrize("commit_bit", [0, 1])
     def test_r_orthogonal_to_the_code_is_config_error(self, tmp_path, capsys, commit_bit):

@@ -69,6 +69,9 @@ CASES = {
     ),
     "verify": (["verify", "--seed", "4"], ""),
     "strategies-json": (["strategies", "--format", "json"], ""),
+    # pins the CSV column order, which a DictReader does not see
+    "strategies-csv": (["strategies"], ""),
+    "strategies-search-csv-seed3": (["strategies", "--seed", "3"], "search_trials = 20\n"),
     "strategies-search-json-seed3": (
         ["strategies", "--seed", "3"],
         "search_trials = 20\nancilla_dim = 2\nformat = json\n",
@@ -106,6 +109,8 @@ GOLDEN = {
     "run-hamming-seed3": "a1b32a0cec90474410c273571a309f1aa26eedea34e4d8eeb01e1fcf9e4d6ff2",
     "strategies-json": "40c19ce326d2bcb5a3ff99350f21060df95863431e13b09f33eb2641d9eb6ff2",
     "strategies-search-json-seed3": "e3317ec19c2615d9c9c3ad251da2f1729703e3bad2fb6ffaeae8cf18364ee19a",
+    "strategies-csv": "4306a2a981e35d3378c517a9515ade2bf6f382e411880f5ba6077f6a770bce5b",
+    "strategies-search-csv-seed3": "2be3bf90b640776a7090719e171e3587051d76b22667f6acd006dc0440bf58ea",
     "sweep-two-codes": "96268ea52d3459a3ed7839fedccd17751269bba3aed5f1e1cc95f7934143ecb3",
     "sweep-two-codes-40000": "e62e44586a37175180ba4d82bde8b0c67b90de8790f4f6932ef77fff31d95ceb",
     "verify": "1cf5908eb92236c157f319ca1cd85aee0c0829c19e9ddc73f98815ea7c2877cb",

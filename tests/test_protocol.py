@@ -98,6 +98,19 @@ class TestParams:
         with pytest.raises(ValueError):
             make_params(f=1.5)
 
+    @pytest.mark.parametrize("epsilon", [0.5, None])
+    def test_reflectivity_checked_with_or_without_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="reflectivity must lie in"):
+            make_params(R=1.5, epsilon=epsilon)
+
+    def test_given_epsilon_runs_no_optics(self, monkeypatch):
+        def no_optics(bs):
+            raise AssertionError("protocol_epsilon ran")
+
+        monkeypatch.setattr(protocol.strategies, "protocol_epsilon", no_optics)
+        params = make_params(R=0.2, epsilon=0.5)
+        assert (params.bs.R, params.epsilon) == (0.2, 0.5)
+
     def test_full_dimension_code_rejected(self):
         with pytest.raises(ValueError, match="k < n"):
             make_params(
