@@ -244,42 +244,44 @@ def cmd_sweep(cfg) -> int:
         raise ConfigError("empty sweep grid")
     if not s_over_n > 0:
         raise ConfigError(f"s_over_n must be > 0, got {s_over_n}")
-    rows = []
+    # every point's parameters are checked before the first game runs
+    points = []
     for name in code_names:
         code = codes_mod.builtin_code(name)
         for R in r_grid:
             for f in f_grid:
-                params = _load_params(cfg, code=code, R=R, f=f)
-                binding = protocol.run_binding_experiment(params, trials, threads=threads)
-                m = int(round(f * code.n))
-                concealing = protocol.run_concealing_experiment(
-                    params, m, trials, threads=threads
-                )
-                eff = protocol.efficiency_metrics(params, s_over_n=s_over_n)
-                rows.append(
-                    {
-                        "code": name,
-                        "n": code.n,
-                        "k": code.k,
-                        "d": code.d,
-                        "R": R,
-                        "f": f,
-                        "epsilon": params.epsilon,
-                        "trials": trials,
-                        "abort_frequency": concealing["abort_frequency"],
-                        "proceed_trials": binding["proceed_trials"],
-                        "cheat_accept_rate": binding["accept_rate_among_proceed"],
-                        "predicted_escape": binding["predicted_escape"],
-                        "mean_posterior_true_bit": concealing["mean_posterior_true_bit"],
-                        "mean_max_posterior": concealing["mean_max_posterior"],
-                        "photons_current": eff["photons_current"],
-                        "photons_prior": eff["photons_prior"],
-                        "photon_ratio": eff["photon_ratio"],
-                        "duration_current": eff["duration_current"],
-                        "duration_prior": eff["duration_prior"],
-                        "duration_ratio": eff["duration_ratio"],
-                    }
-                )
+                points.append((name, R, f, _load_params(cfg, code=code, R=R, f=f)))
+    rows = []
+    for name, R, f, params in points:
+        code = params.code
+        binding = protocol.run_binding_experiment(params, trials, threads=threads)
+        m = int(round(f * code.n))
+        concealing = protocol.run_concealing_experiment(params, m, trials, threads=threads)
+        eff = protocol.efficiency_metrics(params, s_over_n=s_over_n)
+        rows.append(
+            {
+                "code": name,
+                "n": code.n,
+                "k": code.k,
+                "d": code.d,
+                "R": R,
+                "f": f,
+                "epsilon": params.epsilon,
+                "trials": trials,
+                "abort_frequency": concealing["abort_frequency"],
+                "proceed_trials": binding["proceed_trials"],
+                "cheat_accept_rate": binding["accept_rate_among_proceed"],
+                "predicted_escape": binding["predicted_escape"],
+                "mean_posterior_true_bit": concealing["mean_posterior_true_bit"],
+                "mean_max_posterior": concealing["mean_max_posterior"],
+                "photons_current": eff["photons_current"],
+                "photons_prior": eff["photons_prior"],
+                "photon_ratio": eff["photon_ratio"],
+                "duration_current": eff["duration_current"],
+                "duration_prior": eff["duration_prior"],
+                "duration_ratio": eff["duration_ratio"],
+            }
+        )
     _emit_csv(cfg, rows)
     return 0
 

@@ -45,11 +45,20 @@ def probe_chain(
     The probe starts entirely in path a.  Unblocked, the M rotations
     compose to a pi/2 transfer into path b (detector Dc) at phase 0;
     blocked, the path-b amplitude is absorbed after every pass, leaving
-    P(Dd) = cos(pi/2M)^(2M) whatever the phase.  The amplitudes live in
-    four real arrays with each complex product written out per component,
-    so every entry equals the scalar complex recurrence bit for bit: hence
-    libm `cos` and `sin` for the phases, and Python's `** 2` (libm `pow`,
-    not `x * x`) on each `hypot`.
+    P(Dd) = cos(pi/2M)^(2M) whatever the phase.
+
+    The amplitudes live in one stacked float64 array `amp` of shape
+    (2, 2, L): `amp[0]` holds (re a, im a) and `amp[1]` holds (re b, im b).
+    A pass is six in-place ufunc calls.  The rotation adds [-s, s] times the
+    path-swapped stack to c times the stack; the phase adds [-sin, sin]
+    times the component-swapped `amp[1]` to cos times it.  Every entry
+    still equals the scalar complex recurrence bit for bit: each product is
+    the same single rounding, negation is exact, x + (-y) == x - y, and
+    addition and multiplication commute.  Complex dtypes, `matmul` and
+    `einsum` are avoided because their SIMD or BLAS kernels may fuse
+    multiply-adds, which moves the last bit on some CPUs.  For the same
+    reason the phases use libm `cos` and `sin`, and `_abs_squared` uses
+    Python's `** 2` (libm `pow`, not `x * x`) on each `hypot`.
     """
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
@@ -58,17 +67,27 @@ def probe_chain(
     thetas = np.asarray(thetas, dtype=float).tolist()
     pc = np.array([math.cos(t) for t in thetas])
     ps = np.array([math.sin(t) for t in thetas])
-    zero = np.zeros(len(thetas))
-    ar, ai, br, bi = np.ones(len(thetas)), zero, zero, zero
-    absorbed = zero
+    rot = np.array([-s, s]).reshape(2, 1, 1)
+    phase = np.array([-ps, ps])
+    amp = np.zeros((2, 2, len(thetas)))
+    amp[0, 0] = 1.0
+    b = amp[1]
+    swapped, b_swapped = amp[::-1], b[::-1]  # views: they follow amp
+    tmp = np.empty_like(amp)
+    tmp_b = tmp[1]
+    absorbed = np.zeros(len(thetas))
     for _ in range(cycles):
-        ar, ai, br, bi = c * ar - s * br, c * ai - s * bi, s * ar + c * br, s * ai + c * bi
+        np.multiply(rot, swapped, out=tmp)
+        amp *= c
+        amp += tmp
         if blocked:
-            absorbed = absorbed + _abs_squared(br, bi)
-            br = bi = zero
+            absorbed = absorbed + _abs_squared(*b)
+            b[...] = 0.0
         else:
-            br, bi = br * pc - bi * ps, br * ps + bi * pc
-    return _abs_squared(br, bi), _abs_squared(ar, ai), absorbed
+            np.multiply(phase, b_swapped, out=tmp_b)
+            b *= pc
+            b += tmp_b
+    return _abs_squared(*b), _abs_squared(*amp[0]), absorbed
 
 
 def _abs_squared(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -101,9 +120,11 @@ def attack_session(
     The attack reads three things per photon, drawn as (sessions, n)
     arrays in this order: the receiver's mode (intercepted iff a uniform
     falls below f, the honest receiver's law), the defense phase 2*pi*u
-    (defense on only) and the probe's outcome uniform.  One batched chain
-    then serves the bypassed photons of every session; a blocked probe
-    never clicks Dc, whatever its phase, so it needs no chain.  For the
+    (defense on only) and the probe's outcome uniform.  One chain call
+    serves the bypassed photons of every session: without the defense they
+    all see phase 0, so it steps that one phase and repeats its Dc; with it,
+    it steps one entry per bypassed photon.  A blocked probe never clicks
+    Dc, whatever its phase, so it needs no chain.  For the
     same reason every intercepted position is among those she keeps, so
     the receiver accepts the flipped word whenever one exists: exactly
     when the kept positions leave the parity open, which one
@@ -114,10 +135,10 @@ def attack_session(
     shape = (sessions, params.n)
     intercepted = rng.random(shape) < params.f
     bypass = ~intercepted
-    thetas = np.zeros(np.count_nonzero(bypass))
     if defense_on:
-        thetas = rng.random(shape)[bypass] * (2 * math.pi)
-    dc_bypass = probe_chain(fbs.cycles, thetas)[0]
+        dc_bypass = probe_chain(fbs.cycles, rng.random(shape)[bypass] * (2 * math.pi))[0]
+    else:
+        dc_bypass = np.repeat(probe_chain(fbs.cycles, [0.0])[0], np.count_nonzero(bypass))
     dc = np.zeros(shape)
     dc[bypass] = dc_bypass
     inferred_bypass = rng.random(shape) < dc

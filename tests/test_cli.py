@@ -334,6 +334,18 @@ class TestSweep:
         cfg = write_cfg(tmp_path, "f_grid = ,\n")
         assert cli.main(["sweep", "--config", cfg]) == 2
 
+    def test_every_point_is_checked_before_any_game(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a game ran before every point was checked")
+
+        monkeypatch.setattr(protocol, "run_binding_experiment", refuse)
+        monkeypatch.setattr(protocol, "run_concealing_experiment", refuse)
+        cfg = write_cfg(tmp_path, "codes = golay\nR_grid = 0.3, 1.5\n")
+        assert cli.main(["sweep", "--trials", "100000", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: reflectivity must lie in (0,1), got 1.5\n"
+
 
 class TestStrategies:
     def test_table_values(self, capsys):
@@ -458,6 +470,30 @@ class TestCounterfactual:
         doc = json.loads(out.read_text())
         assert set(doc["reports"]) == {"defense_off", "defense_on"}
         assert doc["reports"]["defense_off"]["mode_accuracy"] >= 0.99
+
+    def test_unknown_defense_is_parameter_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "defense = maybe\nM = 5\nsessions = 2\n")
+        assert cli.main(["counterfactual", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: defense must be on, off, or both\n"
+
+    @pytest.mark.parametrize("which", ["off", "on"])
+    def test_one_defense_setting(self, which, tmp_path, capsys):
+        common = "M = 50\nsessions = 10\nseed = 5\n"
+        docs = {}
+        for setting in (which, "both"):
+            cfg = write_cfg(tmp_path, f"{common}defense = {setting}\n", name=f"{setting}.cfg")
+            assert cli.main(["counterfactual", "--config", cfg]) == 0
+            docs[setting] = json.loads(capsys.readouterr().out)
+        key = f"defense_{which}"
+        assert list(docs[which]["reports"]) == [key]
+        if which == "off":
+            # the undefended attack draws first, so both runs see the same draws
+            assert docs["off"]["reports"] == {key: docs["both"]["reports"][key]}
+        else:
+            assert docs["on"]["reports"][key]["defense_on"] is True
+            assert docs["on"]["reports"][key]["mean_Dc_bypass"] < 1.0
 
     def test_csv_grid(self, capsys):
         assert cli.main(["counterfactual", "--format", "csv"]) == 0

@@ -65,11 +65,12 @@ class TestProbeChain:
         with pytest.raises(ValueError):
             FbsConfig(cycles=0)
 
-    @pytest.mark.parametrize("m", [1, 5, 25, 50, 100, 200])
+    @pytest.mark.parametrize("m", [1, 5, 25, 50, 100, 200, 1000])
     def test_batched_chain_matches_scalar_loop_bit_for_bit(self, m):
-        thetas = np.concatenate(
-            [[0.0, math.pi], np.random.default_rng(m).random(1200) * (2 * math.pi)]
-        )
+        # signed zeros, a full turn, a tiny phase and a large one
+        # go through the stacked buffer's negated and broadcast products
+        edges = [0.0, -0.0, math.pi, 2 * math.pi, 1e-300, 1e6]
+        thetas = np.concatenate([edges, np.random.default_rng(m).random(1200) * (2 * math.pi)])
         dc, dd, absorbed = probe_chain(m, thetas)
         for theta, got in zip(thetas.tolist(), zip(dc.tolist(), dd.tolist(), absorbed.tolist())):
             want = protocol_oracles.fbs_run(m, False, theta)
@@ -77,6 +78,8 @@ class TestProbeChain:
         blocked = [a.tolist() for a in probe_chain(m, thetas[:3], blocked=True)]
         want = protocol_oracles.fbs_run(m, True)
         assert blocked == [[want[key]] * 3 for key in ("Dc", "Dd", "Absorbed")]
+        for flag in (False, True):
+            assert [p.tolist() for p in probe_chain(m, [], flag)] == [[], [], []]
 
 
 class TestDefenseInvariance:
@@ -124,9 +127,28 @@ class TestAttack:
                 calls.clear()
                 rng = np.random.default_rng(5)
                 attack_session(params, defense_on, FbsConfig(cycles=50), rng, sessions=sessions)
-                # one unblocked chain over the bypass photons of every session
-                assert len(calls) == 1 and calls[0][1] is False
-                assert 0 < calls[0][0] <= sessions * params.n
+                # one unblocked chain: a single phase 0 without the defense,
+                # the bypass photons of every session with it
+                bypassed = np.count_nonzero(
+                    np.random.default_rng(5).random((sessions, params.n)) >= params.f
+                )
+                assert calls == [(bypassed if defense_on else 1, False)]
+
+    @pytest.mark.parametrize("cycles", [5, 50, 200])
+    @pytest.mark.parametrize("sessions", [1, 10, 60])
+    def test_undefended_dc_is_the_scalar_chain_at_phase_zero(self, cycles, sessions):
+        params = make_params()
+        rep = attack_session(
+            params, False, FbsConfig(cycles=cycles), np.random.default_rng(5), sessions=sessions
+        )
+        bypassed = np.count_nonzero(
+            np.random.default_rng(5).random((sessions, params.n)) >= params.f
+        )
+        want = protocol_oracles.fbs_run(cycles, False, 0.0)["Dc"]
+        # every bypassed photon's Dc is the oracle's; their float mean can
+        # round a few ulp away from it, so compare with the same mean
+        assert rep["mean_Dc_bypass"] == float(np.mean(np.full(bypassed, want)))
+        assert rep["mean_Dc_bypass"] == pytest.approx(want, rel=1e-14)
 
     def test_intercepted_probe_never_reaches_dc(self):
         dc, _, _ = probe_chain(50, [0.0, 1.0, 2.5], blocked=True)
@@ -164,6 +186,7 @@ class TestAttack:
             raise ValueError(f"non-JSON constant {token}")
 
         doc = json.loads(text, parse_constant=reject)
+        assert set(doc["reports"]) == {"defense_off", "defense_on"}
         for rep in doc["reports"].values():
             assert rep["mean_Dc_bypass"] is None
             assert rep["mode_accuracy"] == 1.0
