@@ -1,12 +1,16 @@
 """Batch experiment runner.
 
-One parser: `mzqbc COMMAND [flags]`, the flags in any order around the
-command.  Commands: run (one session), sweep (parameter grids to CSV),
-strategies (detection-probability table), nogo (operator-model report),
-counterfactual (probe attack report / grid), verify (invariant suite).
+One parser, built at import: `mzqbc COMMAND [flags]`, the flags in any
+order around the command; `main` runs the module's `cmd_COMMAND` as it
+stands at the call.  Commands, with the formats they write (default
+first): run (one session; json), sweep (parameter grids; csv), strategies
+(detection-probability table; csv, json), nogo (operator-model report;
+json), counterfactual (probe attack report, json, or probe-chain grid,
+csv), verify (invariant suite; text only).
 
-Exit codes: 0 success, 2 config or parameter error, 3 size-guard
-violation, and 1 from `verify` when an invariant fails.  All randomness
+Exit codes: 0 success, 2 config or parameter error (a format the command
+cannot write among them), 3 size-guard violation, and 1 from `verify`
+when an invariant fails.  All randomness
 flows from one master seed (per-trial blocks are split deterministically),
 and every CSV/JSON emission carries the config hash and seed; a CSV's
 columns are its rows' keys, in order.
@@ -31,34 +35,32 @@ from .util import GuardError
 
 _FORMATS = ("csv", "json")
 
+#: each command and the formats it writes, its default first
+_WRITES = {"run": ("json",), "sweep": ("csv",), "strategies": ("csv", "json"),
+           "nogo": ("json",), "counterfactual": ("json", "csv"), "verify": ()}
+
+_PARSER = argparse.ArgumentParser(
+    prog="mzqbc",
+    description="Interferometric bit-commitment simulator and analysis runner",
+)
+_PARSER.add_argument("command", choices=_WRITES)
+_PARSER.add_argument("--config", help="key = value config file")
+_PARSER.add_argument("--seed", type=int, help="master seed (overrides config)")
+_PARSER.add_argument("--out", help="output path (default: stdout)")
+_PARSER.add_argument("--format", choices=_FORMATS, help="output format")
+_PARSER.add_argument("--trials", type=int, help="trial count (overrides config)")
+_PARSER.add_argument("--threads", type=int, help="worker threads (overrides config)")
+
 
 def main(argv=None) -> int:
-    # built on every call, so that a function patched onto this module
-    # (the benchmark's tracer wraps cmd_*) is the one dispatched
-    commands = {
-        "run": cmd_run,
-        "sweep": cmd_sweep,
-        "strategies": cmd_strategies,
-        "nogo": cmd_nogo,
-        "counterfactual": cmd_counterfactual,
-        "verify": cmd_verify,
-    }
-    parser = argparse.ArgumentParser(
-        prog="mzqbc",
-        description="Interferometric bit-commitment simulator and analysis runner",
-    )
-    parser.add_argument("command", choices=commands)
-    parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--seed", type=int, help="master seed (overrides config)")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=_FORMATS, help="output format")
-    parser.add_argument("--trials", type=int, help="trial count (overrides config)")
-    parser.add_argument("--threads", type=int, help="worker threads (overrides config)")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         loaded = config_mod.load_config(args.config) if args.config else {}
         cfg = _merge_config(args, loaded)
-        status = commands[args.command](cfg)
+        _format(cfg, args.command)  # before the command writes anything
+        # looked up per call, so that a function patched onto this module
+        # (the benchmark's tracer wraps cmd_*) is the one dispatched
+        status = globals()[f"cmd_{args.command}"](cfg)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -154,10 +156,13 @@ def _provenance(cfg) -> dict:
     }
 
 
-def _format(cfg, default: str) -> str:
-    fmt = config_mod.get_str(cfg, "format", default)
-    if fmt not in _FORMATS:
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
+def _format(cfg, command: str) -> str | None:
+    """The format `command` writes: `format` when set, else its default
+    (None for `verify`, which prints text).  Any other is a config error."""
+    writes = _WRITES[command]
+    fmt = config_mod.get_str(cfg, "format", writes[0] if writes else None)
+    if fmt not in (*writes, None):
+        raise ConfigError(f"format must be {' or '.join(sorted(writes)) or 'unset'}, got {fmt!r}")
     return fmt
 
 
@@ -292,19 +297,16 @@ def cmd_strategies(cfg) -> int:
     )
     rows = strategies.strategy_table_rows(r_grid)
     if config_mod.get_int(cfg, "search_trials", 0) > 0:
-        for R in r_grid:
-            bs = optics.BeamSplitterParams(R=R)
-            best = strategies.floor_strategy(bs)
-            for bit in (0, 1):
-                rows.append(
-                    {
-                        "strategy": "search_best",
-                        "R": R,
-                        "bit": bit,
-                        "detection_prob": strategies.detection_prob(best, bit, bs),
-                    }
-                )
-    if _format(cfg, "csv") == "json":
+        # the floor strategy is exact (`strategies.floor_strategy`): its
+        # rows of the table, relabelled, are the search's best
+        floor = {
+            R: strategies.strategy_name(strategies.floor_strategy(optics.BeamSplitterParams(R=R)))
+            for R in r_grid
+        }
+        rows += [
+            {**row, "strategy": "search_best"} for row in rows if row["strategy"] == floor[row["R"]]
+        ]
+    if _format(cfg, "strategies") == "json":
         _emit_json(cfg, {"table": rows})
     else:
         _emit_csv(cfg, rows)
@@ -345,7 +347,7 @@ def cmd_nogo(cfg) -> int:
 
 
 def cmd_counterfactual(cfg) -> int:
-    if _format(cfg, "json") == "csv":
+    if _format(cfg, "counterfactual") == "csv":
         m_grid = config_mod.get_int_list(cfg, "M_grid", [1, 5, 25, 100])
         points = config_mod.get_int(cfg, "theta_points", 13)
         if points < 1:
@@ -369,9 +371,6 @@ def cmd_counterfactual(cfg) -> int:
         )
     if not reports:
         raise ConfigError("defense must be on, off, or both")
-    for rep in reports.values():
-        if math.isnan(rep["mean_Dc_bypass"]):  # no photon was bypassed
-            rep["mean_Dc_bypass"] = None
     _emit_json(cfg, {"reports": reports})
     return 0
 

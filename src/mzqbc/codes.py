@@ -1,12 +1,13 @@
 """Binary linear (n,k,d) codes over GF(2).
 
 Codewords are numpy uint8 vectors.  Ranks come from an XOR-basis
-elimination on packed rows, and the parity halves {mG : m.(G r^T) = b}
-are handled as linear constraints on the message m, never listed.  Only
-the minimum distance is an exhaustive 2^k enumeration, exact and desk
-scale, and it keeps its witnesses: every weight-d codeword, from which the
-midpoint cheat picks its pair.  A hard guard refuses it beyond k=24 rather
-than approximating.
+elimination on packed rows, and the parity halves {mG : m.t = b} are
+handled as linear constraints on the message m, never listed; the message
+mask t = G r^T is derived once per parameter set and kept read-only on
+`protocol.ProtocolParams`.  Only the minimum distance is an exhaustive 2^k
+enumeration, exact and desk scale, and it keeps its witnesses: every
+weight-d codeword, from which the midpoint cheat picks its pair.  A hard
+guard refuses it beyond k=24 rather than approximating.
 """
 
 from __future__ import annotations
@@ -92,33 +93,24 @@ def parity(c: np.ndarray, r: np.ndarray) -> int:
 def message_mask(code: LinearCode, r: np.ndarray) -> np.ndarray:
     """t = G r^T mod 2, so c = mG has parity c.r = m.t.  Both parity halves
     of the code are nonempty iff t != 0, and then hold 2^(k-1) words each.
-
-    The last r's mask is kept on the code (read-only), since a run of
-    sessions asks for the same one every time."""
+    `protocol.ProtocolParams` keeps the t of its r."""
     r = np.asarray(r, dtype=np.uint8)
     if r.shape != (code.n,):
         raise ValueError(f"r must have length {code.n}")
-    key = r.tobytes()
-    cached = getattr(code, "_mask", None)
-    if cached is not None and cached[0] == key:
-        return cached[1]
     if not r.any():
         raise ValueError("r must be nonzero")
-    t = ((code.generator.astype(np.int64) @ r) % 2).astype(np.uint8)
-    t.flags.writeable = False
-    object.__setattr__(code, "_mask", (key, t))
-    return t
+    return ((code.generator.astype(np.int64) @ r) % 2).astype(np.uint8)
 
 
 def sample_codeword(
-    code: LinearCode, r: np.ndarray, b: int, rng: np.random.Generator
+    code: LinearCode, t: np.ndarray, b: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Uniform draw from the parity-b half of the code.
+    """Uniform draw from the parity-b half of the code, for the message
+    mask t = G r^T (`message_mask`).
 
     One `rng.integers(|C_b|)` draw j picks the j-th parity-b message in
     ascending order: j with the parity-fixing bit inserted at the lowest set
-    bit p of t = G r^T (bits below p leave the parity alone)."""
-    t = message_mask(code, r)
+    bit p of t (bits below p leave the parity alone)."""
     bits = np.arange(code.k)
     if t.any():
         p = int(np.flatnonzero(t)[0])

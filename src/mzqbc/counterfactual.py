@@ -10,7 +10,8 @@ the probe reveals bypass vs intercept almost without touching the blocked
 channel.  The receiver's defense is a fresh random phase applied equally
 to both protocol rails per photon: it shifts the probe's per-pass phase,
 wrecking the chained interference, while an honest sender sees only an
-undetectable global factor on her encoded states.
+undetectable global factor.  The attack reports the undefended P(Dc |
+bypass) as its one phase-0 chain computes it, and None with no bypass.
 """
 
 from __future__ import annotations
@@ -122,8 +123,9 @@ def attack_session(
     falls below f, the honest receiver's law), the defense phase 2*pi*u
     (defense on only) and the probe's outcome uniform.  One chain call
     serves the bypassed photons of every session: without the defense they
-    all see phase 0, so it steps that one phase and repeats its Dc; with it,
-    it steps one entry per bypassed photon.  A blocked probe never clicks
+    all see phase 0, so it steps that one phase, and `mean_Dc_bypass` is its
+    Dc as computed; with it, it steps one entry per bypassed photon.  With no
+    photon bypassed `mean_Dc_bypass` is None.  A blocked probe never clicks
     Dc, whatever its phase, so it needs no chain.  For the
     same reason every intercepted position is among those she keeps, so
     the receiver accepts the flipped word whenever one exists: exactly
@@ -135,15 +137,13 @@ def attack_session(
     shape = (sessions, params.n)
     intercepted = rng.random(shape) < params.f
     bypass = ~intercepted
-    if defense_on:
-        dc_bypass = probe_chain(fbs.cycles, rng.random(shape)[bypass] * (2 * math.pi))[0]
-    else:
-        dc_bypass = np.repeat(probe_chain(fbs.cycles, [0.0])[0], np.count_nonzero(bypass))
+    thetas = rng.random(shape)[bypass] * (2 * math.pi) if defense_on else [0.0]
+    dc_bypass = probe_chain(fbs.cycles, thetas)[0]
     dc = np.zeros(shape)
     dc[bypass] = dc_bypass
     inferred_bypass = rng.random(shape) < dc
     flips = np.count_nonzero(
-        ~kernels.parity_determined(params.code.generator, params.r, ~inferred_bypass)
+        ~kernels.parity_determined(params.code.generator, params.t, ~inferred_bypass)
     )
     return {
         "M": fbs.cycles,
@@ -153,7 +153,7 @@ def attack_session(
         "f": params.f,
         "mode_accuracy": np.count_nonzero(inferred_bypass != intercepted) / intercepted.size,
         "cheat_success_rate": flips / sessions,
-        "mean_Dc_bypass": float(np.mean(dc_bypass)) if dc_bypass.size else float("nan"),
+        "mean_Dc_bypass": float(np.mean(dc_bypass)) if bypass.any() else None,
     }
 
 

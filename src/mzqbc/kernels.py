@@ -2,8 +2,9 @@
 
 GF(2) rows are packed into uint64 bitmasks (n <= 64).  One XOR-basis
 elimination serves the rank and codeword membership; one column
-elimination, batched over masks, serves the span test `parity_determined`,
-which the concealing game, the probe attack and the nogo report share;
+elimination, batched over masks, serves the span test `parity_determined`
+of the message mask t = G r^T, which the concealing game, the probe attack
+and the nogo report share;
 and one chunked walk of the 2^k span serves the minimum distance (with
 every minimum-weight word) and the operator model's branch list.
 The Monte-Carlo kernels consume pre-drawn uint32 uniforms and are exact
@@ -59,13 +60,14 @@ def in_span(v: int, basis: list[int]) -> bool:
 
 
 def parity_determined(
-    generator: np.ndarray, r: np.ndarray, known: np.ndarray
+    generator: np.ndarray, t: np.ndarray, known: np.ndarray
 ) -> np.ndarray:
     """Whether the bits of a codeword c = mG at the positions of each row of
-    the boolean (masks, n) array `known` fix its parity c.r.
+    the boolean (masks, n) array `known` fix its parity c.r, given the
+    message mask t = G r^T (`codes.message_mask`).
 
-    The parity is m.(G r^T), and the known bits are m G[:, S]; they fix it
-    iff G r^T lies in the column span of G[:, S].  Otherwise the two parity
+    The parity is m.t, and the known bits are m G[:, S]; they fix it iff t
+    lies in the column span of G[:, S].  Otherwise the two parity
     halves of the consistent codewords have equal size, so the receiver's
     posterior is exactly 1 or 1/2.
 
@@ -83,7 +85,7 @@ def parity_determined(
     _, first, inverse = np.unique(pack_rows(known), return_index=True, return_inverse=True)
     a = np.zeros((first.shape[0], n + 1), dtype=cols.dtype)
     np.copyto(a[:, :n], cols, where=known[first])
-    a[:, n] = np.bitwise_xor.reduce(cols[np.asarray(r, dtype=bool)])
+    a[:, n] = pack_rows(np.asarray(t, dtype=np.uint8)[None, :])[0]
     has = np.empty_like(a)
     for b in range(k):
         np.right_shift(a, b, out=has)
@@ -209,10 +211,10 @@ def binding_counts(u, t_f, t_fe, flip_idx, abort_at):
 # the parity and 1/2 otherwise, whichever codeword was committed.  An
 # intercepted photon shows up as a mismatch when its uint32 u_mis < t(eps),
 # and the sender aborts when a trial's mismatch count reaches `abort_at`.
-# Returns float64 [aborts, sum p(true parity), sum max posterior].
+# Returns float64 [aborts, sum p(true parity)], also the max-posterior sum.
 
-def concealing_stats(generator, r, intercept, u_mis, t_eps, abort_at):
+def concealing_stats(generator, t, intercept, u_mis, t_eps, abort_at):
     aborts = np.count_nonzero(_mismatch_counts(u_mis, t_eps, intercept) >= abort_at)
-    determined = parity_determined(generator, r, intercept)
+    determined = parity_determined(generator, t, intercept)
     posterior = float(determined.sum()) + 0.5 * float((~determined).sum())
-    return np.array([float(aborts), posterior, posterior], dtype=np.float64)
+    return np.array([float(aborts), posterior], dtype=np.float64)

@@ -61,9 +61,10 @@ def reduced_states(
     """The trace distance and the overlap of the receiver's reduced states
     for bit 0 and bit 1 when the positions `intercepted` were measured:
     (1.0, 0.0) when they fix the parity, else (0.0, 2^-rank(G[:, S]))."""
-    if not codes_mod.message_mask(code, r).any():
+    t = codes_mod.message_mask(code, r)
+    if not t.any():
         raise ValueError("r is orthogonal to every codeword: the parity commits no bit")
-    if kernels.parity_determined(code.generator, r, intercepted[None])[0]:
+    if kernels.parity_determined(code.generator, t, intercepted[None])[0]:
         return 1.0, 0.0
     # an open parity puts 2^(k - rank - 1) words of each parity in every one
     # of the 2^rank patterns, so both states are the uniform pattern mixture

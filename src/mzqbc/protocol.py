@@ -54,7 +54,8 @@ class ProtocolParams:
     epsilon defaults to the closed-form strategy-family minimum at this R
     (the estimator must be computable by both parties up front).  The
     splitter `bs` is built, and so R checked, whether or not epsilon is
-    given.
+    given.  `t` is r's read-only message mask G r^T (`codes.message_mask`),
+    which the codeword draw and every span test read.
     """
 
     code: LinearCode
@@ -64,16 +65,18 @@ class ProtocolParams:
     epsilon: float = None  # type: ignore[assignment]
     seed: int = 0
     bs: BeamSplitterParams = field(init=False)
+    t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=np.uint8)
         object.__setattr__(self, "r", r)
         if r.shape != (self.code.n,):
             raise ValueError(f"r must have length n={self.code.n}")
-        if not r.any():
-            raise ValueError("r must be nonzero")
-        if not codes_mod.message_mask(self.code, r).any():
+        t = codes_mod.message_mask(self.code, r)
+        if not t.any():
             raise ValueError("r is orthogonal to every codeword: the parity commits no bit")
+        t.flags.writeable = False
+        object.__setattr__(self, "t", t)
         if not self.code.k < self.code.n:
             raise ValueError("protocol requires k < n")
         if not self.code.d < self.code.n:
@@ -199,7 +202,7 @@ def run_commit(
     code, r, bs = params.code, params.r, params.bs
     cheat_target = None
     if isinstance(alice, HonestAlice):
-        word = codes_mod.sample_codeword(code, r, alice.bit, rng)
+        word = codes_mod.sample_codeword(code, params.t, alice.bit, rng)
         committed_b: int | None = alice.bit
     elif isinstance(alice, MidpointCheatAlice):
         word, cheat_target = binding_pair(code, r)
@@ -372,7 +375,7 @@ def run_concealing_experiment(
     and 1/2 otherwise (`kernels.parity_determined`), so no codeword is
     enumerated.
     """
-    code, r = params.code, params.r
+    code = params.code
     if not 0 <= m <= code.n:
         raise ValueError("m must lie in 0..n")
     if trials < 1:
@@ -390,17 +393,17 @@ def run_concealing_experiment(
             intercept, np.argpartition(g.random((count, n)), m - 1, axis=1)[:, :m], True, axis=1
         )
         u_mis = _uniforms32(g, count, n)
-        return kernels.concealing_stats(code.generator, r, intercept, u_mis, t_eps, abort_at)
+        return kernels.concealing_stats(code.generator, params.t, intercept, u_mis, t_eps, abort_at)
 
-    stats = sum(_run_blocks(worker, trials, params.seed, threads))
+    aborts, posterior = sum(_run_blocks(worker, trials, params.seed, threads)) / trials
     return {
         "trials": trials,
         "m": m,
         "f_effective": m / n,
         "epsilon": eps,
-        "abort_frequency": float(stats[0]) / trials,
-        "mean_posterior_true_bit": float(stats[1]) / trials,
-        "mean_max_posterior": float(stats[2]) / trials,
+        "abort_frequency": float(aborts),
+        "mean_posterior_true_bit": float(posterior),
+        "mean_max_posterior": float(posterior),  # 1 or 1/2: the larger one
     }
 
 

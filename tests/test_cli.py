@@ -176,6 +176,51 @@ class TestParser:
         assert captured.err == f"error: format must be csv or json, got {fmt!r}\n"
 
     @pytest.mark.parametrize(
+        "command, fmt, want",
+        [
+            ("run", "csv", "format must be json, got 'csv'"),
+            ("nogo", "csv", "format must be json, got 'csv'"),
+            ("sweep", "json", "format must be csv, got 'json'"),
+            ("verify", "json", "format must be unset, got 'json'"),  # it prints text
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_format_the_command_cannot_write_exits_2(
+        self, command, fmt, want, source, tmp_path, capsys
+    ):
+        if source == "flag":
+            argv = [command, "--format", fmt]
+        else:
+            argv = [command, "--config", write_cfg(tmp_path, f"format = {fmt}\n")]
+        assert cli.main(argv + ["--trials", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {want}\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["run"], ["nogo"], ["sweep", "--trials", "100"], ["strategies"]], ids=" ".join
+    )
+    def test_format_the_command_writes_changes_nothing(self, argv, capsys):
+        assert cli.main(argv) == 0
+        plain = capsys.readouterr()
+        fmt = "csv" if argv[0] in ("sweep", "strategies") else "json"
+        assert cli.main(argv + ["--format", fmt]) == 0
+        assert capsys.readouterr() == plain
+
+    def test_dispatches_a_command_patched_onto_the_module(self, monkeypatch, capsys):
+        # the benchmark's tracer wraps cli.cmd_* after import
+        calls = []
+
+        def traced(cfg):
+            calls.append(dict(cfg))
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_nogo", traced)
+        assert cli.main(["nogo", "--seed", "3"]) == 0
+        assert calls == [{"seed": "3"}]
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
         "argv", [["nogo"], ["strategies"], ["counterfactual", "--format", "csv"]], ids=" ".join
     )
     def test_out_file_holds_the_stdout_bytes(self, argv, tmp_path, capsys):

@@ -88,9 +88,9 @@ CASES = {
 }
 
 GOLDEN = {
-    "counterfactual-json-extended_hamming": "b44ed70cd6ce9ea65f09c4b9356d446f929db19286b3bf365c8006e30c7f09d4",
+    "counterfactual-json-extended_hamming": "0a8fb2245d51ab354b4f41007bb69b2e6ba6f611e76932b030d218236946b7c5",
     "counterfactual-csv": "5ee230d67294034295303710a874603cdc665e1d547dadc365653a72b666c2ed",
-    "counterfactual-json-golay": "11e6692d180b02f0358305d2c006ad271425797dbc9a25c2ecab4d4b43897a94",
+    "counterfactual-json-golay": "c146406badd72610bc03ac69c8652d0935bbfda94f3974f860008da05706b9d5",
     "counterfactual-json-extended_hamming-M2": "24fe096e832188926725f77e9eeea430d933b638739ca5f24a14e36d6b30afaa",
     "counterfactual-json-golay-M2": "9a1bbf3606cec7785332804c5bce3f9ac63007aa1bed5449096b17f9987b1421",
     "nogo": "3efae389536d499ada28d55a66c57480930eda23daee5e47771dc2c18b25c6c2",

@@ -234,6 +234,11 @@ def test_gf2_rank_matches_row_reduction(seed):
     assert codes.gf2_rank(matrix) == eliminate_rank(matrix)
 
 
+def mask_of(generator, r):
+    """t = G r^T mod 2, for any 0/1 generator and mask r."""
+    return (np.asarray(generator).astype(int) @ r % 2).astype(np.uint8)
+
+
 def loop_parity_determined(generator, r, known):
     """One `xor_basis` span test per row of `known`: is G r^T in the span
     of the known columns of G."""
@@ -259,7 +264,7 @@ def test_parity_determined_matches_xor_basis_loop(seed):
         gen = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
         r = rng.integers(0, 2, size=n, dtype=np.uint8)
         known = rng.random((60, n)) < rng.random()
-        got = kernels.parity_determined(gen, r, known)
+        got = kernels.parity_determined(gen, mask_of(gen, r), known)
         assert got.dtype == bool and got.shape == (60,)
         assert got.tolist() == loop_parity_determined(gen, r, known)
 
@@ -286,8 +291,9 @@ def test_parity_determined_edge_masks(n, k):
     known = np.array([empty, full, *(rng.random((5, n)) < 0.5)])
     repeated = known[rng.integers(len(known), size=50)]
     for g, rows in [(gen, known), (gen, repeated), *((g, m[None, :]) for g, m in deficient)]:
-        assert kernels.parity_determined(g, r, rows).tolist() == loop_parity_determined(g, r, rows)
-    got = kernels.parity_determined(gen, r, known)
+        got = kernels.parity_determined(g, mask_of(g, r), rows)
+        assert got.tolist() == loop_parity_determined(g, r, rows)
+    got = kernels.parity_determined(gen, mask_of(gen, r), known)
     target = int(np.bitwise_xor.reduce(kernels.pack_rows(gen.T)[r.astype(bool)]))
     assert got[0] == (target == 0)  # nothing known fixes only a constant parity
     assert got[1]  # the whole word fixes it
@@ -408,7 +414,8 @@ def _concealing_inputs(code, r, seed, trials, p_intercept=0.4):
     t_eps = kernels.uint32_threshold(0.5)
     u_mis = _edge_uniforms(rng, (trials, code.n), (t_eps,))
     oracle = (words, parities, cw_idx, intercept, u_mis, t_eps, 0.5, 0.5)
-    return oracle, (code.generator, r, intercept, u_mis, t_eps, abort_at(0.5, code.n, 0.5))
+    t = mask_of(code.generator, r)
+    return oracle, (code.generator, t, intercept, u_mis, t_eps, abort_at(0.5, code.n, 0.5))
 
 
 @pytest.mark.parametrize("seed", [0, *range(301, 307)])
@@ -418,7 +425,9 @@ def test_concealing_stats_match_loop_oracle(seed):
     r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
     p = float(rng.uniform(0.1, 0.9))
     oracle, args = _concealing_inputs(code, r, seed, 600, p_intercept=p)
-    assert kernels.concealing_stats(*args).tolist() == loop_concealing_stats(*oracle)
+    aborts, true_bit, max_posterior = loop_concealing_stats(*oracle)
+    assert kernels.concealing_stats(*args).tolist() == [aborts, true_bit]
+    assert max_posterior == true_bit  # the kernel's one sum serves both
 
 
 @pytest.mark.parametrize("p_intercept", [0.2, 0.35, 0.5])
@@ -427,7 +436,9 @@ def test_concealing_stats_match_broadcast_golay(p_intercept):
     r = np.zeros(code.n, dtype=np.uint8)
     r[[0, 5, 13]] = 1
     oracle, args = _concealing_inputs(code, r, 7, 150, p_intercept=p_intercept)
-    assert kernels.concealing_stats(*args).tolist() == broadcast_concealing_stats(*oracle)
+    aborts, true_bit, max_posterior = broadcast_concealing_stats(*oracle)
+    assert kernels.concealing_stats(*args).tolist() == [aborts, true_bit]
+    assert max_posterior == true_bit
 
 
 def test_concealing_numpy_posterior_bounds():
@@ -436,8 +447,8 @@ def test_concealing_numpy_posterior_bounds():
     trials = args[2].shape[0]
     out = kernels.concealing_stats(*args)
     assert 0 <= out[0] <= trials
-    assert 0 <= out[1] <= trials
-    assert trials / 2 <= out[2] <= trials  # max posterior is always >= 1/2
+    assert out.shape == (2,)
+    assert trials / 2 <= out[1] <= trials  # the posterior is always >= 1/2
 
 
 def test_concealing_experiment_beyond_materialize_guard():

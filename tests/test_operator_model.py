@@ -74,7 +74,7 @@ class TestCommittedDensity:
         with pytest.raises(ValueError, match="committed subset empty"):
             committed_density(code, r, 1)
         with pytest.raises(ValueError, match="committed subset empty"):
-            codes.sample_codeword(code, r, 1, np.random.default_rng(0))
+            codes.sample_codeword(code, codes.message_mask(code, r), 1, np.random.default_rng(0))
         with pytest.raises(ValueError, match="orthogonal"):
             reduced_states(code, r, np.ones(code.n, dtype=bool))
         with pytest.raises(ValueError, match="orthogonal"):
@@ -411,7 +411,8 @@ class TestPosterior:
 
     @staticmethod
     def determined(code, r, known):
-        return kernels.parity_determined(code.generator, r, np.atleast_2d(known)).tolist()
+        t = code.generator.astype(int) @ r % 2  # r may be 0 here
+        return kernels.parity_determined(code.generator, t, np.atleast_2d(known)).tolist()
 
     @staticmethod
     def counted(code, r, positions, values):

@@ -90,6 +90,15 @@ class TestParams:
         with pytest.raises(ValueError, match="orthogonal"):
             make_params(r=bits_from_string("11100001"))
 
+    def test_message_mask_is_kept_read_only(self):
+        params = make_params(code=codes.golay_24_12(), r=np.eye(1, 24, 5, dtype=np.uint8)[0])
+        t = params.t
+        assert t.dtype == np.uint8
+        assert np.array_equal(t, params.code.generator.astype(int) @ params.r % 2)
+        assert not t.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            t[0] ^= 1
+
     def test_wrong_length_r_rejected(self):
         with pytest.raises(ValueError, match="length"):
             make_params(r=bits_from_string("111"))
@@ -190,7 +199,7 @@ class TestCommit:
         for seed in range(20):
             t = run_commit(HonestAlice(seed % 2), bob, params, np.random.default_rng(seed))
             rng = np.random.default_rng(seed)
-            word = codes.sample_codeword(params.code, params.r, seed % 2, rng)
+            word = codes.sample_codeword(params.code, params.t, seed % 2, rng)
             if isinstance(bob, HonestBob):
                 intercepted = rng.random(n) < bob.f
             elif isinstance(bob, PartialInterceptBob):
@@ -496,9 +505,9 @@ class TestConcealingExperiment:
     def test_every_trial_intercepts_exactly_m_positions(self, m, monkeypatch):
         seen = []
 
-        def record(generator, r, intercept, u_mis, t_eps, abort_at):
+        def record(generator, t, intercept, u_mis, t_eps, abort_at):
             seen.append(intercept.sum(axis=1))
-            return np.zeros(3)
+            return np.zeros(2)
 
         monkeypatch.setattr(kernels, "concealing_stats", record)
         run_concealing_experiment(make_params(), m=m, trials=BLOCK_TRIALS + 7)
@@ -508,9 +517,9 @@ class TestConcealingExperiment:
     def test_mismatch_uniforms_follow_the_keys_in_the_raw_stream(self, monkeypatch):
         seen = []
 
-        def record(generator, r, intercept, u_mis, t_eps, abort_at):
+        def record(generator, t, intercept, u_mis, t_eps, abort_at):
             seen.append(u_mis)
-            return np.zeros(3)
+            return np.zeros(2)
 
         monkeypatch.setattr(kernels, "concealing_stats", record)
         trials = BLOCK_TRIALS + 7  # a ragged block of 7 * 8 trials x photons
