@@ -21,12 +21,12 @@ from .util import haar_unitary
 R_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 #: Masks drawn per builtin code for the orthogonality check.
 MASKS_PER_CODE = 20
-#: (generator, modes) of the invariance check; r is all ones.
+#: (generator, intercepted positions) of the invariance check; r is all ones.
 INVARIANCE_CASES = (
-    ([[1]], ("intercept",)),
-    ([[1, 0], [0, 1]], ("intercept", "bypass")),
-    ([[1, 1, 1]], ("intercept", "bypass", "intercept")),
-    ([[1, 1, 1]], ("intercept", "bypass", "bypass")),
+    ([[1]], (True,)),
+    ([[1, 0], [0, 1]], (True, False)),
+    ([[1, 1, 1]], (True, False, True)),
+    ([[1, 1, 1]], (True, False, False)),
 )
 INVARIANCE_TRIALS = 100
 #: Probe-chain lengths M, in increasing order.
@@ -95,10 +95,12 @@ def committed_state_orthogonality(rng: np.random.Generator) -> list[Result]:
         drawn = 0
         while drawn < MASKS_PER_CODE:
             r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
-            if not r.any() or not codes_mod.message_mask(code, r).any():
-                continue  # parity constant on the code: no commitment possible
+            try:
+                overlap = operator_model.reduced_states(code, r, everything)[1]
+            except ValueError:  # from `codes.message_mask`: r commits no bit
+                continue
             drawn += 1
-            worst = max(worst, abs(operator_model.reduced_states(code, r, everything)[1]))
+            worst = max(worst, abs(overlap))
     return [Result("committed_state_orthogonality.max_overlap", worst, EXACT_BOUND)]
 
 
@@ -112,10 +114,10 @@ def sender_local_invariance(rng: np.random.Generator) -> list[Result]:
     for an exact unitary.
     """
     worst = 0.0
-    for gen, modes in INVARIANCE_CASES:
+    for gen, intercepted in INVARIANCE_CASES:
         code = codes_mod.code_from_generator(np.array(gen, dtype=np.uint8))
         r = np.ones(code.n, dtype=np.uint8)
-        intercepted = operator_model.intercept_mask(modes, code.n)
+        intercepted = np.array(intercepted)
         for _ in range(INVARIANCE_TRIALS):
             v = haar_unitary(1 << code.n, rng)
             worst = max(worst, *operator_model.state_change(code, r, intercepted, v))

@@ -9,11 +9,11 @@ json), counterfactual (probe attack report, json, or probe-chain grid,
 csv), verify (invariant suite; text only).
 
 Exit codes: 0 success, 2 config or parameter error (a format the command
-cannot write among them), 3 size-guard violation, and 1 from `verify`
-when an invariant fails.  All randomness
-flows from one master seed (per-trial blocks are split deterministically),
-and every CSV/JSON emission carries the config hash and seed; a CSV's
-columns are its rows' keys, in order.
+cannot write, or a file that cannot be read or written, among them), 3
+size-guard violation, and 1 from `verify` when an invariant fails.  All
+randomness flows from one master seed (per-trial blocks are split
+deterministically), and every CSV/JSON emission carries the config hash
+and seed; a CSV's columns are its rows' keys, in order.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def main(argv=None) -> int:
         # looked up per call, so that a function patched onto this module
         # (the benchmark's tracer wraps cmd_*) is the one dispatched
         status = globals()[f"cmd_{args.command}"](cfg)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GuardError as exc:
@@ -109,12 +109,15 @@ def _load_params(cfg, code=None, R=None, f=None) -> protocol.ProtocolParams:
 
 
 def _default_r(code, seed) -> np.ndarray:
-    """A deterministic nonzero mask with both committed subsets nonempty."""
+    """A deterministic mask that commits a bit (`codes.message_mask`)."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA11CE)))
     for _ in range(1000):
         r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
-        if r.any() and codes_mod.message_mask(code, r).any():
-            return r
+        try:
+            codes_mod.message_mask(code, r)
+        except ValueError:
+            continue
+        return r
     raise ValueError("could not find a usable r; supply one explicitly")
 
 
@@ -255,7 +258,9 @@ def cmd_sweep(cfg) -> int:
         code = codes_mod.builtin_code(name)
         for R in r_grid:
             for f in f_grid:
-                points.append((name, R, f, _load_params(cfg, code=code, R=R, f=f)))
+                params = _load_params(cfg, code=code, R=R, f=f)
+                protocol.intercept_posterior(f, params.epsilon)  # no prediction at eps*f = 1
+                points.append((name, R, f, params))
     rows = []
     for name, R, f, params in points:
         code = params.code
@@ -317,7 +322,8 @@ def cmd_nogo(cfg) -> int:
     code = _load_code(cfg, default="repetition")
     r_raw = config_mod.get_str(cfg, "r", "1" * code.n)
     r = codes_mod.bits_from_string(r_raw)
-    modes = config_mod.get_str_list(cfg, "modes", ["intercept"] + ["bypass"] * (code.n - 1))
+    default_modes = [protocol.INTERCEPT] + [protocol.BYPASS] * (code.n - 1)
+    modes = config_mod.get_str_list(cfg, "modes", default_modes)
     intercepted = operator_model.intercept_mask(modes, code.n)
     distance, reduced_overlap = operator_model.reduced_states(code, r, intercepted)
     # r is not orthogonal to the code, so knowing nothing leaves the bit at

@@ -2,11 +2,12 @@
 
 Codewords are numpy uint8 vectors.  Ranks come from an XOR-basis
 elimination on packed rows, and the parity halves {mG : m.t = b} are
-handled as linear constraints on the message m, never listed; the message
-mask t = G r^T is derived once per parameter set and kept read-only on
+handled as linear constraints on the message m, never listed.  The
+message mask t = G r^T comes from `message_mask`, the one check that r
+commits a bit, once per parameter set, and is kept read-only on
 `protocol.ProtocolParams`.  Only the minimum distance is an exhaustive 2^k
 enumeration, exact and desk scale, and it keeps its witnesses: every
-weight-d codeword, from which the midpoint cheat picks its pair.  A hard
+weight-d codeword, from which the midpoint cheat picks its word.  A hard
 guard refuses it beyond k=24 rather than approximating.
 """
 
@@ -91,58 +92,34 @@ def parity(c: np.ndarray, r: np.ndarray) -> int:
 
 
 def message_mask(code: LinearCode, r: np.ndarray) -> np.ndarray:
-    """t = G r^T mod 2, so c = mG has parity c.r = m.t.  Both parity halves
-    of the code are nonempty iff t != 0, and then hold 2^(k-1) words each.
-    `protocol.ProtocolParams` keeps the t of its r."""
+    """t = G r^T mod 2, so c = mG has parity c.r = m.t: the one check that r
+    commits a bit.  Both parity halves, 2^(k-1) words each, are nonempty
+    iff t != 0, so every r with t = 0 (r = 0 too) is rejected; t is read-only."""
     r = np.asarray(r, dtype=np.uint8)
     if r.shape != (code.n,):
         raise ValueError(f"r must have length {code.n}")
-    if not r.any():
-        raise ValueError("r must be nonzero")
-    return ((code.generator.astype(np.int64) @ r) % 2).astype(np.uint8)
+    t = ((code.generator.astype(np.int64) @ r) % 2).astype(np.uint8)
+    if not t.any():
+        raise ValueError("r is orthogonal to every codeword: the parity commits no bit")
+    t.flags.writeable = False
+    return t
 
 
 def sample_codeword(
     code: LinearCode, t: np.ndarray, b: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Uniform draw from the parity-b half of the code, for the message
-    mask t = G r^T (`message_mask`).
+    """Uniform draw from the parity-b half of the code, for a message mask
+    t = G r^T from `message_mask`, which is never 0.
 
     One `rng.integers(|C_b|)` draw j picks the j-th parity-b message in
     ascending order: j with the parity-fixing bit inserted at the lowest set
     bit p of t (bits below p leave the parity alone)."""
     bits = np.arange(code.k)
-    if t.any():
-        p = int(np.flatnonzero(t)[0])
-        j = int(rng.integers(1 << (code.k - 1)))
-        m = (j >> p << (p + 1)) | (j & ((1 << p) - 1))
-        m |= (int(((m >> bits) & 1) @ t) + b) % 2 << p
-    elif b:
-        raise ValueError("committed subset empty; choose different r")
-    else:
-        m = int(rng.integers(1 << code.k))
+    p = int(np.flatnonzero(t)[0])
+    j = int(rng.integers(1 << (code.k - 1)))
+    m = (j >> p << (p + 1)) | (j & ((1 << p) - 1))
+    m |= (int(((m >> bits) & 1) @ t) + b) % 2 << p
     return (((m >> bits) & 1) @ code.generator % 2).astype(np.uint8)
-
-
-def midpoint_word(c_a: np.ndarray, c_b: np.ndarray) -> np.ndarray:
-    """A word halfway between two codewords.
-
-    Of the h differing positions (in index order) the first ceil(h/2) take
-    c_b's value and the rest keep c_a's, so the result sits at distance
-    ceil(h/2) from c_a and floor(h/2) from c_b.
-    """
-    c_a = np.asarray(c_a, dtype=np.uint8)
-    c_b = np.asarray(c_b, dtype=np.uint8)
-    if c_a.shape != c_b.shape:
-        raise ValueError("codewords must have equal length")
-    diff = np.flatnonzero(c_a != c_b)
-    h = len(diff)
-    if h < 2:
-        raise ValueError("codewords must differ in at least 2 positions")
-    mid = c_a.copy()
-    take = (h + 1) // 2
-    mid[diff[:take]] = c_b[diff[:take]]
-    return mid
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,8 @@ GF(2) rows are packed into uint64 bitmasks (n <= 64).  One XOR-basis
 elimination serves the rank and codeword membership; one column
 elimination, batched over masks, serves the span test `parity_determined`
 of the message mask t = G r^T, which the concealing game, the probe attack
-and the nogo report share;
-and one chunked walk of the 2^k span serves the minimum distance (with
-every minimum-weight word) and the operator model's branch list.
+and the nogo report share; and one chunked walk of the 2^k span serves the
+minimum distance, with every minimum-weight word.
 The Monte-Carlo kernels consume pre-drawn uint32 uniforms and are exact
 integer/boolean counting: an event of probability p is u < t(p) with the
 integer threshold t(p) = `uint32_threshold(p)`, and the sender's abort is

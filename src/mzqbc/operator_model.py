@@ -32,7 +32,7 @@ codeword, so the receiver's reduced state is the committed register's own
 mixture, and `reduced_states` on the full mask gives its overlap, 0
 because the whole word fixes the parity.  And nothing the sender applies
 to the returned qubits alone can change the receiver's reduced state
-(`state_change`).
+(`state_change`, over the 2^k messages).  Both check r by `message_mask`.
 """
 
 from __future__ import annotations
@@ -42,17 +42,18 @@ import numpy as np
 from . import codes as codes_mod
 from . import kernels
 from .codes import LinearCode
+from .protocol import BYPASS, INTERCEPT
 
 
 def intercept_mask(modes: list[str], n: int) -> np.ndarray:
-    """The intercepted positions of a mode list, one "bypass" or
-    "intercept" per photon."""
+    """The intercepted positions of a mode list, one `protocol.BYPASS` or
+    `protocol.INTERCEPT` per photon."""
     if len(modes) != n:
         raise ValueError("one mode per photon required")
     for mode in modes:
-        if mode not in ("bypass", "intercept"):
+        if mode not in (BYPASS, INTERCEPT):
             raise ValueError(f"unknown mode {mode!r}")
-    return np.array([mode == "intercept" for mode in modes], dtype=bool)
+    return np.array([mode == INTERCEPT for mode in modes], dtype=bool)
 
 
 def reduced_states(
@@ -62,8 +63,6 @@ def reduced_states(
     for bit 0 and bit 1 when the positions `intercepted` were measured:
     (1.0, 0.0) when they fix the parity, else (0.0, 2^-rank(G[:, S]))."""
     t = codes_mod.message_mask(code, r)
-    if not t.any():
-        raise ValueError("r is orthogonal to every codeword: the parity commits no bit")
     if kernels.parity_determined(code.generator, t, intercepted[None])[0]:
         return 1.0, 0.0
     # an open parity puts 2^(k - rank - 1) words of each parity in every one
@@ -84,9 +83,9 @@ def state_change(
     unitary.  The fiducial is |0>; no returned field depends on it.
     """
     _, base_overlap = reduced_states(code, r, intercepted)
-    # V is 2^n x 2^n, so the parity-0 branches can be listed in message order
-    chunks = kernels._span_chunks(kernels.pack_rows(code.generator))
-    words = np.concatenate([kernels.unpack_rows(c, code.n) for c in chunks])
+    # V is 2^n x 2^n, so the parity-0 branches are listed from the 2^k messages
+    msgs = (np.arange(1 << code.k)[:, None] >> np.arange(code.k)) & 1
+    words = (msgs @ code.generator % 2).astype(np.uint8)
     words = words[words @ np.asarray(r, dtype=np.uint8) % 2 == 0]
     m0 = len(words)
     # with the fiducial |0>, branch c's returned qubits are the basis ket

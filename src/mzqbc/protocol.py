@@ -4,20 +4,22 @@ security quantities with their Monte-Carlo experiments.
 
 Commit: the sender draws a codeword c from the parity-b half of an agreed
 (n,k,d) code, encodes each bit as a dual-rail photon and measures what
-comes back; the receiver, per photon, either bypasses or intercepts (with
-probability f) and resends.  Each intercepted photon is flagged in the
-sender's check with probability epsilon, so she estimates the intercept
-frequency as n'/(epsilon*n) and aborts when it reaches 1 - d/n.  Unveil:
-she announces (b, c); the receiver checks codeword membership, the parity,
-and agreement with every bit he learned while intercepting.  Every resend
-strategy measures the real photon, so every strategy learns the sent bit:
-what he learned is the sent word at the intercepted positions.
+comes back; the receiver, per photon, either bypasses (`BYPASS`) or
+intercepts (`INTERCEPT`, with probability f) and resends.  Each
+intercepted photon is flagged in the sender's check with probability
+epsilon, so she estimates the intercept frequency as n'/(epsilon*n) and
+aborts when it reaches 1 - d/n.  Unveil: she announces (b, c); the
+receiver checks codeword membership, the parity, and agreement with every
+bit he learned while intercepting.  Every resend strategy measures the
+real photon, so every strategy learns the sent bit: what he learned is the
+sent word at the intercepted positions.
 
-The high-trial experiments draw their randomness with numpy generators
-(seed-split into fixed blocks, so results do not depend on the thread
-count) and feed it to the counting kernels in `kernels`.  Their per-photon
-uniforms are 32 bits, two per raw PCG64 output, drawn once per block and
-compared with the integer thresholds of `kernels.uint32_threshold`.
+The high-trial experiments draw their randomness with numpy generators,
+seed-split into fixed blocks by `util.blocks` so that results do not
+depend on the thread count, and feed it to the counting kernels in
+`kernels`.  Their per-photon uniforms are 32 bits, two per raw PCG64
+output, drawn once per block and compared with the integer thresholds of
+`kernels.uint32_threshold`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from . import kernels, optics, strategies
 from .codes import LinearCode, parity, string_from_bits
 from .optics import BeamSplitterParams, DetectionEvent
 from .strategies import BlindGuessOnTime, ResendStrategy
-from .util import block_seed_sequences, block_slices
+from .util import blocks
 
 BYPASS = "bypass"
 INTERCEPT = "intercept"
@@ -70,13 +72,7 @@ class ProtocolParams:
     def __post_init__(self):
         r = np.asarray(self.r, dtype=np.uint8)
         object.__setattr__(self, "r", r)
-        if r.shape != (self.code.n,):
-            raise ValueError(f"r must have length n={self.code.n}")
-        t = codes_mod.message_mask(self.code, r)
-        if not t.any():
-            raise ValueError("r is orthogonal to every codeword: the parity commits no bit")
-        t.flags.writeable = False
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", codes_mod.message_mask(self.code, r))
         if not self.code.k < self.code.n:
             raise ValueError("protocol requires k < n")
         if not self.code.d < self.code.n:
@@ -175,19 +171,21 @@ class SessionTranscript:
 def binding_pair(code: LinearCode, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(committed midpoint word, unveil target codeword) for the cheat.
 
-    The pair is the zero codeword and the first minimum-weight codeword in
-    message order whose parity against r is 1, so the two endpoints commit
-    opposite bits, or the first minimum-weight codeword if none is.  The
-    target is the endpoint at distance ceil(d/2) from the midpoint.
+    The target is the zero codeword, and the picked word the first weight-d
+    codeword in message order whose parity against r is 1, so the two ends
+    commit opposite bits, or the first weight-d codeword if none is.  The
+    midpoint is the picked word with every set position after its first
+    ceil(d/2) cleared: ceil(d/2) from the target, floor(d/2) from the pick.
     """
+    if code.d < 2:
+        raise ValueError("the midpoint cheat needs d >= 2")
     words = code.min_words
     r_packed = kernels.pack_rows(np.asarray(r, dtype=np.uint8)[None, :])
     odd = np.flatnonzero(np.bitwise_count(words & r_packed) & 1)
     pick = odd[0] if odd.size else 0
-    c_a = np.zeros(code.n, dtype=np.uint8)
-    c_b = kernels.unpack_rows(words[pick : pick + 1], code.n)[0]
-    mid = codes_mod.midpoint_word(c_a, c_b)
-    return mid, c_a  # dist(mid, c_a) = ceil(d/2)
+    mid = kernels.unpack_rows(words[pick : pick + 1], code.n)[0]
+    mid[np.flatnonzero(mid)[(code.d + 1) // 2 :]] = 0
+    return mid, np.zeros(code.n, dtype=np.uint8)
 
 
 def run_commit(
@@ -289,9 +287,7 @@ def escape_probability(p: float, flips: int) -> float:
 def _run_blocks(worker, trials: int, seed: int, threads: int):
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    seqs = block_seed_sequences(seed, trials)
-    slices = list(block_slices(trials))
-    jobs = [(np.random.default_rng(sq), hi - lo) for sq, (lo, hi) in zip(seqs, slices)]
+    jobs = [(np.random.default_rng(seq), count) for seq, count in blocks(seed, trials)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda j: worker(*j), jobs))
@@ -332,6 +328,8 @@ def run_binding_experiment(
     mid, target = binding_pair(params.code, params.r)
     flip_idx = np.flatnonzero(mid != target).astype(np.int64)
     f, eps, n, abort_at = params.f, params.epsilon, params.n, params.abort_at
+    p = intercept_posterior(f, eps)  # before any draw: it rejects eps*f = 1
+    predicted = escape_probability(p, len(flip_idx))
     t_f, t_fe = kernels.uint32_threshold(f), kernels.uint32_threshold(f * eps)
 
     def worker(g: np.random.Generator, m: int):
@@ -339,8 +337,6 @@ def run_binding_experiment(
 
     counts = sum(_run_blocks(worker, trials, params.seed, threads))
     proceed, proceed_accept, accept, abort = (int(x) for x in counts)
-    p = intercept_posterior(f, eps)
-    predicted = escape_probability(p, len(flip_idx))
     rate = proceed_accept / proceed if proceed else float("nan")
     # 3-sigma binomial half-width around the prediction, for reporting only
     sigma = math.sqrt(predicted * (1 - predicted) / proceed) if proceed else float("nan")

@@ -1,4 +1,4 @@
-"""Shared helpers: guarded errors, Haar-random unitaries, seed splitting."""
+"""Shared helpers: guarded errors, Haar-random unitaries, seeded trial blocks."""
 
 from __future__ import annotations
 
@@ -23,13 +23,9 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 BLOCK_TRIALS = 16384
 
 
-def block_seed_sequences(seed: int, trials: int):
-    """Per-block SeedSequences for `trials` trials; block b covers trials
+def blocks(seed: int, trials: int) -> list[tuple[np.random.SeedSequence, int]]:
+    """One (SeedSequence, trial count) pair per block: block b covers trials
     [b*BLOCK_TRIALS, min((b+1)*BLOCK_TRIALS, trials))."""
-    n_blocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
-    return np.random.SeedSequence(seed).spawn(n_blocks)
-
-
-def block_slices(trials: int):
-    for start in range(0, trials, BLOCK_TRIALS):
-        yield start, min(start + BLOCK_TRIALS, trials)
+    starts = range(0, trials, BLOCK_TRIALS)
+    seqs = np.random.SeedSequence(seed).spawn(len(starts))
+    return [(seq, min(BLOCK_TRIALS, trials - start)) for seq, start in zip(seqs, starts)]

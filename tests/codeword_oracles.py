@@ -29,7 +29,8 @@ def min_weight_words(code):
 
 def binding_pair(code, r):
     """The midpoint cheat's (midpoint, target) from the listed codewords:
-    the first weight-d word of parity 1, else the first weight-d word."""
+    the first weight-d word of parity 1, else the first weight-d word, cut
+    to its first ceil(d/2) ones, and the zero word."""
     words = codewords(code)
     weights = words.sum(axis=1)
     min_idx = np.flatnonzero(weights == code.d)
@@ -38,8 +39,11 @@ def binding_pair(code, r):
         if codes.parity(words[i], r) == 1:
             pick = i
             break
-    c_a = np.zeros(code.n, dtype=np.uint8)
-    return codes.midpoint_word(c_a, words[pick]), c_a
+    mid = np.zeros(code.n, dtype=np.uint8)
+    for i in range(code.n):
+        if words[pick][i] and mid.sum() < (code.d + 1) // 2:
+            mid[i] = 1
+    return mid, np.zeros(code.n, dtype=np.uint8)
 
 
 def coset_parities(code, r):

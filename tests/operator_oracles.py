@@ -24,7 +24,6 @@ from math import prod
 import numpy as np
 
 import codeword_oracles
-from mzqbc import codes
 from mzqbc.util import GuardError, haar_unitary
 
 QUTRIT_UNMEASURED = 2
@@ -90,10 +89,10 @@ def committed_density(code, r: np.ndarray, b: int) -> SparseDiagonalDensity:
     """The committed register's state: the uniform mixture of the product
     encodings |c_1 ... c_n> (qubit 1 the most significant) of the parity-b
     codewords, diagonal in the codeword basis."""
-    if b and not codes.message_mask(code, r).any():
-        raise ValueError("committed subset empty; choose different r")
     words = codeword_oracles.codewords(code)
     subset = words[words @ np.asarray(r, dtype=np.uint8) % 2 == b]
+    if not len(subset):
+        raise ValueError("committed subset empty; choose different r")
     indices = subset.astype(np.int64) @ (1 << np.arange(code.n - 1, -1, -1, dtype=np.int64))
     weights = np.full(len(subset), 1.0 / len(subset))
     return SparseDiagonalDensity(dim=1 << code.n, indices=indices, weights=weights)

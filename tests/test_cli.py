@@ -231,6 +231,20 @@ class TestParser:
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == stdout.encode()
 
+    @pytest.mark.parametrize("path", ["config", "code_file", "out"])
+    def test_file_that_cannot_be_read_or_written_exits_2(self, path, tmp_path, capsys):
+        missing = tmp_path / "missing"  # a directory that does not exist
+        argv = {
+            "config": ["nogo", "--config", str(missing / "exp.cfg")],
+            "code_file": ["nogo", "--config", write_cfg(tmp_path, f"code_file = {missing}/g.txt\n")],
+            "out": ["nogo", "--out", str(missing / "nogo.json")],
+        }[path]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] No such file or directory: ")
+        assert str(missing) in captured.err
+
 
 class TestRun:
     def test_honest_session(self, tmp_path, capsys):
@@ -273,7 +287,7 @@ class TestRun:
     def test_zero_r_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "builtin_code = extended_hamming\nr = 00000000\n")
         assert cli.main(["run", "--config", cfg]) == 2
-        assert "nonzero" in capsys.readouterr().err
+        assert "r is orthogonal to every codeword" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "nogo"])
     def test_guard_violation_exit_code(self, command, tmp_path, capsys):
@@ -385,11 +399,17 @@ class TestSweep:
 
         monkeypatch.setattr(protocol, "run_binding_experiment", refuse)
         monkeypatch.setattr(protocol, "run_concealing_experiment", refuse)
-        cfg = write_cfg(tmp_path, "codes = golay\nR_grid = 0.3, 1.5\n")
-        assert cli.main(["sweep", "--trials", "100000", "--config", cfg]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: reflectivity must lie in (0,1), got 1.5\n"
+        cases = [
+            ("codes = golay\nR_grid = 0.3, 1.5\n", "reflectivity must lie in (0,1), got 1.5"),
+            # the binding game's intercept posterior has no value at eps * f = 1
+            ("codes = golay\nepsilon = 1\nf_grid = 0.5, 1\n", "epsilon*f must be < 1"),
+        ]
+        for text, want in cases:
+            cfg = write_cfg(tmp_path, text)
+            assert cli.main(["sweep", "--trials", "100000", "--config", cfg]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {want}\n"
 
 
 class TestStrategies:

@@ -2,8 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import codeword_oracles
 from codeword_oracles import consistent_codewords, coset_split
@@ -15,7 +13,6 @@ from mzqbc.codes import (
     golay_24_12,
     hamming_7_4,
     string_from_bits,
-    midpoint_word,
     parity,
     random_code,
     repetition_code,
@@ -101,8 +98,8 @@ class TestMinimumWords:
 
     @pytest.mark.parametrize("index", range(8))
     def test_codewords_match_generator_product(self, index, monkeypatch):
-        # the span walk lists the codewords in message order, as the operator
-        # model's branch sums need; chunks of 8 messages cross chunk edges
+        # the span walk lists the codewords in message order; chunks of 8
+        # messages cross chunk edges
         monkeypatch.setattr(kernels, "_CHUNK_BITS", 3)
         code = _sample_codes()[index]
         chunks = kernels._span_chunks(kernels.pack_rows(code.generator))
@@ -190,31 +187,30 @@ class TestSampleCodeword:
         assert chi2 < 21.85
 
     def test_empty_subset_rejected(self):
+        # an r with an empty parity-1 half never reaches the draw: its mask
+        # is rejected
         code = extended_hamming_8_4()  # self-dual: codeword masks give a constant parity
         r = codeword_oracles.codewords(code)[3]
         assert r.any()
-        with pytest.raises(ValueError, match="committed subset empty"):
-            sample_codeword(code, message_mask(code, r), 1, np.random.default_rng(0))
+        assert len(coset_split(code, r)[1]) == 0
+        with pytest.raises(ValueError, match="orthogonal"):
+            message_mask(code, r)
 
     @staticmethod
     def assert_same_draws(code, rng, masks=6, draws=5):
         """Same seed, same word as the enumerating sampler, for random
-        masks r (a constant parity included when the code has one)."""
+        masks r that commit a bit."""
         for _ in range(masks):
             r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
-            if not r.any():
-                continue
-            t = message_mask(code, r)
+            try:
+                t = message_mask(code, r)
+            except ValueError:
+                continue  # r commits no bit: there is nothing to draw from
             for b in (0, 1):
                 seed = int(rng.integers(1 << 31))
                 fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
                 for _ in range(draws):
-                    try:
-                        want = codeword_oracles.sample_codeword(code, r, b, slow)
-                    except ValueError as exc:
-                        with pytest.raises(ValueError, match=str(exc)):
-                            sample_codeword(code, t, b, fast)
-                        continue
+                    want = codeword_oracles.sample_codeword(code, r, b, slow)
                     got = sample_codeword(code, t, b, fast)
                     assert got.dtype == want.dtype == np.uint8
                     assert np.array_equal(got, want)
@@ -230,17 +226,6 @@ class TestSampleCodeword:
         n = int(rng.integers(10, 17))
         code = random_code(n, int(rng.integers(1, n)), rng)
         self.assert_same_draws(code, rng)
-
-    def test_constant_parity_draws_from_the_whole_code(self):
-        code = extended_hamming_8_4()
-        r = codeword_oracles.codewords(code)[3]  # G r^T = 0: parity 0 on every codeword
-        t = message_mask(code, r)
-        fast, slow = np.random.default_rng(4), np.random.default_rng(4)
-        for _ in range(20):
-            assert np.array_equal(
-                sample_codeword(code, t, 0, fast),
-                codeword_oracles.sample_codeword(code, r, 0, slow),
-            )
 
     def test_beyond_materialize_guard(self):
         code = random_code(28, 22, np.random.default_rng(5))
@@ -300,53 +285,29 @@ class TestMessageMask:
             t = codes.message_mask(code, r)
             assert np.array_equal(t, code.generator.astype(int) @ r % 2)
             assert t.dtype == np.uint8
+            assert not t.flags.writeable
 
     def test_rejects_a_bad_r(self):
         code = hamming_7_4()
         r = bits_from_string("1010000")
-        with pytest.raises(ValueError, match="nonzero"):
+        with pytest.raises(ValueError, match="r is orthogonal to every codeword"):
             codes.message_mask(code, np.zeros(7, dtype=np.uint8))
         with pytest.raises(ValueError, match="length 7"):
             codes.message_mask(code, r[None, :])
         assert codes.message_mask(code, list(r)).tolist() == [1, 0, 1, 0]
 
-
-class TestMidpoint:
-    def test_symmetric_split(self):
-        mid = midpoint_word(bits_from_string("0000"), bits_from_string("1111"))
-        assert string_from_bits(mid) == "1100"
-
-    @given(st.integers(0, 2**10 - 1), st.integers(0, 2**10 - 1))
-    @settings(max_examples=80, deadline=None)
-    def test_distances_partition(self, a, b):
-        c_a = np.array([(a >> i) & 1 for i in range(10)], dtype=np.uint8)
-        c_b = np.array([(b >> i) & 1 for i in range(10)], dtype=np.uint8)
-        h = int((c_a != c_b).sum())
-        if h < 2:
-            with pytest.raises(ValueError):
-                midpoint_word(c_a, c_b)
-            return
-        mid = midpoint_word(c_a, c_b)
-        da = int((mid != c_a).sum())
-        db = int((mid != c_b).sum())
-        assert da + db == h
-        assert {da, db} == {h // 2, (h + 1) // 2}
-
-    def test_extended_hamming_minimum_pair(self):
-        code = extended_hamming_8_4()
-        words = codeword_oracles.codewords(code)
-        # brute-force a minimum-distance pair
-        best = None
-        for i in range(len(words)):
-            for j in range(i + 1, len(words)):
-                h = int((words[i] != words[j]).sum())
-                if best is None or h < best[0]:
-                    best = (h, i, j)
-        h, i, j = best
-        assert h == 4
-        mid = midpoint_word(words[i], words[j])
-        assert int((mid != words[i]).sum()) == 2
-        assert int((mid != words[j]).sum()) == 2
+    @pytest.mark.parametrize("factory", [repetition_code, hamming_7_4, extended_hamming_8_4])
+    def test_rejects_exactly_the_r_that_commit_no_bit(self, factory):
+        # every r: accepted iff both listed parity halves are nonempty
+        code = factory()
+        for bits in itertools.product((0, 1), repeat=code.n):
+            r = np.array(bits, dtype=np.uint8)
+            commits = r.any() and len(coset_split(code, r)[1]) > 0
+            if commits:
+                codes.message_mask(code, r)
+            else:
+                with pytest.raises(ValueError, match="orthogonal"):
+                    codes.message_mask(code, r)
 
 
 class TestConsistentCodewords:

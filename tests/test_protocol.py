@@ -36,7 +36,7 @@ from mzqbc.protocol import (
     run_unveil,
 )
 from mzqbc.strategies import FullMeasureLate, SingleChannel
-from mzqbc.util import BLOCK_TRIALS, block_seed_sequences, block_slices
+from mzqbc.util import BLOCK_TRIALS, blocks
 
 
 def make_params(**kw):
@@ -81,7 +81,7 @@ class TestParams:
         assert on_boundary > 0
 
     def test_zero_r_rejected(self):
-        with pytest.raises(ValueError, match="nonzero"):
+        with pytest.raises(ValueError, match="r is orthogonal to every codeword"):
             make_params(r=np.zeros(8, dtype=np.uint8))
 
     def test_r_orthogonal_to_the_code_rejected(self):
@@ -387,6 +387,36 @@ class TestBindingExperiment:
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_midpoint_sits_halfway_between_opposite_parities(self, seed):
+        # every builtin code, then random codes with d >= 2
+        rng = np.random.default_rng(600 + seed)
+        if seed < len(codes.BUILTIN_CODES):
+            code = codes.builtin_code(sorted(codes.BUILTIN_CODES)[seed])
+        else:
+            code = codes.random_code(12, 5, rng)
+            while code.d < 2:
+                code = codes.random_code(12, 5, rng)
+        words = codeword_oracles.codewords(code)
+        lightest = codeword_oracles.min_weight_words(code)
+        for _ in range(20):
+            r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
+            mid, target = binding_pair(code, r)
+            assert not target.any()
+            assert int(mid.sum()) == (code.d + 1) // 2  # its distance from the target
+            # the picked end: a weight-d word floor(d/2) from the midpoint,
+            # no codeword nearer
+            ends = lightest[(lightest != mid).sum(axis=1) == code.d // 2]
+            assert len(ends) and (words != mid).sum(axis=1).min() == code.d // 2
+            if (lightest @ r % 2).any():
+                assert (ends @ r % 2 == 1).any()  # it commits the other bit
+
+    def test_no_midpoint_below_distance_two(self):
+        code = codes.code_from_generator([[1, 0, 0], [0, 1, 1]])
+        assert code.d == 1
+        with pytest.raises(ValueError, match="d >= 2"):
+            binding_pair(code, bits_from_string("100"))
+
     def test_pair_without_an_odd_minimum_word(self):
         # 1...1 is a codeword of the self-dual code: every parity is 0
         code = codes.extended_hamming_8_4()
@@ -470,10 +500,10 @@ class TestBindingStreams:
         flip_idx = _flip_idx(params.code, params.r)
         counts = sum(
             _counts_drawn_whole(
-                np.random.default_rng(seq), hi - lo, 24, params.f, params.epsilon,
+                np.random.default_rng(seq), count, 24, params.f, params.epsilon,
                 flip_idx, params.abort_at,
             )
-            for seq, (lo, hi) in zip(block_seed_sequences(21, trials), block_slices(trials))
+            for seq, count in blocks(21, trials)
         )
         proceed, proceed_accept, accept, abort = counts.tolist()
         rep = run_binding_experiment(params, trials, threads=threads)
@@ -524,12 +554,10 @@ class TestConcealingExperiment:
         monkeypatch.setattr(kernels, "concealing_stats", record)
         trials = BLOCK_TRIALS + 7  # a ragged block of 7 * 8 trials x photons
         run_concealing_experiment(make_params(seed=3), m=4, trials=trials)
-        for u_mis, seq, (lo, hi) in zip(
-            seen, block_seed_sequences(3, trials), block_slices(trials)
-        ):
+        for u_mis, (seq, count) in zip(seen, blocks(3, trials)):
             g = np.random.default_rng(seq)
-            g.random((hi - lo, 8))  # the position keys
-            np.testing.assert_array_equal(u_mis, _uniforms_split(g, hi - lo, 8))
+            g.random((count, 8))  # the position keys
+            np.testing.assert_array_equal(u_mis, _uniforms_split(g, count, 8))
 
     def test_m_out_of_range(self):
         with pytest.raises(ValueError):
