@@ -3,10 +3,12 @@
 One parser, built at import: `mzqbc COMMAND [flags]`, the flags in any
 order around the command; `main` runs the module's `cmd_COMMAND` as it
 stands at the call.  Commands, with the formats they write (default
-first): run (one session; json), sweep (parameter grids; csv), strategies
-(detection-probability table; csv, json), nogo (operator-model report;
-json), counterfactual (probe attack report, json, or probe-chain grid,
-csv), verify (invariant suite; text only).
+first): run (one session; json), sweep (grid over the `builtin_code`, `R`
+and `f` lists; csv), strategies (table over the `R` list; csv, json), nogo
+(operator-model report; json), counterfactual (attack report without and
+with the defense, json, or probe-chain grid over the `M` list, csv),
+verify (invariant suite; text only).  A list given to a key that a
+command reads as one value is a config error.
 
 Exit codes: 0 success, 2 config or parameter error (a format the command
 cannot write, or a file that cannot be read or written, among them), 3
@@ -23,6 +25,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -58,6 +61,7 @@ def main(argv=None) -> int:
         loaded = config_mod.load_config(args.config) if args.config else {}
         cfg = _merge_config(args, loaded)
         _format(cfg, args.command)  # before the command writes anything
+        _check_out(cfg, args.command)
         # looked up per call, so that a function patched onto this module
         # (the benchmark's tracer wraps cmd_*) is the one dispatched
         status = globals()[f"cmd_{args.command}"](cfg)
@@ -96,15 +100,10 @@ def _load_params(cfg, code=None, R=None, f=None) -> protocol.ProtocolParams:
     code = code or _load_code(cfg)
     r_raw = config_mod.get_str(cfg, "r", None)
     seed = config_mod.get_int(cfg, "seed", 0)
-    if r_raw is None:
-        r = _default_r(code, seed)
-    else:
-        r = codes_mod.bits_from_string(r_raw)
-    if R is None:
-        R = config_mod.get_float(cfg, "R", 0.3)
+    r = _default_r(code, seed) if r_raw is None else codes_mod.bits_from_string(r_raw)
+    R = config_mod.get_float(cfg, "R", 0.3) if R is None else R
     eps = config_mod.get_float(cfg, "epsilon", None)
-    if f is None:
-        f = config_mod.get_float(cfg, "f", 0.25)
+    f = config_mod.get_float(cfg, "f", 0.25) if f is None else f
     return protocol.ProtocolParams(code=code, r=r, R=R, f=f, epsilon=eps, seed=seed)
 
 
@@ -130,10 +129,10 @@ def _alice_policy(cfg) -> protocol.AlicePolicy:
     raise ConfigError(f"unknown alice policy {name!r}")
 
 
-def _bob_policy(cfg) -> protocol.BobPolicy:
+def _bob_policy(cfg, params) -> protocol.BobPolicy:
     name = config_mod.get_str(cfg, "bob", "honest")
     if name == "honest":
-        return protocol.HonestBob(f=config_mod.get_float(cfg, "f", 0.25))
+        return protocol.HonestBob(f=params.f)
     if name == "full_intercept":
         return protocol.FullInterceptBob()
     if name == "partial_intercept":
@@ -169,6 +168,17 @@ def _format(cfg, command: str) -> str | None:
     return fmt
 
 
+def _check_out(cfg, command: str) -> None:
+    """Open `out` for append: a path that cannot be written fails before any
+    draw, and a failed command truncates nothing (a file made here goes)."""
+    out = config_mod.get_str(cfg, "out", None) if _WRITES[command] else None
+    if out is not None:
+        existed = os.path.exists(out)
+        open(out, "a").close()
+        if not existed:
+            os.remove(out)
+
+
 def _write(cfg, text: str) -> None:
     out = config_mod.get_str(cfg, "out", None)
     if out is None:
@@ -200,7 +210,7 @@ def cmd_run(cfg) -> int:
     params = _load_params(cfg)
     rng = np.random.default_rng(params.seed)
     alice = _alice_policy(cfg)
-    bob = _bob_policy(cfg)
+    bob = _bob_policy(cfg, params)
     transcript = protocol.run_commit(alice, bob, params, rng)
     if isinstance(alice, protocol.MidpointCheatAlice):
         announcement = protocol.Announcement(
@@ -240,18 +250,11 @@ def _print_summary(transcript, unveil) -> None:
 
 
 def cmd_sweep(cfg) -> int:
-    f_grid = config_mod.get_float_list(cfg, "f_grid", [0.0, 0.25, 0.5])
-    r_grid = config_mod.get_float_list(cfg, "R_grid", None)
-    if r_grid is None:
-        r_grid = [config_mod.get_float(cfg, "R", 0.3)]
-    code_names = config_mod.get_str_list(cfg, "codes", ["extended_hamming"])
+    f_grid = config_mod.get_float_list(cfg, "f", [0.0, 0.25, 0.5])
+    r_grid = config_mod.get_float_list(cfg, "R", [0.3])
+    code_names = config_mod.get_str_list(cfg, "builtin_code", ["extended_hamming"])
     trials = config_mod.get_int(cfg, "trials", 10000)
     threads = config_mod.get_int(cfg, "threads", 1)
-    s_over_n = config_mod.get_float(cfg, "s_over_n", 10.0)
-    if not f_grid or not r_grid or not code_names:
-        raise ConfigError("empty sweep grid")
-    if not s_over_n > 0:
-        raise ConfigError(f"s_over_n must be > 0, got {s_over_n}")
     # every point's parameters are checked before the first game runs
     points = []
     for name in code_names:
@@ -267,7 +270,7 @@ def cmd_sweep(cfg) -> int:
         binding = protocol.run_binding_experiment(params, trials, threads=threads)
         m = int(round(f * code.n))
         concealing = protocol.run_concealing_experiment(params, m, trials, threads=threads)
-        eff = protocol.efficiency_metrics(params, s_over_n=s_over_n)
+        eff = protocol.efficiency_metrics(params)
         rows.append(
             {
                 "code": name,
@@ -297,9 +300,7 @@ def cmd_sweep(cfg) -> int:
 
 
 def cmd_strategies(cfg) -> int:
-    r_grid = config_mod.get_float_list(
-        cfg, "R_grid", [round(0.1 * i, 1) for i in range(1, 10)]
-    )
+    r_grid = config_mod.get_float_list(cfg, "R", [round(0.1 * i, 1) for i in range(1, 10)])
     rows = strategies.strategy_table_rows(r_grid)
     if config_mod.get_int(cfg, "search_trials", 0) > 0:
         # the floor strategy is exact (`strategies.floor_strategy`): its
@@ -354,7 +355,7 @@ def cmd_nogo(cfg) -> int:
 
 def cmd_counterfactual(cfg) -> int:
     if _format(cfg, "counterfactual") == "csv":
-        m_grid = config_mod.get_int_list(cfg, "M_grid", [1, 5, 25, 100])
+        m_grid = config_mod.get_int_list(cfg, "M", [1, 5, 25, 100])
         points = config_mod.get_int(cfg, "theta_points", 13)
         if points < 1:
             raise ConfigError("theta_points must be >= 1")
@@ -365,18 +366,10 @@ def cmd_counterfactual(cfg) -> int:
     rng = np.random.default_rng(params.seed)
     sessions = config_mod.get_int(cfg, "sessions", 100)
     fbs = counterfactual.FbsConfig(cycles=config_mod.get_int(cfg, "M", 100))
-    reports = {}
-    which = config_mod.get_str(cfg, "defense", "both")
-    if which in ("off", "both"):
-        reports["defense_off"] = counterfactual.attack_session(
-            params, False, fbs, rng, sessions=sessions
-        )
-    if which in ("on", "both"):
-        reports["defense_on"] = counterfactual.attack_session(
-            params, True, fbs, rng, sessions=sessions
-        )
-    if not reports:
-        raise ConfigError("defense must be on, off, or both")
+    reports = {  # the undefended attack draws first
+        key: counterfactual.attack_session(params, on, fbs, rng, sessions=sessions)
+        for key, on in (("defense_off", False), ("defense_on", True))
+    }
     _emit_json(cfg, {"reports": reports})
     return 0
 

@@ -48,6 +48,9 @@ REJECT_NOT_CODEWORD = "reject_not_codeword"
 REJECT_PARITY = "reject_parity"
 REJECT_INTERCEPT_MISMATCH = "reject_intercept_mismatch"
 
+#: the predecessor scheme's sending slots per photon, s / n
+S_OVER_N = 10.0
+
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -342,8 +345,6 @@ def run_binding_experiment(
     sigma = math.sqrt(predicted * (1 - predicted) / proceed) if proceed else float("nan")
     return {
         "trials": trials,
-        "committed_word": string_from_bits(mid),
-        "target_codeword": string_from_bits(target),
         "flips": int(len(flip_idx)),
         "f": f,
         "epsilon": eps,
@@ -395,7 +396,6 @@ def run_concealing_experiment(
     return {
         "trials": trials,
         "m": m,
-        "f_effective": m / n,
         "epsilon": eps,
         "abort_frequency": float(aborts),
         "mean_posterior_true_bit": float(posterior),
@@ -403,21 +403,20 @@ def run_concealing_experiment(
     }
 
 
-def efficiency_metrics(params: ProtocolParams, s_over_n: float = 10.0) -> dict:
+def efficiency_metrics(params: ProtocolParams) -> dict:
     """Photon-count and duration comparison against the predecessor scheme
-    that needed s >> n sending slots (duration in mode-switch time units)."""
+    that needed s = S_OVER_N * n slots (duration in mode-switch time units)."""
     n, f = params.n, params.f
-    s = s_over_n * n
+    s = S_OVER_N * n
     return {
         "n": n,
         "f": f,
-        "s_over_n": s_over_n,
         "photons_current": n * f,
         "photons_prior": s * f,
         "duration_current": float(n),
         "duration_prior": float(s),
-        "photon_ratio": s_over_n,
-        "duration_ratio": s_over_n,
+        "photon_ratio": S_OVER_N,
+        "duration_ratio": S_OVER_N,
     }
 
 

@@ -186,7 +186,7 @@ def test_criterion_9_global_phase_defense():
 
 
 def test_criterion_10_efficiency_ratios():
-    rep = protocol.efficiency_metrics(make_params(f=0.25), s_over_n=10.0)
+    rep = protocol.efficiency_metrics(make_params(f=0.25))
     ok = rep["photon_ratio"] == 10.0 and rep["duration_ratio"] == 10.0
     report(
         10,

@@ -79,50 +79,42 @@ class TestUnusedKeys:
         cfg = write_cfg(tmp_path, "search_trails = 5\nformat = json\n")
         assert cli.main(["strategies", "--config", cfg]) == 0
         typo = capsys.readouterr()
-        # the same rows (the hash covers the stray key): no search ran
-        assert json.loads(typo.out)["table"] == json.loads(plain.out)["table"]
+        # the same bytes, as an unread key is not hashed: no search ran
+        assert typo.out == plain.out
         assert typo.err == "warning: unused config key(s): search_trails\n"
 
     def test_keys_read_per_sweep_point_count(self, tmp_path, capsys):
-        # every grid point reads r, seed and epsilon from the config; the
-        # grid gives its code, so builtin_code is never read
+        # every grid point reads r, seed and epsilon from the config, and
+        # the grid's codes are the builtin_code list
         cfg = write_cfg(
-            tmp_path, "r = 11100000\nepsilon = 0.4\nf_grid = 0.5\ntrials = 500\nbuiltin_code = golay\n"
+            tmp_path, f"r = 1{'0' * 23}\nepsilon = 0.4\nf = 0.5\ntrials = 500\nbuiltin_code = golay\n"
         )
         assert cli.main(["sweep", "--config", cfg]) == 0
-        assert capsys.readouterr().err == "warning: unused config key(s): builtin_code\n"
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert [row["code"] for row in csv.DictReader(captured.out.splitlines())] == ["golay"]
 
-    def test_sweep_point_keys_overridden_by_grids_are_unused(self, tmp_path, capsys):
-        grids = "f_grid = 0.5\nR_grid = 0.3\nr = 11100000\ntrials = 500\n"
-        assert cli.main(["sweep", "--config", write_cfg(tmp_path, grids)]) == 0
+    @pytest.mark.parametrize("argv, text", [
+        (["sweep", "--trials", "200"], "codes = golay\n"),
+        (["sweep", "--trials", "200"], "R_grid = 0.4\n"),
+        (["sweep", "--trials", "200"], "f_grid = 0.3\n"),
+        (["sweep", "--trials", "200"], "s_over_n = 2\n"),
+        (["strategies"], "R_grid = 0.4\n"),
+        (["counterfactual", "--format", "csv"], "M_grid = 5\n"),
+        (["counterfactual", "--seed", "5"], "defense = off\nM = 5\nsessions = 4\n"),
+    ], ids=["sweep-codes", "sweep-R_grid", "sweep-f_grid", "sweep-s_over_n", "strategies-R_grid",
+            "counterfactual-csv-M_grid", "counterfactual-defense"])
+    def test_removed_key_is_unused(self, argv, text, tmp_path, capsys):
+        # no alias is kept for a removed key: it is named, and the payload
+        # is the one without it, byte for byte (an unread key is not hashed)
+        removed, *rest = text.splitlines(keepends=True)
+        assert cli.main(argv + ["--config", write_cfg(tmp_path, "".join(rest), "plain.cfg")]) == 0
         plain = capsys.readouterr()
         assert plain.err == ""
-        cfg = write_cfg(tmp_path, grids + "f = 0.3\nR = 0.4\n")
-        assert cli.main(["sweep", "--config", cfg]) == 0
-        shadowed = capsys.readouterr()
-        assert shadowed.err == "warning: unused config key(s): R, f\n"
-
-        def rows(out):  # the config hash covers the ignored keys
-            return [{k: v for k, v in row.items() if k != "config_hash"}
-                    for row in csv.DictReader(out.splitlines())]
-
-        assert rows(shadowed.out) == rows(plain.out)
-        assert [row["f"] for row in rows(shadowed.out)] == ["0.5"]
-
-    def test_csv_counterfactual_does_not_read_m(self, tmp_path, capsys):
-        # the CSV grid comes from M_grid, so a single M is unused there
-        assert cli.main(["counterfactual", "--format", "csv"]) == 0
-        plain = capsys.readouterr()
-        cfg = write_cfg(tmp_path, "M = 7\n")
-        assert cli.main(["counterfactual", "--format", "csv", "--config", cfg]) == 0
+        assert cli.main(argv + ["--config", write_cfg(tmp_path, text)]) == 0
         stray = capsys.readouterr()
-        assert stray.err == "warning: unused config key(s): M\n"
-
-        def rows(out):  # the config hash covers the stray key
-            return [{k: v for k, v in row.items() if k != "config_hash"}
-                    for row in csv.DictReader(out.splitlines())]
-
-        assert rows(stray.out) == rows(plain.out)
+        assert stray.err == f"warning: unused config key(s): {removed.split(' =')[0]}\n"
+        assert stray.out == plain.out
 
     @pytest.mark.parametrize(
         "argv", [["nogo"], ["strategies"], ["counterfactual", "--format", "csv"]], ids=" ".join
@@ -144,6 +136,35 @@ class TestUnusedKeys:
         # every subcommand takes every flag; strategies reads no seed or trials
         assert cli.main(["strategies", "--seed", "3", "--trials", "9"]) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestOneKeyPerParameter:
+    """A command that sweeps a parameter reads a list under its one key."""
+
+    @pytest.mark.parametrize("argv, text, column, want", [
+        (["sweep", "--trials", "200"], "builtin_code = golay\n", "code", ["golay"] * 3),
+        (["sweep", "--trials", "200"], "f = 0.3\n", "f", ["0.3"]),
+        (["sweep", "--trials", "200"], "R = 0.2, 0.4\n", "R", ["0.2"] * 3 + ["0.4"] * 3),
+        (["strategies"], "R = 0.4\n", "R", ["0.4"] * 6),
+        (["counterfactual", "--format", "csv"], "M = 5\ntheta_points = 2\n", "M", ["5"] * 2),
+    ], ids=["sweep-builtin_code", "sweep-f", "sweep-R", "strategies-R", "counterfactual-csv-M"])
+    def test_plain_key_is_honoured(self, argv, text, column, want, tmp_path, capsys):
+        assert cli.main(argv + ["--config", write_cfg(tmp_path, text)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert [row[column] for row in csv.DictReader(captured.out.splitlines())] == want
+
+    @pytest.mark.parametrize("argv, text, want", [
+        (["run"], "R = 0.2, 0.3\n", "key 'R': expected number, got '0.2, 0.3'"),
+        (["counterfactual"], "M = 5, 7\n", "key 'M': expected integer, got '5, 7'"),
+        (["nogo"], "builtin_code = golay, hamming\n", "unknown code 'golay, hamming'; choose "
+         "from ['extended_hamming', 'golay', 'hamming', 'repetition']"),
+    ], ids=["run-R", "counterfactual-json-M", "nogo-builtin_code"])
+    def test_list_for_a_single_value_is_config_error(self, argv, text, want, tmp_path, capsys):
+        assert cli.main(argv + ["--config", write_cfg(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {want}\n"
 
 
 class TestParser:
@@ -245,6 +266,32 @@ class TestParser:
         assert captured.err.startswith("error: [Errno 2] No such file or directory: ")
         assert str(missing) in captured.err
 
+    def test_out_is_checked_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a game ran before --out was checked")
+
+        monkeypatch.setattr(protocol, "run_binding_experiment", refuse)
+        missing = tmp_path / "missing" / "sweep.csv"
+        cfg = write_cfg(tmp_path, "builtin_code = golay\n")
+        assert cli.main(["sweep", "--config", cfg, "--out", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+    def test_failed_command_leaves_out_as_it_was(self, existing, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        earlier = b"an earlier run's rows\n"
+        if existing:
+            out.write_bytes(earlier)
+        cfg = write_cfg(tmp_path, "epsilon = 1\nf = 0.5, 1\n")  # no prediction at eps*f = 1
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: epsilon*f must be < 1\n"
+        if existing:
+            assert out.read_bytes() == earlier
+        else:
+            assert not out.exists()
+
 
 class TestRun:
     def test_honest_session(self, tmp_path, capsys):
@@ -309,7 +356,7 @@ class TestRun:
         assert captured.err == f"error: reflectivity must lie in (0,1), got {float(R)}\n"
 
     @pytest.mark.parametrize("argv, text", [
-        (["sweep", "--trials", "100"], "codes = hamming\nR_grid = 1.5\nepsilon = 0.5\n"),
+        (["sweep", "--trials", "100"], "builtin_code = hamming\nR = 1.5\nepsilon = 0.5\n"),
         (["counterfactual"], "R = 1.5\nepsilon = 0.5\n"),
     ], ids=["sweep", "counterfactual"])
     def test_reflectivity_checked_with_epsilon_given(self, argv, text, tmp_path, capsys):
@@ -389,9 +436,10 @@ class TestSweep:
         header = list(rows[0])
         assert header.index("predicted_escape") == header.index("cheat_accept_rate") + 1
 
-    def test_empty_grid_is_error(self, tmp_path):
-        cfg = write_cfg(tmp_path, "f_grid = ,\n")
+    def test_empty_grid_is_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "f = ,\n")
         assert cli.main(["sweep", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: key 'f': expected comma-separated numbers, got ','\n"
 
     def test_every_point_is_checked_before_any_game(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -400,9 +448,9 @@ class TestSweep:
         monkeypatch.setattr(protocol, "run_binding_experiment", refuse)
         monkeypatch.setattr(protocol, "run_concealing_experiment", refuse)
         cases = [
-            ("codes = golay\nR_grid = 0.3, 1.5\n", "reflectivity must lie in (0,1), got 1.5"),
+            ("builtin_code = golay\nR = 0.3, 1.5\n", "reflectivity must lie in (0,1), got 1.5"),
             # the binding game's intercept posterior has no value at eps * f = 1
-            ("codes = golay\nepsilon = 1\nf_grid = 0.5, 1\n", "epsilon*f must be < 1"),
+            ("builtin_code = golay\nepsilon = 1\nf = 0.5, 1\n", "epsilon*f must be < 1"),
         ]
         for text, want in cases:
             cfg = write_cfg(tmp_path, text)
@@ -536,30 +584,6 @@ class TestCounterfactual:
         assert set(doc["reports"]) == {"defense_off", "defense_on"}
         assert doc["reports"]["defense_off"]["mode_accuracy"] >= 0.99
 
-    def test_unknown_defense_is_parameter_error(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "defense = maybe\nM = 5\nsessions = 2\n")
-        assert cli.main(["counterfactual", "--config", cfg]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: defense must be on, off, or both\n"
-
-    @pytest.mark.parametrize("which", ["off", "on"])
-    def test_one_defense_setting(self, which, tmp_path, capsys):
-        common = "M = 50\nsessions = 10\nseed = 5\n"
-        docs = {}
-        for setting in (which, "both"):
-            cfg = write_cfg(tmp_path, f"{common}defense = {setting}\n", name=f"{setting}.cfg")
-            assert cli.main(["counterfactual", "--config", cfg]) == 0
-            docs[setting] = json.loads(capsys.readouterr().out)
-        key = f"defense_{which}"
-        assert list(docs[which]["reports"]) == [key]
-        if which == "off":
-            # the undefended attack draws first, so both runs see the same draws
-            assert docs["off"]["reports"] == {key: docs["both"]["reports"][key]}
-        else:
-            assert docs["on"]["reports"][key]["defense_on"] is True
-            assert docs["on"]["reports"][key]["mean_Dc_bypass"] < 1.0
-
     def test_csv_grid(self, capsys):
         assert cli.main(["counterfactual", "--format", "csv"]) == 0
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
@@ -572,12 +596,9 @@ NON_POSITIVE_COUNTS = {
     "sweep-trials-negative": (["sweep", "--trials", "-5"], ""),
     "sweep-threads-0": (["sweep", "--threads", "0"], ""),
     "sweep-threads-negative": (["sweep", "--threads", "-3"], ""),
-    # the predecessor scheme's sending slots per photon
-    "sweep-s_over_n-0": (["sweep"], "s_over_n = 0\n"),
-    "sweep-s_over_n-negative": (["sweep"], "s_over_n = -2\n"),
     "counterfactual-sessions-0": (["counterfactual"], "sessions = 0\n"),
-    "counterfactual-csv-M-0": (["counterfactual", "--format", "csv"], "M_grid = 1, 0\n"),
-    "counterfactual-csv-M-negative": (["counterfactual", "--format", "csv"], "M_grid = 1, -3\n"),
+    "counterfactual-csv-M-0": (["counterfactual", "--format", "csv"], "M = 1, 0\n"),
+    "counterfactual-csv-M-negative": (["counterfactual", "--format", "csv"], "M = 1, -3\n"),
     "counterfactual-csv-theta_points-0": (["counterfactual", "--format", "csv"], "theta_points = 0\n"),
     "counterfactual-csv-theta_points-negative": (
         ["counterfactual", "--format", "csv"], "theta_points = -2\n"),

@@ -78,12 +78,12 @@ CASES = {
     ),
     "sweep-two-codes": (
         ["sweep", "--seed", "9", "--trials", "3000"],
-        "codes = extended_hamming, golay\n",
+        "builtin_code = extended_hamming, golay\n",
     ),
     # three blocks, the last one ragged: pins the draws across block edges
     "sweep-two-codes-40000": (
         ["sweep", "--seed", "9", "--trials", "40000"],
-        "codes = extended_hamming, golay\n",
+        "builtin_code = extended_hamming, golay\n",
     ),
 }
 
@@ -111,8 +111,8 @@ GOLDEN = {
     "strategies-search-json-seed3": "e3317ec19c2615d9c9c3ad251da2f1729703e3bad2fb6ffaeae8cf18364ee19a",
     "strategies-csv": "4306a2a981e35d3378c517a9515ade2bf6f382e411880f5ba6077f6a770bce5b",
     "strategies-search-csv-seed3": "2be3bf90b640776a7090719e171e3587051d76b22667f6acd006dc0440bf58ea",
-    "sweep-two-codes": "96268ea52d3459a3ed7839fedccd17751269bba3aed5f1e1cc95f7934143ecb3",
-    "sweep-two-codes-40000": "e62e44586a37175180ba4d82bde8b0c67b90de8790f4f6932ef77fff31d95ceb",
+    "sweep-two-codes": "143a66d351068f00521b918956bf496dd1220cf3ce162c86566cedae18477583",
+    "sweep-two-codes-40000": "172fe88a6052d39e7d4ffefe26a797feb3fdea67bec0123a8140c3c5e381d7e6",
     "verify": "1cf5908eb92236c157f319ca1cd85aee0c0829c19e9ddc73f98815ea7c2877cb",
 }
 

@@ -259,7 +259,7 @@ class TestSearch:
         # at R = 1/2 blind guess and single channel tie up to roundoff; the
         # rows carry blind guess's per-bit values, the first in list order
         cfg = tmp_path / "tie.cfg"
-        cfg.write_text("R_grid = 0.5\nsearch_trials = 20\nancilla_dim = 2\nformat = json\n")
+        cfg.write_text("R = 0.5\nsearch_trials = 20\nancilla_dim = 2\nformat = json\n")
         assert cli.main(["strategies", "--config", str(cfg)]) == 0
         table = json.loads(capsys.readouterr().out)["table"]
         by_name = {}
