@@ -92,15 +92,9 @@ def committed_state_orthogonality(rng: np.random.Generator) -> list[Result]:
     for name in codes_mod.BUILTIN_CODES:
         code = codes_mod.builtin_code(name)
         everything = np.ones(code.n, dtype=bool)
-        drawn = 0
-        while drawn < MASKS_PER_CODE:
-            r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
-            try:
-                overlap = operator_model.reduced_states(code, r, everything)[1]
-            except ValueError:  # from `codes.message_mask`: r commits no bit
-                continue
-            drawn += 1
-            worst = max(worst, abs(overlap))
+        for _ in range(MASKS_PER_CODE):
+            r = codes_mod.random_mask(code, rng)
+            worst = max(worst, abs(operator_model.reduced_states(code, r, everything)[1]))
     return [Result("committed_state_orthogonality.max_overlap", worst, EXACT_BOUND)]
 
 

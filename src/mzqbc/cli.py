@@ -2,20 +2,20 @@
 
 One parser, built at import: `mzqbc COMMAND [flags]`, the flags in any
 order around the command; `main` runs the module's `cmd_COMMAND` as it
-stands at the call.  Commands, with the formats they write (default
-first): run (one session; json), sweep (grid over the `builtin_code`, `R`
-and `f` lists; csv), strategies (table over the `R` list; csv, json), nogo
-(operator-model report; json), counterfactual (attack report without and
-with the defense, json, or probe-chain grid over the `M` list, csv),
-verify (invariant suite; text only).  A list given to a key that a
-command reads as one value is a config error.
+stands at the call.  Each command writes one payload in one encoding:
+run (one session; json), sweep (grid over the `builtin_code`, `R` and `f`
+lists, or over the one `code_file`; csv), strategies (table over the `R`
+list; csv), nogo (operator-model report; json), counterfactual (attack
+report without and with the defense; json), probe (probe-chain grid over
+the `M` list; csv), verify (invariant suite; text).  A list given to a key
+that a command reads as one value is a config error.
 
-Exit codes: 0 success, 2 config or parameter error (a format the command
-cannot write, or a file that cannot be read or written, among them), 3
-size-guard violation, and 1 from `verify` when an invariant fails.  All
-randomness flows from one master seed (per-trial blocks are split
-deterministically), and every CSV/JSON emission carries the config hash
-and seed; a CSV's columns are its rows' keys, in order.
+Exit codes: 0 success, 2 config or parameter error (a file that cannot be
+read or written among them), 3 size-guard violation, and 1 from `verify`
+when an invariant fails.  All randomness flows from one master seed
+(per-trial blocks are split deterministically), and every CSV/JSON
+emission carries the config hash and seed; a CSV's columns are its rows'
+keys, in order.
 """
 
 from __future__ import annotations
@@ -36,21 +36,16 @@ from . import checks, counterfactual, operator_model, optics, protocol, strategi
 from .config import ConfigError
 from .util import GuardError
 
-_FORMATS = ("csv", "json")
-
-#: each command and the formats it writes, its default first
-_WRITES = {"run": ("json",), "sweep": ("csv",), "strategies": ("csv", "json"),
-           "nogo": ("json",), "counterfactual": ("json", "csv"), "verify": ()}
+_COMMANDS = ("run", "sweep", "strategies", "nogo", "counterfactual", "probe", "verify")
 
 _PARSER = argparse.ArgumentParser(
     prog="mzqbc",
     description="Interferometric bit-commitment simulator and analysis runner",
 )
-_PARSER.add_argument("command", choices=_WRITES)
+_PARSER.add_argument("command", choices=_COMMANDS)
 _PARSER.add_argument("--config", help="key = value config file")
 _PARSER.add_argument("--seed", type=int, help="master seed (overrides config)")
 _PARSER.add_argument("--out", help="output path (default: stdout)")
-_PARSER.add_argument("--format", choices=_FORMATS, help="output format")
 _PARSER.add_argument("--trials", type=int, help="trial count (overrides config)")
 _PARSER.add_argument("--threads", type=int, help="worker threads (overrides config)")
 
@@ -60,8 +55,7 @@ def main(argv=None) -> int:
     try:
         loaded = config_mod.load_config(args.config) if args.config else {}
         cfg = _merge_config(args, loaded)
-        _format(cfg, args.command)  # before the command writes anything
-        _check_out(cfg, args.command)
+        _check_out(cfg)
         # looked up per call, so that a function patched onto this module
         # (the benchmark's tracer wraps cmd_*) is the one dispatched
         status = globals()[f"cmd_{args.command}"](cfg)
@@ -79,7 +73,7 @@ def main(argv=None) -> int:
 
 def _merge_config(args, loaded: dict[str, str]) -> config_mod.Config:
     cfg = config_mod.Config(loaded)
-    for key in ("seed", "out", "format", "trials", "threads"):
+    for key in ("seed", "out", "trials", "threads"):
         val = getattr(args, key)
         if val is not None:
             cfg[key] = str(val)
@@ -100,24 +94,14 @@ def _load_params(cfg, code=None, R=None, f=None) -> protocol.ProtocolParams:
     code = code or _load_code(cfg)
     r_raw = config_mod.get_str(cfg, "r", None)
     seed = config_mod.get_int(cfg, "seed", 0)
-    r = _default_r(code, seed) if r_raw is None else codes_mod.bits_from_string(r_raw)
+    if r_raw is None:  # a deterministic mask, drawn from its own stream
+        r = codes_mod.random_mask(code, np.random.default_rng((seed, 0xA11CE)))
+    else:
+        r = codes_mod.bits_from_string(r_raw)
     R = config_mod.get_float(cfg, "R", 0.3) if R is None else R
     eps = config_mod.get_float(cfg, "epsilon", None)
     f = config_mod.get_float(cfg, "f", 0.25) if f is None else f
     return protocol.ProtocolParams(code=code, r=r, R=R, f=f, epsilon=eps, seed=seed)
-
-
-def _default_r(code, seed) -> np.ndarray:
-    """A deterministic mask that commits a bit (`codes.message_mask`)."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA11CE)))
-    for _ in range(1000):
-        r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
-        try:
-            codes_mod.message_mask(code, r)
-        except ValueError:
-            continue
-        return r
-    raise ValueError("could not find a usable r; supply one explicitly")
 
 
 def _alice_policy(cfg) -> protocol.AlicePolicy:
@@ -144,10 +128,8 @@ def _bob_policy(cfg, params) -> protocol.BobPolicy:
 # key it ignores (`trials` to `nogo`) leaves the hash alone, and printing
 # the seed reads no key (an ignored `seed` is warned about).  `out` and
 # `threads` never change a payload (trial blocks are seed-split
-# independently of the worker count).  `format` is not presentation-only:
-# `counterfactual --format csv` computes the probe-chain grid in place of
-# the attack report, under the same hash
-_NON_SEMANTIC_KEYS = frozenset({"out", "format", "threads"})
+# independently of the worker count)
+_NON_SEMANTIC_KEYS = frozenset({"out", "threads"})
 
 
 def _provenance(cfg) -> dict:
@@ -158,20 +140,10 @@ def _provenance(cfg) -> dict:
     }
 
 
-def _format(cfg, command: str) -> str | None:
-    """The format `command` writes: `format` when set, else its default
-    (None for `verify`, which prints text).  Any other is a config error."""
-    writes = _WRITES[command]
-    fmt = config_mod.get_str(cfg, "format", writes[0] if writes else None)
-    if fmt not in (*writes, None):
-        raise ConfigError(f"format must be {' or '.join(sorted(writes)) or 'unset'}, got {fmt!r}")
-    return fmt
-
-
-def _check_out(cfg, command: str) -> None:
+def _check_out(cfg) -> None:
     """Open `out` for append: a path that cannot be written fails before any
     draw, and a failed command truncates nothing (a file made here goes)."""
-    out = config_mod.get_str(cfg, "out", None) if _WRITES[command] else None
+    out = config_mod.get_str(cfg, "out", None)
     if out is not None:
         existed = os.path.exists(out)
         open(out, "a").close()
@@ -252,13 +224,19 @@ def _print_summary(transcript, unveil) -> None:
 def cmd_sweep(cfg) -> int:
     f_grid = config_mod.get_float_list(cfg, "f", [0.0, 0.25, 0.5])
     r_grid = config_mod.get_float_list(cfg, "R", [0.3])
-    code_names = config_mod.get_str_list(cfg, "builtin_code", ["extended_hamming"])
+    # one code file, named by its path, or the list of builtin codes
+    path = config_mod.get_str(cfg, "code_file", None)
+    if path is None:
+        code_names = config_mod.get_str_list(cfg, "builtin_code", ["extended_hamming"])
+        load = codes_mod.builtin_code
+    else:
+        code_names, load = [path], codes_mod.read_generator_file
     trials = config_mod.get_int(cfg, "trials", 10000)
     threads = config_mod.get_int(cfg, "threads", 1)
     # every point's parameters are checked before the first game runs
     points = []
     for name in code_names:
-        code = codes_mod.builtin_code(name)
+        code = load(name)
         for R in r_grid:
             for f in f_grid:
                 params = _load_params(cfg, code=code, R=R, f=f)
@@ -312,10 +290,7 @@ def cmd_strategies(cfg) -> int:
         rows += [
             {**row, "strategy": "search_best"} for row in rows if row["strategy"] == floor[row["R"]]
         ]
-    if _format(cfg, "strategies") == "json":
-        _emit_json(cfg, {"table": rows})
-    else:
-        _emit_csv(cfg, rows)
+    _emit_csv(cfg, rows)
     return 0
 
 
@@ -354,14 +329,6 @@ def cmd_nogo(cfg) -> int:
 
 
 def cmd_counterfactual(cfg) -> int:
-    if _format(cfg, "counterfactual") == "csv":
-        m_grid = config_mod.get_int_list(cfg, "M", [1, 5, 25, 100])
-        points = config_mod.get_int(cfg, "theta_points", 13)
-        if points < 1:
-            raise ConfigError("theta_points must be >= 1")
-        thetas = [2 * math.pi * i / points for i in range(points)]
-        _emit_csv(cfg, counterfactual.fbs_sweep_rows(m_grid, thetas))
-        return 0
     params = _load_params(cfg)
     rng = np.random.default_rng(params.seed)
     sessions = config_mod.get_int(cfg, "sessions", 100)
@@ -371,6 +338,16 @@ def cmd_counterfactual(cfg) -> int:
         for key, on in (("defense_off", False), ("defense_on", True))
     }
     _emit_json(cfg, {"reports": reports})
+    return 0
+
+
+def cmd_probe(cfg) -> int:
+    m_grid = config_mod.get_int_list(cfg, "M", [1, 5, 25, 100])
+    points = config_mod.get_int(cfg, "theta_points", 13)
+    if points < 1:
+        raise ConfigError("theta_points must be >= 1")
+    thetas = [2 * math.pi * i / points for i in range(points)]
+    _emit_csv(cfg, counterfactual.fbs_sweep_rows(m_grid, thetas))
     return 0
 
 
@@ -385,8 +362,7 @@ def cmd_verify(cfg) -> int:
         *checks.probe_chain_convergence(),
         *checks.intercept_posterior_oracle(),
     ]
-    for res in results:
-        print(f"{'PASS' if res.passed else 'FAIL'} {res.summary}")
+    _write(cfg, "".join(f"{'PASS' if res.passed else 'FAIL'} {res.summary}\n" for res in results))
     return 0 if all(res.passed for res in results) else 1
 
 

@@ -105,6 +105,19 @@ def message_mask(code: LinearCode, r: np.ndarray) -> np.ndarray:
     return t
 
 
+def random_mask(code: LinearCode, rng: np.random.Generator) -> np.ndarray:
+    """A uniform r that commits a bit: n uniform bits, drawn again until
+    `message_mask` accepts them.  A draw has t = 0 with probability
+    2^-k <= 1/2, so the loop ends."""
+    while True:
+        r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
+        try:
+            message_mask(code, r)
+        except ValueError:
+            continue
+        return r
+
+
 def sample_codeword(
     code: LinearCode, t: np.ndarray, b: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -196,7 +209,7 @@ def builtin_code(name: str) -> LinearCode:
 
 
 # ---------------------------------------------------------------------------
-# file formats
+# generator files
 
 def read_generator_file(path) -> LinearCode:
     """Generator matrix from plain text: one row per line, '0'/'1' chars."""

@@ -73,10 +73,10 @@ class TestConfigParsing:
 
 class TestUnusedKeys:
     def test_misspelt_key_is_named_and_output_unchanged(self, tmp_path, capsys):
-        assert cli.main(["strategies", "--format", "json"]) == 0
+        assert cli.main(["strategies"]) == 0
         plain = capsys.readouterr()
         assert plain.err == ""
-        cfg = write_cfg(tmp_path, "search_trails = 5\nformat = json\n")
+        cfg = write_cfg(tmp_path, "search_trails = 5\n")
         assert cli.main(["strategies", "--config", cfg]) == 0
         typo = capsys.readouterr()
         # the same bytes, as an unread key is not hashed: no search ran
@@ -100,10 +100,12 @@ class TestUnusedKeys:
         (["sweep", "--trials", "200"], "f_grid = 0.3\n"),
         (["sweep", "--trials", "200"], "s_over_n = 2\n"),
         (["strategies"], "R_grid = 0.4\n"),
-        (["counterfactual", "--format", "csv"], "M_grid = 5\n"),
+        (["probe"], "M_grid = 5\n"),
         (["counterfactual", "--seed", "5"], "defense = off\nM = 5\nsessions = 4\n"),
+        # the JSON report, not the probe-chain grid
+        (["counterfactual", "--seed", "5"], "format = csv\nM = 5\nsessions = 4\n"),
     ], ids=["sweep-codes", "sweep-R_grid", "sweep-f_grid", "sweep-s_over_n", "strategies-R_grid",
-            "counterfactual-csv-M_grid", "counterfactual-defense"])
+            "counterfactual-csv-M_grid", "counterfactual-defense", "counterfactual-format"])
     def test_removed_key_is_unused(self, argv, text, tmp_path, capsys):
         # no alias is kept for a removed key: it is named, and the payload
         # is the one without it, byte for byte (an unread key is not hashed)
@@ -117,7 +119,7 @@ class TestUnusedKeys:
         assert stray.out == plain.out
 
     @pytest.mark.parametrize(
-        "argv", [["nogo"], ["strategies"], ["counterfactual", "--format", "csv"]], ids=" ".join
+        "argv", [["nogo"], ["strategies"], ["probe"]], ids=" ".join
     )
     def test_seed_that_is_never_drawn_from_is_unused(self, tmp_path, capsys, argv):
         # printing the seed in the provenance is not a read: the payload and
@@ -146,7 +148,7 @@ class TestOneKeyPerParameter:
         (["sweep", "--trials", "200"], "f = 0.3\n", "f", ["0.3"]),
         (["sweep", "--trials", "200"], "R = 0.2, 0.4\n", "R", ["0.2"] * 3 + ["0.4"] * 3),
         (["strategies"], "R = 0.4\n", "R", ["0.4"] * 6),
-        (["counterfactual", "--format", "csv"], "M = 5\ntheta_points = 2\n", "M", ["5"] * 2),
+        (["probe"], "M = 5\ntheta_points = 2\n", "M", ["5"] * 2),
     ], ids=["sweep-builtin_code", "sweep-f", "sweep-R", "strategies-R", "counterfactual-csv-M"])
     def test_plain_key_is_honoured(self, argv, text, column, want, tmp_path, capsys):
         assert cli.main(argv + ["--config", write_cfg(tmp_path, text)]) == 0
@@ -176,8 +178,10 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "argv",
-        [[], ["frobnicate"], ["nogo", "--bogus"], ["nogo", "--format", "xml"]],
-        ids=["missing", "unknown-command", "unknown-flag", "format-xml"],
+        [[], ["frobnicate"], ["nogo", "--bogus"], ["nogo", "--format", "xml"],
+         ["strategies", "--format", "json"]],
+        # every command writes one encoding: --format is no flag at all
+        ids=["missing", "unknown-command", "unknown-flag", "format-xml", "format-json"],
     )
     def test_usage_error_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -186,47 +190,6 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "mzqbc: error: " in captured.err
-
-    @pytest.mark.parametrize("command", ["strategies", "counterfactual"])
-    @pytest.mark.parametrize("fmt", ["xml", "CSV"])
-    def test_config_file_format_is_checked_like_the_flag(self, command, fmt, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, f"format = {fmt}\n")
-        assert cli.main([command, "--config", cfg]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: format must be csv or json, got {fmt!r}\n"
-
-    @pytest.mark.parametrize(
-        "command, fmt, want",
-        [
-            ("run", "csv", "format must be json, got 'csv'"),
-            ("nogo", "csv", "format must be json, got 'csv'"),
-            ("sweep", "json", "format must be csv, got 'json'"),
-            ("verify", "json", "format must be unset, got 'json'"),  # it prints text
-        ],
-    )
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_format_the_command_cannot_write_exits_2(
-        self, command, fmt, want, source, tmp_path, capsys
-    ):
-        if source == "flag":
-            argv = [command, "--format", fmt]
-        else:
-            argv = [command, "--config", write_cfg(tmp_path, f"format = {fmt}\n")]
-        assert cli.main(argv + ["--trials", "100"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {want}\n"
-
-    @pytest.mark.parametrize(
-        "argv", [["run"], ["nogo"], ["sweep", "--trials", "100"], ["strategies"]], ids=" ".join
-    )
-    def test_format_the_command_writes_changes_nothing(self, argv, capsys):
-        assert cli.main(argv) == 0
-        plain = capsys.readouterr()
-        fmt = "csv" if argv[0] in ("sweep", "strategies") else "json"
-        assert cli.main(argv + ["--format", fmt]) == 0
-        assert capsys.readouterr() == plain
 
     def test_dispatches_a_command_patched_onto_the_module(self, monkeypatch, capsys):
         # the benchmark's tracer wraps cli.cmd_* after import
@@ -242,7 +205,7 @@ class TestParser:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
-        "argv", [["nogo"], ["strategies"], ["counterfactual", "--format", "csv"]], ids=" ".join
+        "argv", [["nogo"], ["strategies"], ["probe"]], ids=" ".join
     )
     def test_out_file_holds_the_stdout_bytes(self, argv, tmp_path, capsys):
         assert cli.main(argv) == 0
@@ -459,6 +422,26 @@ class TestSweep:
             assert captured.out == ""
             assert captured.err == f"error: {want}\n"
 
+    def test_code_file_is_the_one_code_swept(self, tmp_path, capsys):
+        # the file's code is swept under its path, and the builtin list is
+        # unread: the rows are the builtin Hamming code's, draw for draw
+        gen = tmp_path / "hamming.txt"
+        gen.write_text("".join(codes.string_from_bits(row) + "\n"
+                               for row in codes.hamming_7_4().generator))
+        argv = ["sweep", "--trials", "100", "--seed", "2", "--config"]
+        assert cli.main(argv + [write_cfg(tmp_path, "builtin_code = hamming\n", "b.cfg")]) == 0
+        builtin = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        cfg = write_cfg(tmp_path, f"code_file = {gen}\nbuiltin_code = golay\n")
+        assert cli.main(argv + [cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: unused config key(s): builtin_code\n"
+        rows = list(csv.DictReader(captured.out.splitlines()))
+        assert [(row["code"], row["n"], row["k"], row["d"]) for row in rows] == [
+            (str(gen), "7", "4", "3")] * 3
+        for row in rows + builtin:
+            del row["code"], row["config_hash"]
+        assert rows == builtin
+
 
 class TestStrategies:
     def test_table_values(self, capsys):
@@ -585,7 +568,7 @@ class TestCounterfactual:
         assert doc["reports"]["defense_off"]["mode_accuracy"] >= 0.99
 
     def test_csv_grid(self, capsys):
-        assert cli.main(["counterfactual", "--format", "csv"]) == 0
+        assert cli.main(["probe"]) == 0
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         assert len(rows) == 4 * 13
         assert all(float(r["Dc_intercept"]) == 0.0 for r in rows)
@@ -597,11 +580,10 @@ NON_POSITIVE_COUNTS = {
     "sweep-threads-0": (["sweep", "--threads", "0"], ""),
     "sweep-threads-negative": (["sweep", "--threads", "-3"], ""),
     "counterfactual-sessions-0": (["counterfactual"], "sessions = 0\n"),
-    "counterfactual-csv-M-0": (["counterfactual", "--format", "csv"], "M = 1, 0\n"),
-    "counterfactual-csv-M-negative": (["counterfactual", "--format", "csv"], "M = 1, -3\n"),
-    "counterfactual-csv-theta_points-0": (["counterfactual", "--format", "csv"], "theta_points = 0\n"),
-    "counterfactual-csv-theta_points-negative": (
-        ["counterfactual", "--format", "csv"], "theta_points = -2\n"),
+    "counterfactual-csv-M-0": (["probe"], "M = 1, 0\n"),
+    "counterfactual-csv-M-negative": (["probe"], "M = 1, -3\n"),
+    "counterfactual-csv-theta_points-0": (["probe"], "theta_points = 0\n"),
+    "counterfactual-csv-theta_points-negative": (["probe"], "theta_points = -2\n"),
 }
 
 
@@ -629,17 +611,32 @@ class TestVerify:
             "warning: unused config key(s): perturb_bs, tol_mz, tol_posterior_sigmas\n"
         )
 
-    def test_perturbed_convention_fails(self, monkeypatch, capsys):
+    @staticmethod
+    def perturb(monkeypatch):
         encode = optics.encode
 
         def quarter_wave_error(bit, bs):  # a quarter-wave error on rail X
             return optics.phase_apply(encode(bit, bs), optics.RAIL_X, math.pi / 2)
 
         monkeypatch.setattr(optics, "encode", quarter_wave_error)
+
+    def test_perturbed_convention_fails(self, monkeypatch, capsys):
+        self.perturb(monkeypatch)
         assert cli.main(["verify"]) == 1
         (line,) = [ln for ln in capsys.readouterr().out.splitlines() if "mz_determinism" in ln]
         assert line.startswith("FAIL mz_determinism")
         assert ", margin -" in line
+
+    @pytest.mark.parametrize("status", [0, 1], ids=["pristine", "perturbed"])
+    def test_out_file_holds_the_stdout_bytes(self, status, tmp_path, monkeypatch, capsys):
+        if status:
+            self.perturb(monkeypatch)
+        assert cli.main(["verify"]) == status
+        stdout = capsys.readouterr().out
+        out = tmp_path / "verify.txt"
+        assert cli.main(["verify", "--out", str(out)]) == status
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode()
 
     @pytest.mark.parametrize("shift, ok, margin", [
         (0.0, True, "margin +5.200e-03"),

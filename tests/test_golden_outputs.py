@@ -54,7 +54,8 @@ CASES = {
         ["counterfactual", "--seed", "5"],
         "builtin_code = golay\nf = 0.25\nM = 2\nsessions = 60\n",
     ),
-    "counterfactual-csv": (["counterfactual", "--format", "csv"], ""),
+    # the probe-chain grid
+    "counterfactual-csv": (["probe"], ""),
     "nogo": (["nogo", "--seed", "7", "--trials", "3"], ""),
     # the intercepted photon fixes the parity over a 16-word code
     "nogo-extended_hamming-r10000000": (
@@ -68,14 +69,9 @@ CASES = {
         + ", ".join("intercept" if i in (1, 2, 3, 7) else "bypass" for i in range(24)) + "\n",
     ),
     "verify": (["verify", "--seed", "4"], ""),
-    "strategies-json": (["strategies", "--format", "json"], ""),
     # pins the CSV column order, which a DictReader does not see
     "strategies-csv": (["strategies"], ""),
     "strategies-search-csv-seed3": (["strategies", "--seed", "3"], "search_trials = 20\n"),
-    "strategies-search-json-seed3": (
-        ["strategies", "--seed", "3"],
-        "search_trials = 20\nancilla_dim = 2\nformat = json\n",
-    ),
     "sweep-two-codes": (
         ["sweep", "--seed", "9", "--trials", "3000"],
         "builtin_code = extended_hamming, golay\n",
@@ -107,8 +103,6 @@ GOLDEN = {
     "run-hamming-seed17": "c7a628f8770e1d4fbf840afae733ec54fc54e57bb4d0d1db5521bb4a2bd99476",
     "run-hamming-full_intercept-bit1-seed3": "d1052e528ce68d118931aa03cc499e2128de008b9c11e4a9775e9354044d7fdd",
     "run-hamming-seed3": "a1b32a0cec90474410c273571a309f1aa26eedea34e4d8eeb01e1fcf9e4d6ff2",
-    "strategies-json": "40c19ce326d2bcb5a3ff99350f21060df95863431e13b09f33eb2641d9eb6ff2",
-    "strategies-search-json-seed3": "e3317ec19c2615d9c9c3ad251da2f1729703e3bad2fb6ffaeae8cf18364ee19a",
     "strategies-csv": "4306a2a981e35d3378c517a9515ade2bf6f382e411880f5ba6077f6a770bce5b",
     "strategies-search-csv-seed3": "2be3bf90b640776a7090719e171e3587051d76b22667f6acd006dc0440bf58ea",
     "sweep-two-codes": "143a66d351068f00521b918956bf496dd1220cf3ce162c86566cedae18477583",

@@ -1,4 +1,4 @@
-import json
+import csv
 import math
 
 import numpy as np
@@ -259,12 +259,11 @@ class TestSearch:
         # at R = 1/2 blind guess and single channel tie up to roundoff; the
         # rows carry blind guess's per-bit values, the first in list order
         cfg = tmp_path / "tie.cfg"
-        cfg.write_text("R = 0.5\nsearch_trials = 20\nancilla_dim = 2\nformat = json\n")
+        cfg.write_text("R = 0.5\nsearch_trials = 20\nancilla_dim = 2\n")
         assert cli.main(["strategies", "--config", str(cfg)]) == 0
-        table = json.loads(capsys.readouterr().out)["table"]
         by_name = {}
-        for row in table:
-            by_name.setdefault(row["strategy"], []).append(row["detection_prob"])
+        for row in csv.DictReader(capsys.readouterr().out.splitlines()):
+            by_name.setdefault(row["strategy"], []).append(float(row["detection_prob"]))
         assert by_name["search_best"] == by_name["blind_guess_on_time"]
         assert by_name["search_best"] == [0.4999999999999998] * 2
         assert by_name["single_channel"] == [0.4999999999999999] * 2
