@@ -119,13 +119,13 @@ def sender_local_invariance(rng: np.random.Generator) -> list[Result]:
 
 
 def probe_chain_convergence() -> list[Result]:
-    """The counterfactual probe chain: blocked runs match the closed form
-    and lose less with every longer chain, an open chain ends in Dc, and
-    the receiver's per-pass phases push the mean Dc below 0.9."""
+    """The counterfactual probe chain: blocked runs lose less with every
+    longer chain, an open chain ends in Dc, and the receiver's per-pass
+    phases push the mean Dc below 0.9.  The chain is a closed form, so
+    its agreement with the stepped passes is a test against the oracle,
+    not a line here."""
     blocked = [float(counterfactual.probe_chain(m, [0.0], blocked=True)[1][0])
                for m in PROBE_CYCLES]
-    closed_dev = max(abs(dd - counterfactual.blocked_dd_probability(m))
-                     for dd, m in zip(blocked, PROBE_CYCLES))
     # the loss 1 - Dd must not grow with M
     loss_increase = max(prev - dd for prev, dd in zip(blocked, blocked[1:]))
     loss_at_100 = 1.0 - blocked[PROBE_CYCLES.index(DEFENDED_CYCLES)]
@@ -133,7 +133,6 @@ def probe_chain_convergence() -> list[Result]:
     thetas = [2 * math.pi * i / DEFENSE_PHASES for i in range(DEFENSE_PHASES)]
     defended_dc = counterfactual.probe_chain(DEFENDED_CYCLES, thetas)[0]
     return [
-        Result("probe_chain_convergence.closed_form_deviation", closed_dev, EXACT_BOUND),
         Result("probe_chain_convergence.max_loss_increase", loss_increase, EXACT_BOUND),
         Result("probe_chain_convergence.loss_at_100", loss_at_100, LOSS_AT_100_BOUND),
         Result("probe_chain_convergence.open_dc_deviation", abs(open_dc - 1.0), EXACT_BOUND),

@@ -12,6 +12,10 @@ to both protocol rails per photon: it shifts the probe's per-pass phase,
 wrecking the chained interference, while an honest sender sees only an
 undetectable global factor.  The attack reports the undefended P(Dc |
 bypass) as its one phase-0 chain computes it, and None with no bypass.
+
+The chain is computed in closed form, the M-th power of one pass, so no
+cost depends on M; `tests/protocol_oracles.fbs_run` steps the M passes
+and is its oracle.
 """
 
 from __future__ import annotations
@@ -43,62 +47,48 @@ def probe_chain(
     """Exact outcome probabilities (Dc, Dd, Absorbed) of the chain, as three
     float64 arrays with one entry per per-pass phase in `thetas`.
 
-    The probe starts entirely in path a.  Unblocked, the M rotations
-    compose to a pi/2 transfer into path b (detector Dc) at phase 0;
-    blocked, the path-b amplitude is absorbed after every pass, leaving
-    P(Dd) = cos(pi/2M)^(2M) whatever the phase.
+    The probe starts entirely in path a.  One pass is diag(1, e^{i theta})
+    R(eta) with eta = pi/2M: up to a global phase, an SU(2) matrix of trace
+    2 cos(phi) with cos(phi) = cos(eta) cos(theta/2).  Its M-th power sends
+    path a to path b (detector Dc) with probability
 
-    The amplitudes live in one stacked float64 array `amp` of shape
-    (2, 2, L): `amp[0]` holds (re a, im a) and `amp[1]` holds (re b, im b).
-    A pass is six in-place ufunc calls.  The rotation adds [-s, s] times the
-    path-swapped stack to c times the stack; the phase adds [-sin, sin]
-    times the component-swapped `amp[1]` to cos times it.  Every entry
-    still equals the scalar complex recurrence bit for bit: each product is
-    the same single rounding, negation is exact, x + (-y) == x - y, and
-    addition and multiplication commute.  Complex dtypes, `matmul` and
-    `einsum` are avoided because their SIMD or BLAS kernels may fuse
-    multiply-adds, which moves the last bit on some CPUs.  For the same
-    reason the phases use libm `cos` and `sin`, and `_abs_squared` uses
-    Python's `** 2` (libm `pow`, not `x * x`) on each `hypot`.
+        Dc = sin^2(eta) sin^2(M phi) / sin^2(phi),
+
+    which is 1 at phase 0 (phi = eta), and Dd = 1 - Dc.  Blocked, the
+    path-b amplitude is absorbed after every pass: Dc = 0 and Dd is
+    `blocked_dd_probability` whatever the phase.  The cost does not
+    depend on M.
+
+    sin^2(phi) is taken as sin^2(eta) + cos^2(eta) sin^2(theta/2), and phi
+    from arctan2 on |cos(theta/2)|: theta enters only as e^{i theta}, and
+    theta/2 -> theta/2 + pi maps phi to pi - phi, which leaves sin^2(M phi)
+    alone.  So phi stays in [0, pi/2], where M phi keeps its relative
+    precision near the resonances at theta = 0 and 2 pi.  The naive
+    arccos(cos(eta) cos(theta/2)) loses 1.6e-7 at M = 1e5 and all of Dc at
+    theta = 0, M = 1e9.
     """
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
+    thetas = np.asarray(thetas, dtype=float)
+    zeros = np.zeros(thetas.shape)
+    if blocked:
+        dd = np.full(thetas.shape, blocked_dd_probability(cycles))
+        return zeros, dd, 1.0 - dd
     eta = math.pi / (2 * cycles)
     c, s = math.cos(eta), math.sin(eta)
-    thetas = np.asarray(thetas, dtype=float).tolist()
-    pc = np.array([math.cos(t) for t in thetas])
-    ps = np.array([math.sin(t) for t in thetas])
-    rot = np.array([-s, s]).reshape(2, 1, 1)
-    phase = np.array([-ps, ps])
-    amp = np.zeros((2, 2, len(thetas)))
-    amp[0, 0] = 1.0
-    b = amp[1]
-    swapped, b_swapped = amp[::-1], b[::-1]  # views: they follow amp
-    tmp = np.empty_like(amp)
-    tmp_b = tmp[1]
-    absorbed = np.zeros(len(thetas))
-    for _ in range(cycles):
-        np.multiply(rot, swapped, out=tmp)
-        amp *= c
-        amp += tmp
-        if blocked:
-            absorbed = absorbed + _abs_squared(*b)
-            b[...] = 0.0
-        else:
-            np.multiply(phase, b_swapped, out=tmp_b)
-            b *= pc
-            b += tmp_b
-    return _abs_squared(*b), _abs_squared(*amp[0]), absorbed
-
-
-def _abs_squared(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """abs(complex(re, im)) ** 2, element by element, as Python rounds it."""
-    return np.array([h ** 2 for h in np.hypot(re, im).tolist()])
+    half = thetas / 2
+    sin2_phi = s * s + (c * np.sin(half)) ** 2
+    phi = np.arctan2(np.sqrt(sin2_phi), c * np.abs(np.cos(half)))
+    dc = s * s * np.sin(cycles * phi) ** 2 / sin2_phi
+    return dc, 1.0 - dc, zeros
 
 
 def blocked_dd_probability(cycles: int) -> float:
-    """Closed form for the blocked case: cos(pi/2M)^(2M)."""
-    return math.cos(math.pi / (2 * cycles)) ** (2 * cycles)
+    """Closed form for the blocked case: cos(pi/2M)^(2M), through
+    log1p(-2 sin^2(pi/4M)): cos(pi/2M) itself rounds to 1.0 at M = 1e9,
+    where the power would lose the whole loss 1 - Dd = 2.5e-9."""
+    half_eta = math.pi / (4 * cycles)
+    return math.exp(2 * cycles * math.log1p(-2 * math.sin(half_eta) ** 2))
 
 
 def attack_session(
@@ -123,14 +113,15 @@ def attack_session(
     falls below f, the honest receiver's law), the defense phase 2*pi*u
     (defense on only) and the probe's outcome uniform.  One chain call
     serves the bypassed photons of every session: without the defense they
-    all see phase 0, so it steps that one phase, and `mean_Dc_bypass` is its
-    Dc as computed; with it, it steps one entry per bypassed photon.  With no
+    all see phase 0, so it evaluates that one phase, and `mean_Dc_bypass` is
+    its Dc as computed; with it, one entry per bypassed photon.  With no
     photon bypassed `mean_Dc_bypass` is None.  A blocked probe never clicks
     Dc, whatever its phase, so it needs no chain.  For the
     same reason every intercepted position is among those she keeps, so
     the receiver accepts the flipped word whenever one exists: exactly
     when the kept positions leave the parity open, which one
-    `kernels.parity_determined` call decides for every session.
+    `kernels.parity_determined` call decides for every session.  The
+    chain is a closed form, so the attack costs O(sessions * n) at any M.
     """
     if sessions < 1:
         raise ValueError("the attack needs at least one session")
@@ -159,7 +150,7 @@ def attack_session(
 
 def fbs_sweep_rows(cycle_grid, theta_grid) -> list[dict]:
     """Grid of exact probe outcome probabilities for the CSV export; the
-    blocked chain ignores the phase, so it runs once per M."""
+    blocked chain ignores the phase, so it is evaluated once per M."""
     rows = []
     for m in cycle_grid:
         dc, dd, _ = probe_chain(m, theta_grid)

@@ -1,8 +1,9 @@
 """Scalar and Monte-Carlo oracles for the protocol and the probe attack.
 
 `fbs_run` is the probe chain as one complex scalar recurrence per phase,
-the loop that `mzqbc.counterfactual.probe_chain` runs batched over float
-arrays; tests compare the two bit for bit.  `defense_honest_invariance`
+its M passes stepped one by one; `mzqbc.counterfactual.probe_chain`
+computes the same chain in closed form, and tests compare the two to the
+loop's own rounding.  `defense_honest_invariance`
 and `sample_intercept_posterior` check the receiver's phase defense and
 the intercept posterior by direct simulation, the latter counting two
 independent float uniforms per position with `intercept_posterior_counts`;

@@ -601,7 +601,7 @@ class TestVerify:
         for seed in (0, 362, 1758924355):  # 362 and 1758924355 failed a sampled posterior check
             assert cli.main(["verify", "--seed", str(seed)]) == 0
             lines = capsys.readouterr().out.splitlines()
-            assert len(lines) == 9
+            assert len(lines) == 8
             assert all(line.startswith("PASS ") and ", margin +" in line for line in lines)
 
     def test_removed_knobs_are_ignored(self, tmp_path, capsys):

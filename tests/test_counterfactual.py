@@ -6,7 +6,7 @@ import pytest
 
 import codeword_oracles
 import protocol_oracles
-from mzqbc import cli, codes, kernels, optics, protocol
+from mzqbc import checks, cli, codes, kernels, optics, protocol
 from mzqbc import counterfactual as cf_module
 from mzqbc.counterfactual import (
     FbsConfig,
@@ -15,6 +15,13 @@ from mzqbc.counterfactual import (
     fbs_sweep_rows,
     probe_chain,
 )
+
+#: Largest gap between `probe_chain` and the stepped `fbs_run` allowed at
+#: M <= 1000.  Measured: 4.0e-14 at M = 1000 (1.5e-14 at M = 128), the
+#: stepped loop's own rounding; on the same phases the closed form is
+#: within 3.4e-16 of a 50-digit reference.
+ORACLE_BOUND = 1e-13
+assert ORACLE_BOUND <= checks.EXACT_BOUND
 
 
 def make_params(f=0.25, seed=0):
@@ -65,21 +72,60 @@ class TestProbeChain:
         with pytest.raises(ValueError):
             FbsConfig(cycles=0)
 
-    @pytest.mark.parametrize("m", [1, 5, 25, 50, 100, 200, 1000])
+    @pytest.mark.parametrize("m", [1, 5, 25, 50, 100, 128, 200, 1000])
     def test_batched_chain_matches_scalar_loop_bit_for_bit(self, m):
-        # signed zeros, a full turn, a tiny phase and a large one
-        # go through the stacked buffer's negated and broadcast products
+        # signed zeros, a full turn, a tiny phase and a large one; the
+        # closed form and the stepped passes round differently, so they
+        # agree to the loop's own rounding, which grows with M
         edges = [0.0, -0.0, math.pi, 2 * math.pi, 1e-300, 1e6]
         thetas = np.concatenate([edges, np.random.default_rng(m).random(1200) * (2 * math.pi)])
         dc, dd, absorbed = probe_chain(m, thetas)
         for theta, got in zip(thetas.tolist(), zip(dc.tolist(), dd.tolist(), absorbed.tolist())):
             want = protocol_oracles.fbs_run(m, False, theta)
-            assert got == (want["Dc"], want["Dd"], want["Absorbed"])
-        blocked = [a.tolist() for a in probe_chain(m, thetas[:3], blocked=True)]
+            assert got == pytest.approx(
+                (want["Dc"], want["Dd"], want["Absorbed"]), rel=0, abs=ORACLE_BOUND
+            )
+        blocked = probe_chain(m, thetas[:3], blocked=True)
         want = protocol_oracles.fbs_run(m, True)
-        assert blocked == [[want[key]] * 3 for key in ("Dc", "Dd", "Absorbed")]
+        for got, key in zip(blocked, ("Dc", "Dd", "Absorbed")):
+            assert got.tolist() == pytest.approx([want[key]] * 3, rel=0, abs=ORACLE_BOUND)
         for flag in (False, True):
             assert [p.tolist() for p in probe_chain(m, [], flag)] == [[], [], []]
+
+    @pytest.mark.parametrize("m", checks.PROBE_CYCLES)
+    def test_blocked_chain_matches_stepped_passes(self, m):
+        # the blocked Dd that release criterion 8 reads, and the share
+        # absorbed on the way, against the passes stepped one by one
+        _, dd, absorbed = probe_chain(m, [0.0], blocked=True)
+        want = protocol_oracles.fbs_run(m, True)
+        assert dd[0] == pytest.approx(want["Dd"], rel=0, abs=ORACLE_BOUND)
+        assert absorbed[0] == pytest.approx(want["Absorbed"], rel=0, abs=ORACLE_BOUND)
+
+    @pytest.mark.parametrize("m", [10**5, 10**7, 10**9])
+    def test_long_chains_match_a_50_digit_reference(self, m):
+        mp = pytest.importorskip("mpmath")
+        # near 0 and a full turn the chain resonates and M phi must keep
+        # its precision; 2 pi - pi/M is half a resonance width short
+        edges = [0.0, 1e-6, 1e-3, math.pi, 2 * math.pi, 2 * math.pi - math.pi / m]
+        thetas = edges + (np.random.default_rng(m).random(30) * (2 * math.pi)).tolist()
+        with mp.workdps(50):
+            eta = mp.pi / (2 * m)
+            for theta, dc in zip(thetas, probe_chain(m, thetas)[0].tolist()):
+                phi = mp.acos(mp.cos(eta) * mp.cos(mp.mpf(theta) / 2))
+                want = mp.sin(eta) ** 2 * mp.sin(m * phi) ** 2 / mp.sin(phi) ** 2
+                assert abs(dc - want) <= 1e-15, theta
+            want_dd = mp.cos(eta) ** (2 * m)
+            assert abs(probe_chain(m, [0.0], blocked=True)[1][0] - want_dd) <= 1e-15
+            assert abs(blocked_dd_probability(m) - want_dd) <= 1e-15
+
+    def test_a_billion_passes_cost_no_more_than_one(self):
+        # a stepped chain would run 1e9 passes here
+        m = 10**9
+        assert probe_chain(m, [0.0])[0][0] == pytest.approx(1.0, rel=0, abs=1e-12)
+        dc, dd, absorbed = probe_chain(m, [0.0, 1.0], blocked=True)
+        assert dc.tolist() == [0.0, 0.0]
+        assert dd.tolist() == [blocked_dd_probability(m)] * 2
+        assert absorbed[0] == pytest.approx(math.pi ** 2 / (4 * m), rel=1e-6)
 
 
 class TestDefenseInvariance:
@@ -143,7 +189,10 @@ class TestAttack:
             make_params(), False, FbsConfig(cycles=cycles), np.random.default_rng(5),
             sessions=sessions,
         )
-        assert rep["mean_Dc_bypass"] == protocol_oracles.fbs_run(cycles, False, 0.0)["Dc"]
+        assert rep["mean_Dc_bypass"] == probe_chain(cycles, [0.0])[0][0]
+        assert rep["mean_Dc_bypass"] == pytest.approx(
+            protocol_oracles.fbs_run(cycles, False, 0.0)["Dc"], rel=0, abs=ORACLE_BOUND
+        )
 
     def test_intercepted_probe_never_reaches_dc(self):
         dc, _, _ = probe_chain(50, [0.0, 1.0, 2.5], blocked=True)

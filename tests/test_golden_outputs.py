@@ -84,9 +84,9 @@ CASES = {
 }
 
 GOLDEN = {
-    "counterfactual-json-extended_hamming": "0a8fb2245d51ab354b4f41007bb69b2e6ba6f611e76932b030d218236946b7c5",
-    "counterfactual-csv": "5ee230d67294034295303710a874603cdc665e1d547dadc365653a72b666c2ed",
-    "counterfactual-json-golay": "c146406badd72610bc03ac69c8652d0935bbfda94f3974f860008da05706b9d5",
+    "counterfactual-json-extended_hamming": "d3102829c0ee57a99e28e68571fe75e7202c6a0fd170ad48e47557e9bffce0da",
+    "counterfactual-csv": "fc1cff1fc0e1798c2e8d63b35305a8a7bb7ad2bf59e484a7932ebe0a20f46988",
+    "counterfactual-json-golay": "98b2189bf62fa56007d382097948f32d3198215f35c0bc5ad37ab2edb5c70dca",
     "counterfactual-json-extended_hamming-M2": "24fe096e832188926725f77e9eeea430d933b638739ca5f24a14e36d6b30afaa",
     "counterfactual-json-golay-M2": "9a1bbf3606cec7785332804c5bce3f9ac63007aa1bed5449096b17f9987b1421",
     "nogo": "3efae389536d499ada28d55a66c57480930eda23daee5e47771dc2c18b25c6c2",
@@ -107,7 +107,7 @@ GOLDEN = {
     "strategies-search-csv-seed3": "2be3bf90b640776a7090719e171e3587051d76b22667f6acd006dc0440bf58ea",
     "sweep-two-codes": "143a66d351068f00521b918956bf496dd1220cf3ce162c86566cedae18477583",
     "sweep-two-codes-40000": "172fe88a6052d39e7d4ffefe26a797feb3fdea67bec0123a8140c3c5e381d7e6",
-    "verify": "1cf5908eb92236c157f319ca1cd85aee0c0829c19e9ddc73f98815ea7c2877cb",
+    "verify": "606b288c3bddbc077c3eb30e6df1e1ec09fa5ec4b3014f9b1bca41e0ee439dee",
 }
 
 
