@@ -246,9 +246,10 @@ def cmd_sweep(cfg) -> int:
     for name, R, f, params in points:
         code = params.code
         binding = protocol.run_binding_experiment(params, trials, threads=threads)
+        # the binding game draws Binomial(n, f) intercepts, the concealing
+        # game exactly round(f * n) of them (half to even)
         m = int(round(f * code.n))
         concealing = protocol.run_concealing_experiment(params, m, trials, threads=threads)
-        eff = protocol.efficiency_metrics(params)
         rows.append(
             {
                 "code": name,
@@ -264,13 +265,6 @@ def cmd_sweep(cfg) -> int:
                 "cheat_accept_rate": binding["accept_rate_among_proceed"],
                 "predicted_escape": binding["predicted_escape"],
                 "mean_posterior_true_bit": concealing["mean_posterior_true_bit"],
-                "mean_max_posterior": concealing["mean_max_posterior"],
-                "photons_current": eff["photons_current"],
-                "photons_prior": eff["photons_prior"],
-                "photon_ratio": eff["photon_ratio"],
-                "duration_current": eff["duration_current"],
-                "duration_prior": eff["duration_prior"],
-                "duration_ratio": eff["duration_ratio"],
             }
         )
     _emit_csv(cfg, rows)
@@ -302,12 +296,6 @@ def cmd_nogo(cfg) -> int:
     modes = config_mod.get_str_list(cfg, "modes", default_modes)
     intercepted = operator_model.intercept_mask(modes, code.n)
     distance, reduced_overlap = operator_model.reduced_states(code, r, intercepted)
-    # r is not orthogonal to the code, so knowing nothing leaves the bit at
-    # exactly 1/2; the records tell the bits apart with Helstrom's (1 + D)/2
-    posteriors = {
-        "no_knowledge": (0.5, 0.5),
-        "mean_max_with_intercepted_known": (1.0 + distance) / 2,
-    }
     _emit_json(
         cfg,
         {
@@ -322,7 +310,8 @@ def cmd_nogo(cfg) -> int:
                 "reduced_overlap": reduced_overlap,
                 "reduced_trace_distance": distance,
             },
-            "posteriors": posteriors,
+            # the records tell the bits apart with Helstrom's (1 + D)/2
+            "posteriors": {"mean_max_with_intercepted_known": (1.0 + distance) / 2},
         },
     )
     return 0

@@ -48,10 +48,6 @@ REJECT_NOT_CODEWORD = "reject_not_codeword"
 REJECT_PARITY = "reject_parity"
 REJECT_INTERCEPT_MISMATCH = "reject_intercept_mismatch"
 
-#: the predecessor scheme's sending slots per photon, s / n
-S_OVER_N = 10.0
-
-
 @dataclass(frozen=True)
 class ProtocolParams:
     """Session parameters agreed before the commit phase.
@@ -399,24 +395,7 @@ def run_concealing_experiment(
         "epsilon": eps,
         "abort_frequency": float(aborts),
         "mean_posterior_true_bit": float(posterior),
-        "mean_max_posterior": float(posterior),  # 1 or 1/2: the larger one
-    }
-
-
-def efficiency_metrics(params: ProtocolParams) -> dict:
-    """Photon-count and duration comparison against the predecessor scheme
-    that needed s = S_OVER_N * n slots (duration in mode-switch time units)."""
-    n, f = params.n, params.f
-    s = S_OVER_N * n
-    return {
-        "n": n,
-        "f": f,
-        "photons_current": n * f,
-        "photons_prior": s * f,
-        "duration_current": float(n),
-        "duration_prior": float(s),
-        "photon_ratio": S_OVER_N,
-        "duration_ratio": S_OVER_N,
+        "mean_max_posterior": float(posterior),  # a copy, kept while qbcbench/ reads it
     }
 
 

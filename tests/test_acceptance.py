@@ -5,7 +5,9 @@ even on success).  Criteria 1 and 6-8 run the release checks of
 `mzqbc.checks`, which `mzqbc verify` runs too, and print each measured
 value with its bound and margin.  Statistical criteria use 3-sigma
 binomial tolerances around closed forms that are themselves verified
-against independent oracles in the per-module tests.
+against independent oracles in the per-module tests.  Criterion 10,
+the comparison with the predecessor scheme, is a definition in README,
+not a check: the paper fixes no slot count for the predecessor.
 """
 
 import math
@@ -183,14 +185,3 @@ def test_criterion_9_global_phase_defense():
                 worst = max(worst, abs(dist.get(ev, 0.0) - honest.get(ev, 0.0)))
     ok = worst <= 1e-12
     report(9, ok, f"defense phases leave honest detection within {worst:.1e}")
-
-
-def test_criterion_10_efficiency_ratios():
-    rep = protocol.efficiency_metrics(make_params(f=0.25))
-    ok = rep["photon_ratio"] == 10.0 and rep["duration_ratio"] == 10.0
-    report(
-        10,
-        ok,
-        f"photon ratio {rep['photon_ratio']}, duration ratio {rep['duration_ratio']} "
-        f"(photons {rep['photons_current']} vs {rep['photons_prior']})",
-    )

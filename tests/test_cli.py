@@ -386,18 +386,20 @@ class TestSweep:
     def test_grid_rows_and_columns(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,
-            "f_grid = 0, 0.25, 0.5\nbuiltin_code = extended_hamming\n"
+            "f = 0.1, 0.4\nbuiltin_code = extended_hamming\n"
             "r = 11100000\ntrials = 2000\nseed = 1\n",
         )
         assert cli.main(["sweep", "--config", cfg]) == 0
-        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-        assert len(rows) == 3
-        assert rows[0]["photon_ratio"] == "10.0"
-        assert "predicted_escape" in rows[0]
-        assert "config_hash" in rows[0]
-        # accept rate column sits next to its prediction
-        header = list(rows[0])
-        assert header.index("predicted_escape") == header.index("cheat_accept_rate") + 1
+        captured = capsys.readouterr()
+        assert captured.err == ""  # every key above is read
+        rows = list(csv.DictReader(captured.out.splitlines()))
+        assert [row["f"] for row in rows] == ["0.1", "0.4"]
+        # the accept rate column sits next to its prediction
+        assert list(rows[0]) == [
+            "code", "n", "k", "d", "R", "f", "epsilon", "trials",
+            "abort_frequency", "proceed_trials", "cheat_accept_rate", "predicted_escape",
+            "mean_posterior_true_bit", "config_hash", "seed",
+        ]
 
     def test_empty_grid_is_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "f = ,\n")
@@ -461,7 +463,7 @@ class TestNogo:
         doc = json.loads(out.read_text())
         assert doc["code"] == "(3,1,3)"
         assert doc["max_deviation"] <= 1e-9
-        assert doc["posteriors"]["no_knowledge"] == [0.5, 0.5]
+        assert doc["posteriors"] == {"mean_max_with_intercepted_known": 1.0}
         assert doc["overlaps"]["reduced_overlap"] == pytest.approx(0.0, abs=1e-12)
 
     def test_extended_hamming_with_r(self, tmp_path):

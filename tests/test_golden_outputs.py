@@ -89,9 +89,9 @@ GOLDEN = {
     "counterfactual-json-golay": "98b2189bf62fa56007d382097948f32d3198215f35c0bc5ad37ab2edb5c70dca",
     "counterfactual-json-extended_hamming-M2": "24fe096e832188926725f77e9eeea430d933b638739ca5f24a14e36d6b30afaa",
     "counterfactual-json-golay-M2": "9a1bbf3606cec7785332804c5bce3f9ac63007aa1bed5449096b17f9987b1421",
-    "nogo": "3efae389536d499ada28d55a66c57480930eda23daee5e47771dc2c18b25c6c2",
-    "nogo-extended_hamming-r10000000": "b57c9842721b3635e113f0925f6d9450ca2f61e7f482832902ae578954ad1e61",
-    "nogo-golay": "8d3f870c17a527393c282b4573a74130a9bd8df43de31ff968c5ea10be8ed29d",
+    "nogo": "31936e456244863f74be7d328b3d646525a1c1868696c1fd4a2f2237fcb7b317",
+    "nogo-extended_hamming-r10000000": "b24a6c6c97ea69f0a446ee7bd296fdeef67210d63b03efb1c90094a8f5b984ff",
+    "nogo-golay": "fa33589ed6277020309d990645b26178481550748a91e793ae9f34a4f29bf07c",
     "run-extended_hamming-seed17": "9437859e1910724bc58ca50a62aff52a91b66730e0d8b0a83e08571d416bcbf8",
     "run-extended_hamming-seed3": "0e1454b4799a8c5860b17d0a6a819ae02c9214451d11b9bbed3a98282d72649e",
     "run-extended_hamming-partial3-bit1-seed3": "08132b7be86133562d49490accb67239a9abac766ef99270788191d33512bce7",
@@ -105,8 +105,8 @@ GOLDEN = {
     "run-hamming-seed3": "a1b32a0cec90474410c273571a309f1aa26eedea34e4d8eeb01e1fcf9e4d6ff2",
     "strategies-csv": "4306a2a981e35d3378c517a9515ade2bf6f382e411880f5ba6077f6a770bce5b",
     "strategies-search-csv-seed3": "2be3bf90b640776a7090719e171e3587051d76b22667f6acd006dc0440bf58ea",
-    "sweep-two-codes": "143a66d351068f00521b918956bf496dd1220cf3ce162c86566cedae18477583",
-    "sweep-two-codes-40000": "172fe88a6052d39e7d4ffefe26a797feb3fdea67bec0123a8140c3c5e381d7e6",
+    "sweep-two-codes": "065be821ffb9bd736f545fcccc4946f2a8b6240851f8ceb8e1e3e4afeeeedb29",
+    "sweep-two-codes-40000": "7ce899c1a5b601ddf6fb45887b50cafa083fb89d63a5ea1da818dd04c4d2a94a",
     "verify": "606b288c3bddbc077c3eb30e6df1e1ec09fa5ec4b3014f9b1bca41e0ee439dee",
 }
 

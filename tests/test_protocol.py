@@ -26,7 +26,6 @@ from mzqbc.protocol import (
     PartialInterceptBob,
     ProtocolParams,
     binding_pair,
-    efficiency_metrics,
     escape_probability,
     honest_announcement,
     intercept_posterior,
@@ -513,6 +512,21 @@ class TestBindingStreams:
         assert rep["abort_frequency"] == abort / trials
         assert 0 < abort < trials
 
+    def test_sweep_points_share_one_stream(self):
+        # every f reads the same blocks of SeedSequence(seed), so the
+        # intercept events u < t(f) are nested: a larger f accepts no cheat
+        # that a smaller one rejected and spares no abort (common random
+        # numbers; independent streams would cross at f = 0.30 and 0.301)
+        trials, counts = 40_000, []
+        for f in (0.30, 0.301, 0.31, 0.5):
+            rep = run_binding_experiment(make_params(f=f, epsilon=None, seed=4), trials)
+            counts.append((round(rep["accept_rate_unconditioned"] * trials),
+                           round(rep["abort_frequency"] * trials)))
+        accepts, aborts = zip(*counts)
+        assert list(accepts) == sorted(accepts, reverse=True)
+        assert list(aborts) == sorted(aborts)
+        assert accepts[0] > accepts[-1] and aborts[0] < aborts[-1]
+
 
 class TestConcealingExperiment:
     def test_no_interception_is_perfectly_balanced(self):
@@ -579,20 +593,6 @@ class TestPosteriorOracle:
         rng = np.random.default_rng(2)
         res = sample_intercept_posterior(0.0, 0.5, 10_000, rng)
         assert res["empirical_posterior"] == 0.0
-
-
-class TestEfficiency:
-    def test_default_ratio_is_ten(self):
-        rep = efficiency_metrics(make_params(f=0.25))
-        assert rep["photon_ratio"] == 10.0
-        assert rep["duration_ratio"] == 10.0
-        assert rep["photons_current"] == pytest.approx(2.0)
-        assert rep["photons_prior"] == pytest.approx(20.0)
-
-    def test_f_zero_sends_nothing(self):
-        rep = efficiency_metrics(make_params(f=0.0))
-        assert rep["photons_current"] == 0.0
-        assert rep["photons_prior"] == 0.0
 
 
 class TestSerialization:

@@ -259,7 +259,7 @@ class TestSearch:
         # at R = 1/2 blind guess and single channel tie up to roundoff; the
         # rows carry blind guess's per-bit values, the first in list order
         cfg = tmp_path / "tie.cfg"
-        cfg.write_text("R = 0.5\nsearch_trials = 20\nancilla_dim = 2\n")
+        cfg.write_text("R = 0.5\nsearch_trials = 20\n")
         assert cli.main(["strategies", "--config", str(cfg)]) == 0
         by_name = {}
         for row in csv.DictReader(capsys.readouterr().out.splitlines()):
