@@ -4,7 +4,7 @@ Each check measures one claim of the protocol exactly, or on a fixed grid,
 and returns one `Result` per bound: a named measured value and the bound it
 must stay under.  Codes, grids, trial counts and bounds are constants here,
 so every caller runs the same check; the only input is a generator, for
-the checks that draw masks or unitaries.
+the checks that draw masks.
 """
 
 from __future__ import annotations
@@ -16,19 +16,10 @@ import numpy as np
 
 from . import codes as codes_mod
 from . import counterfactual, kernels, operator_model, optics, protocol
-from .util import haar_unitary
 
 R_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 #: Masks drawn per builtin code for the orthogonality check.
 MASKS_PER_CODE = 20
-#: (generator, intercepted positions) of the invariance check; r is all ones.
-INVARIANCE_CASES = (
-    ([[1]], (True,)),
-    ([[1, 0], [0, 1]], (True, False)),
-    ([[1, 1, 1]], (True, False, True)),
-    ([[1, 1, 1]], (True, False, False)),
-)
-INVARIANCE_TRIALS = 100
 #: Probe-chain lengths M, in increasing order.
 PROBE_CYCLES = (1, 2, 4, 5, 8, 16, 25, 32, 64, 100, 128)
 DEFENDED_CYCLES = 100
@@ -39,7 +30,6 @@ DEFENSE_PHASES = 360
 POSTERIOR_SLICES = 1 << 16
 
 EXACT_BOUND = 1e-12
-INVARIANCE_BOUND = 1e-9
 LOSS_AT_100_BOUND = 0.05
 DEFENDED_MEAN_DC_BOUND = 0.9
 #: The 3-sigma half-width of a 100 000-sample posterior draw at f = eps = 1/2.
@@ -98,40 +88,19 @@ def committed_state_orthogonality(rng: np.random.Generator) -> list[Result]:
     return [Result("committed_state_orthogonality.max_overlap", worst, EXACT_BOUND)]
 
 
-def sender_local_invariance(rng: np.random.Generator) -> list[Result]:
-    """Haar rotations V of the sender's returned qubits leave the receiver's
-    state and its overlap with the other bit's state unchanged.
-
-    Each codeword branch is reweighted by the squared norm of one column of
-    V, so what this measures is the unit norm of the branch columns of each
-    drawn V: the deviation is the rounding of the Haar draw, and exactly 0
-    for an exact unitary.
-    """
-    worst = 0.0
-    for gen, intercepted in INVARIANCE_CASES:
-        code = codes_mod.code_from_generator(np.array(gen, dtype=np.uint8))
-        r = np.ones(code.n, dtype=np.uint8)
-        intercepted = np.array(intercepted)
-        for _ in range(INVARIANCE_TRIALS):
-            v = haar_unitary(1 << code.n, rng)
-            worst = max(worst, *operator_model.state_change(code, r, intercepted, v))
-    return [Result("sender_local_invariance.max_deviation", worst, INVARIANCE_BOUND)]
-
-
 def probe_chain_convergence() -> list[Result]:
     """The counterfactual probe chain: blocked runs lose less with every
     longer chain, an open chain ends in Dc, and the receiver's per-pass
     phases push the mean Dc below 0.9.  The chain is a closed form, so
     its agreement with the stepped passes is a test against the oracle,
     not a line here."""
-    blocked = [float(counterfactual.probe_chain(m, [0.0], blocked=True)[1][0])
-               for m in PROBE_CYCLES]
+    blocked = [counterfactual.blocked_dd_probability(m) for m in PROBE_CYCLES]
     # the loss 1 - Dd must not grow with M
     loss_increase = max(prev - dd for prev, dd in zip(blocked, blocked[1:]))
     loss_at_100 = 1.0 - blocked[PROBE_CYCLES.index(DEFENDED_CYCLES)]
-    open_dc = float(counterfactual.probe_chain(DEFENDED_CYCLES, [0.0])[0][0])
+    open_dc = float(counterfactual.probe_chain(DEFENDED_CYCLES, [0.0])[0])
     thetas = [2 * math.pi * i / DEFENSE_PHASES for i in range(DEFENSE_PHASES)]
-    defended_dc = counterfactual.probe_chain(DEFENDED_CYCLES, thetas)[0]
+    defended_dc = counterfactual.probe_chain(DEFENDED_CYCLES, thetas)
     return [
         Result("probe_chain_convergence.max_loss_increase", loss_increase, EXACT_BOUND),
         Result("probe_chain_convergence.loss_at_100", loss_at_100, LOSS_AT_100_BOUND),

@@ -347,7 +347,6 @@ def cmd_verify(cfg) -> int:
     results = [
         *checks.mz_determinism(),
         *checks.committed_state_orthogonality(rng),
-        *checks.sender_local_invariance(rng),
         *checks.probe_chain_convergence(),
         *checks.intercept_posterior_oracle(),
     ]

@@ -41,11 +41,10 @@ class FbsConfig:
             raise ValueError("cycles must be >= 1")
 
 
-def probe_chain(
-    cycles: int, thetas, blocked: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact outcome probabilities (Dc, Dd, Absorbed) of the chain, as three
-    float64 arrays with one entry per per-pass phase in `thetas`.
+def probe_chain(cycles: int, thetas) -> np.ndarray:
+    """Exact probability that the open chain ends in Dc, as a float64 array
+    with one entry per per-pass phase in `thetas`; Dd is 1 - Dc, and the
+    blocked chain is `blocked_dd_probability`.
 
     The probe starts entirely in path a.  One pass is diag(1, e^{i theta})
     R(eta) with eta = pi/2M: up to a global phase, an SU(2) matrix of trace
@@ -54,10 +53,7 @@ def probe_chain(
 
         Dc = sin^2(eta) sin^2(M phi) / sin^2(phi),
 
-    which is 1 at phase 0 (phi = eta), and Dd = 1 - Dc.  Blocked, the
-    path-b amplitude is absorbed after every pass: Dc = 0 and Dd is
-    `blocked_dd_probability` whatever the phase.  The cost does not
-    depend on M.
+    which is 1 at phase 0 (phi = eta).  The cost does not depend on M.
 
     sin^2(phi) is taken as sin^2(eta) + cos^2(eta) sin^2(theta/2), and phi
     from arctan2 on |cos(theta/2)|: theta enters only as e^{i theta}, and
@@ -70,23 +66,22 @@ def probe_chain(
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
     thetas = np.asarray(thetas, dtype=float)
-    zeros = np.zeros(thetas.shape)
-    if blocked:
-        dd = np.full(thetas.shape, blocked_dd_probability(cycles))
-        return zeros, dd, 1.0 - dd
     eta = math.pi / (2 * cycles)
     c, s = math.cos(eta), math.sin(eta)
     half = thetas / 2
     sin2_phi = s * s + (c * np.sin(half)) ** 2
     phi = np.arctan2(np.sqrt(sin2_phi), c * np.abs(np.cos(half)))
-    dc = s * s * np.sin(cycles * phi) ** 2 / sin2_phi
-    return dc, 1.0 - dc, zeros
+    return s * s * np.sin(cycles * phi) ** 2 / sin2_phi
 
 
 def blocked_dd_probability(cycles: int) -> float:
-    """Closed form for the blocked case: cos(pi/2M)^(2M), through
-    log1p(-2 sin^2(pi/4M)): cos(pi/2M) itself rounds to 1.0 at M = 1e9,
-    where the power would lose the whole loss 1 - Dd = 2.5e-9."""
+    """The blocked chain, whose path-b amplitude is absorbed after every
+    pass, whatever the phase: it never reaches Dc, reaches Dd with
+    probability cos(pi/2M)^(2M) and is absorbed otherwise.  Computed
+    through log1p(-2 sin^2(pi/4M)): cos(pi/2M) itself rounds to 1.0 at
+    M = 1e9, where the power would lose the whole loss 1 - Dd = 2.5e-9."""
+    if cycles < 1:
+        raise ValueError("cycles must be >= 1")
     half_eta = math.pi / (4 * cycles)
     return math.exp(2 * cycles * math.log1p(-2 * math.sin(half_eta) ** 2))
 
@@ -129,7 +124,7 @@ def attack_session(
     intercepted = rng.random(shape) < params.f
     bypass = ~intercepted
     thetas = rng.random(shape)[bypass] * (2 * math.pi) if defense_on else [0.0]
-    dc_bypass = probe_chain(fbs.cycles, thetas)[0]
+    dc_bypass = probe_chain(fbs.cycles, thetas)
     dc = np.zeros(shape)
     dc[bypass] = dc_bypass
     inferred_bypass = rng.random(shape) < dc
@@ -150,23 +145,22 @@ def attack_session(
 
 def fbs_sweep_rows(cycle_grid, theta_grid) -> list[dict]:
     """Grid of exact probe outcome probabilities for the CSV export; the
-    blocked chain ignores the phase, so it is evaluated once per M."""
+    blocked chain ignores the phase and never reaches Dc, so its Dd is
+    evaluated once per M."""
     rows = []
     for m in cycle_grid:
-        dc, dd, _ = probe_chain(m, theta_grid)
-        dc_blocked, dd_blocked, absorbed = (
-            float(p[0]) for p in probe_chain(m, [0.0], blocked=True)
-        )
-        for theta, dc_bypass, dd_bypass in zip(theta_grid, dc.tolist(), dd.tolist()):
+        dc = probe_chain(m, theta_grid)
+        dd_blocked = blocked_dd_probability(m)
+        for theta, dc_bypass, dd_bypass in zip(theta_grid, dc.tolist(), (1.0 - dc).tolist()):
             rows.append(
                 {
                     "M": m,
                     "theta": theta,
                     "Dc_bypass": dc_bypass,
                     "Dd_bypass": dd_bypass,
-                    "Dc_intercept": dc_blocked,
+                    "Dc_intercept": 0.0,
                     "Dd_intercept": dd_blocked,
-                    "absorbed_intercept": absorbed,
+                    "absorbed_intercept": 1.0 - dd_blocked,
                 }
             )
     return rows

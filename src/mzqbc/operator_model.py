@@ -25,14 +25,16 @@ patterns, trace distance 1 and overlap 0; otherwise both are the uniform
 mixture of the 2^rank(G[:, S]) patterns, trace distance 0 and overlap
 2^-rank.
 
-Two structural facts carry the security argument, and both are read off
-the patterns.  The committed alpha states for bit 0 and bit 1 are exactly
-orthogonal: with every photon intercepted the records hold the whole
-codeword, so the receiver's reduced state is the committed register's own
-mixture, and `reduced_states` on the full mask gives its overlap, 0
-because the whole word fixes the parity.  And nothing the sender applies
-to the returned qubits alone can change the receiver's reduced state
-(`state_change`, over the 2^k messages).  Both check r by `message_mask`.
+Two structural facts carry the security argument.  The committed alpha
+states for bit 0 and bit 1 are exactly orthogonal: with every photon
+intercepted the records hold the whole codeword, so the receiver's reduced
+state is the committed register's own mixture, and `reduced_states` on the
+full mask gives its overlap, 0 because the whole word fixes the parity.
+And nothing the sender applies to the returned qubits alone can change the
+receiver's reduced state: a unitary V on beta reweights branch c by
+|V beta_c|^2 = 1, so every pattern keeps its weight.  That second fact is
+a theorem, so this module computes nothing for it; the operator oracles of
+the tests check it on Haar draws.
 """
 
 from __future__ import annotations
@@ -68,31 +70,3 @@ def reduced_states(
     # an open parity puts 2^(k - rank - 1) words of each parity in every one
     # of the 2^rank patterns, so both states are the uniform pattern mixture
     return 0.0, 2.0 ** -codes_mod.gf2_rank(code.generator[:, intercepted])
-
-
-def state_change(
-    code: LinearCode, r: np.ndarray, intercepted: np.ndarray, v: np.ndarray
-) -> tuple[float, float]:
-    """How much one matrix V on the sender's returned qubits, a unitary in
-    the protocol, moves the receiver's bit-0 state: the largest per-pattern
-    sum of the branch weight changes (the operator norm of the change, which
-    bounds every matrix entry), and the change of its overlap with the bit-1
-    state.
-
-    Each codeword branch is reweighted by |V beta_c|^2, which is 1 for a
-    unitary.  The fiducial is |0>; no returned field depends on it.
-    """
-    _, base_overlap = reduced_states(code, r, intercepted)
-    # V is 2^n x 2^n, so the parity-0 branches are listed from the 2^k messages
-    msgs = (np.arange(1 << code.k)[:, None] >> np.arange(code.k)) & 1
-    words = (msgs @ code.generator % 2).astype(np.uint8)
-    words = words[words @ np.asarray(r, dtype=np.uint8) % 2 == 0]
-    m0 = len(words)
-    # with the fiducial |0>, branch c's returned qubits are the basis ket
-    # |c_i on bypassed photons, 0 on intercepted ones>, so V reweights it by
-    # the squared norm of that column of V
-    columns = (words * ~intercepted) @ (1 << np.arange(code.n - 1, -1, -1))
-    _, pattern = np.unique(kernels.pack_rows(words[:, intercepted]), return_inverse=True)
-    change = np.sum(np.abs(v.T[columns]) ** 2, axis=1) / m0 - 1.0 / m0
-    per_pattern = np.bincount(pattern, weights=change)
-    return float(np.max(np.abs(per_pattern))), abs(float(change.sum())) * base_overlap

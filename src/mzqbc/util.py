@@ -1,4 +1,4 @@
-"""Shared helpers: guarded errors, Haar-random unitaries, seeded trial blocks."""
+"""Shared helpers: guarded errors and seeded trial blocks."""
 
 from __future__ import annotations
 
@@ -7,15 +7,6 @@ import numpy as np
 
 class GuardError(Exception):
     """Raised when a computation would exceed a hard size/dimension guard."""
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    # fix the phase ambiguity of QR so the distribution is Haar
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 # Experiments split one master seed into fixed-size blocks so that results

@@ -14,6 +14,10 @@ positions were intercepted.  This module keeps the models it replaced:
 - the product-ket model: one product ket per codeword and the Gram matrix
   of the receiver's kets over both parity halves, its eigh and an eigvalsh
   per Haar trial, with any fiducial.  It reaches n <= 9.
+
+Both pipelines also rotate the returned register by Haar draws
+(`haar_unitary`) and report how far the receiver's state moves: release
+criterion 7, a theorem the library states but does not compute.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from math import prod
 import numpy as np
 
 import codeword_oracles
-from mzqbc.util import GuardError, haar_unitary
+from mzqbc.util import GuardError
 
 QUTRIT_UNMEASURED = 2
 
@@ -36,6 +40,20 @@ PSD_TOL = -1e-10
 DENSE_COMPOSITE_MAX_N = 3
 #: Dense committed-register matrices refuse beyond this n (2^n x 2^n).
 DENSE_GUARD_N = 12
+#: Release criterion 7: the largest change a unitary on the returned qubits
+#: may make to the receiver's state or its overlap, in either pipeline's
+#: report.  A theorem (each branch keeps |V beta_c|^2 = 1), so this bounds
+#: the rounding of the Haar draws.
+INVARIANCE_BOUND = 1e-9
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw a Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    # fix the phase ambiguity of QR so the distribution is Haar
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 @dataclass(frozen=True)
@@ -338,9 +356,12 @@ def alice_local_invariance(
     rng: np.random.Generator,
     beta_qubit: np.ndarray | None = None,
 ) -> dict:
-    """The dense invariance report: the same keys and the same Haar draws
-    as `mzqbc.operator_model.alice_local_invariance`; `max_deviation` is
-    the largest entry of the change in the receiver's bit-0 state."""
+    """The dense invariance report over `trials` Haar rotations V of the
+    returned qubits: `max_deviation` is the largest entry of the change in
+    the receiver's bit-0 state and `max_overlap_deviation` the change of its
+    overlap with the bit-1 state, both 0 up to rounding for a unitary V;
+    `reduced_overlap` and `reduced_trace_distance` are what
+    `mzqbc.operator_model.reduced_states` reads off the pattern."""
     states = {}
     for b in (0, 1):
         alpha = committed_density(code, r, b)
@@ -397,10 +418,13 @@ def gram_local_invariance(
     rng: np.random.Generator,
     beta_qubit: np.ndarray | None = None,
 ) -> dict:
-    """The invariance report from the Gram matrix of the receiver's branch
-    kets: the same keys and the same Haar draws as
-    `mzqbc.operator_model.alice_local_invariance`, with the receiver's
-    per-qubit fiducial `beta_qubit` (default |0>)."""
+    """The invariance report of `alice_local_invariance`, the same keys and
+    the same Haar draws, from the Gram matrix of the receiver's branch kets,
+    with the receiver's per-qubit fiducial `beta_qubit` (default |0>).  A V
+    moves branch c's weight by |V beta_c|^2 - 1, and `max_deviation` is the
+    largest |eigenvalue| of sum_c change_c |B_c><B_c|, the largest
+    per-pattern sum of those changes: rounding for a unitary V, O(1/m0)
+    for a non-unitary draw."""
     fiducial = np.array([1.0, 0.0] if beta_qubit is None else beta_qubit, dtype=complex)
     fiducial = fiducial / np.linalg.norm(fiducial)
     n = code.n

@@ -38,35 +38,42 @@ def make_params(f=0.25, seed=0):
 class TestProbeChain:
     @pytest.mark.parametrize("m", [1, 3, 7, 25, 100])
     def test_unblocked_transfers_completely(self, m):
-        dc, _, absorbed = probe_chain(m, [0.0])
-        assert dc[0] == pytest.approx(1.0, abs=1e-12)
-        assert absorbed[0] == 0.0
+        assert probe_chain(m, [0.0])[0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("m", [1, 5, 25, 100])
     def test_blocked_matches_closed_form(self, m):
-        dc, dd, _ = probe_chain(m, [0.0], blocked=True)
-        assert dd[0] == pytest.approx(blocked_dd_probability(m), abs=1e-12)
-        assert dc[0] == 0.0
+        # the log1p form against the plain power, which is exact enough
+        # while cos(pi/2M) keeps its digits
+        want = math.cos(math.pi / (2 * m)) ** (2 * m)
+        assert blocked_dd_probability(m) == pytest.approx(want, abs=1e-12)
 
     def test_blocked_m25_value(self):
         assert blocked_dd_probability(25) == pytest.approx(0.9059591594, abs=1e-9)
 
     def test_blocked_loss_shrinks_with_m(self):
-        losses = [
-            1 - probe_chain(m, [0.0], blocked=True)[1][0] for m in (1, 2, 4, 8, 16, 32, 64, 128)
-        ]
+        losses = [1 - blocked_dd_probability(m) for m in (1, 2, 4, 8, 16, 32, 64, 128)]
         assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
-        assert 1 - probe_chain(100, [0.0], blocked=True)[1][0] <= 0.05
+        assert 1 - blocked_dd_probability(100) <= 0.05
 
     @pytest.mark.parametrize("theta", [0.0, 0.7, 2.0, math.pi])
     @pytest.mark.parametrize("blocked", [False, True])
     def test_probability_conservation(self, theta, blocked):
-        total = sum(probe_chain(40, [theta], blocked))
-        assert total[0] == pytest.approx(1.0, abs=1e-12)
+        # Dd is 1 - Dc open, and the blocked chain ignores the phase
+        if blocked:
+            assert 0.0 < blocked_dd_probability(40) <= 1.0
+        else:
+            assert 0.0 <= probe_chain(40, [theta])[0] <= 1.0
+
+    @pytest.mark.parametrize("chain", [probe_chain, blocked_dd_probability])
+    @pytest.mark.parametrize("cycles", [0, -3])
+    def test_chain_length_must_be_positive(self, chain, cycles):
+        args = (cycles, [0.0]) if chain is probe_chain else (cycles,)
+        with pytest.raises(ValueError, match="cycles must be >= 1"):
+            chain(*args)
 
     def test_defense_phase_suppresses_transfer(self):
         # far from the zero-phase resonance the transfer nearly vanishes
-        assert probe_chain(100, [math.pi])[0][0] < 1e-3
+        assert probe_chain(100, [math.pi])[0] < 1e-3
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -79,27 +86,25 @@ class TestProbeChain:
         # agree to the loop's own rounding, which grows with M
         edges = [0.0, -0.0, math.pi, 2 * math.pi, 1e-300, 1e6]
         thetas = np.concatenate([edges, np.random.default_rng(m).random(1200) * (2 * math.pi)])
-        dc, dd, absorbed = probe_chain(m, thetas)
-        for theta, got in zip(thetas.tolist(), zip(dc.tolist(), dd.tolist(), absorbed.tolist())):
+        dc = probe_chain(m, thetas)
+        for theta, got in zip(thetas.tolist(), dc.tolist()):
             want = protocol_oracles.fbs_run(m, False, theta)
-            assert got == pytest.approx(
-                (want["Dc"], want["Dd"], want["Absorbed"]), rel=0, abs=ORACLE_BOUND
+            assert (got, 1.0 - got) == pytest.approx(
+                (want["Dc"], want["Dd"]), rel=0, abs=ORACLE_BOUND
             )
-        blocked = probe_chain(m, thetas[:3], blocked=True)
-        want = protocol_oracles.fbs_run(m, True)
-        for got, key in zip(blocked, ("Dc", "Dd", "Absorbed")):
-            assert got.tolist() == pytest.approx([want[key]] * 3, rel=0, abs=ORACLE_BOUND)
-        for flag in (False, True):
-            assert [p.tolist() for p in probe_chain(m, [], flag)] == [[], [], []]
+            assert want["Absorbed"] == 0.0
+        assert probe_chain(m, []).tolist() == []
 
     @pytest.mark.parametrize("m", checks.PROBE_CYCLES)
     def test_blocked_chain_matches_stepped_passes(self, m):
         # the blocked Dd that release criterion 8 reads, and the share
-        # absorbed on the way, against the passes stepped one by one
-        _, dd, absorbed = probe_chain(m, [0.0], blocked=True)
+        # absorbed on the way, against the passes stepped one by one; the
+        # stepped chain never reaches Dc
+        dd = blocked_dd_probability(m)
         want = protocol_oracles.fbs_run(m, True)
-        assert dd[0] == pytest.approx(want["Dd"], rel=0, abs=ORACLE_BOUND)
-        assert absorbed[0] == pytest.approx(want["Absorbed"], rel=0, abs=ORACLE_BOUND)
+        assert dd == pytest.approx(want["Dd"], rel=0, abs=ORACLE_BOUND)
+        assert 1.0 - dd == pytest.approx(want["Absorbed"], rel=0, abs=ORACLE_BOUND)
+        assert want["Dc"] == 0.0
 
     @pytest.mark.parametrize("m", [10**5, 10**7, 10**9])
     def test_long_chains_match_a_50_digit_reference(self, m):
@@ -110,22 +115,19 @@ class TestProbeChain:
         thetas = edges + (np.random.default_rng(m).random(30) * (2 * math.pi)).tolist()
         with mp.workdps(50):
             eta = mp.pi / (2 * m)
-            for theta, dc in zip(thetas, probe_chain(m, thetas)[0].tolist()):
+            for theta, dc in zip(thetas, probe_chain(m, thetas).tolist()):
                 phi = mp.acos(mp.cos(eta) * mp.cos(mp.mpf(theta) / 2))
                 want = mp.sin(eta) ** 2 * mp.sin(m * phi) ** 2 / mp.sin(phi) ** 2
                 assert abs(dc - want) <= 1e-15, theta
             want_dd = mp.cos(eta) ** (2 * m)
-            assert abs(probe_chain(m, [0.0], blocked=True)[1][0] - want_dd) <= 1e-15
             assert abs(blocked_dd_probability(m) - want_dd) <= 1e-15
 
     def test_a_billion_passes_cost_no_more_than_one(self):
         # a stepped chain would run 1e9 passes here
         m = 10**9
-        assert probe_chain(m, [0.0])[0][0] == pytest.approx(1.0, rel=0, abs=1e-12)
-        dc, dd, absorbed = probe_chain(m, [0.0, 1.0], blocked=True)
-        assert dc.tolist() == [0.0, 0.0]
-        assert dd.tolist() == [blocked_dd_probability(m)] * 2
-        assert absorbed[0] == pytest.approx(math.pi ** 2 / (4 * m), rel=1e-6)
+        assert probe_chain(m, [0.0])[0] == pytest.approx(1.0, rel=0, abs=1e-12)
+        loss = 1.0 - blocked_dd_probability(m)
+        assert loss == pytest.approx(math.pi ** 2 / (4 * m), rel=1e-6)
 
 
 class TestDefenseInvariance:
@@ -162,9 +164,9 @@ class TestAttack:
     def test_attack_runs_the_chain_once_per_call(self, monkeypatch):
         calls = []
 
-        def counted(cycles, thetas, blocked=False):
-            calls.append((len(thetas), blocked))
-            return probe_chain(cycles, thetas, blocked)
+        def counted(cycles, thetas):
+            calls.append(len(thetas))
+            return probe_chain(cycles, thetas)
 
         monkeypatch.setattr(cf_module, "probe_chain", counted)
         params = make_params()
@@ -173,12 +175,12 @@ class TestAttack:
                 calls.clear()
                 rng = np.random.default_rng(5)
                 attack_session(params, defense_on, FbsConfig(cycles=50), rng, sessions=sessions)
-                # one unblocked chain: a single phase 0 without the defense,
+                # one open chain: a single phase 0 without the defense,
                 # the bypass photons of every session with it
                 bypassed = np.count_nonzero(
                     np.random.default_rng(5).random((sessions, params.n)) >= params.f
                 )
-                assert calls == [(bypassed if defense_on else 1, False)]
+                assert calls == [bypassed if defense_on else 1]
 
     @pytest.mark.parametrize("cycles", [5, 50, 200])
     @pytest.mark.parametrize("sessions", [1, 10, 60])
@@ -189,14 +191,15 @@ class TestAttack:
             make_params(), False, FbsConfig(cycles=cycles), np.random.default_rng(5),
             sessions=sessions,
         )
-        assert rep["mean_Dc_bypass"] == probe_chain(cycles, [0.0])[0][0]
+        assert rep["mean_Dc_bypass"] == probe_chain(cycles, [0.0])[0]
         assert rep["mean_Dc_bypass"] == pytest.approx(
             protocol_oracles.fbs_run(cycles, False, 0.0)["Dc"], rel=0, abs=ORACLE_BOUND
         )
 
     def test_intercepted_probe_never_reaches_dc(self):
-        dc, _, _ = probe_chain(50, [0.0, 1.0, 2.5], blocked=True)
-        assert dc.tolist() == [0.0, 0.0, 0.0]
+        # why the attack runs no chain for an intercepted photon
+        for theta in (0.0, 1.0, 2.5):
+            assert protocol_oracles.fbs_run(50, True, theta)["Dc"] == 0.0
 
     def test_defense_on_blinds_the_probe(self):
         rng = np.random.default_rng(5)

@@ -107,7 +107,7 @@ GOLDEN = {
     "strategies-search-csv-seed3": "2be3bf90b640776a7090719e171e3587051d76b22667f6acd006dc0440bf58ea",
     "sweep-two-codes": "065be821ffb9bd736f545fcccc4946f2a8b6240851f8ceb8e1e3e4afeeeedb29",
     "sweep-two-codes-40000": "7ce899c1a5b601ddf6fb45887b50cafa083fb89d63a5ea1da818dd04c4d2a94a",
-    "verify": "606b288c3bddbc077c3eb30e6df1e1ec09fa5ec4b3014f9b1bca41e0ee439dee",
+    "verify": "0b4915756451f1d6e3439676bce5932fed7b437c4fa5a6c4cc3b166caa42b71d",
 }
 
 

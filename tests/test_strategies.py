@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import optics_oracles as oracle
+from operator_oracles import haar_unitary
 from optics_oracles import GeneralCausal, decode_certainty
 from mzqbc import cli, codes, optics, protocol, strategies
 from mzqbc.optics import RAIL_X, RAIL_Y, BeamSplitterParams
@@ -18,7 +19,6 @@ from mzqbc.strategies import (
     protocol_epsilon,
     strategy_table_rows,
 )
-from mzqbc.util import haar_unitary
 
 R_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
 
