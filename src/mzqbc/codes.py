@@ -2,7 +2,10 @@
 
 Codewords are numpy uint8 vectors.  Ranks come from an XOR-basis
 elimination on packed rows, and the parity halves {mG : m.t = b} are
-handled as linear constraints on the message m, never listed.  The
+handled as linear constraints on the message m, never listed.  A session
+works on one word packed into a Python int, bit i for position i: the
+draw XORs the packed generator rows its message picks and unpacks once,
+and membership packs with one dot.  The
 message mask t = G r^T comes from `message_mask`, the one check that r
 commits a bit, once per parameter set, and is kept read-only on
 `protocol.ProtocolParams`.  Only the minimum distance is an exhaustive 2^k
@@ -22,6 +25,20 @@ from .util import GuardError
 
 #: 2^k enumeration bound for the minimum distance.
 ENUM_GUARD_K = 24
+
+#: 2^i at index i: a dot with a 0/1 vector of n <= 64 bits packs it
+_WEIGHTS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+
+def _pack(bits: np.ndarray) -> int:
+    """A uint8 0/1 vector as an int, position i at bit i."""
+    return int(bits @ _WEIGHTS[: bits.shape[0]])
+
+
+def _unpack(word: int, n: int) -> np.ndarray:
+    """The n low bits of an int as a new uint8 0/1 vector, bit i at position i."""
+    octets = np.frombuffer(word.to_bytes(8, "little"), dtype=np.uint8)
+    return np.unpackbits(octets, count=n, bitorder="little")
 
 
 def bits_from_string(s: str) -> np.ndarray:
@@ -46,8 +63,9 @@ class LinearCode:
     `d` is the exact minimum distance (= minimum nonzero codeword weight)
     and `min_words` every codeword of weight d, packed as
     `kernels.pack_rows` packs rows and in message order; both come from one
-    walk of the span at construction.  `basis` is the echelon
-    `kernels.xor_basis` of the rows that the rank check built.
+    walk of the span at construction.  `rows` are the generator rows packed
+    the same way, as ints, and `basis` is their echelon `kernels.xor_basis`,
+    which the rank check built.
     """
 
     generator: np.ndarray
@@ -55,14 +73,17 @@ class LinearCode:
     k: int
     d: int
     min_words: np.ndarray = field(repr=False)
+    rows: tuple[int, ...] = field(repr=False)
     basis: list[int] = field(repr=False)
 
     def contains(self, word: np.ndarray) -> bool:
-        """Whether `word` reduces to zero against the echelon `basis`."""
+        """Whether `word` is a codeword: a vector of n bits, each 0 or 1,
+        that reduces to zero against the echelon `basis`."""
         word = np.asarray(word, dtype=np.uint8)
-        if word.shape != (self.n,):
+        # deleting the 0 and 1 bytes leaves any other entry
+        if word.shape != (self.n,) or word.tobytes().translate(None, b"\0\1"):
             return False
-        return kernels.in_span(int(kernels.pack_rows(word[None, :])[0]), self.basis)
+        return kernels.in_span(_pack(word), self.basis)
 
 
 def code_from_generator(matrix) -> LinearCode:
@@ -79,7 +100,10 @@ def code_from_generator(matrix) -> LinearCode:
     if k > ENUM_GUARD_K:
         raise GuardError("enumeration too large")
     d, words = kernels.min_weight(rows, n)
-    return LinearCode(generator=gen, n=n, k=k, d=d, min_words=words, basis=basis)
+    return LinearCode(
+        generator=gen, n=n, k=k, d=d, min_words=words,
+        rows=tuple(int(row) for row in rows), basis=basis,
+    )
 
 
 def parity(c: np.ndarray, r: np.ndarray) -> int:
@@ -126,13 +150,19 @@ def sample_codeword(
 
     One `rng.integers(|C_b|)` draw j picks the j-th parity-b message in
     ascending order: j with the parity-fixing bit inserted at the lowest set
-    bit p of t (bits below p leave the parity alone)."""
-    bits = np.arange(code.k)
-    p = int(np.flatnonzero(t)[0])
+    bit p of t (bits below p leave the parity alone).  The word is the XOR
+    of the packed generator rows at the message's set bits, unpacked once."""
+    mask = _pack(t)
+    p = (mask & -mask).bit_length() - 1
     j = int(rng.integers(1 << (code.k - 1)))
     m = (j >> p << (p + 1)) | (j & ((1 << p) - 1))
-    m |= (int(((m >> bits) & 1) @ t) + b) % 2 << p
-    return (((m >> bits) & 1) @ code.generator % 2).astype(np.uint8)
+    m |= ((m & mask).bit_count() + b) % 2 << p
+    word = 0
+    while m:
+        low = m & -m
+        word ^= code.rows[low.bit_length() - 1]
+        m ^= low
+    return _unpack(word, code.n)
 
 
 # ---------------------------------------------------------------------------

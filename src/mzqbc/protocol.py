@@ -55,8 +55,17 @@ class ProtocolParams:
     epsilon defaults to the closed-form strategy-family minimum at this R
     (the estimator must be computable by both parties up front).  The
     splitter `bs` is built, and so R checked, whether or not epsilon is
-    given.  `t` is r's read-only message mask G r^T (`codes.message_mask`),
-    which the codeword draw and every span test read.
+    given.  The values that (code, r, epsilon) fix are derived here once,
+    for every session to read:
+
+    - `t`, r's read-only message mask G r^T (`codes.message_mask`), which
+      the codeword draw and every span test read;
+    - `abort_at`, the fewest mismatches n' whose estimate n'/(epsilon*n)
+      reaches `threshold`, in exact arithmetic on the float epsilon: the
+      sender aborts iff n' >= epsilon*(n - d).  As 0 < epsilon <= 1 and
+      d < n, it lies in 1..n - d;
+    - `cheat_pair`, the midpoint cheat's `binding_pair(code, r)` as two
+      read-only arrays, or None when d < 2 leaves no midpoint.
     """
 
     code: LinearCode
@@ -67,6 +76,8 @@ class ProtocolParams:
     seed: int = 0
     bs: BeamSplitterParams = field(init=False)
     t: np.ndarray = field(init=False, repr=False)
+    abort_at: int = field(init=False, repr=False)
+    cheat_pair: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=np.uint8)
@@ -83,6 +94,14 @@ class ProtocolParams:
             object.__setattr__(self, "epsilon", strategies.protocol_epsilon(self.bs))
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0,1]")
+        num, den = self.epsilon.as_integer_ratio()  # the float's exact value
+        object.__setattr__(self, "abort_at", -(-num * (self.code.n - self.code.d) // den))
+        pair = None
+        if self.code.d >= 2:
+            pair = binding_pair(self.code, r)
+            for word in pair:
+                word.flags.writeable = False
+        object.__setattr__(self, "cheat_pair", pair)
 
     @property
     def n(self) -> int:
@@ -93,15 +112,6 @@ class ProtocolParams:
         """Abort bound on the estimated intercept frequency: 1 - d/n.
         Estimates at or above it count as cheating (the check is strict)."""
         return 1.0 - self.code.d / self.code.n
-
-    @property
-    def abort_at(self) -> int:
-        """The fewest mismatches n' whose estimate n'/(epsilon*n) reaches
-        `threshold`, in exact arithmetic on the float epsilon: the sender
-        aborts iff n' >= epsilon*(n - d).  As 0 < epsilon <= 1 and d < n,
-        it lies in 1..n - d."""
-        num, den = self.epsilon.as_integer_ratio()  # the float's exact value
-        return -(-num * (self.code.n - self.code.d) // den)  # the ceiling
 
 
 # --- policies ---------------------------------------------------------------
@@ -128,8 +138,14 @@ AlicePolicy = HonestAlice | MidpointCheatAlice
 
 @dataclass(frozen=True)
 class HonestBob:
+    """Intercepts each photon independently with probability `f`."""
+
     f: float
     strategy: ResendStrategy = field(default_factory=BlindGuessOnTime)
+
+    def __post_init__(self):
+        if not 0.0 <= self.f <= 1.0:
+            raise ValueError(f"intercept probability f must lie in [0,1], got {self.f}")
 
 
 @dataclass(frozen=True)
@@ -139,8 +155,15 @@ class FullInterceptBob:
 
 @dataclass(frozen=True)
 class PartialInterceptBob:
+    """Intercepts `m` positions drawn uniformly; `run_commit` checks m <= n
+    before any draw."""
+
     m: int
     strategy: ResendStrategy = field(default_factory=BlindGuessOnTime)
+
+    def __post_init__(self):
+        if self.m < 0:
+            raise ValueError(f"intercept count m must be >= 0, got {self.m}")
 
 
 BobPolicy = HonestBob | FullInterceptBob | PartialInterceptBob
@@ -187,34 +210,42 @@ def binding_pair(code: LinearCode, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return mid, np.zeros(code.n, dtype=np.uint8)
 
 
+def _cheat_pair(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+    """The params' `cheat_pair`, which only a code with d >= 2 has."""
+    if params.cheat_pair is None:
+        raise ValueError("the midpoint cheat needs d >= 2")
+    return params.cheat_pair
+
+
 def run_commit(
     alice: AlicePolicy,
     bob: BobPolicy,
     params: ProtocolParams,
     rng: np.random.Generator,
 ) -> SessionTranscript:
-    """Execute the commit phase through the exact optics: the receiver's
-    intercepts first, then one uniform per photon, which picks its event
-    from the running sums of its (intercepted, bit) detection table."""
-    code, r, bs = params.code, params.r, params.bs
+    """Execute the commit phase through the exact optics: the codeword
+    draw, then the receiver's intercepts, then one uniform per photon,
+    which picks its event from the running sums of its (intercepted, bit)
+    detection table.  A cheating sender's word is the read-only midpoint
+    of `params.cheat_pair`, so no session can change the next one's."""
+    code, bs, n = params.code, params.bs, params.code.n
+    if isinstance(bob, PartialInterceptBob) and bob.m > n:
+        raise ValueError("intercept count m must lie in 0..n")
     cheat_target = None
     if isinstance(alice, HonestAlice):
         word = codes_mod.sample_codeword(code, params.t, alice.bit, rng)
         committed_b: int | None = alice.bit
     elif isinstance(alice, MidpointCheatAlice):
-        word, cheat_target = binding_pair(code, r)
+        word, cheat_target = _cheat_pair(params)
         committed_b = None
     else:
         raise TypeError(f"unknown sender policy {alice!r}")
 
-    n = code.n
     if isinstance(bob, HonestBob):
         intercepted = rng.random(n) < bob.f
     elif isinstance(bob, FullInterceptBob):
         intercepted = np.ones(n, dtype=bool)
     elif isinstance(bob, PartialInterceptBob):
-        if not 0 <= bob.m <= n:
-            raise ValueError("intercept count m must lie in 0..n")
         intercepted = np.zeros(n, dtype=bool)
         intercepted[rng.permutation(n)[: bob.m]] = True
     else:
@@ -245,7 +276,9 @@ def honest_announcement(transcript: SessionTranscript) -> Announcement:
 def run_unveil(transcript: SessionTranscript, announcement: Announcement) -> str:
     """The receiver's acceptance checks, in order: codeword membership,
     parity against r, agreement with the sent word at every intercepted
-    position (the bits he learned)."""
+    position (the bits he learned).  Only the positions where the
+    announcement differs from the sent word can disagree, so only their
+    modes are read."""
     code, r = transcript.params.code, transcript.params.r
     c = np.asarray(announcement.c, dtype=np.uint8)
     if c.shape != (code.n,):
@@ -254,8 +287,8 @@ def run_unveil(transcript: SessionTranscript, announcement: Announcement) -> str
         return REJECT_NOT_CODEWORD
     if parity(c, r) != announcement.b:
         return REJECT_PARITY
-    intercepted = np.array(transcript.modes) == INTERCEPT
-    if (c != transcript.codeword)[intercepted].any():
+    modes = transcript.modes
+    if any(modes[i] == INTERCEPT for i in np.flatnonzero(c != transcript.codeword).tolist()):
         return REJECT_INTERCEPT_MISMATCH
     return ACCEPT
 
@@ -324,7 +357,7 @@ def run_binding_experiment(
     """
     if trials < 1:
         raise ValueError("the binding experiment needs at least one trial")
-    mid, target = binding_pair(params.code, params.r)
+    mid, target = _cheat_pair(params)
     flip_idx = np.flatnonzero(mid != target).astype(np.int64)
     f, eps, n, abort_at = params.f, params.epsilon, params.n, params.abort_at
     p = intercept_posterior(f, eps)  # before any draw: it rejects eps*f = 1

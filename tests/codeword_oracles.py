@@ -4,7 +4,9 @@ Each helper lists all 2^k codewords and filters them, exactly as the
 codeword list, the midpoint cheat, the commit and the probe flip once did.
 The library now answers the same questions by linear algebra on the
 message or from the minimum-weight words kept on the code; tests compare
-the two.
+the two.  `sample_codeword_from_mask` lists nothing: it is the message
+draw built by one generator product, which the library now does on packed
+rows, and it reaches codes too large to list.
 """
 
 import numpy as np
@@ -99,3 +101,25 @@ def try_flip(transcript, inferred_bypass):
             announcement = protocol.Announcement(b=want, c=cand)
             return protocol.run_unveil(transcript, announcement) == protocol.ACCEPT
     return False
+
+
+def sample_codeword_from_mask(code, t, b, rng):
+    """The parity-b draw for the message mask t = G r^T: one
+    `rng.integers` draw j, the parity-fixing bit inserted at the lowest set
+    bit p of t, and the word built as the message's product with the
+    generator."""
+    bits = np.arange(code.k)
+    p = int(np.flatnonzero(t)[0])
+    j = int(rng.integers(1 << (code.k - 1)))
+    m = (j >> p << (p + 1)) | (j & ((1 << p) - 1))
+    m |= (int(((m >> bits) & 1) @ t) + b) % 2 << p
+    return (((m >> bits) & 1) @ code.generator % 2).astype(np.uint8)
+
+
+def length_64_code(rng):
+    """A random (64, k <= 10) code, small enough to list, whose last
+    position is used, so its packed words reach bit 63."""
+    while True:
+        code = codes.random_code(64, int(rng.integers(2, 11)), rng)
+        if code.generator[:, 63].any():
+            return code

@@ -8,7 +8,10 @@ and `sample_intercept_posterior` check the receiver's phase defense and
 the intercept posterior by direct simulation, the latter counting two
 independent float uniforms per position with `intercept_posterior_counts`;
 the library has no use for either.  `abort_at` turns a kernel test's float abort threshold into the
-integer cutoff the kernels take.
+integer cutoff the kernels take.  `run_unveil` is the receiver's checks
+over every mode, membership by rank and the parity by an integer product;
+the library reads only the modes where the announcement differs from the
+sent word.
 """
 
 import cmath
@@ -17,7 +20,7 @@ import math
 import numpy as np
 
 from optics_oracles import table_distribution
-from mzqbc import optics, protocol
+from mzqbc import codes, optics, protocol
 from mzqbc.optics import RAIL_X, RAIL_Y, BeamSplitterParams
 
 
@@ -90,3 +93,24 @@ def abort_at(eps: float, n: int, threshold: float) -> int:
     """The fewest mismatch count c with c / (eps * n) >= threshold, or
     n + 1 when no c in 0..n reaches it."""
     return next((c for c in range(n + 1) if c / (eps * n) >= threshold), n + 1)
+
+
+def run_unveil(transcript, announcement) -> str:
+    """The receiver's verdict, checked in order: the announced word is a
+    0/1 vector in the generator's row space (the rank does not grow), its
+    parity against r is the announced bit, and it agrees with the sent
+    word at every position whose mode is an intercept."""
+    params = transcript.params
+    code = params.code
+    c = np.asarray(announcement.c, dtype=np.uint8)
+    if c.shape != (code.n,):
+        raise ValueError(f"announced codeword must have length {code.n}")
+    binary = np.isin(c, (0, 1)).all()
+    if not binary or codes.gf2_rank(np.vstack([code.generator, c])) != code.k:
+        return protocol.REJECT_NOT_CODEWORD
+    if int(c.astype(np.int64) @ params.r.astype(np.int64)) % 2 != announcement.b:
+        return protocol.REJECT_PARITY
+    intercepted = np.array(transcript.modes) == protocol.INTERCEPT
+    if (c != transcript.codeword)[intercepted].any():
+        return protocol.REJECT_INTERCEPT_MISMATCH
+    return protocol.ACCEPT

@@ -197,9 +197,9 @@ class TestSampleCodeword:
             message_mask(code, r)
 
     @staticmethod
-    def assert_same_draws(code, rng, masks=6, draws=5):
-        """Same seed, same word as the enumerating sampler, for random
-        masks r that commit a bit."""
+    def assert_same_draws(code, rng, masks=6, draws=5, listed=True):
+        """Same seed, same word as the generator-product sampler and, when
+        `listed`, the enumerating one, for random masks r that commit a bit."""
         for _ in range(masks):
             r = rng.integers(0, 2, size=code.n, dtype=np.uint8)
             try:
@@ -208,13 +208,19 @@ class TestSampleCodeword:
                 continue  # r commits no bit: there is nothing to draw from
             for b in (0, 1):
                 seed = int(rng.integers(1 << 31))
-                fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+                fast, product, slow = (np.random.default_rng(seed) for _ in range(3))
                 for _ in range(draws):
-                    want = codeword_oracles.sample_codeword(code, r, b, slow)
                     got = sample_codeword(code, t, b, fast)
+                    want = codeword_oracles.sample_codeword_from_mask(code, t, b, product)
                     assert got.dtype == want.dtype == np.uint8
                     assert np.array_equal(got, want)
-                assert fast.random() == slow.random()  # streams still in step
+                    if listed:
+                        listed_word = codeword_oracles.sample_codeword(code, r, b, slow)
+                        assert np.array_equal(got, listed_word)
+                after = fast.random()  # the streams are still in step
+                assert product.random() == after
+                if listed:
+                    assert slow.random() == after
 
     @pytest.mark.parametrize("factory", [hamming_7_4, extended_hamming_8_4, golay_24_12])
     def test_draw_for_draw_matches_enumeration(self, factory):
@@ -237,6 +243,13 @@ class TestSampleCodeword:
             w = sample_codeword(code, t, b, rng)
             assert code.contains(w)
             assert parity(w, r) == b
+        # 2^22 words are too many to list, not to build one by one
+        self.assert_same_draws(code, np.random.default_rng(6), listed=False)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_draw_for_draw_at_length_64(self, seed):
+        rng = np.random.default_rng(6400 + seed)
+        self.assert_same_draws(codeword_oracles.length_64_code(rng), rng)
 
 
 class TestContains:
@@ -274,6 +287,29 @@ class TestContains:
 
     def test_wrong_length_is_not_a_codeword(self):
         assert not hamming_7_4().contains(np.zeros(8, dtype=np.uint8))
+
+    def test_entries_other_than_bits_are_not_a_codeword(self):
+        # a 2 or a 3 is no bit, wherever it stands, even where reading it
+        # as nonzero, or as a sum of powers of two, lands on a codeword
+        code = extended_hamming_8_4()
+        for word in codeword_oracles.codewords(code):
+            for i in range(code.n):
+                for value in (2, 3, 255):
+                    bad = word.copy()
+                    bad[i] = value
+                    assert not code.contains(bad)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_word_and_flip_at_length_64(self, seed):
+        rng = np.random.default_rng(6410 + seed)
+        code = codeword_oracles.length_64_code(rng)
+        words = codeword_oracles.codewords(code)
+        assert words[:, 63].any()
+        flips = np.eye(64, dtype=np.uint8)
+        for word in words:
+            assert code.contains(word)
+            assert code.d < 2 or not any(code.contains(word ^ e) for e in flips)
+        self.check(code, rng)
 
 
 class TestMessageMask:

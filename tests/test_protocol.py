@@ -7,6 +7,7 @@ import pytest
 
 import codeword_oracles
 import optics_oracles as oracle
+import protocol_oracles
 from protocol_oracles import sample_intercept_posterior
 from mzqbc import codes, kernels, protocol
 from mzqbc.codes import bits_from_string
@@ -78,6 +79,57 @@ class TestParams:
             ]
             on_boundary += estimates.count(1 - Fraction(d, n))
         assert on_boundary > 0
+
+    @pytest.mark.parametrize("name", ABORT_CODES)
+    def test_abort_at_is_derived_once_from_the_integer_ratio(self, name):
+        code = codes.builtin_code(name)
+        for eps in ABORT_EPSILONS:
+            params = make_params(code=code, r=np.eye(1, code.n, dtype=np.uint8)[0], epsilon=eps)
+            assert vars(params)["abort_at"] == math.ceil(
+                Fraction(*eps.as_integer_ratio()) * (code.n - code.d)
+            )
+            assert type(params.abort_at) is int
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cheat_pair_is_the_binding_pair(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        if seed < 3:
+            code = [codes.extended_hamming_8_4, codes.golay_24_12, codes.hamming_7_4][seed]()
+        else:
+            code = codeword_oracles.length_64_code(rng)
+        for _ in range(5):
+            r = codes.random_mask(code, rng)
+            params = make_params(code=code, r=r)
+            for got, lib, listed in zip(
+                params.cheat_pair, binding_pair(code, r), codeword_oracles.binding_pair(code, r)
+            ):
+                np.testing.assert_array_equal(got, lib)
+                np.testing.assert_array_equal(got, listed)
+                assert got.dtype == np.uint8 and not got.flags.writeable
+
+    def test_cheat_pair_is_read_only_across_sessions(self):
+        params = make_params()
+        mid, target = (w.copy() for w in params.cheat_pair)
+        rng = np.random.default_rng(4)
+        for bob in (HonestBob(f=0.25), FullInterceptBob(), PartialInterceptBob(m=2)):
+            t = run_commit(MidpointCheatAlice(), bob, params, rng)
+            with pytest.raises(ValueError, match="read-only"):
+                t.codeword[0] ^= 1
+            with pytest.raises(ValueError, match="read-only"):
+                t.cheat_target[0] ^= 1
+            np.testing.assert_array_equal(t.codeword, mid)
+            np.testing.assert_array_equal(t.cheat_target, target)
+        np.testing.assert_array_equal(params.cheat_pair[0], mid)
+
+    def test_no_cheat_pair_below_distance_two(self):
+        code = codes.code_from_generator([[1, 0, 0], [0, 1, 1]])
+        params = make_params(code=code, r=bits_from_string("100"))
+        assert code.d == 1 and params.cheat_pair is None
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="d >= 2"):
+            run_commit(MidpointCheatAlice(), HonestBob(f=0.5), params, rng)
+        with pytest.raises(ValueError, match="d >= 2"):
+            run_binding_experiment(params, trials=10)
 
     def test_zero_r_rejected(self):
         with pytest.raises(ValueError, match="r is orthogonal to every codeword"):
@@ -220,6 +272,26 @@ class TestCommit:
                 ev != oracle.expected_event(bit) for ev, bit in zip(events, word.tolist())
             )
 
+    @pytest.mark.parametrize("f", [1.7, -0.5, 1.0 + 1e-12, math.nan])
+    def test_honest_receiver_rejects_f_outside_the_unit_interval(self, f):
+        with pytest.raises(ValueError, match="f must lie in"):
+            HonestBob(f=f)
+
+    def test_partial_receiver_rejects_a_negative_count(self):
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            PartialInterceptBob(m=-1)
+        assert PartialInterceptBob(m=0).m == 0
+
+    @pytest.mark.parametrize("alice", [HonestAlice(1), MidpointCheatAlice()], ids=repr)
+    def test_intercept_count_above_n_is_rejected_before_any_draw(self, alice):
+        params = make_params()
+        rng = np.random.default_rng(8)
+        with pytest.raises(ValueError, match="m must lie in 0..n"):
+            run_commit(alice, PartialInterceptBob(m=params.n + 1), params, rng)
+        assert rng.bit_generator.state == np.random.default_rng(8).bit_generator.state
+        t = run_commit(alice, PartialInterceptBob(m=params.n), params, rng)
+        assert t.modes == [INTERCEPT] * params.n
+
     def test_boundary_estimate_aborts(self):
         # late resends are flagged with certainty; intercepting exactly
         # half the photons with epsilon=1 lands the estimate on the
@@ -287,10 +359,62 @@ class TestUnveil:
                 verdicts.add(want)
         assert verdicts == {ACCEPT, REJECT_INTERCEPT_MISMATCH}
 
+    def test_announced_entry_outside_the_bits_is_not_a_codeword(self):
+        # a 2 in place of a bypassed 1 that r does not read would pass the
+        # parity and the intercept checks
+        params = make_params()
+        rng = np.random.default_rng(3)
+        t = run_commit(HonestAlice(1), PartialInterceptBob(m=1), params, rng)
+        i = next(i for i in np.flatnonzero(t.codeword)
+                 if params.r[i] == 0 and t.modes[i] == protocol.BYPASS)
+        c = t.codeword.copy()
+        c[i] = 2
+        assert run_unveil(t, Announcement(b=1, c=c)) == REJECT_NOT_CODEWORD
+        assert protocol_oracles.run_unveil(t, Announcement(b=1, c=c)) == REJECT_NOT_CODEWORD
+
     def test_wrong_length_announcement(self):
         t = self._intercepted_transcript()
         with pytest.raises(ValueError):
             run_unveil(t, Announcement(b=0, c=bits_from_string("111")))
+
+    @staticmethod
+    def announcements(t, rng):
+        """Honest, off the code, of the wrong parity, and other same-parity
+        codewords, among them those that differ only at bypassed positions."""
+        params, c, b = t.params, t.codeword, t.committed_b
+        yield Announcement(b=b, c=c)
+        off = c.copy()
+        off[rng.integers(params.n)] ^= 1
+        yield Announcement(b=b, c=off)
+        yield Announcement(b=1 - b, c=c)
+        bypassed = np.array(t.modes) != INTERCEPT
+        same = codeword_oracles.coset_split(params.code, params.r)[b]
+        hidden = [w for w in same if ((w != c) <= bypassed).all() and (w != c).any()]
+        for i in rng.permutation(len(same))[:4]:
+            yield Announcement(b=b, c=same[i])
+        for w in hidden[:4]:
+            yield Announcement(b=b, c=w)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_verdicts_match_the_every_mode_rule(self, seed):
+        rng = np.random.default_rng(1200 + seed)
+        if seed < 2:
+            code = [codes.extended_hamming_8_4, codes.golay_24_12][seed]()
+        else:
+            code = codeword_oracles.length_64_code(rng)
+        params = make_params(code=code, r=codes.random_mask(code, rng))
+        bobs = [HonestBob(f=0.25), PartialInterceptBob(m=2), PartialInterceptBob(m=code.n // 2),
+                FullInterceptBob()]
+        verdicts = []
+        for session in range(12):
+            t = run_commit(HonestAlice(session % 2), bobs[session % 4], params, rng)
+            for a in self.announcements(t, rng):
+                want = protocol_oracles.run_unveil(t, a)
+                assert run_unveil(t, a) == want
+                verdicts.append(want)
+        assert set(verdicts) == {ACCEPT, REJECT_NOT_CODEWORD, REJECT_PARITY,
+                                 REJECT_INTERCEPT_MISMATCH}
+        assert verdicts.count(ACCEPT) > 12  # more than the honest ones
 
 
 class TestClosedForms:
