@@ -225,8 +225,8 @@ def run_commit(
 ) -> SessionTranscript:
     """Execute the commit phase through the exact optics: the codeword
     draw, then the receiver's intercepts, then one uniform per photon,
-    which picks its event from the running sums of its (intercepted, bit)
-    detection table.  A cheating sender's word is the read-only midpoint
+    which picks its event from its (intercepted, bit) table's
+    `optics.pick_lookup`.  A cheating sender's word is the read-only midpoint
     of `params.cheat_pair`, so no session can change the next one's."""
     code, bs, n = params.code, params.bs, params.code.n
     if isinstance(bob, PartialInterceptBob) and bob.m > n:
@@ -250,8 +250,8 @@ def run_commit(
         intercepted[rng.permutation(n)[: bob.m]] = True
     else:
         raise TypeError(f"unknown receiver policy {bob!r}")
-    _, sums = strategies.outcome_tables(bob.strategy, bs)
-    picks = optics.pick_events(sums.reshape(4, -1)[2 * intercepted + word], rng.random(n))
+    _, breaks, table = strategies.outcome_tables(bob.strategy, bs)
+    picks = table[2 * intercepted + word, breaks.searchsorted(rng.random(n), "right")]
     n_mismatch = int(np.count_nonzero(picks != optics.expected_index(word)))
 
     return SessionTranscript(

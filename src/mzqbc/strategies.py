@@ -11,9 +11,9 @@ there.  `resent(strategy, bit, params)` lists the weighted states it sends
 back (the blind guess's coin is a weight).  `outcome_tables`, the one
 cache, builds per (strategy, splitter) the sender's detection tables by
 (intercepted, bit), each an array in `optics.EVENTS` order, and their
-running sums: `protocol.run_commit` picks a session's events from the sums,
-and `detection_prob`, the exact chance that the sender's check flags the
-resent photon, reads the tables.  The family minimum is the detection floor
+breakpoint lookup: `protocol.run_commit` picks a session's events with one
+lookup, and `detection_prob`, the exact chance that the sender's check
+flags the resent photon, reads the tables.  The family minimum is the detection floor
 used by the protocol's estimator; `floor_strategy` proves that no causal
 coupling with certain decode goes below it, so that minimum is exact, not
 a search's upper bound.
@@ -85,28 +85,28 @@ def resent(
 @lru_cache(maxsize=1024)
 def outcome_tables(
     strategy: ResendStrategy, params: BeamSplitterParams
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sender's read-only detection tables by (intercepted, bit, event)
-    and their `optics.running_sums`.  A bypassed photon is the sender's own
-    encoding; an intercepted one is the resent states' tables summed by
-    weight, in branch order."""
+    and their `optics.pick_lookup` (pick row 2 * intercepted + bit).  A
+    bypassed photon is the sender's own encoding; an intercepted one is the
+    resent states' tables summed by weight, in branch order."""
     bypassed = [optics.detection_table(optics.encode(b, params), params) for b in (0, 1)]
     intercepted = [
         sum(w * optics.detection_table(state, params) for w, state in resent(strategy, b, params))
         for b in (0, 1)
     ]
     tables = np.array([bypassed, intercepted])
-    sums = optics.running_sums(tables)
-    tables.setflags(write=False)
-    sums.setflags(write=False)
-    return tables, sums
+    lookup = optics.pick_lookup(tables)
+    for a in (tables, *lookup):
+        a.setflags(write=False)
+    return tables, *lookup
 
 
 def detection_prob(
     strategy: ResendStrategy, bit: int, params: BeamSplitterParams
 ) -> float:
     """Exact probability the sender's check flags this photon."""
-    tables, _ = outcome_tables(strategy, params)
+    tables = outcome_tables(strategy, params)[0]
     return optics.flag_probability(tables[1, bit], bit)
 
 

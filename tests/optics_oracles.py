@@ -7,8 +7,10 @@ that a coupling keeping the photon leaves (a no-click outcome), re-validated
 on every step, and every photon rebuilds its encoding and its measurement.  The two
 `isinstance` ladders (`apply_strategy`, `detection_prob`) are the strategy
 code that the outcome tables in `mzqbc.strategies` replace, and
-`intercept_detection` mixes the dict distributions as those tables do.
-Tests compare the library with these, float for float and draw for draw.
+`intercept_detection` mixes the dict distributions as those tables do,
+and `pick_events` is the per-photon pick that the breakpoint lookup
+replaces.  Tests compare the library with these, float for float and draw
+for draw.
 
 `GeneralCausal` is the ancilla coupling model behind the detection floor
 that `mzqbc.strategies.floor_strategy` proves: the tests of that proof run
@@ -176,6 +178,27 @@ def table_distribution(table) -> dict[DetectionEvent, float]:
     """A library detection table as an event -> probability dict of its
     nonzero entries."""
     return {ev: p for ev, p in zip(EVENTS, table.tolist()) if p != 0.0}
+
+
+def pick_events(sums: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The `EVENTS` indices that uniforms `u` pick from rows of
+    `optics.running_sums`, one compare per running sum: per uniform, the
+    first entry whose sum exceeds it.  This gather-and-count is the pick
+    that `optics.pick_lookup`'s breakpoint lookup replaces; a session
+    gathered its rows as `sums.reshape(4, -1)[2 * intercepted + word]`.
+    An all-zero table's sums are [0, ..., 0, inf], so it picks the last
+    event, a click that never happened."""
+    return np.count_nonzero(sums <= u[..., None], axis=-1)
+
+
+def edge_uniforms(tables) -> np.ndarray:
+    """The uniforms where a pick can go wrong: 0, the last double below 1,
+    and every running sum of the tables exactly and its float neighbours
+    on both sides."""
+    run = np.cumsum(tables, axis=-1).ravel()
+    return np.concatenate(
+        [[0.0, 1.0 - 2.0**-53], run, np.nextafter(run, 0.0), np.nextafter(run, 2.0)]
+    )
 
 
 # --- strategies -------------------------------------------------------------------

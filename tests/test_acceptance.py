@@ -107,11 +107,11 @@ def test_criterion_2_strategy_table():
     n = 100_000
     for strategy, closed in cases:
         p = closed(0.3)
-        _, sums = strategies.outcome_tables(strategy, bs)
+        _, breaks, picks = strategies.outcome_tables(strategy, bs)
         for bit in (0, 1):
             # one uniform per photon, picked from the mixed outcome table's
-            # running sums as `protocol.run_commit` picks them
-            picked = optics.pick_events(sums[1, bit], rng.random(n))
+            # row of the breakpoint lookup as `protocol.run_commit` picks them
+            picked = picks[2 + bit, breaks.searchsorted(rng.random(n), "right")]
             flags = int(np.count_nonzero(picked != optics.expected_index(bit)))
             tol = max(3 * math.sqrt(p * (1 - p) / n), 1e-9)
             if abs(flags / n - p) > tol:

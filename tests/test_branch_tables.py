@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import optics_oracles as oracle
-from mzqbc import optics, strategies
+from mzqbc import codes, optics, protocol, strategies
 from mzqbc.optics import MAX_BIN, RAILS, SHAPE, BeamSplitterParams
 from mzqbc.strategies import BlindGuessOnTime, FullMeasureLate, SingleChannel
 
@@ -53,7 +53,8 @@ def test_detection_distribution_matches_dict_optics(seed):
             assert oracle.table_distribution(table) == dist
             # the same uniforms pick the same events
             rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-            picks = optics.pick_events(optics.running_sums(table), rng_new.random(20))
+            breaks, table_picks = optics.pick_lookup(table)
+            picks = table_picks[0, breaks.searchsorted(rng_new.random(20), "right")]
             got = [optics.EVENTS[i] for i in picks.tolist()]
             assert got == [oracle.sample_event(dist, rng_old) for _ in range(20)]
 
@@ -86,7 +87,7 @@ def test_outcome_table_is_the_dict_mixture(R, bit):
     bs = BeamSplitterParams(R)
     honest = oracle.detection_distribution(oracle.encode(bit, bs), bs)
     for strategy in CLOSED_FORMS:
-        tables, _ = strategies.outcome_tables(strategy, bs)
+        tables = strategies.outcome_tables(strategy, bs)[0]
         assert oracle.table_distribution(tables[0, bit]) == honest
         mixed = oracle.intercept_detection(strategy, bit, bs)
         assert oracle.table_distribution(tables[1, bit]) == mixed
@@ -111,39 +112,45 @@ def test_draw_for_draw_equal_to_oracle(strategy):
             assert w == 1.0
             assert_same_state(state, ref.resent)
         # one uniform per photon picks the event from the mixed table
-        _, sums = strategies.outcome_tables(strategy, bs)
-        ev = optics.EVENTS[int(optics.pick_events(sums[1, bit], np.array(rng_new.random())))]
+        _, breaks, picks = strategies.outcome_tables(strategy, bs)
+        ev = optics.EVENTS[picks[2 + bit, breaks.searchsorted(rng_new.random(), "right")]]
         assert ev == oracle.sample_event(oracle.intercept_detection(strategy, bit, bs), rng_old)
     assert rng_new.random() == rng_old.random()
 
 
 class _Uniforms:
-    """Given uniforms, handed out one per `random()` call like a generator's."""
+    """Given uniforms, handed out one per `random()` call like a generator's
+    (an array per call when given arrays); every other draw comes from
+    `rng`."""
 
-    def __init__(self, us):
+    def __init__(self, us, rng=None):
         self._us = iter(us)
+        self._rng = rng
 
-    def random(self):
+    def random(self, size=None):
         return next(self._us)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
 
 
 @pytest.mark.parametrize("strategy", CLOSED_FORMS, ids=strategies.strategy_name)
 def test_pick_matches_oracle_at_edge_uniforms(strategy):
     # every table of the strategy on a fine R grid, bypassed and
     # intercepted, at the uniforms where a pick can go wrong: 0, each
-    # running sum, the total (rounding can leave it below 1), both its
-    # float neighbours, and 1
+    # running sum (the last is the total, which rounding can leave below
+    # 1) and both its float neighbours, and 1
     for k in range(1, 200):
         bs = BeamSplitterParams(k / 200)
-        tables, sums = strategies.outcome_tables(strategy, bs)
+        tables, breaks, picks = strategies.outcome_tables(strategy, bs)
         for hit in (0, 1):
             for bit in (0, 1):
                 run = np.cumsum(tables[hit, bit])
-                total = run[-1]
                 u = np.concatenate(
-                    [[0.0], run, [np.nextafter(total, 0.0), np.nextafter(total, 2.0), 1.0]]
+                    [[0.0], run, np.nextafter(run, 0.0), np.nextafter(run, 2.0), [1.0]]
                 )
-                got = [optics.EVENTS[i] for i in optics.pick_events(sums[hit, bit], u).tolist()]
+                j = breaks.searchsorted(u, "right")
+                got = [optics.EVENTS[i] for i in picks[2 * hit + bit, j].tolist()]
                 dist = (
                     oracle.intercept_detection(strategy, bit, bs)
                     if hit
@@ -151,6 +158,36 @@ def test_pick_matches_oracle_at_edge_uniforms(strategy):
                 )
                 feed = _Uniforms(u.tolist())
                 assert got == [oracle.sample_event(dist, feed) for _ in u], (k, hit, bit)
+
+
+@pytest.mark.parametrize("strategy", CLOSED_FORMS, ids=strategies.strategy_name)
+def test_run_commit_picks_match_gather_oracle_at_edge_uniforms(strategy):
+    # whole Golay sessions whose photons all draw one edge uniform: 0, each
+    # running sum of the four tables and both its float neighbours, and the
+    # last double below 1.  Half the photons are intercepted, and sessions
+    # repeat until each uniform has met all four (intercepted, bit) rows.
+    code = codes.golay_24_12()
+    r = codes.random_mask(code, np.random.default_rng(0))
+    half = np.resize([0.25, 0.75], code.n)  # intercepted iff below f
+    rng = np.random.default_rng(17)
+    for R in R_GRID:
+        params = protocol.ProtocolParams(code=code, r=r, R=R, f=0.5, epsilon=0.5)
+        tables = strategies.outcome_tables(strategy, params.bs)[0]
+        sums = optics.running_sums(tables).reshape(4, -1)
+        for u in oracle.edge_uniforms(tables).tolist():
+            seen = set()
+            for session in range(40):
+                alice = protocol.HonestAlice(session % 2)
+                feed = _Uniforms([np.roll(half, session), np.full(code.n, u)], rng)
+                bob = protocol.HonestBob(f=0.5, strategy=strategy)
+                t = protocol.run_commit(alice, bob, params, feed)
+                rows = 2 * (np.array(t.modes) == protocol.INTERCEPT) + t.codeword
+                want = oracle.pick_events(sums[rows], np.full(code.n, u))
+                assert t.alice_events == [optics.EVENTS[i] for i in want.tolist()], (R, u)
+                seen.update(rows.tolist())
+                if len(seen) == 4:
+                    break
+            assert len(seen) == 4
 
 
 def test_cached_states_are_read_only():

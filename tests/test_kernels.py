@@ -299,6 +299,37 @@ def test_parity_determined_edge_masks(n, k):
     assert got[1]  # the whole word fixes it
 
 
+def test_parity_determined_known_answers_on_partial_masks():
+    # extended Hamming with r = 11100000: of the single-photon masks only
+    # {7} fixes the parity, so a kernel that answers True on every mask, or
+    # one right only on the full mask, fails here
+    code = codes.extended_hamming_8_4()
+    r = codes.bits_from_string("11100000")
+    t = codes.message_mask(code, r)
+    singles = np.eye(code.n, dtype=bool)
+    assert kernels.parity_determined(code.generator, t, singles).tolist() == [False] * 7 + [True]
+    # a mask fixes the parity iff some word of the coset r + C^perp lies
+    # inside it; check every mask against the enumerated coset
+    vectors = (np.arange(1 << code.n)[:, None] >> np.arange(code.n) & 1).astype(np.uint8)
+    dual = vectors[~(vectors.astype(int) @ code.generator.T % 2).any(axis=1)]
+    coset = (dual ^ r).astype(bool)
+
+    def fits(masks):
+        return [bool((coset <= m).all(axis=1).any()) for m in masks]
+
+    masks = vectors.astype(bool)
+    determined = kernels.parity_determined(code.generator, t, masks)
+    assert determined.tolist() == fits(masks)
+    # dropping one position from a mask that fixes the parity breaks it
+    # exactly where no other coset word fits what is left
+    drops = np.array(
+        [m & (np.arange(code.n) != i) for m in masks[determined] for i in np.flatnonzero(m)]
+    )
+    got = kernels.parity_determined(code.generator, t, drops)
+    assert got.tolist() == fits(drops)
+    assert not got.all() and got.any()
+
+
 def _edge_uniforms(rng, shape, thresholds):
     """uint32 uniforms with every threshold t, and t - 1, that fits in 32
     bits planted in about one cell in ten: photons exactly on each side of

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import optics_oracles as oracle
 from mzqbc import strategies
 from mzqbc.optics import (
     EVENTS,
@@ -22,7 +23,7 @@ from mzqbc.optics import (
     flag_probability,
     packet,
     phase_apply,
-    pick_events,
+    pick_lookup,
     running_sums,
 )
 from mzqbc.strategies import BlindGuessOnTime, FullMeasureLate, SingleChannel
@@ -38,9 +39,16 @@ def detection_distribution(state, params):
     return {ev: p for ev, p in zip(EVENTS, detection_table(state, params).tolist()) if p != 0.0}
 
 
+def lookup(table, u):
+    """The `EVENTS` indices that uniforms `u` pick from one table, by the
+    breakpoint lookup `protocol.run_commit` makes."""
+    breaks, picks = pick_lookup(table)
+    return picks[0, breaks.searchsorted(u, "right")]
+
+
 def pick_one(table, u):
     """The event one uniform picks from `table`."""
-    return EVENTS[int(pick_events(running_sums(table), np.array(u)))]
+    return EVENTS[int(lookup(table, u))]
 
 
 def bs_matrix(R):
@@ -171,7 +179,7 @@ class TestDetection:
         bs = BeamSplitterParams(0.3)
         rng = np.random.default_rng(42)
         n = 100_000
-        picks = pick_events(running_sums(detection_table(packet(RAIL_Y, 1), bs)), rng.random(n))
+        picks = lookup(detection_table(packet(RAIL_Y, 1), bs), rng.random(n))
         hits = np.count_nonzero(picks == EVENTS.index(DetectionEvent(1, 1)))
         p = 0.3
         assert abs(hits / n - p) < 3 * math.sqrt(p * (1 - p) / n)
@@ -188,7 +196,8 @@ class TestDetection:
         d0, d1 = EVENTS.index(DetectionEvent(0, 1)), EVENTS.index(DetectionEvent(1, 1))
         assert sums[d0] == table[d0] and np.isinf(sums[d1:]).all()
         u = np.array([0.0, sums[d0], np.nextafter(1.0, 0.0), 1.0])
-        assert pick_events(sums, u).tolist() == [d0, d1, d1, d1]
+        assert lookup(table, u).tolist() == [d0, d1, d1, d1]
+        assert oracle.pick_events(sums, u).tolist() == [d0, d1, d1, d1]
 
     def test_no_click_is_a_flag_for_either_bit(self):
         # a photon kept off the rails leaves an all-zero state: no click
@@ -203,7 +212,7 @@ class TestMixTables:
         # own table, and the bypassed row the sender's encoding
         bs = BeamSplitterParams(0.3)
         for strategy in (FullMeasureLate(), SingleChannel()):
-            tables, _ = strategies.outcome_tables(strategy, bs)
+            tables = strategies.outcome_tables(strategy, bs)[0]
             for bit in (0, 1):
                 [(w, state)] = strategies.resent(strategy, bit, bs)
                 assert w == 1.0
@@ -212,8 +221,9 @@ class TestMixTables:
 
     def test_weights_sum_per_event_in_sampling_order(self):
         bs = BeamSplitterParams(0.3)
-        tables, sums = strategies.outcome_tables(BlindGuessOnTime(), bs)
-        assert not tables.flags.writeable and not sums.flags.writeable
+        arrays = strategies.outcome_tables(BlindGuessOnTime(), bs)
+        assert not any(a.flags.writeable for a in arrays)
+        tables = arrays[0]
         guesses = [detection_table(encode(g, bs), bs) for g in (0, 1)]
         for bit in (0, 1):
             want = {}
@@ -226,6 +236,66 @@ class TestMixTables:
                 DetectionEvent(0, 1), DetectionEvent(1, 1)
             ]
             assert np.cumsum(tables[1, bit])[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestPickLookup:
+    """The breakpoint lookup against the per-photon gather-and-count it
+    replaced (`optics_oracles.pick_events`), draw for draw."""
+
+    @pytest.mark.parametrize("R", R_GRID)
+    @pytest.mark.parametrize(
+        "strategy", strategies.closed_form_strategies(), ids=strategies.strategy_name
+    )
+    def test_matches_gather_pick_on_strategy_tables(self, strategy, R):
+        tables, breaks, picks = strategies.outcome_tables(strategy, BeamSplitterParams(R))
+        sums = running_sums(tables).reshape(4, -1)
+        u = np.concatenate([oracle.edge_uniforms(tables), np.random.default_rng(3).random(500)])
+        j = breaks.searchsorted(u, "right")
+        for k in range(4):  # row 2 * intercepted + bit
+            assert picks[k, j].tolist() == oracle.pick_events(sums[k], u).tolist(), k
+        # a session's rows gathered per photon, as the commit reads them
+        rows = np.random.default_rng(4).integers(4, size=u.size)
+        assert picks[rows, j].tolist() == oracle.pick_events(sums[rows], u).tolist()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_gather_pick_on_sparse_and_short_tables(self, seed):
+        # zero-probability entries (leading ones put a sum at exactly 0)
+        # and totals that rounding left below 1, so the clamped inf tail
+        # picks the last possible event
+        rng = np.random.default_rng(700 + seed)
+        for _ in range(50):
+            tables = rng.random((2, 2, len(EVENTS)))
+            tables[rng.random(tables.shape) < 0.6] = 0.0
+            tables[0, 0, :3] = 0.0
+            tables[..., rng.integers(3, len(EVENTS))] += 0.1
+            tables /= tables.sum(axis=-1, keepdims=True)
+            tables[1] *= 1.0 - 2.0**-50
+            sums = running_sums(tables).reshape(4, -1)
+            assert np.isinf(sums[:, -1]).all()
+            breaks, picks = pick_lookup(tables)
+            assert picks.shape == (4, sums.size + 1) and (breaks[1:] >= breaks[:-1]).all()
+            u = np.concatenate([oracle.edge_uniforms(tables), rng.random(100)])
+            j = breaks.searchsorted(u, "right")
+            for k in range(4):
+                assert picks[k, j].tolist() == oracle.pick_events(sums[k], u).tolist(), k
+
+    def test_table_with_no_click_mass_is_refused(self):
+        # the gather pick reads an all-zero table's sums [0, ..., 0, inf]
+        # as a D1 bin-4 click; the lookup has no event to give it
+        empty = np.zeros(len(EVENTS))
+        d1_last = EVENTS.index(DetectionEvent(1, MAX_BIN))
+        u = np.array([0.0, 0.5, 0.999])
+        assert oracle.pick_events(running_sums(empty), u).tolist() == [d1_last] * 3
+        with pytest.raises(ValueError, match="no click mass"):
+            pick_lookup(empty)
+        tables = strategies.outcome_tables(SingleChannel(), BeamSplitterParams(0.3))[0].copy()
+        tables[1, 0] = 0.0
+        with pytest.raises(ValueError, match="no click mass"):
+            pick_lookup(tables)
+        # a real D1 bin-4 click is still an event
+        only = np.zeros(len(EVENTS))
+        only[d1_last] = 1.0
+        assert lookup(only, u).tolist() == [d1_last] * 3
 
 
 class TestInvariants:

@@ -65,10 +65,11 @@ class TestMonteCarloOracle:
         bs = BeamSplitterParams(0.3)
         rng = np.random.default_rng(11)
         n = 20_000
-        _, sums = strategies.outcome_tables(strategy, bs)
+        _, breaks, table = strategies.outcome_tables(strategy, bs)
         for bit in (0, 1):
-            # one uniform per intercepted photon, as `protocol.run_commit` draws
-            picks = optics.pick_events(sums[1, bit], rng.random(n))
+            # one uniform per intercepted photon, looked up as
+            # `protocol.run_commit` looks it up
+            picks = table[2 + bit, breaks.searchsorted(rng.random(n), "right")]
             flags = np.count_nonzero(picks != optics.expected_index(bit))
             sigma = math.sqrt(max(expected * (1 - expected), 1e-12) / n)
             assert abs(flags / n - expected) <= max(3 * sigma, 1e-9)
