@@ -28,6 +28,15 @@ import numpy as np
 from . import kernels, protocol
 
 
+# the closed form takes M as a float64, which holds every integer up to 2^53
+MAX_CYCLES = 2**53
+
+
+def _check_cycles(cycles: int) -> None:
+    if not 1 <= cycles <= MAX_CYCLES:
+        raise ValueError("M out of range: cycles must be >= 1 and <= 2^53")
+
+
 @dataclass(frozen=True)
 class FbsConfig:
     """Chained-splitter approximation: M passes, each rotating the
@@ -37,8 +46,7 @@ class FbsConfig:
     cycles: int
 
     def __post_init__(self):
-        if self.cycles < 1:
-            raise ValueError("cycles must be >= 1")
+        _check_cycles(self.cycles)
 
 
 def probe_chain(cycles: int, thetas) -> np.ndarray:
@@ -63,8 +71,7 @@ def probe_chain(cycles: int, thetas) -> np.ndarray:
     arccos(cos(eta) cos(theta/2)) loses 1.6e-7 at M = 1e5 and all of Dc at
     theta = 0, M = 1e9.
     """
-    if cycles < 1:
-        raise ValueError("cycles must be >= 1")
+    _check_cycles(cycles)
     thetas = np.asarray(thetas, dtype=float)
     eta = math.pi / (2 * cycles)
     c, s = math.cos(eta), math.sin(eta)
@@ -80,8 +87,7 @@ def blocked_dd_probability(cycles: int) -> float:
     probability cos(pi/2M)^(2M) and is absorbed otherwise.  Computed
     through log1p(-2 sin^2(pi/4M)): cos(pi/2M) itself rounds to 1.0 at
     M = 1e9, where the power would lose the whole loss 1 - Dd = 2.5e-9."""
-    if cycles < 1:
-        raise ValueError("cycles must be >= 1")
+    _check_cycles(cycles)
     half_eta = math.pi / (4 * cycles)
     return math.exp(2 * cycles * math.log1p(-2 * math.sin(half_eta) ** 2))
 

@@ -24,8 +24,12 @@ def pack_rows(rows: np.ndarray) -> np.ndarray:
     k, n = rows.shape
     if n > 64:
         raise ValueError("packed enumeration supports n <= 64 only")
+    # one flat packbits over rows padded to whole bytes, not one per row
+    width = -(-n // 8)
+    bits = np.zeros((k, 8 * width), dtype=np.uint8)
+    bits[:, :n] = rows
     packed = np.zeros((k, 8), dtype=np.uint8)
-    packed[:, : (n + 7) // 8] = np.packbits(rows, axis=1, bitorder="little")
+    packed[:, :width] = np.packbits(bits, bitorder="little").reshape(k, width)
     return packed.view("<u8").astype(np.uint64, copy=False).reshape(k)
 
 
@@ -80,19 +84,18 @@ def parity_determined(
     k = generator.shape[0]
     cols = pack_rows(generator.T).astype(np.uint32 if k <= 32 else np.uint64)
     n = cols.shape[0]
-    known = np.asarray(known, dtype=bool)
-    _, first, inverse = np.unique(pack_rows(known), return_index=True, return_inverse=True)
-    a = np.zeros((first.shape[0], n + 1), dtype=cols.dtype)
-    np.copyto(a[:, :n], cols, where=known[first])
+    distinct, inverse = np.unique(pack_rows(np.asarray(known, dtype=bool)), return_inverse=True)
+    a = np.zeros((distinct.shape[0], n + 1), dtype=cols.dtype)
+    np.copyto(a[:, :n], cols, where=unpack_rows(distinct, n).view(bool))
     a[:, n] = pack_rows(np.asarray(t, dtype=np.uint8)[None, :])[0]
     has = np.empty_like(a)
+    rows = np.arange(a.shape[0])
     for b in range(k):
         np.right_shift(a, b, out=has)
         has &= 1
         # where no known column has bit b, this "pivot" lacks it too: XORed
         # into the target it moves it within the span, and bit b stays set
-        pivot = np.take_along_axis(a, has[:, :n].argmax(axis=1)[:, None], axis=1)
-        has *= pivot
+        has *= a[rows, has[:, :n].argmax(axis=1)][:, None]
         a ^= has
     return (a[:, n] == 0)[inverse]
 
@@ -149,10 +152,11 @@ def min_weight(masks: np.ndarray, n: int) -> tuple[int, np.ndarray]:
 # One uniform 32-bit u per trial and photon: the sender is intercepted when
 # u < t(f), and an intercepted photon shows up as a mismatch when
 # u < t(f*eps), which for eps <= 1 implies u < t(f).  The cheat survives
-# unveiling iff no flipped position was intercepted; the cheater "proceeds"
-# when she saw no mismatch on the flipped positions, and the sender aborts
-# when a trial's mismatch count reaches `abort_at`.  Returns int64 counts
-# [proceed, proceed & accept, accept, abort].
+# unveiling iff no flipped position was intercepted, that is iff the least u
+# over the (nonempty) `flip_idx` is >= t(f); the cheater "proceeds" when she
+# saw no mismatch there, iff it is >= t(f*eps).  As t(f*eps) <= t(f), accept
+# implies proceed.  The sender aborts when a trial's mismatch count reaches
+# `abort_at`.  Returns int64 counts [proceed, proceed & accept, accept, abort].
 #
 # The caller passes a whole 16384-trial block at once.  Both games count a
 # trial's mismatches with `_mismatch_counts`: the flags are bytes in rows
@@ -186,20 +190,12 @@ def _mismatch_counts(u, t, intercept=None):
 
 
 def binding_counts(u, t_f, t_fe, flip_idx, abort_at):
-    count = _mismatch_counts(u, t_fe)
-    flips = u[:, flip_idx]
-    proceed = (flips >= t_fe).all(axis=1)
-    accept = (flips >= t_f).all(axis=1)
-    abort = count >= abort_at
-    return np.array(
-        [
-            np.count_nonzero(proceed),
-            np.count_nonzero(proceed & accept),
-            np.count_nonzero(accept),
-            np.count_nonzero(abort),
-        ],
-        dtype=np.int64,
-    )
+    least = u[:, flip_idx[0]]
+    for i in flip_idx[1:]:
+        least = np.minimum(least, u[:, i])
+    accept = np.count_nonzero(least >= t_f)
+    abort = np.count_nonzero(_mismatch_counts(u, t_fe) >= abort_at)
+    return np.array([np.count_nonzero(least >= t_fe), accept, accept, abort], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +206,8 @@ def binding_counts(u, t_f, t_fe, flip_idx, abort_at):
 # the parity and 1/2 otherwise, whichever codeword was committed.  An
 # intercepted photon shows up as a mismatch when its uint32 u_mis < t(eps),
 # and the sender aborts when a trial's mismatch count reaches `abort_at`.
-# Returns float64 [aborts, sum p(true parity)], also the max-posterior sum.
+# Returns float64 [aborts, sum p(true parity)]; as p is 1 or 1/2, the sum
+# of max(p, 1 - p) is the same number.
 
 def concealing_stats(generator, t, intercept, u_mis, t_eps, abort_at):
     aborts = np.count_nonzero(_mismatch_counts(u_mis, t_eps, intercept) >= abort_at)

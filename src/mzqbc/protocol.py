@@ -92,8 +92,8 @@ class ProtocolParams:
         object.__setattr__(self, "bs", BeamSplitterParams(R=self.R))
         if self.epsilon is None:
             object.__setattr__(self, "epsilon", strategies.protocol_epsilon(self.bs))
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in (0,1]")
+        if not 2.0**-1022 <= self.epsilon <= 1.0:  # the estimate <= 1/epsilon stays finite
+            raise ValueError("epsilon must lie in [2^-1022, 1]")
         num, den = self.epsilon.as_integer_ratio()  # the float's exact value
         object.__setattr__(self, "abort_at", -(-num * (self.code.n - self.code.d) // den))
         pair = None
@@ -410,14 +410,20 @@ def run_concealing_experiment(
     t_eps = kernels.uint32_threshold(eps)
 
     def worker(g: np.random.Generator, count: int):
-        # the m positions with the smallest keys (kth = -1 when m = 0 picks
-        # none); keys and indices stay temporaries, freed before the span test.
-        # The keys stay doubles: a tie is broken by index, which biases the
-        # pick, and 32-bit keys would tie 2^21 times as often
-        intercept = np.zeros((count, n), dtype=bool)
-        np.put_along_axis(
-            intercept, np.argpartition(g.random((count, n)), m - 1, axis=1)[:, :m], True, axis=1
-        )
+        # the m positions with the smallest keys: those at or below the m-th
+        # smallest, or none (below -1) at m = 0.  A trial with a tie there has
+        # too many, and only such trials are redone by a stable sort, so a tie
+        # goes to the lower index.  The keys stay doubles, freed before the
+        # span test: that rule biases the pick, and 32-bit keys would tie
+        # 2^21 times as often
+        keys = g.random((count, n))
+        intercept = keys <= (np.partition(keys, m - 1, axis=1)[:, m - 1, None] if m else -1.0)
+        if np.count_nonzero(intercept) != count * m:
+            tied = np.flatnonzero(np.count_nonzero(intercept, axis=1) != m)
+            intercept[tied] = False
+            lowest = np.argsort(keys[tied], axis=1, kind="stable")[:, :m]
+            intercept[tied[:, None], lowest] = True
+        del keys
         u_mis = _uniforms32(g, count, n)
         return kernels.concealing_stats(code.generator, params.t, intercept, u_mis, t_eps, abort_at)
 

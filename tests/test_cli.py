@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import codeword_oracles
-from mzqbc import checks, cli, codes, config as config_mod, optics, protocol
+from mzqbc import checks, cli, codes, config as config_mod, counterfactual, optics, protocol
 from mzqbc.config import ConfigError, parse_config_text
 
 
@@ -596,6 +596,49 @@ def test_non_positive_count_is_parameter_error(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+# The probe chain takes M as a float64, exact up to 2^53, and below
+# epsilon = 2^-1022 a full intercept's estimate n'/(epsilon*n) overflows
+M_RANGE = "M out of range: cycles must be >= 1 and <= 2^53"
+HUGE_M = "1" + "0" * 400
+OUT_OF_RANGE = {
+    "counterfactual-M-huge": (["counterfactual"], f"M = {HUGE_M}\n", M_RANGE),
+    "counterfactual-M-2^53+1": (["counterfactual"], f"M = {2**53 + 1}\n", M_RANGE),
+    "probe-M-huge": (["probe"], f"M = 1, {HUGE_M}\n", M_RANGE),
+    "run-epsilon-subnormal": (
+        ["run"], "epsilon = 1e-320\nbob = full_intercept\n", "epsilon must lie in [2^-1022, 1]"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE))
+def test_out_of_range_value_is_parameter_error_before_any_work(case, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the parameters were checked")
+
+    monkeypatch.setattr(protocol, "run_commit", refuse)
+    monkeypatch.setattr(counterfactual, "attack_session", refuse)
+    argv, text, want = OUT_OF_RANGE[case]
+    assert cli.main(argv + ["--config", write_cfg(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {want}\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["counterfactual"], f"M = {2**53}\nsessions = 3\n"),
+    (["probe"], f"M = {2**53}\ntheta_points = 3\n"),
+    (["run"], f"epsilon = {2.0**-1022!r}\nbob = full_intercept\n"),
+], ids=["counterfactual-M-2^53", "probe-M-2^53", "run-epsilon-2^-1022"])
+def test_range_ends_run_to_strict_output(argv, text, tmp_path):
+    out = tmp_path / "out.txt"
+    assert cli.main(argv + ["--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    if argv != ["probe"]:
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        json.loads(out.read_text(), parse_constant=reject)
 
 
 class TestVerify:

@@ -370,6 +370,10 @@ BINDING_ORACLE_CASES = {
     "f0": (9, 8, 0.5, 0.5, 0.0),
     "f1-n13": (10, 13, 0.3, 1 - 3 / 13, 1.0),
     "f0.1-eps0.3": (11, 24, 0.3, 1 - 8 / 24, 0.1),
+    # the running minimum over the flip columns: n = 3 flips photon 0 alone,
+    # and n = 64 flips 22 photons in rows of eight whole uint64 words
+    "n3-one-flip": (12, 3, 0.5, 0.5, 0.5),
+    "n64": (13, 64, 0.3, 1 - 16 / 64, 0.5),
 }
 
 

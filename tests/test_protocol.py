@@ -636,6 +636,28 @@ class TestBindingStreams:
         assert rep["abort_frequency"] == abort / trials
         assert 0 < abort < trials
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", ["hamming", "golay"])  # Hamming's n = 7 is odd
+    def test_single_trial_counts_its_one_row(self, name, seed):
+        code = codes.builtin_code(name)
+        r = codes.random_mask(code, np.random.default_rng(seed))
+        params = make_params(code=code, r=r, seed=seed)
+        [(seq, count)] = blocks(seed, 1)
+        u = _uniforms_split(np.random.default_rng(seq), count, code.n)[0]
+        mismatch = u < kernels.uint32_threshold(params.f * params.epsilon)
+        flips = _flip_idx(code, r)
+        proceed = not mismatch[flips].any()
+        accept = not (u[flips] < kernels.uint32_threshold(params.f)).any()
+        rep = run_binding_experiment(params, trials=1)
+        assert rep["trials"] == 1
+        assert rep["proceed_trials"] == proceed
+        assert rep["accept_rate_unconditioned"] == accept
+        assert rep["abort_frequency"] == (mismatch.sum() >= params.abort_at)
+        if proceed:
+            assert rep["accept_rate_among_proceed"] == accept
+        else:
+            assert math.isnan(rep["accept_rate_among_proceed"])
+
     def test_sweep_points_share_one_stream(self):
         # every f reads the same blocks of SeedSequence(seed), so the
         # intercept events u < t(f) are nested: a larger f accepts no cheat
@@ -696,6 +718,55 @@ class TestConcealingExperiment:
             g = np.random.default_rng(seq)
             g.random((count, 8))  # the position keys
             np.testing.assert_array_equal(u_mis, _uniforms_split(g, count, 8))
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 5, 8])
+    def test_key_ties_go_to_the_lower_index(self, m, monkeypatch):
+        # keys from {0, 1, 2} tie at the m-th smallest in most trials: the
+        # pick is still exactly m positions, those a stable sort puts first
+        real_rng, keys, masks = np.random.default_rng, [], []
+
+        class TiedKeys:
+            def __init__(self, seed):
+                self._g = real_rng(seed)
+                self.bit_generator = self._g.bit_generator
+
+            def random(self, shape):
+                keys.append(self._g.integers(0, 3, size=shape).astype(float))
+                return keys[-1]
+
+        def record(generator, t, intercept, u_mis, t_eps, abort_at):
+            masks.append(intercept)
+            return np.zeros(2)
+
+        monkeypatch.setattr(np.random, "default_rng", TiedKeys)
+        monkeypatch.setattr(kernels, "concealing_stats", record)
+        run_concealing_experiment(make_params(), m=m, trials=BLOCK_TRIALS + 7)
+        assert sum(len(k) for k in keys) == BLOCK_TRIALS + 7
+        for k, got in zip(keys, masks):
+            want = np.zeros(k.shape, dtype=bool)
+            np.put_along_axis(want, np.argsort(k, axis=1, kind="stable")[:, :m], True, axis=1)
+            np.testing.assert_array_equal(got, want)
+            if 0 < m < 8:
+                ordered = np.sort(k, axis=1)
+                assert (ordered[:, m - 1] == ordered[:, m]).mean() > 0.3
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("m", [0, 3, 8])
+    def test_single_trial_replays_its_draws(self, m, seed):
+        params = make_params(seed=seed)
+        [(seq, count)] = blocks(seed, 1)
+        g = np.random.default_rng(seq)
+        known = np.zeros(8, dtype=bool)
+        known[np.argsort(g.random(8), kind="stable")[:m]] = True
+        u_mis = _uniforms_split(g, count, 8)[0]
+        mismatches = np.count_nonzero(known & (u_mis < kernels.uint32_threshold(params.epsilon)))
+        # the known bits fix the parity iff no codeword that is 0 on them has parity 1
+        words = codeword_oracles.codewords(params.code)
+        hidden = words[~words[:, known].any(axis=1)]
+        rep = run_concealing_experiment(params, m=m, trials=1)
+        assert rep["trials"] == 1
+        assert rep["abort_frequency"] == (mismatches >= params.abort_at)
+        assert rep["mean_posterior_true_bit"] == (0.5 if (hidden @ params.r % 2).any() else 1.0)
 
     def test_m_out_of_range(self):
         with pytest.raises(ValueError):
